@@ -23,19 +23,44 @@ let policy_enum =
 let log_level_enum =
   [ ("error", Util.Log.Error); ("warn", Util.Log.Warn); ("info", Util.Log.Info); ("debug", Util.Log.Debug) ]
 
-let nodes_arg r = Util.Args.int [ "--nodes" ] ~doc:"Target node count of a generated synthetic grid." r
+(* Counts and sizes are range-checked where they enter: a value below
+   [min] fails the parse with the flag named (exit 2), the bounds
+   Job.of_json applies to the same fields of a job file. *)
+let int_at_least min names ~doc r =
+  Util.Args.value names ~docv:"N" ~doc (fun s ->
+      match int_of_string_opt (String.trim s) with
+      | Some v when v >= min ->
+          r := v;
+          Ok ()
+      | Some v -> Error (Printf.sprintf "must be >= %d, got %d" min v)
+      | None -> Error (Printf.sprintf "expected an integer, got %S" s))
+
+let positive_int names ~doc r = int_at_least 1 names ~doc r
+
+let positive_float names ~doc r =
+  Util.Args.value names ~docv:"X" ~doc (fun s ->
+      match float_of_string_opt (String.trim s) with
+      | Some v when v > 0.0 && Float.is_finite v ->
+          r := v;
+          Ok ()
+      | Some _ -> Error (Printf.sprintf "must be a finite number > 0, got %S" s)
+      | None -> Error (Printf.sprintf "expected a number, got %S" s))
+
+let nodes_arg r =
+  int_at_least Powergrid.Grid_spec.min_nodes [ "--nodes" ]
+    ~doc:"Target node count of a generated synthetic grid." r
 
 let netlist_arg r =
   Util.Args.string_opt [ "--netlist" ] ~docv:"FILE"
     ~doc:"Analyze this SPICE-subset netlist instead of a generated grid." r
 
-let order_arg r = Util.Args.int [ "--order" ] ~doc:"Polynomial-chaos expansion order (the paper uses 2-3)." r
+let order_arg r = positive_int [ "--order" ] ~doc:"Polynomial-chaos expansion order (the paper uses 2-3)." r
 
-let steps_arg r = Util.Args.int [ "--steps" ] ~doc:"Number of transient steps." r
+let steps_arg r = positive_int [ "--steps" ] ~doc:"Number of transient steps." r
 
-let step_ps_arg r = Util.Args.float [ "--step-ps" ] ~doc:"Time step in picoseconds." r
+let step_ps_arg r = positive_float [ "--step-ps" ] ~doc:"Time step in picoseconds." r
 
-let samples_arg r = Util.Args.int [ "--samples" ] ~doc:"Monte-Carlo sample count." r
+let samples_arg r = positive_int [ "--samples" ] ~doc:"Monte-Carlo sample count." r
 
 let seed_arg r = Util.Args.int [ "--seed" ] ~doc:"Random seed." r
 
@@ -184,11 +209,16 @@ let print_health (stats : Opera.Galerkin.stats) =
       (Linalg.Solve_report.agg_summary agg)
       (if Linalg.Solve_report.agg_healthy agg then "" else "  ** UNHEALTHY **")
 
+(* Input a flag names that the program cannot use, such as an unreadable
+   or malformed netlist; [dispatch] reports it as a usage error. *)
+exception Bad_input of string
+
 let load_circuit netlist nodes =
   match netlist with
-  | Some path ->
-      let parsed = Powergrid.Netlist.parse_file path in
-      (parsed.Powergrid.Netlist.circuit, vdd_default, None)
+  | Some path -> (
+      match Powergrid.Netlist.load_file path with
+      | Ok parsed -> (parsed.Powergrid.Netlist.circuit, vdd_default, None)
+      | Error msg -> raise (Bad_input ("netlist " ^ msg)))
   | None ->
       let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default nodes in
       (Powergrid.Grid_gen.generate spec, spec.Powergrid.Grid_spec.vdd, Some spec)
@@ -199,6 +229,12 @@ let load_circuit netlist nodes =
    body.  Every subcommand flows through here, so help and error
    behavior cannot drift between parsers. *)
 let dispatch ~prog ~summary ?positional ~args ~argv body =
+  let run ps =
+    try body ps
+    with Bad_input msg ->
+      Printf.eprintf "%s: %s\n" prog msg;
+      2
+  in
   match Util.Args.parse args argv with
   | Util.Args.Help ->
       print_string (Util.Args.usage ~prog ?positional ~summary args);
@@ -208,8 +244,8 @@ let dispatch ~prog ~summary ?positional ~args ~argv body =
       2
   | Util.Args.Parsed positionals -> (
       match (positional, positionals) with
-      | None, [] -> body []
+      | None, [] -> run []
       | None, extra :: _ ->
           Printf.eprintf "%s: unexpected argument %S\nTry '%s --help'.\n" prog extra prog;
           2
-      | Some _, ps -> body ps)
+      | Some _, ps -> run ps)

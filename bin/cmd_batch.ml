@@ -104,7 +104,7 @@ let run argv =
           in
           match Scenario.Job.batch_of_file path with
           | Error msg ->
-              Printf.eprintf "opera batch: %s: %s\n" path msg;
+              Printf.eprintf "opera batch: %s\n" msg;
               2
           | Ok jobs when !dry_run ->
               let total = Array.length jobs in

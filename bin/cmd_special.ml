@@ -17,7 +17,8 @@ let run argv =
       Cli_common.order_arg order;
       Cli_common.steps_arg steps;
       Cli_common.step_ps_arg step_ps;
-      Util.Args.int [ "--regions" ] ~doc:"Number of chip regions for Vth variation." regions;
+      Cli_common.positive_int [ "--regions" ] ~doc:"Number of chip regions for Vth variation."
+        regions;
       Util.Args.float [ "--lambda" ] ~doc:"Lognormal leakage shape parameter." lambda;
       Cli_common.samples_arg samples;
       Cli_common.domains_arg domains;

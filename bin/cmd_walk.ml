@@ -6,7 +6,7 @@ let run argv =
     [
       Cli_common.netlist_arg netlist;
       Cli_common.nodes_arg nodes;
-      Util.Args.int [ "--walks" ] ~doc:"Number of random walks." walks;
+      Cli_common.positive_int [ "--walks" ] ~doc:"Number of random walks." walks;
       Cli_common.seed_arg seed;
     ]
   in

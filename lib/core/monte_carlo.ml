@@ -32,27 +32,24 @@ type result = {
   elapsed_seconds : float;
 }
 
-(* One worker's accumulation state. *)
-type chunk = {
-  count : int;
-  c_mean : float array;  (** per (step, node) *)
-  c_m2 : float array;
-  c_probes : float array array array;  (** probe x step x local sample *)
-}
-
-(* Run [samples] Monte-Carlo transients with the given rng, accumulating
-   Welford sums locally.  Pure function of its inputs: safe to run in
-   parallel domains over the shared immutable model. *)
-let run_chunk (m : Stochastic_model.t) (cfg : config) ~perm ~rng ~halton_offset ~samples
-    ~progress =
+let run ?(progress = fun _ -> ()) (m : Stochastic_model.t) (cfg : config) =
+  if cfg.samples <= 0 then invalid_arg "Monte_carlo.run: need at least one sample";
+  if cfg.h <= 0.0 then invalid_arg "Monte_carlo.run: step must be positive";
   let n = m.Stochastic_model.n in
+  let samples = cfg.samples in
+  let t0 = Util.Timer.start () in
+  (* The pattern is identical across samples: order once, refactor per
+     sample with the precomputed permutation. *)
+  let perm = Linalg.Ordering.compute cfg.ordering (Stochastic_model.node_pattern m) in
   let dim = Polychaos.Basis.dim m.Stochastic_model.basis in
   let families = Polychaos.Basis.families m.Stochastic_model.basis in
   let draw_xi =
     match cfg.sampler with
-    | Pseudo -> fun () -> Polychaos.Basis.sample_point m.Stochastic_model.basis rng
+    | Pseudo ->
+        let rng = Prob.Rng.create ~seed:cfg.seed () in
+        fun () -> Polychaos.Basis.sample_point m.Stochastic_model.basis rng
     | Quasi_halton ->
-        let halton = Prob.Halton.create ~skip:(32 + halton_offset) ~dim () in
+        let halton = Prob.Halton.create ~skip:32 ~dim () in
         fun () ->
           let u = Prob.Halton.next halton in
           Array.mapi
@@ -66,9 +63,9 @@ let run_chunk (m : Stochastic_model.t) (cfg : config) ~perm ~rng ~halton_offset 
             u
   in
   let total = (cfg.steps + 1) * n in
-  let c_mean = Array.make total 0.0 in
-  let c_m2 = Array.make total 0.0 in
-  let c_probes =
+  let mean = Array.make total 0.0 in
+  let m2 = Array.make total 0.0 in
+  let probe_values =
     Array.map (fun _ -> Array.init (cfg.steps + 1) (fun _ -> Array.make samples 0.0)) cfg.probes
   in
   let drain = Array.make n 0.0 in
@@ -97,16 +94,17 @@ let run_chunk (m : Stochastic_model.t) (cfg : config) ~perm ~rng ~halton_offset 
       Powergrid.Mna.drain_into m.Stochastic_model.mna t drain;
       Linalg.Vec.axpy ~alpha:drain_coef drain out
     in
+    (* Welford running moments per (step, node). *)
     let count = float_of_int (s + 1) in
     let accumulate step x =
       let base = step * n in
       for i = 0 to n - 1 do
         let v = x.(i) in
-        let delta = v -. c_mean.(base + i) in
-        c_mean.(base + i) <- c_mean.(base + i) +. (delta /. count);
-        c_m2.(base + i) <- c_m2.(base + i) +. (delta *. (v -. c_mean.(base + i)))
+        let delta = v -. mean.(base + i) in
+        mean.(base + i) <- mean.(base + i) +. (delta /. count);
+        m2.(base + i) <- m2.(base + i) +. (delta *. (v -. mean.(base + i)))
       done;
-      Array.iteri (fun p node -> c_probes.(p).(step).(s) <- x.(node)) cfg.probes
+      Array.iteri (fun p node -> probe_values.(p).(step).(s) <- x.(node)) cfg.probes
     in
     (* DC initial condition, then backward Euler — both factorizations are
        fresh per sample (the matrices changed), the symbolic ordering is
@@ -130,82 +128,9 @@ let run_chunk (m : Stochastic_model.t) (cfg : config) ~perm ~rng ~halton_offset 
     done;
     progress (s + 1)
   done;
-  { count = samples; c_mean; c_m2; c_probes }
-
-(* Chan/Pébay pairwise combination of two Welford states. *)
-let merge_chunks a b =
-  if a.count = 0 then b
-  else if b.count = 0 then a
-  else begin
-    let na = float_of_int a.count and nb = float_of_int b.count in
-    let nab = na +. nb in
-    let total = Array.length a.c_mean in
-    let mean = Array.make total 0.0 and m2 = Array.make total 0.0 in
-    for i = 0 to total - 1 do
-      let delta = b.c_mean.(i) -. a.c_mean.(i) in
-      mean.(i) <- a.c_mean.(i) +. (delta *. nb /. nab);
-      m2.(i) <- a.c_m2.(i) +. b.c_m2.(i) +. (delta *. delta *. na *. nb /. nab)
-    done;
-    let c_probes =
-      Array.mapi
-        (fun p per_step ->
-          Array.mapi (fun step xs -> Array.append xs b.c_probes.(p).(step)) per_step)
-        a.c_probes
-    in
-    { count = a.count + b.count; c_mean = mean; c_m2 = m2; c_probes }
-  end
-
-let run ?(progress = fun _ -> ()) ?(domains = 1) (m : Stochastic_model.t) (cfg : config) =
-  if cfg.samples <= 0 then invalid_arg "Monte_carlo.run: need at least one sample";
-  if cfg.h <= 0.0 then invalid_arg "Monte_carlo.run: step must be positive";
-  if domains < 1 then invalid_arg "Monte_carlo.run: need at least one domain";
-  let n = m.Stochastic_model.n in
-  let t0 = Util.Timer.start () in
-  (* The pattern is identical across samples: order once, refactor per
-     sample with the precomputed permutation. *)
-  let perm = Linalg.Ordering.compute cfg.ordering (Stochastic_model.node_pattern m) in
-  let domains = Int.min domains cfg.samples in
-  let merged =
-    if domains = 1 then
-      run_chunk m cfg ~perm
-        ~rng:(Prob.Rng.create ~seed:cfg.seed ())
-        ~halton_offset:0 ~samples:cfg.samples ~progress
-    else begin
-      (* Split the samples across domains; each worker gets its own rng
-         stream (or Halton segment) and local accumulators, merged at the
-         end.  Workers only read the shared model. *)
-      let base = cfg.samples / domains and extra = cfg.samples mod domains in
-      let sizes = Array.init domains (fun d -> base + if d < extra then 1 else 0) in
-      let offsets = Array.make domains 0 in
-      for d = 1 to domains - 1 do
-        offsets.(d) <- offsets.(d - 1) + sizes.(d - 1)
-      done;
-      let worker d =
-        let seed = Int64.add cfg.seed (Int64.of_int (1_000_003 * (d + 1))) in
-        run_chunk m cfg ~perm
-          ~rng:(Prob.Rng.create ~seed ())
-          ~halton_offset:offsets.(d) ~samples:sizes.(d)
-          ~progress:(fun _ -> ())
-      in
-      let handles =
-        Array.init (domains - 1) (fun d -> Domain.spawn (fun () -> worker (d + 1)))
-      in
-      let first = worker 0 in
-      Array.fold_left (fun acc h -> merge_chunks acc (Domain.join h)) first handles
-    end
-  in
   let elapsed_seconds = Util.Timer.elapsed_s t0 in
-  let variance = Array.map (fun v -> v /. float_of_int merged.count) merged.c_m2 in
-  {
-    n;
-    steps = cfg.steps;
-    h = cfg.h;
-    samples = merged.count;
-    mean = merged.c_mean;
-    variance;
-    probe_values = merged.c_probes;
-    elapsed_seconds;
-  }
+  let variance = Array.map (fun v -> v /. float_of_int samples) m2 in
+  { n; steps = cfg.steps; h = cfg.h; samples; mean; variance; probe_values; elapsed_seconds }
 
 let mean_at r ~step ~node = r.mean.((step * r.n) + node)
 

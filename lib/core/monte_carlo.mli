@@ -39,12 +39,9 @@ type result = {
   elapsed_seconds : float;
 }
 
-val run : ?progress:(int -> unit) -> ?domains:int -> Stochastic_model.t -> config -> result
-(** [domains] > 1 splits the samples across OCaml domains (parallel
-    sampling); each worker owns an independent seeded stream (or Halton
-    segment) and local Welford accumulators, pairwise-merged at the end.
-    The sample stream therefore depends on [domains]; [progress] is only
-    reported in the single-domain path. *)
+val run : ?progress:(int -> unit) -> Stochastic_model.t -> config -> result
+(** Runs the samples in order on the calling domain; [progress] receives
+    the number of samples done after each one. *)
 
 val mean_at : result -> step:int -> node:int -> float
 

@@ -10,8 +10,6 @@ type preconditioner = Vec.t -> Vec.t
 
 type stats = { iterations : int; residual_norm : float; converged : bool }
 
-val identity_preconditioner : preconditioner
-
 val jacobi : Sparse.t -> preconditioner
 (** Diagonal (Jacobi) preconditioner. Raises if a diagonal entry is zero. *)
 
@@ -100,9 +98,6 @@ val solve_report_in_place :
     {!solve_report}, so solutions and reports are bitwise equal given
     equal inputs.  Raises [Invalid_argument] on dimension mismatch
     between [b], [x] and [ws]. *)
-
-val stats_of_report : Solve_report.t -> stats
-(** Project a report onto the legacy {!stats} triple. *)
 
 val solve_sparse :
   ?precond:preconditioner ->

@@ -79,8 +79,10 @@ let with_size spec ~rows ~cols =
   if rows < 2 || cols < 2 then invalid_arg "Grid_spec.with_size: mesh needs at least 2x2";
   { spec with rows; cols }
 
+let min_nodes = 8
+
 let scale_to_nodes spec target =
-  if target < 8 then invalid_arg "Grid_spec.scale_to_nodes: target too small";
+  if target < min_nodes then invalid_arg "Grid_spec.scale_to_nodes: target too small";
   (* Nodes ~ rows*cols * (1 + 1/coarsening^2 + ...) ~ rows^2 * factor. *)
   let factor = ref 0.0 in
   for l = 0 to spec.layers - 1 do

@@ -36,9 +36,13 @@ val default : t
 
 val with_size : t -> rows:int -> cols:int -> t
 
+val min_nodes : int
+(** The smallest node count {!scale_to_nodes} accepts. *)
+
 val scale_to_nodes : t -> int -> t
 (** Pick [rows = cols] so that the total node count across layers is
-    approximately the request, scaling block count and pad pitch along. *)
+    approximately the request, scaling block count and pad pitch along.
+    Raises [Invalid_argument] below {!min_nodes}. *)
 
 val node_count : t -> int
 (** Total nodes over all layers. *)

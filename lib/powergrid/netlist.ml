@@ -78,7 +78,11 @@ let parse_paren_group lineno token =
   | None -> raise (Parse_error (lineno, "expected FUNC(...) waveform"))
   | Some open_pos ->
       let name = String.lowercase_ascii (String.sub token 0 open_pos) in
-      let close = String.rindex token ')' in
+      let close =
+        match String.rindex_opt token ')' with
+        | Some close when close > open_pos -> close
+        | _ -> raise (Parse_error (lineno, "unbalanced parentheses in " ^ token))
+      in
       let inner = String.sub token (open_pos + 1) (close - open_pos - 1) in
       let args =
         String.split_on_char ' ' (String.map (fun c -> if c = ',' then ' ' else c) inner)
@@ -201,7 +205,10 @@ let parse_string text =
                   let wave = if Util.Floats.equal_exact sign 1.0 then wave else Waveform.scale sign wave in
                   let region =
                     match keyword_arg extra "region" with
-                    | Some r -> int_of_string r
+                    | Some r -> (
+                        match int_of_string_opt r with
+                        | Some r -> r
+                        | None -> raise (Parse_error (lineno, "REGION must be an integer")))
                     | None -> 0
                   in
                   isources := { Circuit.inode; wave; region } :: !isources
@@ -236,6 +243,15 @@ let parse_file path =
   let text = really_input_string ic len in
   close_in ic;
   parse_string text
+
+let load_file path =
+  match parse_file path with
+  | parsed -> Ok parsed
+  | exception Sys_error msg ->
+      (* a failed open names the file, a failed read does not *)
+      Error (if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg)
+  | exception Parse_error (0, msg) -> Error (Printf.sprintf "%s: %s" path msg)
+  | exception Parse_error (line, msg) -> Error (Printf.sprintf "%s:%d: %s" path line msg)
 
 let float_str v = Printf.sprintf "%.9g" v
 

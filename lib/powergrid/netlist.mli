@@ -23,6 +23,10 @@ val parse_string : string -> parsed
 
 val parse_file : string -> parsed
 
+val load_file : string -> (parsed, string) result
+(** {!parse_file} with an unreadable file or a malformed card returned as
+    a one-line message naming the file (and the line, when known). *)
+
 val to_string : ?title:string -> Circuit.t -> string
 (** Render a circuit back to netlist text (nodes named [n<i>]).
     PWL waveforms are emitted exactly; [random_activity] profiles

@@ -178,9 +178,10 @@ let build_galerkin_ctx store count ~precond (rep : Job.t) members =
     | Job.Generated { nodes } ->
         let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default nodes in
         (Powergrid.Grid_gen.generate spec, spec.Powergrid.Grid_spec.vdd, Some spec)
-    | Job.Netlist path ->
-        let parsed = Powergrid.Netlist.parse_file path in
-        (parsed.Powergrid.Netlist.circuit, vdd_default, None)
+    | Job.Netlist path -> (
+        match Powergrid.Netlist.load_file path with
+        | Ok parsed -> (parsed.Powergrid.Netlist.circuit, vdd_default, None)
+        | Error msg -> raise (Invalid_batch (Printf.sprintf "job %s: netlist %s" rep.Job.name msg)))
   in
   let vm = scaled_varmodel rep.sigma_scale in
   let model =

@@ -34,11 +34,11 @@
     runs, resumed runs and any domain count. *)
 
 exception Invalid_batch of string
-(** A batch that cannot run: empty, an invalid shard spec, or a probe
-    out of range for its job's grid.  Raised by {!run} on the main
-    domain before any job executes, so the CLI can map it to the
-    usage-error discipline (message on stderr, exit 2) instead of
-    crashing out of a worker. *)
+(** A batch that cannot run: empty, an invalid shard spec, a netlist
+    that cannot be read or parsed, or a probe out of range for its job's
+    grid.  Raised by {!run} on the main domain before any job executes,
+    so the CLI can map it to the usage-error discipline (message on
+    stderr, exit 2) instead of crashing out of a worker. *)
 
 type config = {
   cache_dir : string option;  (** [None] disables the artifact store and the results registry *)
@@ -119,8 +119,9 @@ val run : ?config:config -> ?emit:(result -> unit) -> Job.t array -> result arra
     available — including replayed results, which stream first.  An
     exception from [emit] stops further job claims, drains the jobs in
     flight, and is re-raised.  Raises {!Invalid_batch} on an empty
-    batch, an invalid shard spec or an out-of-range probe (checked
-    after group setup, before any job runs), and propagates
+    batch, an invalid shard spec, an unreadable or malformed netlist
+    (during group setup) or an out-of-range probe (checked after group
+    setup, before any job runs), and propagates
     {!Opera.Galerkin.Solver_diverged} from jobs running under the
     [fail] policy (after all other jobs finish; the earliest-indexed
     failure wins, and no record past it is emitted). *)

@@ -137,7 +137,10 @@ let of_json ?(defaults = Util.Json.Obj []) ?(name = "job") json =
       let* name = string_field ~default:name defaults json "name" in
       let* kind = string_field ~default:"transient" defaults json "analysis" in
       let* nodes = int_field ~default:240 defaults json "nodes" in
-      let* nodes = positive_int "nodes" nodes in
+      let* nodes =
+        if nodes >= Powergrid.Grid_spec.min_nodes then Ok nodes
+        else Error (Printf.sprintf "field \"nodes\" must be >= %d" Powergrid.Grid_spec.min_nodes)
+      in
       let* netlist = string_field ~default:"" defaults json "netlist" in
       let source = if netlist = "" then Generated { nodes } else Netlist netlist in
       let* order = int_field ~default:2 defaults json "order" in
@@ -249,9 +252,13 @@ let batch_of_json json =
   | None -> Error "batch spec must carry a \"jobs\" array"
 
 let batch_of_file path =
+  let named e = Printf.sprintf "%s: %s" path e in
   match Util.Json.parse_file path with
-  | Error e -> Error (Printf.sprintf "%s: %s" path e)
-  | Ok json -> batch_of_json json
+  | Ok json -> Result.map_error named (batch_of_json json)
+  | Error e -> Error (named e)
+  | exception Sys_error e ->
+      (* a failed open names the file, a failed read does not *)
+      Error (if String.starts_with ~prefix:path e then e else named e)
 
 (* ---- operator signature ---------------------------------------------
 

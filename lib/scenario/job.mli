@@ -79,6 +79,8 @@ val batch_of_json : Util.Json.t -> (t array, string) result
     an error (records are keyed by name downstream). *)
 
 val batch_of_file : string -> (t array, string) result
+(** {!batch_of_json} on a file's contents; an unreadable file, malformed
+    JSON or an invalid batch is a one-line message naming the file. *)
 
 val operator_bytes : t -> string
 (** Canonical {!Util.Codec} bytes of the job's operator-shaping fields

@@ -1,14 +1,13 @@
 (* Chunked parallel-for over OCaml 5 domains, backed by a persistent
    worker pool.
 
-   PR 1 grew this module out of the spawn/join pattern proven in
-   Monte_carlo.run; profiling the transient hot path showed that paying
-   [Domain.spawn]/[Domain.join] on *every* matvec and preconditioner
-   apply dwarfs the work itself at small block sizes.  The pool below
-   keeps the same observable API and the exact same chunking math
-   ([chunk_bounds], [chunks = min (resolve domains) n], inline when
-   [chunks <= 1]) so the bitwise-determinism argument is unchanged: a
-   chunk performs identical arithmetic no matter which domain runs it.
+   Paying [Domain.spawn]/[Domain.join] on *every* matvec and
+   preconditioner apply would dwarf the work itself at small block
+   sizes, hence the long-lived pool.  The chunking math ([chunk_bounds],
+   [chunks = min (resolve domains) n], inline when [chunks <= 1]) fixes
+   which indices each chunk covers, and a chunk performs identical
+   arithmetic no matter which domain runs it: that is the
+   bitwise-determinism argument.
 
    Pool design:
    - Lazily created on the first parallel dispatch; sized to

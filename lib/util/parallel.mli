@@ -14,8 +14,8 @@
     from a shared counter rather than statically assigned, so the
     calling domain always participates and a zero-worker pool degrades
     to a plain sequential loop.  Dispatching a job costs two mutex
-    acquisitions per chunk instead of a [Domain.spawn]/[Domain.join]
-    pair per worker per call — the difference is what made per-step
+    acquisitions per chunk instead of a domain spawn and join per
+    worker per call — the difference is what made per-step
     preconditioner applies affordable (see DESIGN.md, "Transient hot
     path").
 

@@ -2,16 +2,35 @@
 
    Contract (shared by every subcommand through Cli_common.dispatch):
      0  success, --help, --version
-     2  unknown subcommand, unknown flag, malformed value, bad job file
-   The tests shell out to the built opera binary (a test dep), with
-   stdout/stderr sent to /dev/null — only the exit codes matter here. *)
+     2  unknown subcommand, unknown flag, malformed or out-of-range value,
+        unreadable or malformed netlist, bad job file
+   The tests shell out to the built opera binary (a test dep) with stdout
+   sent to /dev/null.  An uncaught OCaml exception also exits 2, so every
+   case also asserts that stderr carries no "Fatal error: exception". *)
 
 let exe = "../bin/opera_cli.exe"
 
-let exit_code args =
-  Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" (Filename.quote exe) args)
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
 
-let check what expected args = Alcotest.(check int) what expected (exit_code args)
+let run args =
+  let err = Filename.temp_file "opera_cli_test" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s >/dev/null 2>%s" (Filename.quote exe) args (Filename.quote err))
+      in
+      (code, In_channel.with_open_bin err In_channel.input_all))
+
+let check what expected args =
+  let code, stderr = run args in
+  Alcotest.(check int) what expected code;
+  if contains stderr "Fatal error: exception" then
+    Alcotest.failf "%s: uncaught exception on stderr:\n%s" what stderr
 
 let test_help_exits_zero () =
   check "opera --help" 0 "--help";
@@ -45,10 +64,19 @@ let test_usage_errors_exit_two () =
   check "batch --cache-max-bytes without --cache-dir" 2
     "batch --cache-max-bytes 1M /nonexistent/jobs.json";
   check "batch malformed --cache-max-bytes" 2
-    "batch --cache-dir /tmp --cache-max-bytes lots /nonexistent/jobs.json"
+    "batch --cache-dir /tmp --cache-max-bytes lots /nonexistent/jobs.json";
+  check "analyze --order 0" 2 "analyze --order 0";
+  check "compare --order 0" 2 "compare --order 0";
+  check "analyze --steps -3" 2 "analyze --steps -3";
+  check "mc --samples 0" 2 "mc --samples 0";
+  check "mc --step-ps 0" 2 "mc --step-ps 0";
+  check "special --regions -2" 2 "special --regions -2";
+  check "generate --nodes 3" 2 "generate --nodes 3";
+  check "analyze missing --netlist" 2 "analyze --netlist /nonexistent.sp";
+  check "mc missing --netlist" 2 "mc --netlist /nonexistent.sp"
 
-let with_temp_file contents f =
-  let path = Filename.temp_file "opera_cli_test" ".json" in
+let with_temp_file ?(suffix = ".json") contents f =
+  let path = Filename.temp_file "opera_cli_test" suffix in
   let oc = open_out path in
   output_string oc contents;
   close_out oc;
@@ -66,7 +94,15 @@ let test_batch_rejects_malformed_jobs () =
   with_temp_file {|{"jobs": [{"analysis": "special", "regions": 5}]}|} (fun path ->
       check "non-tileable region count" 2 ("batch " ^ Filename.quote path));
   with_temp_file {|{"jobs": [{"analysis": "dc", "nodes": 60, "probe": 1000000}]}|} (fun path ->
-      check "out-of-range probe" 2 ("batch " ^ Filename.quote path))
+      check "out-of-range probe" 2 ("batch " ^ Filename.quote path));
+  with_temp_file {|{"jobs": [{"analysis": "dc", "nodes": 3}]}|} (fun path ->
+      check "grid below the generator minimum" 2 ("batch " ^ Filename.quote path));
+  with_temp_file {|{"jobs": [{"analysis": "dc", "netlist": "/nonexistent/grid.sp"}]}|}
+    (fun path -> check "missing netlist" 2 ("batch " ^ Filename.quote path));
+  with_temp_file ~suffix:".sp" "R1 n1 n2 1k\nI1 n1 0 PULSE(0 1m\n" (fun netlist ->
+      with_temp_file
+        (Printf.sprintf {|{"jobs": [{"analysis": "dc", "netlist": %S}]}|} netlist)
+        (fun path -> check "malformed netlist" 2 ("batch " ^ Filename.quote path)))
 
 (* serve flag validation: every malformed form must exit 2 before any
    socket is bound (the daemon never starts). *)

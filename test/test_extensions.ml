@@ -467,51 +467,3 @@ let suite =
     Alcotest.test_case "uniform preserves sigma" `Slow test_uniform_parameter_sigma_preserved;
     Alcotest.test_case "qmc matches galerkin" `Slow test_qmc_matches_galerkin;
   ]
-
-(* ---- parallel Monte Carlo --------------------------------------------- *)
-
-let test_parallel_mc_matches_statistics () =
-  let spec = Helpers.small_grid_spec in
-  let circuit = Powergrid.Grid_gen.generate spec in
-  let m = Opera.Stochastic_model.build ~order:2 Opera.Varmodel.paper_default ~vdd circuit in
-  let cfg =
-    { (Opera.Monte_carlo.default_config ~h:0.25e-9 ~steps:4) with
-      Opera.Monte_carlo.samples = 300; probes = [| 0; 5 |] }
-  in
-  let seq = Opera.Monte_carlo.run ~domains:1 m cfg in
-  let par = Opera.Monte_carlo.run ~domains:4 m cfg in
-  Alcotest.(check int) "same sample count" seq.Opera.Monte_carlo.samples
-    par.Opera.Monte_carlo.samples;
-  Alcotest.(check int) "probe samples complete" 300
-    (Array.length par.Opera.Monte_carlo.probe_values.(0).(2));
-  (* Different streams, same statistics: means within combined noise. *)
-  let step = 1 in
-  for node = 0 to m.Opera.Stochastic_model.n - 1 do
-    let mu_s = Opera.Monte_carlo.mean_at seq ~step ~node in
-    let mu_p = Opera.Monte_carlo.mean_at par ~step ~node in
-    let sd = Float.max (Opera.Monte_carlo.std_at seq ~step ~node) 1e-9 in
-    Alcotest.(check bool) "means statistically consistent" true
-      (Float.abs (mu_s -. mu_p) < 6.0 *. sd /. sqrt 300.0 +. 1e-7)
-  done
-
-let test_parallel_merge_exactness () =
-  (* With domains = samples, each chunk holds one sample; the merged
-     variance must still be the population variance of all samples. *)
-  let spec = Helpers.small_grid_spec in
-  let circuit = Powergrid.Grid_gen.generate spec in
-  let m = Opera.Stochastic_model.build ~order:2 Opera.Varmodel.paper_default ~vdd circuit in
-  let cfg =
-    { (Opera.Monte_carlo.default_config ~h:0.25e-9 ~steps:2) with
-      Opera.Monte_carlo.samples = 8 }
-  in
-  let r = Opera.Monte_carlo.run ~domains:8 m cfg in
-  Alcotest.(check int) "all samples ran" 8 r.Opera.Monte_carlo.samples;
-  Alcotest.(check bool) "variance finite and nonnegative" true
-    (Array.for_all (fun v -> Float.is_finite v && v >= -1e-18) r.Opera.Monte_carlo.variance)
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "parallel mc statistics" `Slow test_parallel_mc_matches_statistics;
-      Alcotest.test_case "parallel mc merge" `Quick test_parallel_merge_exactness;
-    ]

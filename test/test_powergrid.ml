@@ -198,7 +198,10 @@ let test_netlist_errors () =
   in
   Alcotest.(check bool) "garbage card" true (bad "X1 a b 1.0\nV1 a 0 1 RS=1\n");
   Alcotest.(check bool) "floating current source" true (bad "I1 a b 1m\nV1 a 0 1 RS=1\n");
-  Alcotest.(check bool) "bad waveform" true (bad "I1 a 0 TRI(1 2)\nV1 a 0 1 RS=1\n")
+  Alcotest.(check bool) "bad waveform" true (bad "I1 a 0 TRI(1 2)\nV1 a 0 1 RS=1\n");
+  Alcotest.(check bool) "unclosed waveform" true (bad "I1 a 0 PULSE(0 1m\nV1 a 0 1 RS=1\n");
+  Alcotest.(check bool) "reversed parentheses" true (bad "I1 a 0 )PULSE(\nV1 a 0 1 RS=1\n");
+  Alcotest.(check bool) "non-integer region" true (bad "I1 a 0 1m REGION=x\nV1 a 0 1 RS=1\n")
 
 let suite =
   [

@@ -397,11 +397,18 @@ let test_invalid_batch () =
   let jobs =
     [| base_job "ok"; { (base_job "bad") with Job.probe = Some 1_000_000 } |]
   in
-  match run ~jobs_parallel:2 jobs with
+  (match run ~jobs_parallel:2 jobs with
   | _ -> Alcotest.fail "out-of-range probe accepted"
   | exception Engine.Invalid_batch msg ->
       Alcotest.(check bool) "message names the offending job" true
-        (String.starts_with ~prefix:"job bad: probe" msg)
+        (String.starts_with ~prefix:"job bad: probe" msg));
+  (* An unreadable netlist fails group setup the same way, naming the
+     job and the file. *)
+  match run [| { (base_job "nl") with Job.source = Job.Netlist "/nonexistent/grid.sp" } |] with
+  | _ -> Alcotest.fail "missing netlist accepted"
+  | exception Engine.Invalid_batch msg ->
+      Alcotest.(check bool) "message names the job and the file" true
+        (String.starts_with ~prefix:"job nl: netlist /nonexistent/grid.sp" msg)
 
 (* --- resume: journaled results replay bitwise ------------------------- *)
 

@@ -320,6 +320,24 @@ let test_serve_ping_and_errors () =
       let _, err2 = rpc c "not json at all" in
       Alcotest.(check bool) "garbage -> error line" true
         (match J.parse err2 with Ok j -> J.member "error" j <> None | Error _ -> false);
+      (* A batch the engine refuses is a typed error line, not a raw
+         exception string. *)
+      let missing =
+        J.Obj
+          [
+            ( "jobs",
+              J.List
+                [ J.Obj [ ("name", J.Str "m"); ("netlist", J.Str "/nonexistent/grid.sp") ] ] );
+          ]
+      in
+      let _, err3 = rpc c (batch_line missing) in
+      Alcotest.(check bool) "missing netlist -> error naming job and file" true
+        (match J.parse err3 with
+        | Ok j -> (
+            match Option.bind (J.member "error" j) J.to_string with
+            | Some msg -> String.starts_with ~prefix:"job m: netlist /nonexistent/grid.sp" msg
+            | None -> false)
+        | Error _ -> false);
       (* The connection survives bad requests. *)
       let _, pong2 = rpc c {|{"op":"ping"}|} in
       Alcotest.(check string) "still serving" Service.Protocol.pong pong2;
