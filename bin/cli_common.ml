@@ -97,9 +97,9 @@ let precond_enum = List.map (fun k -> (Linalg.Precond.to_string k, k)) Linalg.Pr
 let precond_arg r =
   Util.Args.enum [ "--precond" ]
     ~doc:"Mean-block preconditioner of the iterative solver paths (pcg, matrix-free, st): \
-          cholesky (exact sparse factor, default), ic0 (incomplete Cholesky), amg (aggregation \
-          multigrid V-cycles; flat iteration counts on large meshes) or auto (amg above 20k \
-          nodes).  Direct solves ignore it."
+          cholesky (exact sparse factor, default), ic0 (incomplete Cholesky), amg \
+          (smoothed-aggregation multigrid V-cycles; flat iteration counts on large meshes) \
+          or auto (amg above 20k nodes).  Direct solves ignore it."
     precond_enum r
 
 let domains_arg r =
@@ -178,17 +178,41 @@ let parse_bytes s =
     | Some _ -> Error (Printf.sprintf "--cache-max-bytes %s: must be >= 0" s)
     | None -> malformed ()
 
+(* ---- input and output files -------------------------------------------- *)
+
+(* Input a flag names that the program cannot use, such as an unreadable
+   or malformed netlist, or an output file it cannot write; [dispatch]
+   reports it as a usage error. *)
+exception Bad_input of string
+
+(* An output file must land in an existing directory.  Callers check
+   every output flag before any work runs, so a mistyped path costs
+   nothing. *)
+let check_output flag = function
+  | None -> ()
+  | Some path ->
+      let dir = Filename.dirname path in
+      if not (Sys.file_exists dir && Sys.is_directory dir) then
+        raise (Bad_input (Printf.sprintf "%s %s: no such directory %s" flag path dir))
+
+(* Run a write for [flag]; a failure the up-front check cannot see
+   (permissions, a full disk) is reported the same way. *)
+let writing flag f =
+  try f () with Sys_error msg -> raise (Bad_input (Printf.sprintf "%s: %s" flag msg))
+
 (* ---- run harness ------------------------------------------------------ *)
 
-(* Set verbosity, run the body, persist the metrics registry (also when
-   the run aborts), map Solver_diverged to exit code 3. *)
+(* Set verbosity, check the metrics path, run the body, persist the
+   metrics registry (also when the run aborts), map Solver_diverged to
+   exit code 3. *)
 let with_health ~log_level ~metrics_out f =
   Util.Log.set_level log_level;
+  check_output "--metrics-out" metrics_out;
   let write_metrics () =
     match metrics_out with
     | None -> ()
     | Some path ->
-        Util.Metrics.write_file Util.Metrics.global path;
+        writing "--metrics-out" (fun () -> Util.Metrics.write_file Util.Metrics.global path);
         (* stderr so [batch]'s JSONL stream on stdout stays pure *)
         Printf.eprintf "wrote metrics to %s\n" path
   in
@@ -208,10 +232,6 @@ let print_health (stats : Opera.Galerkin.stats) =
     Printf.printf "solver health: %s%s\n"
       (Linalg.Solve_report.agg_summary agg)
       (if Linalg.Solve_report.agg_healthy agg then "" else "  ** UNHEALTHY **")
-
-(* Input a flag names that the program cannot use, such as an unreadable
-   or malformed netlist; [dispatch] reports it as a usage error. *)
-exception Bad_input of string
 
 let load_circuit netlist nodes =
   match netlist with

@@ -57,6 +57,8 @@ let run argv =
   Cli_common.dispatch ~prog:"opera analyze" ~summary:"Stochastic (OPERA) analysis of a grid." ~args
     ~argv
   @@ fun _ ->
+  Cli_common.check_output "--csv" !csv;
+  Cli_common.check_output "--svg" !svg;
   Cli_common.with_health ~log_level:!log_level ~metrics_out:!metrics_out @@ fun () ->
   let circuit, vdd, spec = Cli_common.load_circuit !netlist !nodes in
   Printf.printf "circuit: %s\n" (Powergrid.Circuit.stats circuit);
@@ -179,7 +181,7 @@ let run argv =
   (match !csv with
   | None -> ()
   | Some path ->
-      Opera.Response.export_csv response path;
+      Cli_common.writing "--csv" (fun () -> Opera.Response.export_csv response path);
       Printf.printf "\nwrote probe trajectories to %s\n" path);
   match (!svg, spec) with
   | Some _, None -> prerr_endline "note: --svg needs a generated grid (geometry unknown for netlists)"
@@ -193,12 +195,13 @@ let run argv =
           sigmas.(node) <- Float.max sigmas.(node) (Opera.Response.std_at response ~step ~node)
         done
       done;
-      Powergrid.Svg_map.save path spec
-        ~values:(Array.map (fun d -> 1e3 *. d) drops)
-        ~title:"worst mean IR drop" ~unit_label:"mV" ();
       let sigma_path = Filename.remove_extension path ^ "_sigma" ^ Filename.extension path in
-      Powergrid.Svg_map.save sigma_path spec
-        ~values:(Array.map (fun s -> 1e3 *. s) sigmas)
-        ~title:"worst sigma of the voltage" ~unit_label:"mV" ();
+      Cli_common.writing "--svg" (fun () ->
+          Powergrid.Svg_map.save path spec
+            ~values:(Array.map (fun d -> 1e3 *. d) drops)
+            ~title:"worst mean IR drop" ~unit_label:"mV" ();
+          Powergrid.Svg_map.save sigma_path spec
+            ~values:(Array.map (fun s -> 1e3 *. s) sigmas)
+            ~title:"worst sigma of the voltage" ~unit_label:"mV" ());
       Printf.printf "wrote %s and %s\n" path sigma_path
   | None, _ -> ()

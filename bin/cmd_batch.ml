@@ -71,6 +71,8 @@ let run argv =
       Printf.eprintf "opera batch: expected exactly one JOBS.json argument\nTry 'opera batch --help'.\n";
       2
   | [ path ] -> (
+      Cli_common.check_output "--stream-out" !stream_out;
+      Cli_common.check_output "--metrics-out" !metrics_out;
       let usage_error msg =
         Printf.eprintf "opera batch: %s\nTry 'opera batch --help'.\n" msg;
         2
@@ -148,7 +150,7 @@ let run argv =
                   match !stream_out with
                   | None -> Scenario.Engine.run_jsonl ~config stdout jobs
                   | Some file ->
-                      let oc = open_out file in
+                      let oc = Cli_common.writing "--stream-out" (fun () -> open_out file) in
                       Fun.protect
                         ~finally:(fun () -> close_out oc)
                         (fun () -> Scenario.Engine.run_jsonl ~config oc jobs)

@@ -12,8 +12,10 @@ let run argv =
   Cli_common.dispatch ~prog:"opera generate" ~summary:"Generate a synthetic power-grid netlist."
     ~args ~argv
   @@ fun _ ->
+  Cli_common.check_output "--out" (Some !out);
   let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default !nodes in
   let circuit = Powergrid.Grid_gen.generate spec in
-  Powergrid.Netlist.write_file !out ~title:(Powergrid.Grid_spec.describe spec) circuit;
+  Cli_common.writing "--out" (fun () ->
+      Powergrid.Netlist.write_file !out ~title:(Powergrid.Grid_spec.describe spec) circuit);
   Printf.printf "wrote %s: %s\n" !out (Powergrid.Circuit.stats circuit);
   0

@@ -2,10 +2,10 @@
    well-chosen testing points, solve each point as an ordinary
    deterministic system, and recover the Galerkin-layout coefficients
    through the dense inverse-Vandermonde transform.  The point solves
-   are embarrassingly parallel and share factors read-only, so the
-   whole backend rides the PR 5 kernel discipline: per-chunk scratch,
-   disjoint output slices, bitwise-identical results at any domain
-   count. *)
+   are embarrassingly parallel and share their factors or mean solver
+   read-only, so the whole backend rides the transient hot path's
+   kernel discipline: per-chunk scratch, disjoint output slices,
+   bitwise-identical results at any domain count. *)
 
 type points = {
   basis : Polychaos.Basis.t;
@@ -177,7 +177,7 @@ let checked_points ~options (m : Stochastic_model.t) = function
       p
   | None -> select_points ~candidates:options.candidates ~seed:options.seed m.basis
 
-(* The shared mean solver behind the point refinements: a caller-cached
+(* The shared mean solver behind the point solves: a caller-cached
    exact factor when supplied, otherwise whatever backend
    [options.precond] resolves to on n — exact Cholesky below the auto
    threshold (today's behavior bitwise), AMG above it.  Only an exact
@@ -192,27 +192,37 @@ let checked_ms ~options (m : Stochastic_model.t) ~count = function
       if kind = Linalg.Precond.Cholesky then count ();
       Linalg.Precond.make ~ordering:options.ordering kind (mean_g m)
 
-(* One point's solve against the shared mean solver: start from
-   [M^{-1} b] (or the caller's iterate when [warm]), then iteratively
-   refine [x <- x + M^{-1} r] until the relative residual meets [tol].
-   With the exact mean factor the contraction rate is the spectral
-   radius of [I - G(0)^{-1} G(xi)] ~ O(sigma |xi|); the approximate
-   backends (ic0, AMG V-cycles) fold their own contraction on the mean
-   into the same stationary iteration.  Points that refuse to contract
-   within [refine_max] sweeps fall back to their own factorization
-   (returned so the caller can count it — and reuse it).  Everything
-   writes chunk-local or point-owned buffers only; [resid] doubles as
-   the triangular-solve workspace of the fallback. *)
-let refine_point ?(warm = false) ~ms ~msws ~ordering ~tol ~max_refine ~g ~b ~resid x =
+(* Per-chunk scratch of the point solves, allocated once per sweep.
+   [resid] is the stationary residual and the fallback's
+   triangular-solve workspace; [krylov] carries the CG workspace and the
+   operator / preconditioner outputs, present exactly when the shared
+   mean solver is approximate — the property that picks the route. *)
+type scratch = {
+  resid : Linalg.Vec.t;
+  krylov : (Linalg.Cg.workspace * Linalg.Vec.t * Linalg.Vec.t) option;
+}
+
+let create_scratch ms n =
+  {
+    resid = Array.make n 0.0;
+    krylov =
+      (match Linalg.Precond.backend ms with
+      | Linalg.Precond.Cholesky -> None
+      | _ -> Some (Linalg.Cg.workspace_create n, Array.make n 0.0, Array.make n 0.0));
+  }
+
+(* Stationary refinement against the exact mean factor: start from
+   [M^{-1} b] (or the caller's iterate when [warm]), then
+   [x <- x + M^{-1} r] until the relative residual meets [tol].  The
+   contraction rate is the spectral radius of [I - G(0)^{-1} G(xi)] ~
+   O(sigma |xi|), so a handful of sweeps suffice. *)
+let stationary_refine ~warm ~ms ~msws ~tol ~max_refine ~g ~b ~bnorm ~resid x =
   let n = Array.length b in
-  let t0 = Util.Timer.start () in
-  let bnorm = Linalg.Vec.norm2 b in
   if not warm then begin
     Array.blit b 0 x 0 n;
     Linalg.Precond.apply_in_place ms msws x
   end;
   let sweeps = ref 0 and rn = ref 0.0 and converged = ref (Util.Floats.is_zero bnorm) in
-  let fell_back = ref None in
   let running = ref (not !converged) in
   while !running do
     Array.blit b 0 resid 0 n;
@@ -229,20 +239,64 @@ let refine_point ?(warm = false) ~ms ~msws ~ordering ~tol ~max_refine ~g ~b ~res
       incr sweeps
     end
   done;
-  if not !converged then begin
-    (* A tail point whose G(xi) drifted too far from the mean: factor it
-       directly so the returned state always meets the tolerance. *)
-    let fi = Linalg.Sparse_cholesky.factor ~ordering g in
-    fell_back := Some fi;
-    Array.blit b 0 x 0 n;
-    Linalg.Sparse_cholesky.solve_in_place_ws fi ~work:resid x
-  end;
-  let report =
-    Linalg.Solve_report.make ~solver:"st-refine" ~iterations:!sweeps ~residual_norm:!rn
-      ~rhs_norm:bnorm ~tol ~converged:!converged
-      ~wall_seconds:(Util.Timer.elapsed_s t0) ()
+  (!sweeps, !rn, !converged)
+
+(* PCG preconditioned by an approximate mean solver (AMG V-cycles,
+   IC(0)): a stationary iteration would contract only as fast as the
+   preconditioner alone, while CG converges on the preconditioned
+   spectrum.  The point's current state is the warm start (zero when
+   cold); [max_refine] caps the iterations. *)
+let pcg_solve ~warm ~ms ~msws ~tol ~max_refine ~g ~b (cg, ap, z) x =
+  let n = Array.length b in
+  if not warm then Linalg.Vec.fill x 0.0;
+  let matvec p =
+    Linalg.Sparse.mul_vec_into g p ap;
+    ap
   in
-  (report, !fell_back)
+  let precond r =
+    Array.blit r 0 z 0 n;
+    Linalg.Precond.apply_in_place ms msws z;
+    z
+  in
+  let report =
+    Linalg.Cg.solve_report_in_place ~precond ~max_iter:max_refine ~tol ~ws:cg ~matvec ~b ~x ()
+  in
+  Linalg.Solve_report.(report.iterations, report.residual_norm, report.converged)
+
+(* One point's solve against the shared mean solver: stationary
+   refinement when it is the exact factor, PCG when it is approximate.
+   Points that miss the tolerance within [max_refine] sweeps (or
+   iterations) fall back to their own factorization (returned so the
+   caller can count it — and reuse it).  Everything writes chunk-local
+   or point-owned buffers only. *)
+let refine_point ?(warm = false) ~ms ~msws ~ordering ~tol ~max_refine ~g ~b ~scratch x =
+  let n = Array.length b in
+  let t0 = Util.Timer.start () in
+  let bnorm = Linalg.Vec.norm2 b in
+  let solver, (iterations, rn, converged) =
+    match scratch.krylov with
+    | None ->
+        ( "st-refine",
+          stationary_refine ~warm ~ms ~msws ~tol ~max_refine ~g ~b ~bnorm ~resid:scratch.resid x
+        )
+    | Some k -> ("st-pcg", pcg_solve ~warm ~ms ~msws ~tol ~max_refine ~g ~b k x)
+  in
+  let fell_back =
+    if converged then None
+    else begin
+      (* A tail point whose G(xi) drifted too far from the mean: factor it
+         directly so the returned state always meets the tolerance. *)
+      let fi = Linalg.Sparse_cholesky.factor ~ordering g in
+      Array.blit b 0 x 0 n;
+      Linalg.Sparse_cholesky.solve_in_place_ws fi ~work:scratch.resid x;
+      Some fi
+    end
+  in
+  let report =
+    Linalg.Solve_report.make ~solver ~iterations ~residual_norm:rn ~rhs_norm:bnorm ~tol
+      ~converged ~wall_seconds:(Util.Timer.elapsed_s t0) ()
+  in
+  (report, fell_back)
 
 (* Coefficient recovery: block k of [coefs] is [sum_i inv(k,i) x_i],
    chunked over blocks with disjoint writes (i ascends in a fixed order,
@@ -264,7 +318,7 @@ let[@opera.hot] transform_into (p : points) ~n ~domains x_pts coefs =
         done
       done)
 
-(* Aggregate per-point refinement results into the health ledger and
+(* Aggregate per-point solve reports into the health ledger and
    metrics — after the barrier, from the calling domain only. *)
 let settle_reports ~metrics ~agg reports =
   let sweeps = ref 0 and fallbacks = ref 0 in
@@ -294,14 +348,14 @@ let point_dc_sweep ~options ~ms ~g_pts ~b_pts ~x_pts reports =
   let d = Util.Parallel.resolve options.domains in
   let chunks = Int.max 1 (Int.min d size) in
   let msws = Array.init chunks (fun _ -> Linalg.Precond.create_ws ms) in
-  let resid = Array.init chunks (fun _ -> Array.make n 0.0) in
+  let scratch = Array.init chunks (fun _ -> create_scratch ms n) in
   let tol = options.refine_tol and max_refine = options.refine_max in
   let ordering = options.ordering in
   Util.Parallel.for_chunks ~domains:d size (fun ~chunk ~lo ~hi ->
       for i = lo to hi - 1 do
         let r =
           refine_point ~ms ~msws:msws.(chunk) ~ordering ~tol ~max_refine ~g:g_pts.(i)
-            ~b:b_pts.(i) ~resid:resid.(chunk) x_pts.(i)
+            ~b:b_pts.(i) ~scratch:scratch.(chunk) x_pts.(i)
         in
         reports.(i) <- Some r
       done)
@@ -370,9 +424,9 @@ let solve_transient ?(options = default_options) ?points ?f0 ?fstep
      exact route builds the classic N+1 per-point factors, while the
      approximate backends (amg / ic0 / auto at large n) build ONE mean
      stepping-matrix solver [G(0) + C(0)/h] plus the per-point stepping
-     matrices, and every step refines each point against the mean solver
-     from its (structurally warm) previous state — no N+1 factors
-     resident, which is what survives at 10^5+ nodes. *)
+     matrices, and every step solves each point by CG preconditioned
+     with the mean solver from its (structurally warm) previous state —
+     no N+1 factors resident, which is what survives at 10^5+ nodes. *)
   let fstep, mstep, a_pts =
     match fstep with
     | Some fs ->
@@ -417,7 +471,9 @@ let solve_transient ?(options = default_options) ?points ?f0 ?fstep
   in
   let d = Util.Parallel.resolve options.domains in
   let chunks = Int.max 1 (Int.min d size) in
-  let work = Array.init chunks (fun _ -> Array.make n 0.0) in
+  let work =
+    if Option.is_some fstep then Array.init chunks (fun _ -> Array.make n 0.0) else [||]
+  in
   let ubuf = Array.init chunks (fun _ -> Array.make n 0.0) in
   let x_pts = Array.init size (fun _ -> Array.make n 0.0) in
   let coefs = Array.make (size * n) 0.0 in
@@ -425,8 +481,8 @@ let solve_transient ?(options = default_options) ?points ?f0 ?fstep
   let reports = Array.make size None in
   let agg = Linalg.Solve_report.agg_create () in
   let t_steps = Util.Timer.start () in
-  (* Stochastic DC initial state: refine every point against the shared
-     mean factor, exactly as solve_dc does. *)
+  (* Stochastic DC initial state: solve every point against the shared
+     mean solver, exactly as solve_dc does. *)
   let b_pts = Array.init size (fun i -> Stochastic_model.u_of_sample m p.pts.(i) 0.0) in
   point_dc_sweep ~options ~ms ~g_pts ~b_pts ~x_pts reports;
   let dc_sweeps, dc_fallbacks = settle_reports ~metrics ~agg reports in
@@ -435,17 +491,19 @@ let solve_transient ?(options = default_options) ?points ?f0 ?fstep
   Response.record_step response ~step:0 ~coefs;
   (* Backward Euler per point: rhs_i = u_i(t) + C_i x_i / h, then either
      one triangular solve with the point's cached factor or a warm
-     refinement against the mean stepping solver.  The state x_i carries
-     across steps — the warm start is structural.  The drain profile is
-     shared read-only; every write inside the fan-out lands in
-     point-owned or chunk-owned buffers / slots. *)
-  let msws_step =
+     preconditioned CG solve against the mean stepping solver.  The
+     state x_i carries across steps — the warm start is structural.  The
+     drain profile is shared read-only; every write inside the fan-out
+     lands in point-owned or chunk-owned buffers / slots. *)
+  let msws_step, scratch_step =
     match mstep with
-    | Some msp -> Array.init chunks (fun _ -> Linalg.Precond.create_ws msp)
-    | None -> [||]
+    | Some msp ->
+        ( Array.init chunks (fun _ -> Linalg.Precond.create_ws msp),
+          Array.init chunks (fun _ -> create_scratch msp n) )
+    | None -> ([||], [||])
   in
-  (* A point whose refinement broke down keeps its direct factor for the
-     remaining steps instead of re-failing every step. *)
+  (* A point whose iterative solve broke down keeps its direct factor
+     for the remaining steps instead of re-failing every step. *)
   let fallback_f = Array.make size None in
   let step_reports = Array.make size None in
   let tol = options.refine_tol and max_refine = options.refine_max in
@@ -469,7 +527,7 @@ let solve_transient ?(options = default_options) ?points ?f0 ?fstep
         let msp = Option.get mstep in
         (* opera-lint: race — drain_buf is read-only inside (axpy source); x_pts / step_reports / fallback_f writes land in per-point slots disjoint across chunks *)
         Util.Parallel.for_chunks ~domains:d size (fun ~chunk ~lo ~hi ->
-            let u = ubuf.(chunk) and wk = work.(chunk) in
+            let u = ubuf.(chunk) and scratch = scratch_step.(chunk) in
             for i = lo to hi - 1 do
               Array.blit static_pts.(i) 0 u 0 n;
               Linalg.Vec.axpy ~alpha:dcoef_pts.(i) drain_buf u;
@@ -477,11 +535,11 @@ let solve_transient ?(options = default_options) ?points ?f0 ?fstep
               match fallback_f.(i) with
               | Some fi ->
                   Array.blit u 0 x_pts.(i) 0 n;
-                  Linalg.Sparse_cholesky.solve_in_place_ws fi ~work:wk x_pts.(i)
+                  Linalg.Sparse_cholesky.solve_in_place_ws fi ~work:scratch.resid x_pts.(i)
               | None ->
                   let r =
                     refine_point ~warm:true ~ms:msp ~msws:msws_step.(chunk) ~ordering ~tol
-                      ~max_refine ~g:a_pts.(i) ~b:u ~resid:wk x_pts.(i)
+                      ~max_refine ~g:a_pts.(i) ~b:u ~scratch x_pts.(i)
                   in
                   step_reports.(i) <- Some r;
                   let _, fb = r in

@@ -14,15 +14,21 @@
 
     Per point the work is purely deterministic sparse linear algebra:
 
-    - DC: one Cholesky factorization of the {e mean} matrix [G(0)],
-      shared read-only by every point; each point converges by iterative
-      refinement [x <- x + G(0)^{-1} (b - G(xi_i) x)] (falling back to a
-      per-point factorization when a far-out point refuses to contract —
-      counted in [stats.health]).
-    - Transient: one factorization of [G(xi_i) + C(xi_i)/h] {e per
-      point}, reused across every backward-Euler step; each step is one
-      level-scheduled triangular solve per point, warm-started trivially
-      because the point states carry across steps.
+    - DC: one solver for the {e mean} matrix [G(0)], shared read-only by
+      every point.  Against the exact Cholesky factor each point
+      converges by iterative refinement
+      [x <- x + G(0)^{-1} (b - G(xi_i) x)]; against an approximate mean
+      solver (AMG, IC(0)) each point is solved by CG preconditioned with
+      it.  A point that misses the tolerance within [refine_max] sweeps
+      or iterations falls back to its own factorization (counted in
+      [stats.health]).
+    - Transient: on the exact route, one factorization of
+      [G(xi_i) + C(xi_i)/h] {e per point}, reused across every
+      backward-Euler step; each step is one level-scheduled triangular
+      solve per point, warm-started trivially because the point states
+      carry across steps.  On an approximate route, one mean
+      stepping-matrix solver preconditions a warm-started CG solve per
+      point per step.
 
     Points fan out across {!Util.Parallel.for_chunks} with per-chunk
     scratch; results are bitwise identical for any domain count.  All
@@ -64,17 +70,20 @@ val step_matrix : Stochastic_model.t -> points -> int -> h:float -> Linalg.Spars
 type options = {
   candidates : int;  (** candidate-pool bound for {!select_points} *)
   seed : int64;  (** point-selection seed (random top-up only) *)
-  refine_tol : float;  (** relative residual target of the DC refinement *)
-  refine_max : int;  (** refinement sweeps before the per-point fallback *)
+  refine_tol : float;  (** relative residual target of the point solves *)
+  refine_max : int;
+      (** refinement sweeps (exact route) or CG iterations (approximate
+          route) before the per-point fallback *)
   ordering : Linalg.Ordering.kind;
   precond : Linalg.Precond.kind;
-      (** mean-solver backend for the point refinements: exact Cholesky
-          (default — historical behavior bitwise), [Ic0], [Amg], or
-          [Auto] (resolves on [n]).  A non-exact backend also replaces
-          the transient's N+1 per-point stepping factors with one mean
-          stepping-matrix solver plus warm per-step refinement —
-          bounded memory at 10^5+ nodes.  A caller-supplied [f0] /
-          [fstep] cache always takes the exact path. *)
+      (** mean-solver backend for the point solves: exact Cholesky
+          (default — historical behavior bitwise, stationary
+          refinement), [Ic0] or [Amg] (preconditioned CG), or [Auto]
+          (resolves on [n]).  A non-exact backend also replaces the
+          transient's N+1 per-point stepping factors with one mean
+          stepping-matrix solver preconditioning warm per-step CG
+          solves — bounded memory at 10^5+ nodes.  A caller-supplied
+          [f0] / [fstep] cache always takes the exact path. *)
   probes : int array;
   domains : int;
       (** {!Util.Parallel.resolve} convention; points fan out across
@@ -93,15 +102,17 @@ val default_options : options
 type stats = {
   points : int;  (** N+1, the number of decoupled systems *)
   factorizations : int;  (** numeric factorizations performed here *)
-  refine_sweeps : int;  (** total DC refinement sweeps over all points *)
+  refine_sweeps : int;
+      (** refinement sweeps (exact route) or CG iterations (approximate
+          route), summed over all point solves *)
   nnz_point : int;  (** stored nonzeros summed over per-point operators *)
   nnz_factor : int;  (** nonzeros summed over the factors applied *)
   select_seconds : float;  (** point selection + transform inversion *)
   factor_seconds : float;
   step_seconds : float;  (** point solves + coefficient recovery *)
   health : Linalg.Solve_report.aggregate;
-      (** one report per DC refinement; a point that fell back to its
-          own factorization counts as a repaired fallback *)
+      (** one report per iterative point solve; a point that fell back
+          to its own factorization counts as a repaired fallback *)
 }
 
 val solve_dc :
@@ -110,7 +121,7 @@ val solve_dc :
   ?f0:Linalg.Sparse_cholesky.t ->
   Stochastic_model.t ->
   Linalg.Vec.t * stats
-(** Stochastic DC: refine all [N+1] points against one factorization of
+(** Stochastic DC: solve all [N+1] points against one solver for
     {!mean_g} and recover the augmented coefficient vector (same layout
     as {!Galerkin.solve_dc}).  [points] and [f0] inject a precomputed
     selection / factor (the engine's cache hook); [f0] must match the
@@ -125,9 +136,11 @@ val solve_transient :
   h:float ->
   steps:int ->
   Response.t * stats
-(** Backward-Euler transient from the stochastic DC state: [N+1]
-    factorizations up front (or none, when [fstep] supplies the cached
-    per-point factors — one per testing point, in point order), then one
-    triangular solve per point per step with the point states carried
-    across steps.  [fstep] must hold exactly [N+1] factors of the grid
+(** Backward-Euler transient from the stochastic DC state.  Exact
+    route: [N+1] factorizations up front (or none, when [fstep] supplies
+    the cached per-point factors — one per testing point, in point
+    order), then one triangular solve per point per step with the point
+    states carried across steps.  Approximate route: one mean
+    stepping-matrix solver, then one warm-started preconditioned CG
+    solve per point per step.  [fstep] must hold exactly [N+1] factors of the grid
     dimension. *)

@@ -1,15 +1,17 @@
-(* Aggregation AMG, structured as a first-class preconditioner.
+(* Smoothed-aggregation AMG, structured as a first-class preconditioner.
 
-   The hierarchy is built once (greedy aggregation, piecewise-constant
-   prolongation, Galerkin coarse operators — all sequential and
-   deterministic) and then applied as a fixed number of V(1,1)-cycles
-   with weighted-Jacobi smoothing and a dense direct solve at the
-   coarsest level.  The apply path is allocation-free: every level's
-   solution / rhs / residual scratch lives in a caller-owned {!ws}, so
-   block-parallel users (the mean-block preconditioner, the ST
-   per-point sweeps) give each chunk its own workspace and the
-   per-block arithmetic is bitwise-identical at any domain count — one
-   application is a purely sequential pass over the hierarchy.
+   The hierarchy is built once (greedy aggregation, a Jacobi-smoothed
+   prolongator P = (I - w D^-1 A) P0 over the piecewise-constant
+   aggregate map P0, truncated row by row, Galerkin coarse operators
+   P^T A P — all sequential and deterministic) and then applied as a
+   fixed number of V(1,1)-cycles with weighted-Jacobi smoothing and a
+   dense direct solve at the coarsest level.  The apply path is
+   allocation-free: every level's solution / rhs / residual scratch
+   lives in a caller-owned {!ws}, so block-parallel users (the
+   mean-block preconditioner, the ST per-point solves) give each chunk
+   its own workspace and the per-block arithmetic is bitwise-identical
+   at any domain count — one application is a purely sequential pass
+   over the hierarchy.
 
    Level storage is Bigarray-backed ({!Util.Codec.fsection} /
    {!Util.Codec.isection}) so a hierarchy decoded from a v2 artifact
@@ -26,7 +28,9 @@ type plevel = {
   prow : ivec;  (* CSC rowind *)
   pval : fvec;  (* CSC values *)
   pdiag : fvec;  (* 1 / diag, zeros masked to 0 *)
-  pagg : ivec;  (* fine node -> aggregate *)
+  qcol : ivec;  (* prolongator P (pn x pcoarse) CSC colptr, [pcoarse + 1] *)
+  qrow : ivec;  (* P rowind *)
+  qval : fvec;  (* P values *)
 }
 
 type t = {
@@ -92,17 +96,215 @@ let aggregate a =
   done;
   (agg, !next)
 
-(* Galerkin coarse operator for piecewise-constant aggregation:
-   A_c(p, q) = sum over entries (i, j) with agg i = p, agg j = q. *)
-let coarse_operator a agg coarse_n =
-  let { Sparse.colptr; rowind; values; ncols; _ } = a in
-  let b = Sparse_builder.create ~nrows:coarse_n ~ncols:coarse_n () in
-  for j = 0 to ncols - 1 do
-    for k = colptr.(j) to colptr.(j + 1) - 1 do
-      Sparse_builder.add b agg.(rowind.(k)) agg.(j) values.(k)
-    done
+(* ---- smoothed prolongator and Galerkin product -------------------------- *)
+
+let power_iterations = 10
+
+(* Largest eigenvalue of D^-1 A by ten power iterations from a fixed,
+   sign-mixed start vector (an integer hash of the index, so the
+   estimate is a function of the matrix alone).  Power iteration
+   approaches rho from below, which is the side the 4/3 weight
+   tolerates; a Gershgorin bound overestimates rho and under-smooths. *)
+let spectral_radius_dinv a inv_diag =
+  let n, _ = Sparse.dims a in
+  let v = Array.init n (fun i -> float_of_int (((i + 1) * 2654435761) land 0xffff) -. 32768.0) in
+  let w = Array.make n 0.0 in
+  let rho = ref 0.0 in
+  let nv = Vec.norm2 v in
+  if nv > 0.0 then Vec.scale (1.0 /. nv) v;
+  for _ = 1 to power_iterations do
+    Sparse.mul_vec_into a v w;
+    for i = 0 to n - 1 do
+      w.(i) <- w.(i) *. inv_diag.(i)
+    done;
+    let nw = Vec.norm2 w in
+    rho := nw;
+    if nw > 0.0 then
+      for i = 0 to n - 1 do
+        v.(i) <- w.(i) /. nw
+      done
   done;
-  Sparse_builder.to_csc b
+  !rho
+
+(* Insertion sort of one column's row indices [lo, hi): columns hold a
+   few dozen entries, and CSC wants them strictly increasing. *)
+let sort_rows (rows : int array) lo hi =
+  for k = lo + 1 to hi - 1 do
+    let i = rows.(k) in
+    let p = ref k in
+    while !p > lo && rows.(!p - 1) > i do
+      rows.(!p) <- rows.(!p - 1);
+      decr p
+    done;
+    rows.(!p) <- i
+  done
+
+(* Members of each aggregate, ascending: aggregate c owns
+   [mem.(start.(c)) .. mem.(start.(c + 1) - 1)]. *)
+let members agg nc =
+  let start = Array.make (nc + 1) 0 in
+  Array.iter (fun c -> start.(c + 1) <- start.(c + 1) + 1) agg;
+  for c = 1 to nc do
+    start.(c) <- start.(c) + start.(c - 1)
+  done;
+  let next = Array.sub start 0 nc in
+  let mem = Array.make (Array.length agg) 0 in
+  Array.iteri
+    (fun i c ->
+      mem.(next.(c)) <- i;
+      next.(c) <- next.(c) + 1)
+    agg;
+  (start, mem)
+
+(* Truncation threshold of the smoothed prolongator, relative to the
+   largest entry of the row (the classical AMG interpolation-truncation
+   factor). *)
+let truncation = 0.2
+
+(* P = (I - w D^-1 A) P0 with w = 4 / (3 rho(D^-1 A)), column by column:
+   column c of A P0 is the sum of A's columns over aggregate c, gathered
+   in a dense accumulator.  Every A entry opens at most one slot of P
+   and every node one more, so nnz(A) + n bounds the storage.
+
+   Smoothing widens each column by one stencil ring, and P^T A P by two;
+   on grids that aggregate only ~2 nodes per aggregate the first coarse
+   operator would outgrow the fine one.  So each row then drops the
+   entries below [truncation] times its largest (never the entry of its
+   own aggregate) and rescales the kept positive and negative entries
+   to their row's original positive and negative sums, so P 1 — the
+   smoothed constant vector — is unchanged. *)
+let smoothed_prolongator a inv_diag agg nc =
+  let n, _ = Sparse.dims a in
+  let { Sparse.colptr; rowind; values; _ } = a in
+  let rho = spectral_radius_dinv a inv_diag in
+  let w = if rho > 0.0 then 4.0 /. (3.0 *. rho) else 0.0 in
+  let start, mem = members agg nc in
+  let cap = Sparse.nnz a + n in
+  let prow = Array.make cap 0 and pval = Array.make cap 0.0 in
+  let pcol = Array.make (nc + 1) 0 in
+  let acc = Array.make n 0.0 and mark = Array.make n (-1) in
+  let nz = ref 0 in
+  let touch c i =
+    if mark.(i) <> c then begin
+      mark.(i) <- c;
+      acc.(i) <- 0.0;
+      prow.(!nz) <- i;
+      incr nz
+    end
+  in
+  for c = 0 to nc - 1 do
+    let lo = !nz in
+    for m = start.(c) to start.(c + 1) - 1 do
+      let j = mem.(m) in
+      touch c j;
+      for k = colptr.(j) to colptr.(j + 1) - 1 do
+        let i = rowind.(k) in
+        touch c i;
+        acc.(i) <- acc.(i) +. values.(k)
+      done
+    done;
+    sort_rows prow lo !nz;
+    for k = lo to !nz - 1 do
+      let i = prow.(k) in
+      let p0 = if agg.(i) = c then 1.0 else 0.0 in
+      pval.(k) <- p0 -. (w *. inv_diag.(i) *. acc.(i))
+    done;
+    pcol.(c + 1) <- !nz
+  done;
+  (* Row statistics: largest magnitude, positive and negative sums, then
+     the same sums over the entries that survive. *)
+  let rmax = Array.make n 0.0 and pos = Array.make n 0.0 and neg = Array.make n 0.0 in
+  for k = 0 to !nz - 1 do
+    let i = prow.(k) and v = pval.(k) in
+    rmax.(i) <- Float.max rmax.(i) (Float.abs v);
+    if v > 0.0 then pos.(i) <- pos.(i) +. v else neg.(i) <- neg.(i) +. v
+  done;
+  let kpos = Array.make n 0.0 and kneg = Array.make n 0.0 in
+  let kept = ref 0 and lo = ref 0 in
+  for c = 0 to nc - 1 do
+    let hi = pcol.(c + 1) in
+    for k = !lo to hi - 1 do
+      let i = prow.(k) and v = pval.(k) in
+      if agg.(i) = c || Float.abs v >= truncation *. rmax.(i) then begin
+        prow.(!kept) <- i;
+        pval.(!kept) <- v;
+        if v > 0.0 then kpos.(i) <- kpos.(i) +. v else kneg.(i) <- kneg.(i) +. v;
+        incr kept
+      end
+    done;
+    lo := hi;
+    pcol.(c + 1) <- !kept
+  done;
+  for k = 0 to !kept - 1 do
+    let i = prow.(k) and v = pval.(k) in
+    if v > 0.0 then pval.(k) <- v *. (pos.(i) /. kpos.(i))
+    else if v < 0.0 then pval.(k) <- v *. (neg.(i) /. kneg.(i))
+  done;
+  Sparse.create ~nrows:n ~ncols:nc ~colptr:pcol ~rowind:(Array.sub prow 0 !kept)
+    ~values:(Array.sub pval 0 !kept)
+
+(* Coarse operator P^T A P, one coarse column at a time: y = A P(:,c)
+   gathers on the fine level, then P^T y scatters through the rows of P
+   (the columns of its transpose) into a coarse accumulator.  Neither
+   A P nor any triplet list is materialized; the output arrays grow by
+   doubling.  The traversal order is fixed, so the sums are a function
+   of (A, P) alone. *)
+let galerkin_product a p =
+  let n, nc = Sparse.dims p in
+  let pt = Sparse.transpose p in
+  let facc = Array.make n 0.0 and fmark = Array.make n (-1) and frows = Array.make n 0 in
+  let cacc = Array.make nc 0.0 and cmark = Array.make nc (-1) in
+  let cap = ref (Int.max 16 (2 * Sparse.nnz p)) in
+  let rows = ref (Array.make !cap 0) and vals = ref (Array.make !cap 0.0) in
+  let colptr = Array.make (nc + 1) 0 in
+  let nz = ref 0 in
+  for c = 0 to nc - 1 do
+    let nf = ref 0 in
+    for kp = p.Sparse.colptr.(c) to p.Sparse.colptr.(c + 1) - 1 do
+      let j = p.Sparse.rowind.(kp) and pj = p.Sparse.values.(kp) in
+      for k = a.Sparse.colptr.(j) to a.Sparse.colptr.(j + 1) - 1 do
+        let i = a.Sparse.rowind.(k) in
+        if fmark.(i) <> c then begin
+          fmark.(i) <- c;
+          facc.(i) <- 0.0;
+          frows.(!nf) <- i;
+          incr nf
+        end;
+        facc.(i) <- facc.(i) +. (a.Sparse.values.(k) *. pj)
+      done
+    done;
+    let lo = !nz in
+    for t = 0 to !nf - 1 do
+      let i = frows.(t) in
+      let yi = facc.(i) in
+      for k = pt.Sparse.colptr.(i) to pt.Sparse.colptr.(i + 1) - 1 do
+        let q = pt.Sparse.rowind.(k) in
+        if cmark.(q) <> c then begin
+          cmark.(q) <- c;
+          cacc.(q) <- 0.0;
+          if !nz = !cap then begin
+            cap := 2 * !cap;
+            let r' = Array.make !cap 0 and v' = Array.make !cap 0.0 in
+            Array.blit !rows 0 r' 0 !nz;
+            Array.blit !vals 0 v' 0 !nz;
+            rows := r';
+            vals := v'
+          end;
+          !rows.(!nz) <- q;
+          incr nz
+        end;
+        cacc.(q) <- cacc.(q) +. (pt.Sparse.values.(k) *. yi)
+      done
+    done;
+    let r = !rows and v = !vals in
+    sort_rows r lo !nz;
+    for k = lo to !nz - 1 do
+      v.(k) <- cacc.(r.(k))
+    done;
+    colptr.(c + 1) <- !nz
+  done;
+  Sparse.create ~nrows:nc ~ncols:nc ~colptr ~rowind:(Array.sub !rows 0 !nz)
+    ~values:(Array.sub !vals 0 !nz)
 
 (* ---- build ------------------------------------------------------------ *)
 
@@ -116,20 +318,21 @@ let fvec_of_array a =
   Array.iteri (fun i v -> Bigarray.Array1.unsafe_set b i v) a;
   b
 
-let plevel_of_sparse a agg coarse_n =
+let inverse_diag a =
+  Array.map (fun d -> if Util.Floats.is_zero d then 0.0 else 1.0 /. d) (Sparse.diag a)
+
+let plevel_of_sparse a inv_diag p =
   let n, _ = Sparse.dims a in
-  let diag = Sparse.diag a in
-  let inv_diag =
-    Array.map (fun d -> if Util.Floats.is_zero d then 0.0 else 1.0 /. d) diag
-  in
   {
     pn = n;
-    pcoarse = coarse_n;
+    pcoarse = snd (Sparse.dims p);
     pcol = ivec_of_array a.Sparse.colptr;
     prow = ivec_of_array a.Sparse.rowind;
     pval = fvec_of_array a.Sparse.values;
     pdiag = fvec_of_array inv_diag;
-    pagg = ivec_of_array agg;
+    qcol = ivec_of_array p.Sparse.colptr;
+    qrow = ivec_of_array p.Sparse.rowind;
+    qval = fvec_of_array p.Sparse.values;
   }
 
 (* Flat row-major lower Cholesky factor of the coarsest operator — the
@@ -151,8 +354,11 @@ let build ?(cycles = 1) ?(max_levels = 10) ?(coarsest = 64) a0 =
     else begin
       let agg, coarse_n = aggregate a in
       if coarse_n >= n then (List.rev levels, a) (* aggregation stalled *)
-      else go (coarse_operator a agg coarse_n) (depth + 1)
-          (plevel_of_sparse a agg coarse_n :: levels)
+      else begin
+        let inv_diag = inverse_diag a in
+        let p = smoothed_prolongator a inv_diag agg coarse_n in
+        go (galerkin_product a p) (depth + 1) (plevel_of_sparse a inv_diag p :: levels)
+      end
     end
   in
   let levels, bottom = go a0 0 [] in
@@ -171,7 +377,9 @@ let dim t = t.nfine
 let cycles t = t.ncycles
 
 let stored_nnz t =
-  Array.fold_left (fun acc pl -> acc + Bigarray.Array1.dim pl.prow) 0 t.pls
+  Array.fold_left
+    (fun acc pl -> acc + Bigarray.Array1.dim pl.prow + Bigarray.Array1.dim pl.qrow)
+    0 t.pls
   + (t.coarse_dim * t.coarse_dim)
 
 let levels t = Array.length t.pls + 1
@@ -200,7 +408,7 @@ let[@opera.hot] residual_into pl ~b ~x ~r =
   Array.blit b 0 r 0 n;
   for j = 0 to n - 1 do
     let xj = x.(j) in
-    if Util.Floats.nonzero xj then begin
+    if not (Util.Floats.equal_exact xj 0.0) then begin
       let k0 = Bigarray.Array1.unsafe_get pl.pcol j in
       let k1 = Bigarray.Array1.unsafe_get pl.pcol (j + 1) in
       for k = k0 to k1 - 1 do
@@ -222,18 +430,29 @@ let[@opera.hot] smooth_correct pl ~r ~x =
     x.(i) <- x.(i) +. (omega *. Bigarray.Array1.unsafe_get pl.pdiag i *. r.(i))
   done
 
-(* rc <- P^T r (sum residuals over each aggregate). *)
+(* rc <- P^T r: one dot product per column of P. *)
 let[@opera.hot] restrict_into pl ~r ~rc =
-  Array.fill rc 0 pl.pcoarse 0.0;
-  for i = 0 to pl.pn - 1 do
-    let a = Bigarray.Array1.unsafe_get pl.pagg i in
-    rc.(a) <- rc.(a) +. r.(i)
+  for c = 0 to pl.pcoarse - 1 do
+    let s = ref 0.0 in
+    let k0 = Bigarray.Array1.unsafe_get pl.qcol c in
+    let k1 = Bigarray.Array1.unsafe_get pl.qcol (c + 1) in
+    for k = k0 to k1 - 1 do
+      let i = Bigarray.Array1.unsafe_get pl.qrow k in
+      s := !s +. (Bigarray.Array1.unsafe_get pl.qval k *. r.(i))
+    done;
+    rc.(c) <- !s
   done
 
 (* x <- x + P xc (inject the coarse correction). *)
 let[@opera.hot] prolong_add pl ~xc ~x =
-  for i = 0 to pl.pn - 1 do
-    x.(i) <- x.(i) +. xc.(Bigarray.Array1.unsafe_get pl.pagg i)
+  for c = 0 to pl.pcoarse - 1 do
+    let v = xc.(c) in
+    let k0 = Bigarray.Array1.unsafe_get pl.qcol c in
+    let k1 = Bigarray.Array1.unsafe_get pl.qcol (c + 1) in
+    for k = k0 to k1 - 1 do
+      let i = Bigarray.Array1.unsafe_get pl.qrow k in
+      x.(i) <- x.(i) +. (Bigarray.Array1.unsafe_get pl.qval k *. v)
+    done
   done
 
 (* In-place dense solve L L^T y = y with the flat row-major factor. *)
@@ -324,15 +543,20 @@ let solve ?(tol = 1e-10) ?max_iter t a b =
 
 (* ---- codec ------------------------------------------------------------ *)
 
-(* v2 frame: meta carries the shape (dims, cycle count, per-level nnz),
-   the bulk arrays live in 8-aligned sections — five per level (colptr,
-   rowind, values, inv-diag, aggregate map) plus the coarsest CSC, from
-   which the dense bottom factor is rebuilt on load.  A mapped load
-   keeps the section views zero-copy. *)
+(* v2 frame: meta carries the shape (dims, cycle count, per-level nnz of
+   the operator and of the prolongator), the bulk arrays live in
+   8-aligned sections — seven per level (operator colptr, rowind,
+   values, inv-diag, then the prolongator's colptr, rowind, values) plus
+   the coarsest CSC, from which the dense bottom factor is rebuilt on
+   load.  A mapped load keeps the section views zero-copy.  Version 1
+   frames (piecewise-constant aggregate maps) fail the version check and
+   are rebuilt. *)
 
 let artifact_kind = "amg"
 
-let artifact_version = 1
+let artifact_version = 2
+
+let sections_per_level = 7
 
 let to_frame t =
   let nl = Array.length t.pls in
@@ -346,7 +570,8 @@ let to_frame t =
       (fun pl ->
         Util.Codec.write_int e pl.pn;
         Util.Codec.write_int e pl.pcoarse;
-        Util.Codec.write_int e (Bigarray.Array1.dim pl.prow))
+        Util.Codec.write_int e (Bigarray.Array1.dim pl.prow);
+        Util.Codec.write_int e (Bigarray.Array1.dim pl.qrow))
       t.pls;
     Util.Codec.write_int e (Sparse.nnz t.coarse_csc)
   in
@@ -358,7 +583,9 @@ let to_frame t =
           Util.Codec.I_big pl.prow;
           Util.Codec.F_big pl.pval;
           Util.Codec.F_big pl.pdiag;
-          Util.Codec.I_big pl.pagg;
+          Util.Codec.I_big pl.qcol;
+          Util.Codec.I_big pl.qrow;
+          Util.Codec.F_big pl.qval;
         ])
       (Array.to_list t.pls)
     @ [
@@ -371,32 +598,36 @@ let to_frame t =
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Util.Codec.Corrupt s)) fmt
 
-(* Validate one level's CSC views: monotone colptr closing at nnz, row
-   indices in range, aggregate map in range.  Linear in nnz — trivial
-   next to the checksum pass that already touched every byte. *)
+(* Validate one CSC view: [ncols + 1] colptr starting at 0, monotone,
+   closing at the row-index count, row indices below [nrows]. *)
+let check_csc what ~nrows ~ncols col row =
+  let nnz = Bigarray.Array1.dim row in
+  if Bigarray.Array1.dim col <> ncols + 1 then corrupt "amg %s colptr length mismatch" what;
+  if Bigarray.Array1.get col 0 <> 0 then corrupt "amg %s colptr must start at 0" what;
+  for j = 0 to ncols - 1 do
+    if Bigarray.Array1.get col j > Bigarray.Array1.get col (j + 1) then
+      corrupt "amg %s colptr not monotone at %d" what j
+  done;
+  if Bigarray.Array1.get col ncols <> nnz then corrupt "amg %s colptr does not close" what;
+  for k = 0 to nnz - 1 do
+    let i = Bigarray.Array1.get row k in
+    if i < 0 || i >= nrows then corrupt "amg %s row index %d out of range" what i
+  done
+
+(* Validate one level: dimensions chain, the operator and prolongator
+   CSCs are well formed.  Linear in nnz — trivial next to the checksum
+   pass that already touched every byte. *)
 let check_level ~nfix pl =
   if pl.pn <> nfix then corrupt "amg level dimension %d does not chain (%d)" pl.pn nfix;
   if pl.pcoarse <= 0 || pl.pcoarse >= pl.pn then
     corrupt "amg level coarse dimension %d out of range (n = %d)" pl.pcoarse pl.pn;
-  let nnz = Bigarray.Array1.dim pl.prow in
-  if Bigarray.Array1.dim pl.pcol <> pl.pn + 1 then corrupt "amg level colptr length mismatch";
-  if Bigarray.Array1.dim pl.pval <> nnz then corrupt "amg level values length mismatch";
+  if Bigarray.Array1.dim pl.pval <> Bigarray.Array1.dim pl.prow then
+    corrupt "amg level values length mismatch";
   if Bigarray.Array1.dim pl.pdiag <> pl.pn then corrupt "amg level diag length mismatch";
-  if Bigarray.Array1.dim pl.pagg <> pl.pn then corrupt "amg level aggregate length mismatch";
-  if Bigarray.Array1.get pl.pcol 0 <> 0 then corrupt "amg level colptr must start at 0";
-  for j = 0 to pl.pn - 1 do
-    if Bigarray.Array1.get pl.pcol j > Bigarray.Array1.get pl.pcol (j + 1) then
-      corrupt "amg level colptr not monotone at %d" j
-  done;
-  if Bigarray.Array1.get pl.pcol pl.pn <> nnz then corrupt "amg level colptr does not close";
-  for k = 0 to nnz - 1 do
-    let i = Bigarray.Array1.get pl.prow k in
-    if i < 0 || i >= pl.pn then corrupt "amg level row index %d out of range" i
-  done;
-  for i = 0 to pl.pn - 1 do
-    let a = Bigarray.Array1.get pl.pagg i in
-    if a < 0 || a >= pl.pcoarse then corrupt "amg aggregate %d out of range" a
-  done
+  if Bigarray.Array1.dim pl.qval <> Bigarray.Array1.dim pl.qrow then
+    corrupt "amg prolongator values length mismatch";
+  check_csc "level" ~nrows:pl.pn ~ncols:pl.pn pl.pcol pl.prow;
+  check_csc "prolongator" ~nrows:pl.pn ~ncols:pl.pcoarse pl.qcol pl.qrow
 
 let of_frame_sections d s =
   let nfine = Util.Codec.read_int d in
@@ -404,21 +635,24 @@ let of_frame_sections d s =
   let nl = Util.Codec.read_int d in
   let cn = Util.Codec.read_int d in
   if nfine <= 0 || ncycles < 1 || nl < 0 || cn <= 0 then corrupt "amg frame shape out of range";
-  if Util.Codec.section_count s <> (nl * 5) + 3 then
-    corrupt "amg frame carries %d sections, want %d" (Util.Codec.section_count s) ((nl * 5) + 3);
+  let want = (nl * sections_per_level) + 3 in
+  if Util.Codec.section_count s <> want then
+    corrupt "amg frame carries %d sections, want %d" (Util.Codec.section_count s) want;
   let shapes =
     Array.init nl (fun _ ->
         let n = Util.Codec.read_int d in
         let c = Util.Codec.read_int d in
         let nnz = Util.Codec.read_int d in
-        (n, c, nnz))
+        let pnnz = Util.Codec.read_int d in
+        (n, c, nnz, pnnz))
   in
   let coarse_nnz = Util.Codec.read_int d in
   Util.Codec.expect_end d;
+  let coarse_of (_, c, _, _) = c in
   let pls =
     Array.init nl (fun l ->
-        let n, c, nnz = shapes.(l) in
-        let base = l * 5 in
+        let n, c, nnz, pnnz = shapes.(l) in
+        let base = l * sections_per_level in
         let pl =
           {
             pn = n;
@@ -427,17 +661,20 @@ let of_frame_sections d s =
             prow = Util.Codec.section_int s (base + 1);
             pval = Util.Codec.section_float s (base + 2);
             pdiag = Util.Codec.section_float s (base + 3);
-            pagg = Util.Codec.section_int s (base + 4);
+            qcol = Util.Codec.section_int s (base + 4);
+            qrow = Util.Codec.section_int s (base + 5);
+            qval = Util.Codec.section_float s (base + 6);
           }
         in
         if Bigarray.Array1.dim pl.prow <> nnz then corrupt "amg level nnz mismatch";
-        let nfix = if l = 0 then nfine else (fun (_, c, _) -> c) shapes.(l - 1) in
+        if Bigarray.Array1.dim pl.qrow <> pnnz then corrupt "amg prolongator nnz mismatch";
+        let nfix = if l = 0 then nfine else coarse_of shapes.(l - 1) in
         check_level ~nfix pl;
         pl)
   in
-  let expect_cn = if nl = 0 then nfine else (fun (_, c, _) -> c) shapes.(nl - 1) in
+  let expect_cn = if nl = 0 then nfine else coarse_of shapes.(nl - 1) in
   if cn <> expect_cn then corrupt "amg coarse dimension %d does not chain (%d)" cn expect_cn;
-  let base = nl * 5 in
+  let base = nl * sections_per_level in
   let arr_of_ivec v = Array.init (Bigarray.Array1.dim v) (Bigarray.Array1.get v) in
   let arr_of_fvec v = Array.init (Bigarray.Array1.dim v) (Bigarray.Array1.get v) in
   let colptr = arr_of_ivec (Util.Codec.section_int s base) in

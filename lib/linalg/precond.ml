@@ -4,8 +4,9 @@
    repeated solves with the n x n nominal (mean) matrix; this module is
    the knob that picks how those solves happen.  [Cholesky] is the
    exact factor (today's default, unchanged bitwise); [Ic0] trades
-   setup cost for an approximate apply; [Amg] keeps both setup and
-   apply near-linear in n, which is what survives at 10^5-10^6 nodes;
+   setup cost for an approximate apply; [Amg] (smoothed aggregation)
+   keeps both setup and apply near-linear in n, which is what survives
+   at 10^5-10^6 nodes;
    [Auto] resolves to [Cholesky] below {!auto_threshold} unknowns and
    [Amg] at or above it.
 
@@ -88,10 +89,11 @@ let create_ws = function
 
 (* [domains] only reaches the exact factor, whose level-scheduled
    triangular sweeps are bitwise-identical to the sequential ones; the
-   approximate backends are sequential applies. *)
-let apply_in_place t ws ?(domains = 1) (x : Vec.t) =
+   approximate backends are sequential applies.  The option is passed
+   through unopened: re-wrapping it would allocate a [Some] per call. *)
+let apply_in_place t ws ?domains (x : Vec.t) =
   match (t, ws) with
-  | Exact f, Exact_ws work -> Sparse_cholesky.solve_in_place_ws f ~domains ~work x
+  | Exact f, Exact_ws work -> Sparse_cholesky.solve_in_place_ws f ?domains ~work x
   | Incomplete f, Incomplete_ws -> Cg.ic0_solve_in_place f x
   | Multigrid t, Multigrid_ws { mb; mw } ->
       Array.blit x 0 mb 0 (Array.length x);

@@ -3,11 +3,15 @@
     The stochastic solvers spend their inner loops solving with the
     n x n nominal (mean) matrix.  This module selects how: the exact
     sparse Cholesky factor (default — bitwise-identical to the
-    historical behavior), IC(0), or the aggregation AMG hierarchy whose
-    setup and apply stay near-linear in [n] — the backend that scales
-    to 10^5-10^6 nodes.  All backends apply in place through
-    caller-owned workspaces (allocation-free inner loops) and are
-    deterministic at any domain count. *)
+    historical behavior), IC(0), or the smoothed-aggregation AMG
+    hierarchy whose setup and apply stay near-linear in [n] — the
+    backend that scales to 10^5-10^6 nodes.  All backends apply in
+    place through caller-owned workspaces (allocation-free inner loops)
+    and are deterministic at any domain count.  Only [Cholesky] applies
+    [M^-1] exactly; callers that iterate against the mean solver pick
+    their iteration from {!backend} (a stationary refinement converges
+    quickly only against the exact factor, so the approximate backends
+    serve as CG preconditioners). *)
 
 type kind = Cholesky | Ic0 | Amg | Auto
 
@@ -52,8 +56,8 @@ val create_ws : t -> ws
 (** One workspace per concurrent applier. *)
 
 val apply_in_place : t -> ws -> ?domains:int -> Vec.t -> unit
-(** Overwrite [x] with the preconditioned solve [M^-1 x].  Allocation
-    free; [domains] parallelizes only the exact factor's triangular
+(** Overwrite [x] with the preconditioned solve [M^-1 x].  Allocates
+    nothing; [domains] parallelizes only the exact factor's triangular
     sweeps (bitwise-stable), the approximate backends run
     sequentially. *)
 

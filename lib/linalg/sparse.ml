@@ -238,7 +238,7 @@ let mul_vec_into a x y =
   Array.fill y 0 a.nrows 0.0;
   for j = 0 to a.ncols - 1 do
     let xj = x.(j) in
-    if Util.Floats.nonzero xj then
+    if not (Util.Floats.equal_exact xj 0.0) then
       for k = a.colptr.(j) to a.colptr.(j + 1) - 1 do
         y.(a.rowind.(k)) <- y.(a.rowind.(k)) +. (a.values.(k) *. xj)
       done
@@ -255,7 +255,7 @@ let[@opera.hot] mul_vec_acc_off ?(alpha = 1.0) a x ~xoff y ~yoff =
   let { colptr; rowind; values; ncols; _ } = a in
   for j = 0 to ncols - 1 do
     let xj = alpha *. x.(xoff + j) in
-    if Util.Floats.nonzero xj then
+    if not (Util.Floats.equal_exact xj 0.0) then
       for k = colptr.(j) to colptr.(j + 1) - 1 do
         y.(yoff + rowind.(k)) <- y.(yoff + rowind.(k)) +. (values.(k) *. xj)
       done

@@ -4,15 +4,18 @@
    exact compare is almost always either a sparsity/guard check that is
    *deliberately* exact (skipping structurally-zero work, guarding a
    divide) or a bug (comparing computed values that differ in the last
-   ulp).  This module is the single waived home for the exact compares,
-   so every call site names its intent and the deliberate ones are
+   ulp).  This module is the single home for the exact compares, so
+   every call site names its intent and the deliberate ones are
    auditable in one place. *)
 
 (* The one sanctioned exact comparison.  NaN is never equal to anything,
    including itself — callers guarding divides with [is_zero] therefore
    still divide by NaN; that is the IEEE-faithful behaviour we want
-   (NaN propagates instead of being silently zeroed). *)
-let equal_exact a b = (a : float) = (b : float) (* opera-lint: exact *)
+   (NaN propagates instead of being silently zeroed).  A primitive, not
+   a function: the compiler expands it to an unboxed float compare at
+   every call site, even across modules under [-opaque], so hot kernels
+   can call it per element without boxing. *)
+external equal_exact : float -> float -> bool = "%equal"
 
 let is_zero x = equal_exact x 0.0
 

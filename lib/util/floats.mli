@@ -5,12 +5,15 @@
     compare on a {e computed} value is a silent-failure bug, while exact
     compares on {e structural} values (stored zeros, sentinel signs) are
     deliberate and should say so.  These helpers name the intent; the
-    single waived raw compare lives in the implementation. *)
+    one raw compare is the compiler primitive behind {!equal_exact}. *)
 
-val equal_exact : float -> float -> bool
+external equal_exact : float -> float -> bool = "%equal"
 (** Bitwise-semantics IEEE equality ([a = b]).  Use only for structural
     values that were stored, never computed (e.g. a sign parsed as
-    [1.0] / [-1.0]).  [nan] is equal to nothing, including itself. *)
+    [1.0] / [-1.0]).  [nan] is equal to nothing, including itself.
+    Declared as the compiler primitive so every call site compiles to
+    an inline, unboxed float compare — the per-element sparsity test of
+    the allocation-free kernels calls it directly. *)
 
 val is_zero : float -> bool
 (** [equal_exact x 0.0] — guard checks before division and

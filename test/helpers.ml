@@ -65,5 +65,10 @@ let small_grid_spec =
     sim_cycles = 2;
   }
 
+(* The conductance matrix of the generated grid scaled to [nodes]. *)
+let grid_g nodes =
+  let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default nodes in
+  Powergrid.Mna.g_total (Powergrid.Grid_gen.stream_mna spec)
+
 let qcheck_case ?(count = 100) name arbitrary property =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arbitrary property)

@@ -1,6 +1,8 @@
 (* Amg as a first-class preconditioner: deterministic setup/apply, PCG
-   equivalence through Precond, v-cycle convergence on generated meshes,
-   and the v2 section codec (roundtrip + mapped store replay). *)
+   equivalence through Precond, v-cycle convergence on generated meshes
+   (stationary and as a CG preconditioner), and the v2 section codec
+   (roundtrip, damaged prolongator, stale version, mapped store
+   replay). *)
 
 let mesh_matrix k =
   let n = k * k in
@@ -128,10 +130,6 @@ let test_pcg_with_amg_precond () =
 
 (* --- scaling: flat iteration counts on generated grids ----------------- *)
 
-let grid_g nodes =
-  let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default nodes in
-  Powergrid.Mna.g_total (Powergrid.Grid_gen.stream_mna spec)
-
 let pcg_iters a =
   let n = fst (Linalg.Sparse.dims a) in
   let b = Array.make n 1e-3 in
@@ -143,16 +141,49 @@ let pcg_iters a =
   stats.Linalg.Cg.iterations
 
 let test_vcycle_convergence_10k () =
-  let a = grid_g 10_000 in
+  let a = Helpers.grid_g 10_000 in
   let n = fst (Linalg.Sparse.dims a) in
   Alcotest.(check bool) "mesh is 10^4-node class" true (n >= 9_000);
-  let small = pcg_iters (grid_g 2_500) in
+  let small = pcg_iters (Helpers.grid_g 2_500) in
   let large = pcg_iters a in
   (* The multigrid promise: iterations stay roughly flat as n quadruples. *)
   Alcotest.(check bool)
     (Printf.sprintf "iters %d at 10k <= 2x iters %d at 2.5k" large small)
     true
     (large <= 2 * small)
+
+(* One V-cycle must contract the error on its own: stationary sweeps
+   reach 1e-10 within 100, the ST refinement cap — a check on the
+   prolongator independent of CG. *)
+let test_stationary_vcycle_converges_10k () =
+  let a = Helpers.grid_g 10_000 in
+  let n = fst (Linalg.Sparse.dims a) in
+  let amg = Linalg.Amg.build a in
+  let w = Linalg.Amg.create_ws amg in
+  let b = Array.init n (fun i -> 1e-3 *. (1.0 +. float_of_int (i mod 7))) in
+  let x = Array.make n 0.0 and r = Array.make n 0.0 and z = Array.make n 0.0 in
+  let bnorm = Linalg.Vec.norm2 b in
+  let rel () =
+    Array.blit b 0 r 0 n;
+    Linalg.Sparse.mul_vec_acc ~alpha:(-1.0) a x r;
+    Linalg.Vec.norm2 r /. bnorm
+  in
+  let sweeps = ref 0 in
+  while rel () > 1e-10 && !sweeps < 100 do
+    Linalg.Amg.apply amg w ~b:r ~x:z;
+    Linalg.Vec.axpy ~alpha:1.0 z x;
+    incr sweeps
+  done;
+  let final = rel () in
+  Alcotest.(check bool)
+    (Printf.sprintf "relative residual %.2e after %d sweeps reaches 1e-10" final !sweeps)
+    true (final <= 1e-10)
+
+let test_pcg_iterations_10k () =
+  (* 13 measured at this tolerance; the bound leaves room for rounding
+     drift, not for a weaker hierarchy. *)
+  let iters = pcg_iters (Helpers.grid_g 10_000) in
+  Alcotest.(check bool) (Printf.sprintf "amg-pcg %d iterations <= 20" iters) true (iters <= 20)
 
 (* --- v2 section codec --------------------------------------------------- *)
 
@@ -228,9 +259,44 @@ let test_codec_rejects_truncation () =
            false
          with Util.Codec.Corrupt _ -> true))
 
-let test_store_mapped_replay () =
-  let a = mesh_matrix 16 in
-  let n = 16 * 16 in
+(* Level 0's prolongator sections follow its four operator sections. *)
+let prolongator_rowind_section = 5
+
+let test_codec_rejects_bad_prolongator () =
+  let amg = Linalg.Amg.build (mesh_matrix 10) in
+  let meta, sections = Linalg.Amg.to_frame amg in
+  let damaged =
+    List.mapi
+      (fun i sec ->
+        match sec with
+        | Util.Codec.I_big rows when i = prolongator_rowind_section ->
+            let rows' = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (Bigarray.Array1.dim rows) in
+            Bigarray.Array1.blit rows rows';
+            Bigarray.Array1.set rows' 0 (Linalg.Amg.dim amg);
+            Util.Codec.I_big rows'
+        | sec -> sec)
+      sections
+  in
+  let file = Filename.temp_file "opera-amg" ".opra" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+    (fun () ->
+      Util.Codec.write_file file
+        (Util.Codec.frame_v2 ~kind:Linalg.Amg.artifact_kind ~version:Linalg.Amg.artifact_version
+           ~meta ~sections:damaged);
+      match
+        Util.Codec.read_frame_v2 ~kind:Linalg.Amg.artifact_kind
+          ~version:Linalg.Amg.artifact_version file
+      with
+      | None -> Alcotest.fail "artifact unreadable"
+      | Some (d, s) ->
+          Alcotest.(check bool) "out-of-range prolongator row rejected" true
+            (try
+               ignore (Linalg.Amg.of_frame_sections d s);
+               false
+             with Util.Codec.Corrupt _ -> true))
+
+let with_store_dir f =
   let dir = Filename.temp_file "opera-amg-store" "" in
   Sys.remove dir;
   Fun.protect
@@ -238,20 +304,51 @@ let test_store_mapped_replay () =
       Array.iter (fun e -> try Sys.remove (Filename.concat dir e) with Sys_error _ -> ())
         (try Sys.readdir dir with Sys_error _ -> [||]);
       try Sys.rmdir dir with Sys_error _ -> ())
-    (fun () ->
+    (fun () -> f dir)
+
+let store_key = "0123456789abcdef"
+
+let fetch_amg store ~builds a =
+  Scenario.Store.find_or_build_sections store ~kind:Linalg.Amg.artifact_kind
+    ~version:Linalg.Amg.artifact_version ~key:store_key ~encode:Linalg.Amg.to_frame
+    ~decode:Linalg.Amg.of_frame_sections ~build:(fun () ->
+      incr builds;
+      Linalg.Amg.build a)
+
+let test_store_rebuilds_version_1 () =
+  (* A version-1 artifact (aggregate maps, no prolongators) must be
+     rebuilt, never handed to the decoder. *)
+  let a = mesh_matrix 16 in
+  with_store_dir (fun dir ->
+      let metrics = Util.Metrics.create () in
+      let store = Scenario.Store.create ~metrics ~dir:(Some dir) () in
+      let file =
+        match Scenario.Store.path store ~kind:Linalg.Amg.artifact_kind ~key:store_key with
+        | Some f -> f
+        | None -> Alcotest.fail "store has no directory"
+      in
+      let meta, sections = Linalg.Amg.to_frame (Linalg.Amg.build a) in
+      Util.Codec.write_file file
+        (Util.Codec.frame_v2 ~kind:Linalg.Amg.artifact_kind ~version:1 ~meta ~sections);
+      let builds = ref 0 in
+      let rebuilt = fetch_amg store ~builds a in
+      Alcotest.(check int) "version-1 artifact rebuilt" 1 !builds;
+      Alcotest.(check int) "never a hit" 0 (Util.Metrics.counter metrics "store.hits");
+      let again = fetch_amg store ~builds a in
+      Alcotest.(check int) "the rewritten artifact is reused" 1 !builds;
+      let rng = Helpers.rng () in
+      check_same_apply "rebuilt hierarchy applies bitwise" rebuilt again
+        (Helpers.random_vec rng (16 * 16)))
+
+let test_store_mapped_replay () =
+  let a = mesh_matrix 16 in
+  let n = 16 * 16 in
+  with_store_dir (fun dir ->
       let metrics = Util.Metrics.create () in
       let store = Scenario.Store.create ~metrics ~dir:(Some dir) () in
       let builds = ref 0 in
-      let fetch () =
-        Scenario.Store.find_or_build_sections store ~kind:Linalg.Amg.artifact_kind
-          ~version:Linalg.Amg.artifact_version ~key:"0123456789abcdef"
-          ~encode:Linalg.Amg.to_frame ~decode:Linalg.Amg.of_frame_sections
-          ~build:(fun () ->
-            incr builds;
-            Linalg.Amg.build a)
-      in
-      let cold = fetch () in
-      let warm = fetch () in
+      let cold = fetch_amg store ~builds a in
+      let warm = fetch_amg store ~builds a in
       Alcotest.(check int) "one build" 1 !builds;
       let count k = Util.Metrics.counter metrics k in
       Alcotest.(check int) "one hit" 1 (count "store.hits");
@@ -274,9 +371,16 @@ let suite =
     Alcotest.test_case "amg-preconditioned CG beats plain CG" `Quick test_pcg_with_amg_precond;
     Alcotest.test_case "iterations stay flat from 2.5k to 10k nodes" `Slow
       test_vcycle_convergence_10k;
+    Alcotest.test_case "stationary V-cycles reach 1e-10 on 10k nodes" `Slow
+      test_stationary_vcycle_converges_10k;
+    Alcotest.test_case "amg-pcg needs at most 20 iterations on 10k nodes" `Slow
+      test_pcg_iterations_10k;
     Alcotest.test_case "v2 codec roundtrip (copying)" `Quick test_codec_roundtrip_copying;
     Alcotest.test_case "v2 codec roundtrip (mapped)" `Quick test_codec_roundtrip_mapped;
     Alcotest.test_case "v2 codec rejects truncation" `Quick test_codec_rejects_truncation;
+    Alcotest.test_case "v2 codec rejects a damaged prolongator" `Quick
+      test_codec_rejects_bad_prolongator;
+    Alcotest.test_case "store rebuilds a version-1 hierarchy" `Quick test_store_rebuilds_version_1;
     Alcotest.test_case "store replay of the hierarchy is mapped and bitwise" `Quick
       test_store_mapped_replay;
   ]

@@ -3,7 +3,8 @@
    Contract (shared by every subcommand through Cli_common.dispatch):
      0  success, --help, --version
      2  unknown subcommand, unknown flag, malformed or out-of-range value,
-        unreadable or malformed netlist, bad job file
+        unreadable or malformed netlist, bad job file, output file in a
+        missing directory
    The tests shell out to the built opera binary (a test dep) with stdout
    sent to /dev/null.  An uncaught OCaml exception also exits 2, so every
    case also asserts that stderr carries no "Fatal error: exception". *)
@@ -26,11 +27,27 @@ let run args =
       in
       (code, In_channel.with_open_bin err In_channel.input_all))
 
-let check what expected args =
+let check ?names what expected args =
   let code, stderr = run args in
   Alcotest.(check int) what expected code;
   if contains stderr "Fatal error: exception" then
-    Alcotest.failf "%s: uncaught exception on stderr:\n%s" what stderr
+    Alcotest.failf "%s: uncaught exception on stderr:\n%s" what stderr;
+  match names with
+  | Some name when not (contains stderr name) ->
+      Alcotest.failf "%s: stderr does not name %s:\n%s" what name stderr
+  | _ -> ()
+
+let with_temp_file ?(suffix = ".json") contents f =
+  let path = Filename.temp_file "opera_cli_test" suffix in
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc;
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let tiny_batch =
+  {|{"defaults": {"nodes": 120, "steps": 2, "solver": "direct"},
+     "jobs": [{"name": "a", "analysis": "dc"},
+              {"name": "b", "analysis": "dc", "drain_scale": 1.5}]}|}
 
 let test_help_exits_zero () =
   check "opera --help" 0 "--help";
@@ -73,14 +90,22 @@ let test_usage_errors_exit_two () =
   check "special --regions -2" 2 "special --regions -2";
   check "generate --nodes 3" 2 "generate --nodes 3";
   check "analyze missing --netlist" 2 "analyze --netlist /nonexistent.sp";
-  check "mc missing --netlist" 2 "mc --netlist /nonexistent.sp"
-
-let with_temp_file ?(suffix = ".json") contents f =
-  let path = Filename.temp_file "opera_cli_test" suffix in
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc;
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+  check "mc missing --netlist" 2 "mc --netlist /nonexistent.sp";
+  (* Output files in a missing directory: a usage error naming the path,
+     raised before anything is solved. *)
+  let out ext = "/nonexistent-dir/out." ^ ext in
+  let analyze = "analyze --nodes 100 --steps 2 " in
+  check ~names:(out "sp") "generate --out in a missing directory" 2
+    ("generate --nodes 100 --out " ^ out "sp");
+  check ~names:(out "csv") "analyze --csv in a missing directory" 2 (analyze ^ "--csv " ^ out "csv");
+  check ~names:(out "svg") "analyze --svg in a missing directory" 2 (analyze ^ "--svg " ^ out "svg");
+  check ~names:(out "json") "analyze --metrics-out in a missing directory" 2
+    (analyze ^ "--metrics-out " ^ out "json");
+  with_temp_file tiny_batch (fun path ->
+      check ~names:(out "jsonl") "batch --stream-out in a missing directory" 2
+        ("batch --stream-out " ^ out "jsonl" ^ " " ^ Filename.quote path);
+      check ~names:(out "json") "batch --metrics-out in a missing directory" 2
+        ("batch --metrics-out " ^ out "json" ^ " " ^ Filename.quote path))
 
 let test_batch_rejects_malformed_jobs () =
   with_temp_file "{ not json" (fun path ->
@@ -126,11 +151,7 @@ let test_serve_usage_errors_exit_two () =
       check "serve --listen over a regular file" 2 ("serve --listen " ^ Filename.quote path))
 
 let test_batch_runs_a_tiny_batch () =
-  with_temp_file
-    {|{"defaults": {"nodes": 120, "steps": 2, "solver": "direct"},
-       "jobs": [{"name": "a", "analysis": "dc"},
-                {"name": "b", "analysis": "dc", "drain_scale": 1.5}]}|}
-    (fun path ->
+  with_temp_file tiny_batch (fun path ->
       check "tiny batch runs clean" 0 ("batch " ^ Filename.quote path);
       check "dry-run plans without solving" 0 ("batch --dry-run " ^ Filename.quote path))
 

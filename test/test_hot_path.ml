@@ -201,6 +201,71 @@ let test_pool_exception_safety () =
         (fun i h -> Alcotest.(check int) (Printf.sprintf "index %d after failure" i) 1 h)
         hits)
 
+(* --- allocation discipline ------------------------------------------------
+
+   The kernels documented as allocation-free must stay so in the build
+   users run: the default profile compiles with -opaque, where a
+   cross-module helper taking a float boxes its argument on every call. *)
+
+(* Minor words one call of [f] allocates, net of the measurement itself;
+   one warm-up call first. *)
+let words_per_call f =
+  let calls = 8 in
+  f ();
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  let w2 = Gc.minor_words () in
+  (w2 -. w1 -. (w1 -. w0)) /. float_of_int calls
+
+let test_kernels_allocate_nothing () =
+  let a = Helpers.grid_g 2_500 in
+  let n = fst (Linalg.Sparse.dims a) in
+  let rng = Helpers.rng () in
+  let b = Helpers.random_vec rng n in
+  let x = Array.make n 0.0 and y = Array.make n 0.0 in
+  let zero what f = Helpers.check_float ~eps:0.0 (what ^ ": words per call") 0.0 (words_per_call f) in
+  let amg = Linalg.Amg.build a in
+  let amg_ws = Linalg.Amg.create_ws amg in
+  zero "Amg.apply" (fun () -> Linalg.Amg.apply amg amg_ws ~b ~x);
+  List.iter
+    (fun kind ->
+      let p = Linalg.Precond.make kind a in
+      let ws = Linalg.Precond.create_ws p in
+      zero
+        ("Precond.apply_in_place " ^ Linalg.Precond.to_string kind)
+        (fun () ->
+          Array.blit b 0 x 0 n;
+          Linalg.Precond.apply_in_place p ws x))
+    [ Linalg.Precond.Amg; Linalg.Precond.Cholesky ];
+  zero "Sparse.mul_vec_acc" (fun () -> Linalg.Sparse.mul_vec_acc ~alpha:(-1.0) a b y);
+  let f = Linalg.Sparse_cholesky.factor ~ordering:Linalg.Ordering.Nested_dissection a in
+  let work = Array.make n 0.0 in
+  zero "Sparse_cholesky.solve_in_place_ws" (fun () ->
+      Array.blit b 0 x 0 n;
+      Linalg.Sparse_cholesky.solve_in_place_ws f ~work x)
+
+let test_galerkin_op_allocation_flat_in_n () =
+  (* Per-application bookkeeping (the metrics span, the per-term
+     [~alpha]) is fine; anything per node is not. *)
+  let words nodes =
+    let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default nodes in
+    let m =
+      Opera.Stochastic_model.build ~order:2 Opera.Varmodel.paper_default ~vdd:1.2
+        (Powergrid.Grid_gen.generate spec)
+    in
+    let op = Opera.Galerkin_op.gt ~domains:1 m in
+    let d = Opera.Galerkin_op.dim op in
+    let x = Array.init d (fun i -> float_of_int (i mod 5)) and y = Array.make d 0.0 in
+    words_per_call (fun () -> Opera.Galerkin_op.apply_into op x y)
+  in
+  let small = words 400 and large = words 4_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "words per apply %.0f at 4k nodes <= %.0f at 400" large small)
+    true (large <= small)
+
 let suite =
   [
     Alcotest.test_case "level solve bitwise equals sequential" `Quick test_level_solve_bitwise;
@@ -212,4 +277,8 @@ let suite =
     Alcotest.test_case "in-place cg bitwise equals allocating cg" `Quick test_cg_in_place_bitwise;
     Alcotest.test_case "pool reuse is deterministic" `Quick test_pool_reuse_and_determinism;
     Alcotest.test_case "pool survives chunk exceptions" `Quick test_pool_exception_safety;
+    Alcotest.test_case "allocation-free kernels allocate nothing" `Quick
+      test_kernels_allocate_nothing;
+    Alcotest.test_case "galerkin matvec allocation is flat in n" `Quick
+      test_galerkin_op_allocation_flat_in_n;
   ]

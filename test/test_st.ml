@@ -144,9 +144,9 @@ let test_transient_matches_on_netlist () =
 
 let test_nonexact_precond_matches_exact () =
   (* The AMG mean-solver backend drops the N+1 per-point stepping
-     factors; every point is still refined to the same residual target,
+     factors; every point is still solved to the same residual target,
      so the recovered moments must agree with the exact route to
-     refinement accuracy. *)
+     solver accuracy. *)
   let m = model () in
   let h = 0.25e-9 and steps = 4 in
   let exact, exact_stats = St.solve_transient ~options:(st_options m) m ~h ~steps in
@@ -160,7 +160,28 @@ let test_nonexact_precond_matches_exact () =
   Alcotest.(check bool) "healthy refinement" true
     (Linalg.Solve_report.agg_healthy stats.St.health);
   check_moments_close ~what:"amg mean-solver backend" ~steps ~n:m.Opera.Stochastic_model.n
-    exact amg
+    exact amg;
+  (* A 1,000-node generated grid at the job-default step: against an
+     approximate mean solver every testing point converges by PCG, so
+     neither backend factors a single point. *)
+  let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default 1_000 in
+  let m =
+    Opera.Stochastic_model.build ~order:2 Opera.Varmodel.paper_default ~vdd
+      (Powergrid.Grid_gen.generate spec)
+  in
+  let h = 125e-12 and steps = 2 in
+  let exact, _ = St.solve_transient ~options:(st_options m) m ~h ~steps in
+  List.iter
+    (fun precond ->
+      let what = Linalg.Precond.to_string precond ^ " on 1k nodes" in
+      let got, stats =
+        St.solve_transient ~options:{ (st_options m) with St.precond } m ~h ~steps
+      in
+      Alcotest.(check int) (what ^ ": no factorization") 0 stats.St.factorizations;
+      Alcotest.(check int) (what ^ ": no fallback") 0
+        stats.St.health.Linalg.Solve_report.fallbacks;
+      check_moments_close ~what ~steps ~n:m.Opera.Stochastic_model.n exact got)
+    [ Linalg.Precond.Amg; Linalg.Precond.Ic0 ]
 
 let test_dc_matches_galerkin () =
   let m = model () in
@@ -218,24 +239,29 @@ let test_galerkin_dispatch () =
 (* --- determinism across domains ---------------------------------------- *)
 
 let test_domain_count_bitwise () =
+  (* Both point-solve routes: stationary refinement on the exact factor,
+     PCG against the shared AMG hierarchy. *)
   let m = model () in
   let h = 0.25e-9 and steps = 4 in
-  let solve domains =
-    St.solve_transient ~options:{ St.default_options with St.domains } m ~h ~steps
-  in
-  let r1, _ = solve 1 in
-  let r4, _ = solve 4 in
-  let n = m.Opera.Stochastic_model.n in
-  for step = 0 to steps do
-    for node = 0 to n - 1 do
-      Helpers.check_float ~eps:0.0 "means bitwise equal across domains"
-        (Opera.Response.mean_at r1 ~step ~node)
-        (Opera.Response.mean_at r4 ~step ~node);
-      Helpers.check_float ~eps:0.0 "stds bitwise equal across domains"
-        (Opera.Response.std_at r1 ~step ~node)
-        (Opera.Response.std_at r4 ~step ~node)
-    done
-  done
+  List.iter
+    (fun precond ->
+      let solve domains =
+        St.solve_transient ~options:{ St.default_options with St.domains; precond } m ~h ~steps
+      in
+      let r1, _ = solve 1 in
+      let r4, _ = solve 4 in
+      let n = m.Opera.Stochastic_model.n in
+      for step = 0 to steps do
+        for node = 0 to n - 1 do
+          Helpers.check_float ~eps:0.0 "means bitwise equal across domains"
+            (Opera.Response.mean_at r1 ~step ~node)
+            (Opera.Response.mean_at r4 ~step ~node);
+          Helpers.check_float ~eps:0.0 "stds bitwise equal across domains"
+            (Opera.Response.std_at r1 ~step ~node)
+            (Opera.Response.std_at r4 ~step ~node)
+        done
+      done)
+    [ Linalg.Precond.Cholesky; Linalg.Precond.Amg ]
 
 (* --- codec roundtrip of a per-point factor ------------------------------ *)
 
