@@ -75,7 +75,7 @@ ci:
 	dune exec bench/scale_bench.exe -- --quick --out scale_smoke.json > /dev/null
 	dune exec bench/validate_metrics.exe -- transient_smoke.json st_smoke.json batch_smoke.json service_smoke.json scale_smoke.json
 	rm -f transient_smoke.json st_smoke.json batch_smoke.json service_smoke.json scale_smoke.json
-	rm -rf _bench_batch_cache _bench_batch_resume _bench_batch_shard _bench_service_cache _bench_scale_cache
+	rm -rf _bench_batch_cache _bench_batch_cold2 _bench_batch_cold4 _bench_batch_resume _bench_batch_shard _bench_service_cache _bench_scale_cache
 
 test-verbose:
 	dune runtest --force --no-buffer
@@ -95,9 +95,11 @@ bench-galerkin:
 # Produce a --metrics-out registry dump and the galerkin bench JSON,
 # then check both against the schema with the bundled validator.
 # Batch-engine throughput + crash safety: one mixed batch, cold vs warm
-# store, 1/2/4 jobs in flight, then a kill-and-resume replay and a
+# store, 1/2/4 jobs in flight (cold at 2 and 4 on fresh stores too, so
+# factors build on several domains), then a kill-and-resume replay and a
 # 2-shard partition over a shared store; the run aborts if a warm run
-# factors anything, any stream drifts from the cold one, the resumed
+# factors anything, a cold run factors more or less than at one domain,
+# any stream drifts from the cold one, the resumed
 # stream isn't bitwise-identical, or the shards overlap or miss a job.
 # The JSON (including journal replay/write counts) is schema-checked.
 bench-batch:

@@ -9,6 +9,11 @@
      warm   jobs_parallel=2
      warm   jobs_parallel=4
 
+   plus a cold run at jobs_parallel=2 and at 4, each on its own fresh
+   store, where domains build factors concurrently with each other and
+   with jobs: each must stream the cold run's JSONL and factor exactly
+   as often as it,
+
    then exercises the crash-safety machinery on fresh stores:
 
      resume      kill the batch mid-stream (the emit callback raises
@@ -230,13 +235,30 @@ let () =
            (("warm", jp), s, stream))
          [ 1; 2; 4 ]
   in
-  (* The engine's contract, enforced: warm runs factor nothing and every
-     stream is byte-identical to the cold one. *)
+  let runs =
+    runs
+    @ List.map
+        (fun jp ->
+          let dir = Printf.sprintf "_bench_batch_cold%d" jp in
+          clear_dir dir;
+          let s, stream = run_once ~label:"cold" ~cache_dir:dir ~jobs_parallel:jp jobs in
+          (("cold", jp), s, stream))
+        [ 2; 4 ]
+  in
+  (* The engine's contract, enforced: warm runs factor nothing, cold runs
+     factor as often at any domain count, and every stream is
+     byte-identical to the cold one. *)
   List.iter
     (fun ((label, jp), (s : Scenario.Engine.summary), stream) ->
       if label = "warm" && s.Scenario.Engine.factorizations <> 0 then begin
         Printf.eprintf "batch_bench: warm run (jobs_parallel=%d) factored %d times\n" jp
           s.Scenario.Engine.factorizations;
+        exit 1
+      end;
+      if label = "cold" && s.Scenario.Engine.factorizations <> cold.Scenario.Engine.factorizations
+      then begin
+        Printf.eprintf "batch_bench: cold run (jobs_parallel=%d) factored %d times, not %d\n" jp
+          s.Scenario.Engine.factorizations cold.Scenario.Engine.factorizations;
         exit 1
       end;
       if stream <> cold_stream then begin

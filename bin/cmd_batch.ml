@@ -176,7 +176,9 @@ let run argv =
               in
               try solve ()
               with Scenario.Engine.Invalid_batch msg ->
-                (* The engine refuses before any job runs (e.g. a probe out
-                   of range for its grid) — same discipline as a bad flag. *)
+                (* The engine refuses a bad batch — before any job runs
+                   (e.g. a probe out of range for its grid), or when an
+                   operator turns out indefinite — same discipline as a
+                   bad flag. *)
                 Printf.eprintf "opera batch: %s: %s\nTry 'opera batch --help'.\n" path msg;
                 2)))

@@ -1,7 +1,10 @@
 exception Not_positive_definite of int
 
-(* Level-schedule data, derived from the factor at construction time
-   (and rebuilt by [decode] — it never crosses the codec).
+(* Level-schedule data, derived from the factor on the first solve that
+   asks for more than one domain (see [levels_of]) — never at [factor]
+   or [decode] time, and it never crosses the codec.  Sequential solves,
+   the only kind most factors ever see, therefore pay neither the build
+   nor the three re-laid copies of [L] it holds.
 
    The forward sweep [L y = b] is re-expressed row-wise: row [i] of the
    strict lower triangle is gathered ([acc -= L_ij * y_j] for ascending
@@ -26,10 +29,10 @@ exception Not_positive_definite of int
    backward arrays holds column [b_cols.(t)].  The sequential sweeps
    stream [lx] linearly, and a level-ordered sweep through row-ordered
    storage would jump around a factor far bigger than cache; permuting
-   the values once at construction makes every solve a linear scan of
-   its entry arrays, which is what lets the level path match (and, with
-   the fused permutations, beat) the sequential path even on one
-   domain.
+   the values once, when the schedule is built, makes every solve a
+   linear scan of its entry arrays, which is what lets the level path
+   match (and, with the fused permutations, beat) the sequential path
+   even on one domain.
 
    Serial tail.  Fill-reducing orders eliminate separators last, so the
    end of the forward dependency DAG degenerates into a long run of
@@ -86,7 +89,7 @@ type t = {
   li : int array; (* row indices, diagonal entry first per column *)
   lx : float array;
   work : float array; (* scratch for solve_in_place *)
-  levels : levels;
+  levels : levels option Atomic.t; (* built on first parallel solve *)
 }
 
 (* Group indices [0, n) by [lev.(i)] with a counting sort: ascending
@@ -372,7 +375,20 @@ let factor ?(ordering = Ordering.Min_degree) ?perm a =
     li.(pos) <- k;
     lx.(pos) <- sqrt !d
   done;
-  { n; p; lp; li; lx; work = Array.make n 0.0; levels = build_levels ~n ~lp ~li ~lx }
+  { n; p; lp; li; lx; work = Array.make n 0.0; levels = Atomic.make None }
+
+(* The factor's level schedule, built on first use.  Domains racing on a
+   fresh factor may each build one; the compare-and-set publishes exactly
+   one, and every caller sweeps with the published copy.  [build_levels]
+   is a pure function of [L], so whichever copy wins, solves are
+   bitwise the same. *)
+let levels_of f =
+  match Atomic.get f.levels with
+  | Some lv -> lv
+  | None ->
+      let lv = build_levels ~n:f.n ~lp:f.lp ~li:f.li ~lx:f.lx in
+      if Atomic.compare_and_set f.levels None (Some lv) then lv
+      else Option.get (Atomic.get f.levels)
 
 let lower_solve f y =
   (* L y' = y, in place; diagonal entry is first in each column. *)
@@ -413,8 +429,8 @@ let upper_solve f y =
    changes which chains run concurrently, never the order of adds within
    a chain, so results stay bitwise identical for any chunking. *)
 
-let[@opera.hot] fwd_rows f ~work b lo hi =
-  let { f_rows; fp; fc; fx; fd; _ } = f.levels in
+let[@opera.hot] fwd_rows f lv ~work b lo hi =
+  let { f_rows; fp; fc; fx; fd; _ } = lv in
   let p = f.p in
   let one t =
     let i = f_rows.(t) in
@@ -452,8 +468,8 @@ let[@opera.hot] fwd_rows f ~work b lo hi =
    the rhs start minus every contribution from head columns.  Tail slots
    are independent of each other (they read only head results), so this
    is one wide level; the same two-chain interleave applies. *)
-let[@opera.hot] fwd_tail_prefix f ~work b lo hi =
-  let { f_cut; tp; tc; tx; _ } = f.levels in
+let[@opera.hot] fwd_tail_prefix f lv ~work b lo hi =
+  let { f_cut; tp; tc; tx; _ } = lv in
   let p = f.p in
   let one k =
     let acc = ref b.(p.(f_cut + k)) in
@@ -489,9 +505,9 @@ let[@opera.hot] fwd_tail_prefix f ~work b lo hi =
    partial accumulators phase 2 left in [work] — {!lower_solve}
    restricted to columns [f_cut..n) (every sub-diagonal entry of a tail
    column lands in a tail row). *)
-let[@opera.hot] fwd_tail_scatter f ~work =
+let[@opera.hot] fwd_tail_scatter f lv ~work =
   let { lp; li; lx; n; _ } = f in
-  let f_cut = f.levels.f_cut in
+  let f_cut = lv.f_cut in
   for j = f_cut to n - 1 do
     let v = work.(j) /. lx.(lp.(j)) in
     work.(j) <- v;
@@ -500,8 +516,8 @@ let[@opera.hot] fwd_tail_scatter f ~work =
     done
   done
 
-let[@opera.hot] bwd_cols f ~work b lo hi =
-  let { b_cols; bp; bi; bx; bd; _ } = f.levels in
+let[@opera.hot] bwd_cols f lv ~work b lo hi =
+  let { b_cols; bp; bi; bx; bd; _ } = lv in
   let p = f.p in
   let one t =
     let j = b_cols.(t) in
@@ -547,7 +563,7 @@ let[@opera.hot] bwd_cols f ~work b lo hi =
 let level_dispatch_cutoff = 64
 
 let solve_level_scheduled f ~domains ~work b =
-  let lv = f.levels in
+  let lv = levels_of f in
   let sweep nlev_ptr kernel =
     let nlev = Array.length nlev_ptr - 1 in
     for l = 0 to nlev - 1 do
@@ -559,17 +575,17 @@ let solve_level_scheduled f ~domains ~work b =
             kernel (lo + clo) (lo + chi))
     done
   in
-  sweep lv.f_ptr (fwd_rows f ~work b);
+  sweep lv.f_ptr (fwd_rows f lv ~work b);
   let tn = f.n - lv.f_cut in
   if tn > 0 then begin
-    (if tn < level_dispatch_cutoff then fwd_tail_prefix f ~work b 0 tn
+    (if tn < level_dispatch_cutoff then fwd_tail_prefix f lv ~work b 0 tn
      else
        (* opera-lint: race — tail rows write disjoint work/b entries *)
        Util.Parallel.for_chunks ~domains tn (fun ~chunk:_ ~lo ~hi ->
-           fwd_tail_prefix f ~work b lo hi));
-    fwd_tail_scatter f ~work
+           fwd_tail_prefix f lv ~work b lo hi));
+    fwd_tail_scatter f lv ~work
   end;
-  sweep lv.b_ptr (bwd_cols f ~work b)
+  sweep lv.b_ptr (bwd_cols f lv ~work b)
 
 let[@opera.hot] solve_in_place_ws f ?(domains = 1) ~work b =
   if Array.length b <> f.n then invalid_arg "Sparse_cholesky.solve: dimension mismatch";
@@ -640,9 +656,10 @@ let decode (d : Util.Codec.decoder) =
         fail "cholesky: column %d has a non-strict lower entry at row %d" j li.(q)
     done
   done;
-  (* The level schedule is derived data: rebuilt here, never serialized,
-     so the artifact format (chol_version = 1) is unchanged. *)
-  { n; p; lp; li; lx; work = Array.make n 0.0; levels = build_levels ~n ~lp ~li ~lx }
+  (* The level schedule is derived data: built on the first parallel
+     solve, never serialized, so the artifact format (chol_version = 1)
+     is unchanged. *)
+  { n; p; lp; li; lx; work = Array.make n 0.0; levels = Atomic.make None }
 
 let nnz_l f = f.lp.(f.n)
 

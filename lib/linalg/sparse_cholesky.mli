@@ -36,10 +36,14 @@ val solve_in_place_ws : t -> ?domains:int -> work:Vec.t -> Vec.t -> unit
 
     [domains] (default [1] = sequential) selects the level-scheduled
     triangular sweeps when it resolves to more than one domain: rows of
-    [L] (and columns of [L^T]) are grouped into dependency levels at
-    factorization time and each level is swept with disjoint-slice
-    kernels over {!Util.Parallel.for_chunks}, fusing the permutation
-    passes into the sweeps.  Results are bitwise identical to the
+    [L] (and columns of [L^T]) are grouped into dependency levels and
+    each level is swept with disjoint-slice kernels over
+    {!Util.Parallel.for_chunks}, fusing the permutation passes into the
+    sweeps.  The level schedule (three re-laid copies of [L]) is built
+    by the first such solve and kept in the factor; {!factor} and
+    {!decode} never build it, so a factor only ever solved sequentially
+    holds just its own arrays.  Concurrent first solves from several
+    domains are safe: exactly one schedule is published.  Results are bitwise identical to the
     sequential path for every domain count; [0] defers to
     [OPERA_DOMAINS] as everywhere else.  Nested inside an already
     parallel region the sweeps degrade to inline execution (see

@@ -90,7 +90,11 @@ let st_point_key job h i =
 
 let chol_version = 1
 
-let cached_factor store ~count ~key ~dim build =
+(* One factorization task: a store hit, or a factorization and its
+   write.  A pivot that is not positive says the operator itself is
+   indefinite (a [sigma_scale] large enough to drive conductances
+   negative), which is a bad job, not a crash: [not_pd] names it. *)
+let cached_factor store ~count ~not_pd ~key ~dim build () =
   Store.find_or_build store ~kind:"chol" ~version:chol_version ~key
     ~encode:Linalg.Sparse_cholesky.encode
     ~decode:(fun d ->
@@ -103,7 +107,8 @@ let cached_factor store ~count ~key ~dim build =
       f)
     ~build:(fun () ->
       count ();
-      build ())
+      try build ()
+      with Linalg.Sparse_cholesky.Not_positive_definite _ -> raise (Invalid_batch not_pd))
 
 let tp_provider store basis =
   let e = Util.Codec.encoder () in
@@ -121,10 +126,19 @@ let tp_provider store basis =
 
 (* ---- group contexts --------------------------------------------------
 
-   All artifact IO and every factorization happens here, on the main
-   domain, before any job fans out: the store is single-domain, and a
-   shared factor must be complete before two jobs apply it
-   concurrently (read-only, through workspace-explicit solves). *)
+   A group's set-up runs in two parts.  Its prelude — grid generation
+   or netlist load, chaos expansion, triple-product and ordering
+   lookups — runs on the main domain before any job, so every
+   [Invalid_batch] it raises precedes the first record.  Each
+   factorization the group needs is then one task of [run]'s claim
+   loop, run on whichever domain claims it, alongside other groups'
+   factors and jobs; a job becomes claimable once all of its group's
+   factors exist, and [finish] assembles the context from them.  Every
+   task assembles the matrix it factors itself: the tasks share only
+   read-only values (model, ordering, assembled [Ct] or [G]), never a
+   [Lazy.t], which OCaml 5 refuses to force from two domains at once.
+   A shared factor is complete before any job applies it (read-only,
+   through workspace-explicit solves). *)
 
 type galerkin_ctx = {
   model : Opera.Stochastic_model.t;
@@ -172,7 +186,26 @@ let stepping_hs members =
          match j.analysis with Job.Dc -> None | _ -> Some j.h)
   |> List.sort_uniq compare
 
-let build_galerkin_ctx store count ~precond (rep : Job.t) members =
+(* A group after its prelude: the node count its probes are checked
+   against, one closure per factor, and the context assembled from the
+   built factors (passed in task order). *)
+type setup = {
+  nodes : int;
+  factors : (unit -> Linalg.Sparse_cholesky.t) array;
+  finish : Linalg.Sparse_cholesky.t array -> ctx;
+}
+
+(* The usage error for an indefinite operator: a [sigma_scale] large
+   enough to drive conductances negative (the special case has no
+   chaos-expanded conductance, so there the grid itself is at fault). *)
+let not_pd (job : Job.t) =
+  match job.analysis with
+  | Job.Special _ -> Printf.sprintf "job %s: operator is not positive definite" job.name
+  | Job.Dc | Job.Transient | Job.Yield _ ->
+      Printf.sprintf "job %s: sigma_scale %g makes the operator not positive definite" job.name
+        job.sigma_scale
+
+let prelude_galerkin store count ~precond (rep : Job.t) members =
   let circuit, gvdd, gspec =
     match rep.Job.source with
     | Job.Generated { nodes } ->
@@ -187,15 +220,20 @@ let build_galerkin_ctx store count ~precond (rep : Job.t) members =
   let model =
     Opera.Stochastic_model.build ~order:rep.order ~tp:(tp_provider store) vm ~vdd:gvdd circuit
   in
+  let n = model.Opera.Stochastic_model.n in
+  let not_pd = not_pd rep in
+  let hs = stepping_hs members in
+  let setup factors finish = { nodes = n; factors; finish } in
+  let no_factors ctx = setup [||] (fun _ -> ctx) in
   match rep.solver with
   | Opera.Galerkin.Mean_pcg _ | Opera.Galerkin.Matrix_free_pcg _ ->
       (* Iterative jobs run through the full Galerkin machinery; they
          share the expanded model (and the cached triple-product tensor)
          but factor their small nominal blocks per job. *)
-      Galerkin_ctx { model; gspec; gvdd; fdc = None; fmt = []; ct = None }
+      no_factors (Galerkin_ctx { model; gspec; gvdd; fdc = None; fmt = []; ct = None })
   | Opera.Galerkin.Direct ->
       let size = Polychaos.Basis.size model.Opera.Stochastic_model.basis in
-      let dim = size * model.Opera.Stochastic_model.n in
+      let dim = size * n in
       let perm =
         Store.find_or_build store ~kind:"perm" ~version:1 ~key:(tagged_key rep "block-ordering")
           ~encode:(fun p e -> Util.Codec.write_int_array e p)
@@ -206,31 +244,25 @@ let build_galerkin_ctx store count ~precond (rep : Job.t) members =
             p)
           ~build:(fun () -> Opera.Galerkin.block_ordering model)
       in
-      let gt = lazy (Opera.Galerkin.assemble_g model) in
-      let fdc =
-        cached_factor store ~count ~key:(tagged_key rep "gt") ~dim (fun () ->
-            Linalg.Sparse_cholesky.factor ~perm (Lazy.force gt))
-      in
-      let hs = stepping_hs members in
       let ct = if hs = [] then None else Some (Opera.Galerkin.assemble_c model) in
-      let fmt =
-        List.map
-          (fun h ->
-            let f =
-              cached_factor store ~count ~key:(h_key rep "mt" h) ~dim (fun () ->
-                  Linalg.Sparse_cholesky.factor ~perm
-                    (Linalg.Sparse.axpy ~alpha:(1.0 /. h) (Option.get ct) (Lazy.force gt)))
-            in
-            (h, f))
-          hs
+      let gt_task =
+        cached_factor store ~count ~not_pd ~key:(tagged_key rep "gt") ~dim (fun () ->
+            Linalg.Sparse_cholesky.factor ~perm (Opera.Galerkin.assemble_g model))
       in
-      Galerkin_ctx { model; gspec; gvdd; fdc = Some fdc; fmt; ct }
+      let mt_task h =
+        cached_factor store ~count ~not_pd ~key:(h_key rep "mt" h) ~dim (fun () ->
+            Linalg.Sparse_cholesky.factor ~perm
+              (Linalg.Sparse.axpy ~alpha:(1.0 /. h) (Option.get ct)
+                 (Opera.Galerkin.assemble_g model)))
+      in
+      setup (Array.of_list (gt_task :: List.map mt_task hs)) (fun fs ->
+          let fmt = List.mapi (fun k h -> (h, fs.(k + 1))) hs in
+          Galerkin_ctx { model; gspec; gvdd; fdc = Some fs.(0); fmt; ct })
   | Opera.Galerkin.St { candidates; seed; _ } ->
       (* Decoupled point solves on grid-sized (n, not size*n) matrices.
          Selection is deterministic given (basis, candidates, seed) and
          cheap next to a factorization, so only the factors and the node
          ordering go through the store. *)
-      let n = model.Opera.Stochastic_model.n in
       let points =
         Opera.St_solver.select_points ~candidates ~seed model.Opera.Stochastic_model.basis
       in
@@ -248,53 +280,47 @@ let build_galerkin_ctx store count ~precond (rep : Job.t) members =
             Linalg.Ordering.compute Linalg.Ordering.Nested_dissection
               (Opera.Stochastic_model.node_pattern model))
       in
+      let ctx stf0 stfstep =
+        St_ctx { stmodel = model; stspec = gspec; stvdd = gvdd; stpoints = points; stf0; stfstep }
+      in
       (* Under a non-exact preconditioner the engine caches no factors at
          all: passing [f0]/[fstep] would pin the solver's exact path, and
          at the node counts where ic0/amg matter the N+1 per-point
          stepping factors are exactly the memory this knob avoids. *)
-      let exact = precond = Linalg.Precond.Cholesky in
-      let stf0 =
-        if not exact then None
-        else
-          Some
-            (cached_factor store ~count ~key:(tagged_key rep "st-g0") ~dim:n (fun () ->
-                 Linalg.Sparse_cholesky.factor ~perm (Opera.St_solver.mean_g model)))
-      in
-      let stfstep =
-        if not exact then []
-        else
-          List.map
-            (fun h ->
-              let fs =
-                Array.init size (fun i ->
-                    cached_factor store ~count ~key:(st_point_key rep h i) ~dim:n (fun () ->
-                        Linalg.Sparse_cholesky.factor ~perm
-                          (Opera.St_solver.step_matrix model points i ~h)))
-              in
-              (h, fs))
-            (stepping_hs members)
-      in
-      St_ctx { stmodel = model; stspec = gspec; stvdd = gvdd; stpoints = points; stf0; stfstep }
+      if precond <> Linalg.Precond.Cholesky then no_factors (ctx None [])
+      else
+        let g0_task =
+          cached_factor store ~count ~not_pd ~key:(tagged_key rep "st-g0") ~dim:n (fun () ->
+              Linalg.Sparse_cholesky.factor ~perm (Opera.St_solver.mean_g model))
+        in
+        let point_task h i =
+          cached_factor store ~count ~not_pd ~key:(st_point_key rep h i) ~dim:n (fun () ->
+              Linalg.Sparse_cholesky.factor ~perm (Opera.St_solver.step_matrix model points i ~h))
+        in
+        setup
+          (Array.concat ([| g0_task |] :: List.map (fun h -> Array.init size (point_task h)) hs))
+          (fun fs ->
+            ctx (Some fs.(0)) (List.mapi (fun k h -> (h, Array.sub fs (1 + (k * size)) size)) hs))
 
-let build_special_ctx store count (rep : Job.t) members =
+let prelude_special store count (rep : Job.t) members =
   let regions, lambda =
     match rep.Job.analysis with
     | Job.Special { regions; lambda } -> (regions, lambda)
-    | _ -> invalid_arg "Engine.build_special_ctx: not a special-case job"
+    | _ -> invalid_arg "Engine.prelude_special: not a special-case job"
   in
   let nodes =
     match rep.source with
     | Job.Generated { nodes } -> nodes
     | Job.Netlist _ ->
         (* Job.of_json rejects this combination; keep the invariant local. *)
-        invalid_arg "Engine.build_special_ctx: special-case jobs need a generated grid"
+        invalid_arg "Engine.prelude_special: special-case jobs need a generated grid"
   in
   let rx, ry = Job.region_split regions in
   if rx * ry <> regions then
     (* Job.of_json rejects these; a hand-built job must not silently run
        with a different region count than its signature was hashed on. *)
     invalid_arg
-      (Printf.sprintf "Engine.build_special_ctx: regions %d is not a near-square rx*ry tiling"
+      (Printf.sprintf "Engine.prelude_special: regions %d is not a near-square rx*ry tiling"
          regions);
   let sspec =
     {
@@ -313,31 +339,33 @@ let build_special_ctx store count (rep : Job.t) members =
     Opera.Special_case.make ~order:rep.order ~regions ~lambda ~leaks
       ~vdd:sspec.Powergrid.Grid_spec.vdd circuit
   in
-  let g = Powergrid.Mna.g_total sc.Opera.Special_case.mna in
-  let n = sc.Opera.Special_case.mna.Powergrid.Mna.n in
-  let sfdc =
-    cached_factor store ~count ~key:(tagged_key rep "g") ~dim:n (fun () ->
-        Linalg.Sparse_cholesky.factor ~ordering:Linalg.Ordering.Nested_dissection g)
+  let mna = sc.Opera.Special_case.mna in
+  let g = Powergrid.Mna.g_total mna in
+  let n = mna.Powergrid.Mna.n in
+  let not_pd = not_pd rep in
+  let nd = Linalg.Ordering.Nested_dissection in
+  let g_task =
+    cached_factor store ~count ~not_pd ~key:(tagged_key rep "g") ~dim:n (fun () ->
+        Linalg.Sparse_cholesky.factor ~ordering:nd g)
+  in
+  let be_task h =
+    cached_factor store ~count ~not_pd ~key:(h_key rep "be" h) ~dim:n (fun () ->
+        Linalg.Sparse_cholesky.factor ~ordering:nd
+          (Linalg.Sparse.axpy ~alpha:(1.0 /. h) (Powergrid.Mna.c_total mna) g))
   in
   let hs = stepping_hs members in
-  let c = lazy (Powergrid.Mna.c_total sc.Opera.Special_case.mna) in
-  let sfbe =
-    List.map
-      (fun h ->
-        let f =
-          cached_factor store ~count ~key:(h_key rep "be" h) ~dim:n (fun () ->
-              Linalg.Sparse_cholesky.factor ~ordering:Linalg.Ordering.Nested_dissection
-                (Linalg.Sparse.axpy ~alpha:(1.0 /. h) (Lazy.force c) g))
-        in
-        (h, f))
-      hs
-  in
-  Special_ctx { sc; sspec; sfdc; sfbe }
+  {
+    nodes = n;
+    factors = Array.of_list (g_task :: List.map be_task hs);
+    finish =
+      (fun fs ->
+        Special_ctx { sc; sspec; sfdc = fs.(0); sfbe = List.mapi (fun k h -> (h, fs.(k + 1))) hs });
+  }
 
-let build_ctx store count ~precond (rep : Job.t) members =
+let prelude store count ~precond (rep : Job.t) members =
   match rep.analysis with
-  | Job.Special _ -> build_special_ctx store count rep members
-  | Job.Dc | Job.Transient | Job.Yield _ -> build_galerkin_ctx store count ~precond rep members
+  | Job.Special _ -> prelude_special store count rep members
+  | Job.Dc | Job.Transient | Job.Yield _ -> prelude_galerkin store count ~precond rep members
 
 (* ---- per-job execution ----------------------------------------------- *)
 
@@ -660,6 +688,10 @@ let shard_filter config jobs =
       Array.iteri (fun idx job -> if shard_of idx ~shards:k = i then sel := job :: !sel) jobs;
       Array.of_list (List.rev !sel)
 
+(* What a domain takes next in [run]'s claim loop: a factor task, a
+   ready job with its group's context, nothing yet, or nothing ever. *)
+type claim = Factor of int | Run of int * ctx | Wait | Finished
+
 let run ?(config = default_config) ?emit jobs =
   let t0 = Util.Timer.start () in
   let metrics = config.metrics in
@@ -690,40 +722,32 @@ let run ?(config = default_config) ?emit jobs =
   in
   let npending = Array.length pending in
   let groups = plan (Array.map (fun i -> jobs.(i)) pending) in
-  let factorizations = ref 0 in
-  let count () =
-    incr factorizations;
-    Util.Metrics.incr metrics "engine.factorizations"
-  in
-  let ctx_of = Array.make njobs None in
-  Array.iter
-    (fun members ->
-      let rep = jobs.(pending.(members.(0))) in
-      let ctx =
+  let factorizations = Atomic.make 0 in
+  let count () = Atomic.incr factorizations in
+  let setups =
+    Array.map
+      (fun members ->
         Util.Metrics.span metrics "engine.group_setup_s" (fun () ->
-            build_ctx store count ~precond:config.precond rep
-              (Array.map (fun i -> jobs.(pending.(i))) members))
-      in
-      Array.iter (fun i -> ctx_of.(pending.(i)) <- Some ctx) members)
-    groups;
-  (* Probe bounds need the built contexts (a netlist's node count is only
-     known after parsing), but must be checked BEFORE the parallel fan-out
-     so a bad spec surfaces as a normal usage error, not a backtrace out
-     of a worker domain.  Replayed jobs were validated by the run that
+            prelude store count ~precond:config.precond
+              jobs.(pending.(members.(0)))
+              (Array.map (fun c -> jobs.(pending.(c))) members)))
+      groups
+  in
+  let group_of = Array.make npending 0 in
+  Array.iteri (fun g members -> Array.iter (fun c -> group_of.(c) <- g) members) groups;
+  (* Probe bounds need the preludes (a netlist's node count is only known
+     after parsing), but must be checked before any task runs so a bad
+     spec surfaces as a normal usage error, not a backtrace out of a
+     worker domain.  Replayed jobs were validated by the run that
      journaled them (an out-of-range probe never completes, hence never
      journals). *)
-  Array.iter
-    (fun i ->
+  Array.iteri
+    (fun c i ->
       let job = jobs.(i) in
       match job.Job.probe with
       | None -> ()
       | Some p ->
-          let n =
-            match Option.get ctx_of.(i) with
-            | Galerkin_ctx g -> g.model.Opera.Stochastic_model.n
-            | Special_ctx s -> s.sc.Opera.Special_case.mna.Powergrid.Mna.n
-            | St_ctx s -> s.stmodel.Opera.Stochastic_model.n
-          in
+          let n = setups.(group_of.(c)).nodes in
           if p < 0 || p >= n then
             raise
               (Invalid_batch
@@ -735,54 +759,133 @@ let run ?(config = default_config) ?emit jobs =
      stays bounded by [jobs_parallel]. *)
   let inner = if jp > 1 then 1 else config.domains in
   let regs = Array.init npending (fun _ -> Util.Metrics.create ()) in
-  (* Streaming fan-out.  Workers claim pending jobs off an atomic
-     counter; every completion journals its record, then publishes the
-     result under [lock] and signals [cond].  Only the main domain
-     emits: records leave in input order, each flushed as soon as it and
-     every earlier-indexed job are done, so a killed run's JSONL is
-     always an exact prefix of the uninterrupted stream.  A failing job
-     parks its exception (lowest input index wins, matching the
-     deterministic re-raise discipline of Util.Parallel.for_chunks) and
-     later jobs still run; a failing emit callback stops further claims
-     and re-raises after the in-flight jobs drain. *)
+  (* Factor tasks in group order, as (group, factor index). *)
+  let tasks =
+    Array.concat
+      (Array.to_list
+         (Array.mapi (fun g s -> Array.init (Array.length s.factors) (fun k -> (g, k))) setups))
+  in
+  let ntasks = Array.length tasks in
+  let tregs = Array.init ntasks (fun _ -> Util.Metrics.create ()) in
+  (* The claim loop.  Every domain — the main one included — repeatedly
+     claims under [lock]: the first unclaimed factor task, in group
+     order; failing that, the first unclaimed job, in input order, whose
+     group has all its factors ([ctx.(g)] set); failing that, it waits
+     on [cond].  At one domain this is every factor, then every job.  A
+     finished factor completes its group's context once the last one
+     lands; a finished job journals its record, then publishes it.  Only
+     the main domain emits: records leave in input order, each flushed as
+     soon as it and every earlier-indexed job are done, so a killed run's
+     JSONL is always an exact prefix of the uninterrupted stream.  A
+     failing job parks its exception (lowest input index wins, matching
+     the deterministic re-raise discipline of Util.Parallel.for_chunks)
+     and later jobs still run; a failing factor fails every job of its
+     group the same way, parked at the group's first job.  A failing emit
+     callback stops further claims and re-raises after the in-flight
+     tasks drain. *)
   let lock = Mutex.create () in
   let cond = Condition.create () in
-  let claim = Atomic.make 0 in
+  let built = Array.map (fun s -> Array.make (Array.length s.factors) None) setups in
+  let ctx =
+    Array.map (fun s -> if Array.length s.factors = 0 then Some (s.finish [||]) else None) setups
+  in
+  let failed = Array.make (Array.length setups) false in
+  let claimed = Array.make npending false in
+  let next_task = ref 0 in
+  let first_unclaimed = ref 0 in
   let stop = Atomic.make false in
   let remaining = ref npending in
   let job_failure = ref None in
   let emit_failure = ref None in
-  let work_one c =
+  let park i e =
+    match !job_failure with Some (j, _) when j <= i -> () | _ -> job_failure := Some (i, e)
+  in
+  let claim () =
+    if Atomic.get stop then Finished
+    else begin
+      while !next_task < ntasks && failed.(fst tasks.(!next_task)) do
+        incr next_task
+      done;
+      if !next_task < ntasks then begin
+        incr next_task;
+        Factor (!next_task - 1)
+      end
+      else begin
+        while !first_unclaimed < npending && claimed.(!first_unclaimed) do
+          incr first_unclaimed
+        done;
+        let rec ready c =
+          if c = npending then if !first_unclaimed < npending then Wait else Finished
+          else
+            match ctx.(group_of.(c)) with
+            | Some x when not claimed.(c) ->
+                claimed.(c) <- true;
+                Run (c, x)
+            | _ -> ready (c + 1)
+        in
+        ready !first_unclaimed
+      end
+    end
+  in
+  let factor_one t =
+    let g, k = tasks.(t) in
+    let built_f =
+      match Util.Metrics.span tregs.(t) "engine.factor_s" setups.(g).factors.(k) with
+      | f -> Ok f
+      | exception e -> Error e
+    in
+    Mutex.lock lock;
+    (match built_f with
+    | Ok f ->
+        built.(g).(k) <- Some f;
+        if Array.for_all Option.is_some built.(g) then
+          ctx.(g) <- Some (setups.(g).finish (Array.map Option.get built.(g)))
+    | Error e ->
+        (* The group can never become ready, so none of its jobs was
+           claimed: claim them all as failed. *)
+        if not failed.(g) then begin
+          failed.(g) <- true;
+          Array.iter (fun c -> claimed.(c) <- true) groups.(g);
+          remaining := !remaining - Array.length groups.(g);
+          park pending.(groups.(g).(0)) e
+        end);
+    Condition.broadcast cond;
+    Mutex.unlock lock
+  in
+  let job_one c x =
     let i = pending.(c) in
-    (match
-       run_job (Option.get ctx_of.(i)) jobs.(i) regs.(c) ~inner ~warm_start:config.warm_start
-         ~precond:config.precond
-     with
-    | record, response ->
+    let job = jobs.(i) in
+    let outcome =
+      match
+        let record, response =
+          run_job x job regs.(c) ~inner ~warm_start:config.warm_start ~precond:config.precond
+        in
         (* Journal-ahead: the record is on disk (atomically) before it
            can reach the stream, so --resume never misses an emitted
            record.  Registry serializes its own writes. *)
-        Registry.record registry jobs.(i) record;
-        Mutex.lock lock;
-        out.(i) <- Some { job = jobs.(i); record; response };
+        Registry.record registry job record;
+        { job; record; response }
+      with
+      | r -> Ok r
+      (* The st route factors its testing points inside the job too. *)
+      | exception Linalg.Sparse_cholesky.Not_positive_definite _ ->
+          Error (Invalid_batch (not_pd job))
+      | exception e -> Error e
+    in
+    Mutex.lock lock;
+    (match outcome with
+    | Ok r ->
+        out.(i) <- Some r;
         done_.(i) <- true
-    | exception e ->
-        Mutex.lock lock;
-        (match !job_failure with
-        | Some (j, _) when j <= i -> ()
-        | _ -> job_failure := Some (i, e)));
+    | Error e -> park i e);
     decr remaining;
     Condition.broadcast cond;
     Mutex.unlock lock
   in
-  let rec worker_loop () =
-    if not (Atomic.get stop) then begin
-      let c = Atomic.fetch_and_add claim 1 in
-      if c < npending then begin
-        work_one c;
-        worker_loop ()
-      end
-    end
+  let perform = function
+    | Factor t -> factor_one t
+    | Run (c, x) -> job_one c x
+    | Wait | Finished -> ()
   in
   let next_emit = ref 0 in
   let drain_ready () =
@@ -805,24 +908,48 @@ let run ?(config = default_config) ?emit jobs =
               | () -> ()
               | exception e ->
                   emit_failure := Some e;
-                  Atomic.set stop true)
+                  Atomic.set stop true;
+                  (* wake domains waiting for a group to become ready *)
+                  Mutex.lock lock;
+                  Condition.broadcast cond;
+                  Mutex.unlock lock)
           (List.rev !ready)
     | Some _ -> ()
   in
+  let rec worker_loop () =
+    Mutex.lock lock;
+    let rec next () =
+      match claim () with
+      | Wait ->
+          Condition.wait cond lock;
+          next ()
+      | c -> c
+    in
+    let c = next () in
+    Mutex.unlock lock;
+    match c with
+    | Finished -> ()
+    | c ->
+        perform c;
+        worker_loop ()
+  in
   let workers = Array.init (jp - 1) (fun _ -> Domain.spawn worker_loop) in
+  (* The main domain emits between tasks, and while it waits. *)
   let rec main_loop () =
     drain_ready ();
-    if not (Atomic.get stop) then begin
-      let c = Atomic.fetch_and_add claim 1 in
-      if c < npending then begin
-        work_one c;
+    Mutex.lock lock;
+    let c = claim () in
+    (match c with Wait -> Condition.wait cond lock | _ -> ());
+    Mutex.unlock lock;
+    match c with
+    | Finished -> ()
+    | c ->
+        perform c;
         main_loop ()
-      end
-    end
   in
   main_loop ();
   (* Emit stragglers as their prefixes complete; on an emit failure the
-     sink is dead, so just drain the in-flight jobs via the joins. *)
+     sink is dead, so just drain the in-flight tasks via the joins. *)
   Mutex.lock lock;
   while !remaining > 0 && !emit_failure = None do
     Condition.wait cond lock;
@@ -833,7 +960,10 @@ let run ?(config = default_config) ?emit jobs =
   Mutex.unlock lock;
   Array.iter Domain.join workers;
   drain_ready ();
+  Array.iter (fun reg -> Util.Metrics.merge_into reg ~into:metrics) tregs;
   Array.iter (fun reg -> Util.Metrics.merge_into reg ~into:metrics) regs;
+  let factorizations = Atomic.get factorizations in
+  if factorizations > 0 then Util.Metrics.incr metrics ~by:factorizations "engine.factorizations";
   let rstats = Registry.stats registry in
   Util.Metrics.incr metrics ~by:rstats.Registry.replayed "registry.replays";
   Util.Metrics.incr metrics ~by:rstats.Registry.journaled "registry.writes";
@@ -846,7 +976,7 @@ let run ?(config = default_config) ?emit jobs =
     {
       jobs = njobs;
       groups = Array.length groups;
-      factorizations = !factorizations;
+      factorizations;
       cache_hits = st.Store.hits;
       cache_misses = st.Store.misses;
       cache_corrupt = st.Store.corrupt;

@@ -1,13 +1,19 @@
 (** The batch scenario engine: plan, share, execute, stream, journal.
 
     A batch of {!Job.t}s is grouped by {!Job.signature} — jobs sharing a
-    deterministic operator share one group.  Each group's setup (grid
-    generation, chaos expansion, symbolic ordering, numeric Cholesky
-    factors, triple-product tensor) runs once on the main domain,
-    read-through against the artifact {!Store}; jobs then execute across
-    worker domains, applying the shared factors read-only through
-    workspace-explicit solves, each with its own metrics registry
-    (merged into the engine registry after the join).
+    deterministic operator share one group.  Each group's prelude (grid
+    generation or netlist load, chaos expansion, triple-product tensor,
+    symbolic ordering) runs once on the main domain before any job,
+    read-through against the artifact {!Store}.  Each numeric Cholesky
+    factor the group needs is then one task of a single claim loop
+    shared by all [jobs_parallel] domains: a domain takes the first
+    unclaimed factor task (in group order), else the first unclaimed job
+    (in input order) whose group's factors all exist, else it waits.  So
+    factors build concurrently with each other and with other groups'
+    jobs, each read-through against the store; jobs apply the shared
+    factors read-only through workspace-explicit solves, each with its
+    own metrics registry (merged into the engine registry after the
+    join).  At one domain the order is every factor, then every job.
 
     Factor sharing covers the [Direct] solver route, the special-case
     path and the stochastic-testing route ([st] — the node ordering, the
@@ -35,10 +41,16 @@
 
 exception Invalid_batch of string
 (** A batch that cannot run: empty, an invalid shard spec, a netlist
-    that cannot be read or parsed, or a probe out of range for its job's
-    grid.  Raised by {!run} on the main domain before any job executes,
-    so the CLI can map it to the usage-error discipline (message on
-    stderr, exit 2) instead of crashing out of a worker. *)
+    that cannot be read or parsed, a probe out of range for its job's
+    grid, or an operator that is not positive definite (a [sigma_scale]
+    large enough to make the expanded conductance indefinite).  The
+    first four are raised by {!run} on the main domain before any job
+    executes; an indefinite operator surfaces when its factorization (or
+    an st testing-point solve) fails, and is re-raised like a job
+    failure — after the tasks in flight drain, with no record at or past
+    the job emitted.  Either way the CLI can map it to the usage-error
+    discipline (message on stderr, exit 2) instead of crashing out of a
+    worker. *)
 
 type config = {
   cache_dir : string option;  (** [None] disables the artifact store and the results registry *)
@@ -50,8 +62,9 @@ type config = {
           [jobs_parallel > 1] so the domain count stays bounded *)
   metrics : Util.Metrics.t;
       (** receives [engine.factorizations], [engine.jobs],
-          [engine.group_setup_s], [engine.step_s], the [store.*] and
-          [registry.*] counters, and every per-job registry (merged
+          [engine.group_setup_s] (per-group prelude), [engine.factor_s]
+          (per factor task), [engine.step_s], the [store.*] and
+          [registry.*] counters, and every per-task registry (merged
           post-join) *)
   warm_start : bool;
       (** seed each transient step's Krylov solve from the previous
@@ -116,15 +129,20 @@ val run : ?config:config -> ?emit:(result -> unit) -> Job.t array -> result arra
 (** Execute a batch; results are indexed like the (shard-filtered)
     input jobs.  [emit] is called on the main domain, in input order,
     for each result as soon as it and every earlier-indexed result is
-    available — including replayed results, which stream first.  An
-    exception from [emit] stops further job claims, drains the jobs in
-    flight, and is re-raised.  Raises {!Invalid_batch} on an empty
-    batch, an invalid shard spec, an unreadable or malformed netlist
-    (during group setup) or an out-of-range probe (checked after group
-    setup, before any job runs), and propagates
+    available — including replayed results, which stream first.  Factor
+    tasks and jobs run on [jobs_parallel] domains (at most one per
+    pending job), the main domain included; see the module header for
+    the claim order.  An exception from [emit] stops further claims,
+    drains the tasks in flight, and is re-raised.  Raises
+    {!Invalid_batch} on an empty batch, an invalid shard spec, an
+    unreadable or malformed netlist (during a group's prelude) or an
+    out-of-range probe (checked after every prelude, before any task
+    runs).  A failed factorization fails every job of its group; an
+    indefinite operator does so as {!Invalid_batch}.  Failures
+    propagate after all other tasks finish — including
     {!Opera.Galerkin.Solver_diverged} from jobs running under the
-    [fail] policy (after all other jobs finish; the earliest-indexed
-    failure wins, and no record past it is emitted). *)
+    [fail] policy: the earliest-indexed failure wins, and no record past
+    it is emitted. *)
 
 val run_jsonl : ?config:config -> out_channel -> Job.t array -> summary
 (** {!run} with [emit] writing and flushing one record per line in

@@ -98,6 +98,12 @@ let check_keys obj =
       else Error (Printf.sprintf "unknown job field %S" key))
     (Ok ()) (Util.Json.keys obj)
 
+(* NaN and the infinities render as [null] in a record, so a job whose
+   number overflows ([1e999]) must be refused here, not run. *)
+let finite_field ~default defaults job key =
+  let* v = float_field ~default defaults job key in
+  if Float.is_finite v then Ok v else Error (Printf.sprintf "field %S must be a finite number" key)
+
 let positive name v = if v > 0.0 then Ok v else Error (Printf.sprintf "field %S must be > 0" name)
 
 let positive_int name v = if v > 0 then Ok v else Error (Printf.sprintf "field %S must be > 0" name)
@@ -147,8 +153,14 @@ let of_json ?(defaults = Util.Json.Obj []) ?(name = "job") json =
       let* order = positive_int "order" order in
       let* steps = int_field ~default:8 defaults json "steps" in
       let* steps = positive_int "steps" steps in
-      let* step_ps = float_field ~default:125.0 defaults json "step_ps" in
+      let* step_ps = finite_field ~default:125.0 defaults json "step_ps" in
       let* step_ps = positive "step_ps" step_ps in
+      let h = step_ps *. 1e-12 in
+      (* Stepping matrices scale C by 1/h. *)
+      let* () =
+        if Float.is_finite (1.0 /. h) then Ok ()
+        else Error (Printf.sprintf "field \"step_ps\" is too small: 1/h overflows at %g" step_ps)
+      in
       let* solver = string_field ~default:"direct" defaults json "solver" in
       let* st_candidates = int_field ~default:0 defaults json "st_candidates" in
       let* st_candidates =
@@ -159,15 +171,20 @@ let of_json ?(defaults = Util.Json.Obj []) ?(name = "job") json =
       let* solver = solver_of_string ~st_candidates ~st_seed:(Int64.of_int st_seed) solver in
       let* policy = string_field ~default:"warn" defaults json "policy" in
       let* policy = policy_of_string policy in
-      let* sigma_scale = float_field ~default:1.0 defaults json "sigma_scale" in
-      let* drain_scale = float_field ~default:1.0 defaults json "drain_scale" in
-      let* leak_scale = float_field ~default:1.0 defaults json "leak_scale" in
+      let* sigma_scale = finite_field ~default:1.0 defaults json "sigma_scale" in
+      let* drain_scale = finite_field ~default:1.0 defaults json "drain_scale" in
+      let* leak_scale = finite_field ~default:1.0 defaults json "leak_scale" in
       let* regions = int_field ~default:4 defaults json "regions" in
       let* regions = positive_int "regions" regions in
-      let* lambda = float_field ~default:0.5 defaults json "lambda" in
-      let* budget_pct = float_field ~default:10.0 defaults json "budget_pct" in
-      let* probe = int_field ~default:(-1) defaults json "probe" in
-      let probe = if probe >= 0 then Some probe else None in
+      let* lambda = finite_field ~default:0.5 defaults json "lambda" in
+      let* budget_pct = finite_field ~default:10.0 defaults json "budget_pct" in
+      let* probe =
+        match field defaults json "probe" with
+        | None -> Ok None
+        | Some _ ->
+            let* p = int_field ~default:0 defaults json "probe" in
+            if p >= 0 then Ok (Some p) else Error "field \"probe\" must be >= 0"
+      in
       let* analysis =
         match kind with
         | "dc" -> Ok Dc
@@ -187,7 +204,7 @@ let of_json ?(defaults = Util.Json.Obj []) ?(name = "job") json =
           source;
           analysis;
           order;
-          h = step_ps *. 1e-12;
+          h;
           steps;
           solver;
           policy;

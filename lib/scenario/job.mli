@@ -69,9 +69,13 @@ val of_json : ?defaults:Util.Json.t -> ?name:string -> Util.Json.t -> (t, string
 (** Parse one job object.  Missing fields fall back to [defaults] (an
     object) and then to built-in defaults; unknown fields are an error,
     as is a special-case region count {!region_split} cannot honor, an
-    unknown ["solver"]/["policy"] string, or a negative
-    ["st_candidates"].  ["st_candidates"]/["st_seed"] configure the
-    stochastic-testing point selection of [solver = "st"]. *)
+    unknown ["solver"]/["policy"] string, a negative ["st_candidates"]
+    or ["probe"], a non-finite ["step_ps"], ["sigma_scale"],
+    ["drain_scale"], ["leak_scale"], ["lambda"] or ["budget_pct"]
+    (NaN and infinities would render as [null] in the record), and a
+    ["step_ps"] so small that [1/h] overflows.
+    ["st_candidates"]/["st_seed"] configure the stochastic-testing point
+    selection of [solver = "st"]. *)
 
 val batch_of_json : Util.Json.t -> (t array, string) result
 (** Parse [{"jobs": [...], "defaults": {...}?}].  Jobs keep their array

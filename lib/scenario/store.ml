@@ -1,9 +1,13 @@
 type stats = { mutable hits : int; mutable misses : int; mutable corrupt : int; mutable writes : int }
 
+(* [lock] guards [stats] and [metrics] — the only shared mutable state.
+   Reads, decodes, builds and writes run outside it, so domains looking
+   up distinct artifacts proceed in parallel. *)
 type t = {
   dir : string option;
   metrics : Util.Metrics.t;
   stats : stats;
+  lock : Mutex.t;
 }
 
 let rec mkdir_p dir =
@@ -13,15 +17,36 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
   end
 
+let make ~metrics ~dir =
+  {
+    dir;
+    metrics;
+    stats = { hits = 0; misses = 0; corrupt = 0; writes = 0 };
+    lock = Mutex.create ();
+  }
+
 let create ?(metrics = Util.Metrics.global) ~dir () =
   (match dir with Some d -> mkdir_p d | None -> ());
-  { dir; metrics; stats = { hits = 0; misses = 0; corrupt = 0; writes = 0 } }
+  make ~metrics ~dir
 
-let disabled = { dir = None; metrics = Util.Metrics.global; stats = { hits = 0; misses = 0; corrupt = 0; writes = 0 } }
+let disabled = make ~metrics:Util.Metrics.global ~dir:None
 
 let enabled t = t.dir <> None
 
-let stats t = t.stats
+let locked t f =
+  Mutex.lock t.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+
+(* A snapshot: callers comparing counts before and after a lookup must
+   not see them move under another domain's feet. *)
+let stats t = locked t (fun () -> { t.stats with hits = t.stats.hits })
+
+(* Count one lookup outcome in [stats] and the matching [store.*]
+   metric, under [lock]. *)
+let tally t name bump =
+  locked t (fun () ->
+      bump t.stats;
+      Util.Metrics.incr t.metrics name)
 
 let key_of_bytes bytes = Digest.to_hex (Digest.string bytes)
 
@@ -49,17 +74,14 @@ let touch file =
    [finish] turns it into the value (both may raise [Corrupt]). *)
 let lookup t ~file ~write ~read ~finish ~on_hit ~build =
   let rebuild () =
-    t.stats.misses <- t.stats.misses + 1;
-    Util.Metrics.incr t.metrics "store.misses";
+    tally t "store.misses" (fun s -> s.misses <- s.misses + 1);
     let value = build () in
     Util.Codec.write_file file (write value);
-    t.stats.writes <- t.stats.writes + 1;
-    Util.Metrics.incr t.metrics "store.writes";
+    tally t "store.writes" (fun s -> s.writes <- s.writes + 1);
     value
   in
   let corrupt why =
-    t.stats.corrupt <- t.stats.corrupt + 1;
-    Util.Metrics.incr t.metrics "store.corrupt";
+    tally t "store.corrupt" (fun s -> s.corrupt <- s.corrupt + 1);
     Util.Log.warnf "store: rebuilding corrupt artifact %s (%s)" file why;
     remove_corrupt file;
     rebuild ()
@@ -70,8 +92,7 @@ let lookup t ~file ~write ~read ~finish ~on_hit ~build =
   | Some loaded -> (
       match finish loaded with
       | value ->
-          t.stats.hits <- t.stats.hits + 1;
-          Util.Metrics.incr t.metrics "store.hits";
+          tally t "store.hits" (fun s -> s.hits <- s.hits + 1);
           on_hit loaded;
           touch file;
           value
@@ -114,9 +135,10 @@ let find_or_build_sections t ~kind ~version ~key ~encode ~decode ~build =
         ~on_hit:(fun (_, sections) ->
           (* Warm replays should be mapped views, not decoded copies;
              the split tells a perf regression from a cache win. *)
-          if Util.Codec.sections_mapped sections then
-            Util.Metrics.incr t.metrics "store.map_hits"
-          else Util.Metrics.incr t.metrics "store.full_decodes")
+          locked t (fun () ->
+              Util.Metrics.incr t.metrics
+                (if Util.Codec.sections_mapped sections then "store.map_hits"
+                 else "store.full_decodes")))
         ~build
 
 (* ---- garbage collection ----------------------------------------------
@@ -207,5 +229,6 @@ let evict t ~max_bytes ?(protect = fun (_ : string) -> false) () =
   | None -> 0
   | Some dir ->
       let removed = evict_dir ~dir ~max_bytes ~protect () in
-      if removed > 0 then Util.Metrics.incr ~by:removed t.metrics "store.evicted";
+      if removed > 0 then
+        locked t (fun () -> Util.Metrics.incr ~by:removed t.metrics "store.evicted");
       removed

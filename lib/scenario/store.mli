@@ -23,9 +23,10 @@ val create : ?metrics:Util.Metrics.t -> dir:string option -> unit -> t
 (** [dir = None] disables the store (every lookup builds); [Some d]
     creates [d] (and parents) if needed.  [metrics] receives the
     [store.hits] / [store.misses] / [store.corrupt] / [store.writes]
-    counters.  A store must only be used from one domain at a time —
-    the batch engine does all artifact IO on the main domain before
-    fanning jobs out. *)
+    counters.  A store may be shared by several domains: the stats and
+    metrics updates of a lookup happen under one mutex, while reads,
+    decodes, builds and writes run outside it — the batch engine's
+    domains look up distinct artifacts concurrently. *)
 
 val disabled : t
 (** A store with no directory: {!find_or_build} always builds. *)
@@ -33,6 +34,8 @@ val disabled : t
 val enabled : t -> bool
 
 val stats : t -> stats
+(** A consistent snapshot of the counts (a fresh record: later lookups
+    do not move it). *)
 
 val key_of_bytes : string -> string
 (** Hex digest of canonical artifact-identity bytes (filename-safe). *)

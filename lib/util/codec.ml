@@ -157,19 +157,31 @@ let magic = "OPRA"
 
 let format_version = 1
 
+(* Byte count of the frame header for a given kind tag: magic (4) +
+   format (1) + kind (8 + klen) + version (8) + length (8) + check (8). *)
+let header_bytes ~kind = 37 + String.length kind
+
+(* One copy of the payload besides the encoder's own buffer: the header
+   goes into a [Bytes] sized for the whole frame, the payload is blitted
+   in straight from the encoder, and the checksum — folded over the
+   blitted bytes — is patched into its header slot last, so a large
+   factor's frame is resident at most twice while it is written. *)
 let frame ~kind ~version (write : encoder -> unit) =
   let payload = encoder ~initial_size:4096 () in
   write payload;
-  let payload = Buffer.contents payload in
-  let e = encoder ~initial_size:(String.length payload + 64) () in
-  Buffer.add_string e magic;
-  Buffer.add_char e (Char.chr format_version);
-  write_string e kind;
-  write_int e version;
-  write_int e (String.length payload);
-  write_i64 e (fnv1a payload);
-  Buffer.add_string e payload;
-  Buffer.contents e
+  let len = Buffer.length payload in
+  let klen = String.length kind in
+  let hdr = header_bytes ~kind in
+  let b = Bytes.create (hdr + len) in
+  Bytes.blit_string magic 0 b 0 (String.length magic);
+  Bytes.set b 4 (Char.chr format_version);
+  Bytes.set_int64_le b 5 (Int64.of_int klen);
+  Bytes.blit_string kind 0 b 13 klen;
+  Bytes.set_int64_le b (13 + klen) (Int64.of_int version);
+  Bytes.set_int64_le b (21 + klen) (Int64.of_int len);
+  Buffer.blit payload 0 b hdr len;
+  Bytes.set_int64_le b (29 + klen) (fnv1a_fold fnv1a_init b hdr len);
+  Bytes.unsafe_to_string b
 
 let unframe ~kind ~version (s : string) =
   let d = decoder_of_string s in
@@ -296,10 +308,6 @@ let read_header ic path ~kind ~version =
   if len < 0 then corrupt "negative payload length %d in %s" len path;
   let check = read_i64_ch () in
   (fmt, len, check)
-
-(* Byte count of the frame header for a given kind tag: magic (4) +
-   format (1) + kind (8 + klen) + version (8) + length (8) + check (8). *)
-let header_bytes ~kind = 37 + String.length kind
 
 let read_payload_checked ic path len check =
   let payload = Bytes.create len in

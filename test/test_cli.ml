@@ -124,6 +124,30 @@ let test_batch_rejects_malformed_jobs () =
       check "grid below the generator minimum" 2 ("batch " ^ Filename.quote path));
   with_temp_file {|{"jobs": [{"analysis": "dc", "netlist": "/nonexistent/grid.sp"}]}|}
     (fun path -> check "missing netlist" 2 ("batch " ^ Filename.quote path));
+  (* An indefinite chaos operator fails its factorization: a usage error
+     naming the job and its sigma_scale, on the direct and st routes. *)
+  List.iter
+    (fun (what, solver) ->
+      with_temp_file
+        (Printf.sprintf {|{"jobs":[{"nodes":100,"steps":2,"sigma_scale":20%s}]}|} solver)
+        (fun path -> check ~names:"sigma_scale 20" what 2 ("batch " ^ Filename.quote path)))
+    [ ("indefinite operator (direct)", ""); ("indefinite operator (st)", {|,"solver":"st"|}) ];
+  (* Numbers that would run to a record of nulls or a silent default. *)
+  List.iter
+    (fun (field, job) ->
+      with_temp_file
+        (Printf.sprintf {|{"jobs":[{"nodes":100,"steps":2,%s}]}|} job)
+        (fun path -> check ~names:field (field ^ " rejected") 2 ("batch " ^ Filename.quote path)))
+    [
+      ("step_ps", {|"step_ps":1e999|});
+      ("step_ps", {|"step_ps":1e-300|});
+      ("sigma_scale", {|"sigma_scale":1e999|});
+      ("drain_scale", {|"drain_scale":1e999|});
+      ("leak_scale", {|"analysis":"special","leak_scale":1e999|});
+      ("lambda", {|"analysis":"special","lambda":-1e999|});
+      ("budget_pct", {|"analysis":"yield","budget_pct":1e999|});
+      ("probe", {|"probe":-7|});
+    ];
   with_temp_file ~suffix:".sp" "R1 n1 n2 1k\nI1 n1 0 PULSE(0 1m\n" (fun netlist ->
       with_temp_file
         (Printf.sprintf {|{"jobs": [{"analysis": "dc", "netlist": %S}]}|} netlist)

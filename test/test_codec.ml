@@ -89,6 +89,30 @@ let test_frame_roundtrip () =
   Alcotest.(check (array (float 0.0))) "floats through frame" [| 1.5; -2.25; 1e-12 |] xs;
   Alcotest.(check string) "string through frame" "ordering" s
 
+(* The frame format is on-disk currency: caches written by one build
+   are read by the next, so these exact bytes pin it — any drift in
+   header layout, field order or checksum placement fails here. *)
+let test_frame_bytes_pinned () =
+  let f =
+    C.frame ~kind:"pin" ~version:7 (fun e ->
+        C.write_int e 42;
+        C.write_string e "opera";
+        C.write_float e (-1.5);
+        C.write_bool e true;
+        C.write_int_array e [| 3; -1 |])
+  in
+  let hex =
+    String.concat "" (List.init (String.length f) (fun i -> Printf.sprintf "%02x" (Char.code f.[i])))
+  in
+  Alcotest.(check string)
+    "frame bytes"
+    ("4f50524101030000000000000070696e07000000000000003600000000000000"
+   ^ "72d9ae09d723249b2a0000000000000005000000000000006f70657261000000"
+   ^ "000000f8bf0102000000000000000300000000000000ffffffffffffffff")
+    hex;
+  Alcotest.(check string) "frame digest" "47807af78c05335a73245aad07742bca"
+    (Digest.to_hex (Digest.string f))
+
 let expect_corrupt what f =
   match f () with
   | _ -> Alcotest.failf "%s: expected Corrupt" what
@@ -187,6 +211,7 @@ let suite =
     Alcotest.test_case "expect_end flags leftovers" `Quick test_expect_end;
     Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
     Alcotest.test_case "frame validation" `Quick test_frame_validation;
+    Alcotest.test_case "frame bytes are pinned" `Quick test_frame_bytes_pinned;
     Alcotest.test_case "bit flips fail the checksum" `Quick test_bit_flip_checksum;
     Alcotest.test_case "fnv1a test vectors" `Quick test_fnv1a_known;
     Alcotest.test_case "file round-trip" `Quick test_file_roundtrip;

@@ -237,27 +237,69 @@ let test_corrupt_artifact_recovers_bitwise () =
 
 (* --- jobs_parallel determinism --------------------------------------- *)
 
+let st_solver =
+  match Job.solver_of_string "st" with Ok s -> s | Error e -> failwith e
+
+(* Factors and jobs share the claim loop, so a cold run at several
+   domains builds factors concurrently, through one store, while other
+   jobs run: the stream, the factorization count and the store traffic
+   must not depend on how many domains did that. *)
 let test_jobs_parallel_deterministic () =
+  let h2 = 250e-12 in
   let jobs =
-    Array.init 6 (fun i ->
-        match i mod 3 with
-        | 0 -> { (base_job (Printf.sprintf "tr%d" i)) with Job.analysis = Job.Transient;
-                 drain_scale = 1.0 +. (0.1 *. float_of_int i) }
-        | 1 -> { (base_job (Printf.sprintf "dc%d" i)) with Job.drain_scale = float_of_int i }
-        | _ -> { (base_job (Printf.sprintf "sp%d" i)) with
-                 Job.analysis = Job.Special { regions = 4; lambda = 0.5 };
-                 leak_scale = 1.0 +. (0.2 *. float_of_int i) })
+    Array.append
+      (Array.init 6 (fun i ->
+           match i mod 3 with
+           | 0 -> { (base_job (Printf.sprintf "tr%d" i)) with Job.analysis = Job.Transient;
+                    drain_scale = 1.0 +. (0.1 *. float_of_int i) }
+           | 1 -> { (base_job (Printf.sprintf "dc%d" i)) with Job.drain_scale = float_of_int i }
+           | _ -> { (base_job (Printf.sprintf "sp%d" i)) with
+                    Job.analysis = Job.Special { regions = 4; lambda = 0.5 };
+                    leak_scale = 1.0 +. (0.2 *. float_of_int i) }))
+      [|
+        { (base_job "tr-h2") with Job.analysis = Job.Transient; h = h2 };
+        { (base_job "sp-h2") with
+          Job.analysis = Job.Special { regions = 4; lambda = 0.5 }; h = h2 };
+        { (base_job "st-tr") with Job.analysis = Job.Transient; solver = st_solver };
+        { (base_job "st-h2") with Job.analysis = Job.Transient; solver = st_solver; h = h2;
+          drain_scale = 1.2 };
+        { (base_job "st-dc") with Job.solver = st_solver };
+      |]
   in
-  let sequential, _ = run ~jobs_parallel:1 jobs in
-  let parallel4, _ = run ~jobs_parallel:4 jobs in
-  Alcotest.(check (list string))
-    "jobs_parallel=4 stream is byte-identical to sequential"
-    (records_of sequential) (records_of parallel4);
-  Array.iteri
-    (fun i r ->
-      Alcotest.(check string) "results indexed like inputs" jobs.(i).Job.name
-        r.Engine.job.Job.name)
-    parallel4
+  let counts (s : Engine.summary) =
+    (s.Engine.factorizations, s.Engine.cache_hits, s.Engine.cache_misses)
+  in
+  let runs =
+    List.map
+      (fun jp ->
+        let cache_dir = fresh_dir () in
+        let cold = run ~cache_dir ~jobs_parallel:jp jobs in
+        let warm = run ~cache_dir ~jobs_parallel:jp jobs in
+        (jp, cold, warm))
+      [ 1; 2; 4 ]
+  in
+  let reference, ref_cold, ref_warm =
+    match runs with
+    | (_, (r, c), (_, w)) :: _ -> (records_of r, counts c, counts w)
+    | [] -> assert false
+  in
+  let fact, _, _ = ref_cold in
+  (* direct gt + 2 mt, special g + 2 be, st g0 + 6 points x 2 step sizes *)
+  Alcotest.(check int) "cold factorizations" 19 fact;
+  List.iter
+    (fun (jp, (cold, cold_s), (warm, warm_s)) ->
+      let tag what = Printf.sprintf "jobs_parallel=%d %s" jp what in
+      Alcotest.(check (list string)) (tag "cold stream") reference (records_of cold);
+      Alcotest.(check (list string)) (tag "warm stream") reference (records_of warm);
+      Alcotest.(check (triple int int int)) (tag "cold counts") ref_cold (counts cold_s);
+      Alcotest.(check (triple int int int)) (tag "warm counts") ref_warm (counts warm_s);
+      Alcotest.(check int) (tag "warm factorizations") 0 warm_s.Engine.factorizations;
+      Array.iteri
+        (fun i r ->
+          Alcotest.(check string) (tag "results indexed like inputs") jobs.(i).Job.name
+            r.Engine.job.Job.name)
+        cold)
+    runs
 
 (* --- engine solves match the library solvers ------------------------- *)
 
@@ -333,6 +375,11 @@ let test_special_matches_special_case () =
 
 (* --- job JSON parsing ------------------------------------------------ *)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 let parse_batch s =
   match Util.Json.parse s with
   | Ok j -> Job.batch_of_json j
@@ -371,6 +418,32 @@ let test_job_json () =
     {|{"jobs": [{"name": "job1", "analysis": "dc"}, {"analysis": "dc"}]}|};
   expect_error "non-tileable region count"
     {|{"jobs": [{"analysis": "special", "regions": 5}]}|};
+  (* Non-finite numbers would render as null in the record; a 1/h that
+     overflows does too; a negative probe would silently fall back to
+     the default node. *)
+  List.iter
+    (fun (what, job) ->
+      let s = Printf.sprintf {|{"jobs": [{%s}]}|} job in
+      match parse_batch s with
+      | Ok _ -> Alcotest.failf "%s: accepted" what
+      | Error e ->
+          let field = List.hd (String.split_on_char ' ' what) in
+          Alcotest.(check bool)
+            (what ^ ": message names the field") true
+            (contains e (Printf.sprintf "%S" field)))
+    [
+      ("step_ps infinite", {|"step_ps": 1e999|});
+      ("step_ps so small 1/h overflows", {|"step_ps": 1e-300|});
+      ("sigma_scale infinite", {|"sigma_scale": 1e999|});
+      ("drain_scale infinite", {|"drain_scale": 1e999|});
+      ("leak_scale infinite", {|"analysis": "special", "leak_scale": 1e999|});
+      ("lambda infinite", {|"analysis": "special", "lambda": -1e999|});
+      ("budget_pct infinite", {|"analysis": "yield", "budget_pct": 1e999|});
+      ("probe negative", {|"probe": -7|});
+    ];
+  (match parse_batch {|{"jobs": [{"analysis": "dc", "probe": 0}]}|} with
+  | Ok jobs -> Alcotest.(check bool) "probe 0 is a node" true (jobs.(0).Job.probe = Some 0)
+  | Error e -> Alcotest.failf "probe 0 rejected: %s" e);
   match parse_batch {|{"jobs": [{"analysis": "special", "regions": 6}]}|} with
   | Ok jobs ->
       Alcotest.(check bool) "tileable region count parses with the requested value" true
@@ -392,23 +465,43 @@ let test_invalid_batch () =
   (match run [||] with
   | _ -> Alcotest.fail "empty batch accepted"
   | exception Engine.Invalid_batch _ -> ());
-  (* An out-of-range probe must surface as Invalid_batch from the main
-     domain — before the parallel fan-out — even when jobs_parallel > 1. *)
-  let jobs =
-    [| base_job "ok"; { (base_job "bad") with Job.probe = Some 1_000_000 } |]
+  let emitted = ref [] in
+  let emit r = emitted := r.Engine.job.Job.name :: !emitted in
+  let expect_invalid what ~prefix ~records jobs =
+    emitted := [];
+    match run ~jobs_parallel:2 ~emit jobs with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Engine.Invalid_batch msg ->
+        if not (String.starts_with ~prefix msg) then
+          Alcotest.failf "%s: message %S does not start with %S" what msg prefix;
+        Alcotest.(check (list string)) (what ^ ": records emitted first") records
+          (List.rev !emitted)
   in
-  (match run ~jobs_parallel:2 jobs with
-  | _ -> Alcotest.fail "out-of-range probe accepted"
-  | exception Engine.Invalid_batch msg ->
-      Alcotest.(check bool) "message names the offending job" true
-        (String.starts_with ~prefix:"job bad: probe" msg));
-  (* An unreadable netlist fails group setup the same way, naming the
-     job and the file. *)
-  match run [| { (base_job "nl") with Job.source = Job.Netlist "/nonexistent/grid.sp" } |] with
-  | _ -> Alcotest.fail "missing netlist accepted"
-  | exception Engine.Invalid_batch msg ->
-      Alcotest.(check bool) "message names the job and the file" true
-        (String.starts_with ~prefix:"job nl: netlist /nonexistent/grid.sp" msg)
+  (* An out-of-range probe must surface as Invalid_batch from the main
+     domain before any job runs, even when jobs_parallel > 1. *)
+  expect_invalid "out-of-range probe" ~prefix:"job bad: probe" ~records:[]
+    [| base_job "ok"; { (base_job "bad") with Job.probe = Some 1_000_000 } |];
+  (* An unreadable netlist fails the group's prelude the same way, naming
+     the job and the file. *)
+  expect_invalid "missing netlist" ~prefix:"job nl: netlist /nonexistent/grid.sp" ~records:[]
+    [| base_job "ok"; { (base_job "nl") with Job.source = Job.Netlist "/nonexistent/grid.sp" } |];
+  (* An indefinite chaos operator fails its factor task: every job of its
+     group fails, the earliest is re-raised, and no record at or past it
+     leaves — on the direct and the st route. *)
+  List.iter
+    (fun (route, solver) ->
+      expect_invalid
+        ("sigma_scale 20, " ^ route)
+        ~prefix:"job wild: sigma_scale 20 makes the operator not positive definite"
+        ~records:[ "a"; "b" ]
+        [|
+          base_job "a";
+          { (base_job "b") with Job.analysis = Job.Transient };
+          { (base_job "wild") with Job.sigma_scale = 20.0; solver };
+          { (base_job "c") with Job.drain_scale = 1.5 };
+          { (base_job "wild-too") with Job.sigma_scale = 20.0; solver; drain_scale = 2.0 };
+        |])
+    [ ("direct", Opera.Galerkin.Direct); ("st", st_solver) ]
 
 (* --- resume: journaled results replay bitwise ------------------------- *)
 

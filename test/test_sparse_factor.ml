@@ -122,6 +122,53 @@ let test_solve_in_place () =
   Linalg.Sparse_cholesky.solve_in_place f b2;
   Helpers.check_vec ~eps:0.0 "in-place matches" x b2
 
+(* Words a factor's own arrays occupy, headers included: [p], [lp] and
+   the solve workspace hold about n words each, [li] and [lx] nnz(L). *)
+let own_words f =
+  let n = Linalg.Sparse_cholesky.dim f and nnz = Linalg.Sparse_cholesky.nnz_l f in
+  (n + 1) + (n + 2) + (nnz + 1) + (nnz + 1) + (n + 1)
+
+(* The level schedule is built by the first parallel solve, not by
+   [factor] or [decode]: until then a factor holds its arrays plus a
+   record and an empty schedule cell, and nothing more. *)
+let test_level_schedule_on_first_use () =
+  let rng = Helpers.rng () in
+  let n = 600 in
+  let a = Helpers.random_sparse_spd rng n ~extra_edges:1200 in
+  let f = Linalg.Sparse_cholesky.factor ~ordering:Linalg.Ordering.Nested_dissection a in
+  let e = Util.Codec.encoder () in
+  Linalg.Sparse_cholesky.encode f e;
+  let decoded =
+    Linalg.Sparse_cholesky.decode (Util.Codec.decoder_of_string (Util.Codec.contents e))
+  in
+  let overhead g = Obj.reachable_words (Obj.repr g) - own_words g in
+  Alcotest.(check bool) "fresh factor holds only its arrays" true (overhead f <= 16);
+  Alcotest.(check bool) "decoded factor holds only its arrays" true (overhead decoded <= 16);
+  let b = Helpers.random_vec rng n in
+  let solve g ~domains =
+    let x = Array.copy b in
+    Linalg.Sparse_cholesky.solve_in_place_ws g ~domains ~work:(Array.make n 0.0) x;
+    x
+  in
+  let seq = solve f ~domains:1 in
+  Alcotest.(check bool) "a sequential solve builds no schedule" true (overhead f <= 16);
+  List.iter
+    (fun (what, g) ->
+      let par = solve g ~domains:2 in
+      Alcotest.(check bool)
+        (what ^ ": parallel solve is bitwise the sequential one")
+        true
+        (Array.for_all2
+           (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+           seq par);
+      Alcotest.(check bool)
+        (what ^ ": the factor now holds its schedule")
+        true
+        (overhead g > own_words g / 2);
+      let again = solve g ~domains:2 in
+      Alcotest.(check bool) (what ^ ": the schedule is reused") true (par = again))
+    [ ("fresh", f); ("decoded", decoded) ]
+
 let test_sparse_lu_random () =
   let rng = Helpers.rng () in
   for _ = 1 to 5 do
@@ -203,6 +250,8 @@ let suite =
     Alcotest.test_case "cholesky rejects indefinite" `Quick test_sparse_cholesky_rejects_indefinite;
     Alcotest.test_case "cholesky precomputed perm" `Quick test_sparse_cholesky_precomputed_perm;
     Alcotest.test_case "solve in place" `Quick test_solve_in_place;
+    Alcotest.test_case "level schedule built on first parallel solve" `Quick
+      test_level_schedule_on_first_use;
     Alcotest.test_case "sparse lu random" `Quick test_sparse_lu_random;
     Alcotest.test_case "sparse lu matches dense" `Quick test_sparse_lu_matches_dense;
     Alcotest.test_case "sparse lu pivoting" `Quick test_sparse_lu_needs_pivoting;

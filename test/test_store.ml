@@ -164,6 +164,46 @@ let test_fatal_exceptions_propagate () =
   Alcotest.(check bool) "artifact not removed" true (Sys.file_exists (artifact_path store));
   Alcotest.(check int) "not counted as corrupt" 0 (Store.stats store).Store.corrupt
 
+(* The batch engine's domains look up distinct artifacts at once: every
+   count must land (no lost updates under the store's mutex) and every
+   artifact must be written whole.  Each domain misses, then hits, on
+   its own keys, with the shared metrics registry counting along. *)
+let test_concurrent_distinct_keys () =
+  let metrics = Util.Metrics.create () in
+  let dir = fresh_dir () in
+  let store = Store.create ~metrics ~dir:(Some dir) () in
+  let domains = 4 and keys = 25 in
+  let value d k = Array.init 16 (fun i -> float_of_int ((d * 1000) + (k * 16) + i) *. 0.5) in
+  let lookup store ~build d k =
+    Store.find_or_build store ~kind:"test" ~version:1
+      ~key:(Printf.sprintf "d%d-k%d" d k)
+      ~encode:(fun v e -> C.write_float_array e v)
+      ~decode:C.read_float_array ~build
+  in
+  let worker d () =
+    for pass = 1 to 2 do
+      for k = 0 to keys - 1 do
+        let v = lookup store ~build:(fun () -> value d k) d k in
+        if v <> value d k then failwith (Printf.sprintf "pass %d: d%d-k%d wrong value" pass d k)
+      done
+    done
+  in
+  List.iter Domain.join (List.init domains (fun d -> Domain.spawn (worker d)));
+  let total = domains * keys in
+  check_stats "four domains" store ~hits:total ~misses:total ~corrupt:0;
+  Alcotest.(check int) "writes" total (Store.stats store).Store.writes;
+  List.iter
+    (fun (name, want) -> Alcotest.(check int) name want (Util.Metrics.counter metrics name))
+    [ ("store.hits", total); ("store.misses", total); ("store.writes", total) ];
+  (* Every artifact decodes to its value from a fresh store that may not build. *)
+  let reader = Store.create ~metrics:(Util.Metrics.create ()) ~dir:(Some dir) () in
+  for d = 0 to domains - 1 do
+    for k = 0 to keys - 1 do
+      let v = lookup reader ~build:(fun () -> Alcotest.fail "artifact missing or damaged") d k in
+      Alcotest.(check bool) (Printf.sprintf "d%d-k%d decodes" d k) true (v = value d k)
+    done
+  done
+
 let suite =
   [
     Alcotest.test_case "miss builds once, hits after" `Quick test_miss_then_hit;
@@ -177,4 +217,5 @@ let suite =
     Alcotest.test_case "deleted artifact is a plain miss" `Quick test_deleted_file;
     Alcotest.test_case "decoder exception is rebuilt" `Quick test_decoder_exception_rebuilds;
     Alcotest.test_case "fatal exceptions propagate" `Quick test_fatal_exceptions_propagate;
+    Alcotest.test_case "four domains on distinct keys" `Quick test_concurrent_distinct_keys;
   ]
