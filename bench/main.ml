@@ -10,8 +10,6 @@
      order-sweep       ablation: expansion order p = 1..4
      nvars-sweep       ablation: number of random variables r = 2..5
      solver-ablation   ablation: direct augmented factor vs mean-block PCG
-     galerkin-op       perf: assembled vs matrix-free Galerkin operator
-                       (writes BENCH_galerkin.json)
      linear-solvers    extension: Cholesky vs CG vs IC0 vs AMG
      random-walk       extension: localized single-node estimates (ref. [6])
      qmc               extension: pseudo vs Halton Monte Carlo convergence
@@ -351,125 +349,6 @@ let run_solver_ablation () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Matrix-free Galerkin operator: assembled vs matrix-free sweep       *)
-(* ------------------------------------------------------------------ *)
-
-(* Sweeps grid size x chaos order, runs the same transient through the
-   assembled-direct and matrix-free-PCG solvers, prints a table and
-   writes a machine-readable BENCH_galerkin.json perf record so future
-   PRs can track the trajectory.  Schema per record:
-   {grid_nodes, order, nvars, solver, assemble_s, factor_s, step_s,
-    peak_nnz}. *)
-let run_galerkin_op () =
-  section "Matrix-free Galerkin: assembled direct vs matrix-free PCG (BENCH_galerkin.json)";
-  let sizes = if !quick then [ 500; 1_000 ] else [ 1_000; 2_500; 5_000 ] in
-  let orders = [ 2; 3 ] in
-  let bench_steps = if !quick then 8 else steps in
-  let vm = Opera.Varmodel.paper_default in
-  let records = ref [] in
-  let table =
-    Util.Table.create
-      [
-        ("nodes", Util.Table.Right); ("p", Util.Table.Right); ("solver", Util.Table.Left);
-        ("assemble (s)", Util.Table.Right); ("factor (s)", Util.Table.Right);
-        ("steps (s)", Util.Table.Right); ("peak nnz", Util.Table.Right);
-        ("pcg iters", Util.Table.Right); ("max |dmu| (V)", Util.Table.Right);
-      ]
-  in
-  List.iter
-    (fun target ->
-      List.iter
-        (fun order ->
-          let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default target in
-          let vdd = spec.Powergrid.Grid_spec.vdd in
-          let circuit = Powergrid.Grid_gen.generate spec in
-          let model = Opera.Stochastic_model.build ~order vm ~vdd circuit in
-          let nodes = Powergrid.Grid_spec.node_count spec in
-          let nvars = Polychaos.Basis.dim model.Opera.Stochastic_model.basis in
-          (* The matrix-free route still factors the two n x n nominal
-             blocks for its preconditioner; charge that fill to its peak
-             so the comparison is honest. *)
-          let nominal_fill =
-            let g0 = Powergrid.Mna.g_total model.Opera.Stochastic_model.mna in
-            let c0 = Powergrid.Mna.c_total model.Opera.Stochastic_model.mna in
-            let f =
-              Linalg.Sparse_cholesky.factor ~ordering:Linalg.Ordering.Nested_dissection
-                (Linalg.Sparse.axpy ~alpha:(1.0 /. h) c0 g0)
-            in
-            2 * Linalg.Sparse_cholesky.nnz_l f
-          in
-          let solve solver =
-            let options =
-              { Opera.Galerkin.default_options with Opera.Galerkin.solver }
-            in
-            Opera.Galerkin.solve_transient ~options model ~h ~steps:bench_steps
-          in
-          let r_direct, st_direct = solve Opera.Galerkin.Direct in
-          let r_mf, st_mf =
-            solve (Opera.Galerkin.Matrix_free_pcg { tol = 1e-10; max_iter = 500 })
-          in
-          let dmu = ref 0.0 in
-          let n = model.Opera.Stochastic_model.n in
-          for node = 0 to n - 1 do
-            dmu :=
-              Float.max !dmu
-                (Float.abs
-                   (Opera.Response.mean_at r_direct ~step:bench_steps ~node
-                   -. Opera.Response.mean_at r_mf ~step:bench_steps ~node))
-          done;
-          let peak_of label (st : Opera.Galerkin.stats) =
-            match label with
-            | "assembled-direct" -> st.Opera.Galerkin.nnz_aug + st.Opera.Galerkin.nnz_factor
-            | _ -> st.Opera.Galerkin.nnz_aug + nominal_fill
-          in
-          let emit label (st : Opera.Galerkin.stats) =
-            let peak = peak_of label st in
-            records := (nodes, order, nvars, label, st, peak) :: !records;
-            Util.Table.add_row table
-              [
-                string_of_int nodes; string_of_int order; label;
-                Printf.sprintf "%.3f" st.Opera.Galerkin.assemble_seconds;
-                Printf.sprintf "%.3f" st.Opera.Galerkin.factor_seconds;
-                Printf.sprintf "%.3f" st.Opera.Galerkin.step_seconds;
-                string_of_int peak;
-                string_of_int st.Opera.Galerkin.pcg_iterations;
-                Printf.sprintf "%.2e" !dmu;
-              ]
-          in
-          emit "assembled-direct" st_direct;
-          emit "matrix-free-pcg" st_mf;
-          Printf.printf "  done: %d nodes, order %d\n%!" nodes order)
-        orders)
-    sizes;
-  print_string (Util.Table.render table);
-  let path = "BENCH_galerkin.json" in
-  let oc = open_out path in
-  (* Same top-level shape as the CLI's --metrics-out consumer expects:
-     per-configuration records plus the process-wide metrics registry
-     (phase timers, PCG iteration/unconverged/fallback counters). *)
-  output_string oc "{\n\"records\": [\n";
-  let rows = List.rev !records in
-  List.iteri
-    (fun i (nodes, order, nvars, label, (st : Opera.Galerkin.stats), peak) ->
-      let agg = st.Opera.Galerkin.health in
-      Printf.fprintf oc
-        "  {\"grid_nodes\": %d, \"order\": %d, \"nvars\": %d, \"solver\": %S, \
-         \"assemble_s\": %.6f, \"factor_s\": %.6f, \"step_s\": %.6f, \"peak_nnz\": %d, \
-         \"pcg_iters\": %d, \"unconverged\": %d, \"fallbacks\": %d, \
-         \"worst_rel_residual\": %.9g}%s\n"
-        nodes order nvars label st.Opera.Galerkin.assemble_seconds
-        st.Opera.Galerkin.factor_seconds st.Opera.Galerkin.step_seconds peak
-        agg.Linalg.Solve_report.iterations agg.Linalg.Solve_report.unconverged
-        agg.Linalg.Solve_report.fallbacks agg.Linalg.Solve_report.worst_rel_residual
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "],\n\"metrics\": ";
-  output_string oc (Util.Metrics.to_json Util.Metrics.global);
-  output_string oc "\n}\n";
-  close_out oc;
-  Printf.printf "wrote %d records to %s\n%!" (List.length rows) path
-
-(* ------------------------------------------------------------------ *)
 (* Extension: linear-solver shoot-out (direct / CG / IC0-CG / AMG-CG)  *)
 (* ------------------------------------------------------------------ *)
 
@@ -723,7 +602,6 @@ let () =
     | "order-sweep" -> run_order_sweep ()
     | "nvars-sweep" -> run_nvars_sweep ()
     | "solver-ablation" -> run_solver_ablation ()
-    | "galerkin-op" -> run_galerkin_op ()
     | "linear-solvers" -> run_linear_solvers ()
     | "random-walk" -> run_random_walk ()
     | "qmc" -> run_qmc ()
@@ -741,7 +619,6 @@ let () =
       run_order_sweep ();
       run_nvars_sweep ();
       run_solver_ablation ();
-      run_galerkin_op ();
       run_linear_solvers ();
       run_random_walk ();
       run_qmc ();

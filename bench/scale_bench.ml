@@ -20,8 +20,8 @@
          "replay": { "nodes": N, "map_hits": ..., "full_decodes": ... } },
        "metrics": { ... } }
 
-   validated by validate_metrics.exe (the `make bench-scale` target).
-   The bench *asserts* the scaling contracts — streaming-assembly
+   regenerated by `make bench-scale` (`make ci` runs --quick).  The
+   bench *asserts* the scaling contracts — streaming-assembly
    scratch stays under 320 bytes/node at every size (the triplet path
    burns kilobytes per stamp in list cells), AMG-PCG iterations stay
    within 2x across a 10x size jump where IC(0) iterations keep

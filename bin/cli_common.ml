@@ -76,7 +76,7 @@ let solver_arg r =
    --solver st is selected, and rewrite the St payload in place so the
    solver value stays a single source of truth. *)
 let st_candidates_arg r =
-  Util.Args.int [ "--st-candidates" ]
+  int_at_least 0 [ "--st-candidates" ]
     ~doc:"Candidate-pool bound for stochastic-testing point selection (0 = the full tensor \
           grid; larger values top the pool up with seeded random draws).  Only used by \
           --solver st." r
@@ -103,7 +103,7 @@ let precond_arg r =
     precond_enum r
 
 let domains_arg r =
-  Util.Args.int [ "--domains" ]
+  int_at_least 0 [ "--domains" ]
     ~doc:"Domain count for the block-parallel solver paths (0 = the OPERA_DOMAINS environment \
           variable, default sequential)." r
 

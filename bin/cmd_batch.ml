@@ -24,7 +24,7 @@ let run argv =
   let args =
     [
       Cli_common.cache_dir_arg cache_dir;
-      Util.Args.int [ "--jobs-parallel" ]
+      Cli_common.int_at_least 0 [ "--jobs-parallel" ]
         ~doc:"Jobs in flight at once (0 = the OPERA_DOMAINS environment variable, default \
               sequential); inner solver parallelism drops to 1 when > 1."
         jobs_parallel;
@@ -45,7 +45,8 @@ let run argv =
         shard_spec;
       Util.Args.flag [ "--gc-results" ]
         ~doc:"After the run, drop journaled results in --cache-dir that belong to no job of \
-              this batch (factors and tensors are kept)."
+              this batch under this run's --precond and --warm-start (factors and tensors \
+              are kept)."
         gc_results;
       Util.Args.string_opt [ "--cache-max-bytes" ] ~docv:"SIZE"
         ~doc:"After the run, evict least-recently-used artifacts from --cache-dir until its \
@@ -160,7 +161,10 @@ let run argv =
                   (* Keep every job of the batch FILE, not just this
                      shard's slice — cooperating shard processes must not
                      collect each other's journal entries. *)
-                  let registry = Scenario.Registry.create ~dir:!cache_dir () in
+                  let registry =
+                    Scenario.Registry.create ~precond:!precond ~warm_start:!warm_start
+                      ~dir:!cache_dir ()
+                  in
                   let removed = Scenario.Registry.gc registry ~keep:jobs in
                   if removed > 0 then
                     Printf.eprintf "gc: dropped %d stale journal entr%s\n" removed

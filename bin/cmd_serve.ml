@@ -39,7 +39,7 @@ let run argv =
         ~doc:"Bound the results journal to the N most recently used entries, enforced every \
               --gc-every requests.  Needs --cache-dir."
         max_results;
-      Util.Args.int [ "--gc-every" ]
+      Cli_common.int_at_least 0 [ "--gc-every" ]
         ~doc:"Run the periodic registry GC every N completed requests (default 32; 0 \
               disables)."
         gc_every;
@@ -47,7 +47,7 @@ let run argv =
         ~doc:"Admission queue capacity; a submission arriving with the queue full is \
               rejected with a queue-full error (default 64)."
         queue;
-      Util.Args.int [ "--jobs-parallel" ]
+      Cli_common.int_at_least 0 [ "--jobs-parallel" ]
         ~doc:"Jobs in flight at once per batch (0 = the OPERA_DOMAINS environment variable, \
               default sequential); inner solver parallelism drops to 1 when > 1."
         jobs_parallel;

@@ -1,5 +1,5 @@
 (* Cyclic Jacobi: repeatedly zero the largest off-diagonal entries with Givens
-   rotations.  Quadratically convergent; ample for the small matrices (PCA
+   rotations.  Quadratically convergent; ample for the small matrices (KL
    covariances, coupling blocks) this library needs it for. *)
 
 let sort_eigen values vectors =

@@ -1,8 +1,9 @@
 (** Symmetric eigenvalue problems.
 
     Two solvers: cyclic Jacobi for general dense symmetric matrices (used by
-    PCA), and implicit-shift QL for symmetric tridiagonal matrices (used by
-    Golub–Welsch Gaussian quadrature). *)
+    the Karhunen–Loève modes of [Opera.Spatial]), and implicit-shift QL for
+    symmetric tridiagonal matrices (used by Golub–Welsch Gaussian
+    quadrature). *)
 
 val symmetric : ?max_sweeps:int -> Dense.t -> float array * Dense.t
 (** [symmetric a] returns [(eigenvalues, v)] for the symmetric matrix [a];

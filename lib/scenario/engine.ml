@@ -702,7 +702,9 @@ let run ?(config = default_config) ?emit jobs =
   let jobs = shard_filter config jobs in
   let njobs = Array.length jobs in
   let store = Store.create ~metrics ~dir:config.cache_dir () in
-  let registry = Registry.create ~dir:config.cache_dir () in
+  let registry =
+    Registry.create ~precond:config.precond ~warm_start:config.warm_start ~dir:config.cache_dir ()
+  in
   (* Resume replays journaled records without building anything: a
      replayed job needs no context, no factors, not even its group. *)
   let out : result option array = Array.make njobs None in

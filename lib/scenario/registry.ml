@@ -1,7 +1,8 @@
 (* Crash-safe on-disk results registry.
 
    One completed job = one journal file in the cache dir,
-   [result-<Job.result_signature>.opra]: a checksummed Util.Codec frame
+   [result-<key>.opra] (the job's result signature, plus the engine
+   settings that move its digits): a checksummed Util.Codec frame
    holding the job's JSONL record as an encoded Util.Json AST.  Records
    are journaled the moment a job completes (atomic temp-file + rename
    per entry), so a batch killed at job N-1 keeps N-1 entries intact —
@@ -19,6 +20,7 @@ type stats = { mutable replayed : int; mutable journaled : int; mutable corrupt 
 
 type t = {
   dir : string option;
+  settings : string;  (* "" at the default engine settings *)
   lock : Mutex.t;
   stats : stats;
 }
@@ -27,23 +29,42 @@ let kind = "result"
 
 let version = 1
 
-let create ~dir () =
+(* The preconditioner and warm starts move the digits of iterative
+   records (matrix-free, pcg, st) without touching the job, so both key
+   the journal next to [Job.result_signature], as given: a miss costs a
+   re-run, never a wrong record.  At the defaults the key is the bare
+   signature, so journals written before these settings were keyed keep
+   replaying. *)
+let settings_of ~precond ~warm_start =
+  (if precond = Linalg.Precond.Cholesky then ""
+   else "precond=" ^ Linalg.Precond.to_string precond ^ ";")
+  ^ if warm_start then "" else "warm_start=off;"
+
+let create ?(precond = Linalg.Precond.Cholesky) ?(warm_start = true) ~dir () =
   (match dir with
   | Some d -> if not (Sys.file_exists d) then ( try Sys.mkdir d 0o755 with Sys_error _ -> ())
   | None -> ());
-  { dir; lock = Mutex.create (); stats = { replayed = 0; journaled = 0; corrupt = 0 } }
+  {
+    dir;
+    settings = settings_of ~precond ~warm_start;
+    lock = Mutex.create ();
+    stats = { replayed = 0; journaled = 0; corrupt = 0 };
+  }
 
-let disabled = { dir = None; lock = Mutex.create (); stats = { replayed = 0; journaled = 0; corrupt = 0 } }
+let disabled = create ~dir:None ()
 
 let enabled t = t.dir <> None
 
 let stats t = t.stats
 
-let path t job =
-  match t.dir with
-  | None -> None
-  | Some dir ->
-      Some (Filename.concat dir (Store.file_name ~kind ~key:(Job.result_signature job)))
+let key t job =
+  let signature = Job.result_signature job in
+  if t.settings = "" then signature
+  else Digest.to_hex (Digest.string (signature ^ "\n" ^ t.settings))
+
+let file_name t job = Store.file_name ~kind ~key:(key t job)
+
+let path t job = Option.map (fun dir -> Filename.concat dir (file_name t job)) t.dir
 
 (* ---- Json AST <-> codec payload ------------------------------------- *)
 
@@ -157,7 +178,7 @@ let gc t ~keep =
   | None -> 0
   | Some dir ->
       let keys = Hashtbl.create (Array.length keep) in
-      Array.iter (fun job -> Hashtbl.replace keys (Job.result_signature job) ()) keep;
+      Array.iter (fun job -> Hashtbl.replace keys (key t job) ()) keep;
       Store.gc_dir ~dir ~kind ~keep:(Hashtbl.mem keys)
 
 let sweep t ~max_entries =

@@ -2,8 +2,10 @@
     [opera batch --resume].
 
     One completed job is one file in the cache directory,
-    [result-<key>.opra] with [key = Job.result_signature] (operator
-    digest plus every record-shaping knob the operator bytes exclude).
+    [result-<key>.opra].  The key is {!Job.result_signature} (operator
+    digest plus every record-shaping knob the operator bytes exclude),
+    folded with the engine's [--precond] and [--warm-start] settings
+    when they differ from the defaults.
     Entries are {!Util.Codec} frames holding the job's rendered-record
     AST; each is written atomically (temp file + rename) the moment the
     job completes, so a killed batch keeps every finished job's record
@@ -29,15 +31,25 @@ type stats = {
 
 type t
 
-val create : dir:string option -> unit -> t
+val create :
+  ?precond:Linalg.Precond.kind -> ?warm_start:bool -> dir:string option -> unit -> t
 (** [dir = None] disables the registry ({!lookup} misses, {!record} is a
-    no-op); [Some d] creates [d] if needed. *)
+    no-op); [Some d] creates [d] if needed.  [precond] (default
+    [Cholesky]) and [warm_start] (default [true]) are the engine
+    settings the records are computed under: both change the digits of
+    iterative records, so a record replays only under the settings that
+    journaled it.  At the defaults the key is the bare
+    {!Job.result_signature}. *)
 
 val disabled : t
 
 val enabled : t -> bool
 
 val stats : t -> stats
+
+val file_name : t -> Job.t -> string
+(** Base name of a job's journal entry: the one key that {!lookup},
+    {!record}, {!gc} and the service's eviction guard share. *)
 
 val path : t -> Job.t -> string option
 (** On-disk journal entry of a job ([None] when disabled).  Exposed so
@@ -51,8 +63,9 @@ val lookup : t -> Job.t -> Util.Json.t option
     (damaged entries are logged and removed, never replayed). *)
 
 val gc : t -> keep:Job.t array -> int
-(** Drop journal entries whose key matches no job in [keep]; returns the
-    number removed.  Artifact files of other kinds are untouched. *)
+(** Drop journal entries whose key matches no job in [keep] under this
+    registry's settings; returns the number removed.  Artifact files of
+    other kinds are untouched. *)
 
 val sweep : t -> max_entries:int -> int
 (** Bound the journal by *count*: drop the oldest-mtime entries (ties

@@ -99,6 +99,7 @@ type job_request = {
 
 type state = {
   cfg : config;
+  journal : Scenario.Registry.t;  (* keyed like the engine's, for eviction and GC *)
   queue : job_request Queue.t;
   mlock : Mutex.t;  (* guards cfg.metrics (registries are not thread-safe) *)
   stop : bool Atomic.t;
@@ -116,12 +117,8 @@ let with_metrics state f =
    requests on the same domain, protecting the just-served batch's
    journal entries is enough to keep a pathologically small cap from
    eating its own request. *)
-let protected_files jobs =
-  let files =
-    Array.to_list jobs
-    |> List.map (fun job ->
-           Scenario.Store.file_name ~kind:"result" ~key:(Scenario.Job.result_signature job))
-  in
+let protected_files registry jobs =
+  let files = Array.to_list (Array.map (Scenario.Registry.file_name registry) jobs) in
   fun f -> List.mem f files
 
 let lifecycle_gc state ~served ~last_jobs =
@@ -132,8 +129,8 @@ let lifecycle_gc state ~served ~last_jobs =
       | None -> ()
       | Some cap ->
           let removed =
-            Scenario.Store.evict_dir ~dir ~max_bytes:cap ~protect:(protected_files last_jobs)
-              ()
+            Scenario.Store.evict_dir ~dir ~max_bytes:cap
+              ~protect:(protected_files state.journal last_jobs) ()
           in
           if removed > 0 then begin
             with_metrics state (fun m -> Util.Metrics.incr ~by:removed m "store.evicted");
@@ -141,8 +138,7 @@ let lifecycle_gc state ~served ~last_jobs =
           end);
       (match state.cfg.max_results with
       | Some cap when state.cfg.gc_every > 0 && served mod state.cfg.gc_every = 0 ->
-          let registry = Scenario.Registry.create ~dir:(Some dir) () in
-          let removed = Scenario.Registry.sweep registry ~max_entries:cap in
+          let removed = Scenario.Registry.sweep state.journal ~max_entries:cap in
           if removed > 0 then
             Util.Log.infof "serve: registry GC dropped %d journal entr%s" removed
               (if removed = 1 then "y" else "ies")
@@ -379,6 +375,7 @@ let run cfg =
   let state =
     {
       cfg;
+      journal = Scenario.Registry.create ~warm_start:cfg.warm_start ~dir:cfg.cache_dir ();
       queue = Queue.create ~capacity:cfg.queue_capacity;
       mlock = Mutex.create ();
       stop = Atomic.make false;

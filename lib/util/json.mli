@@ -1,7 +1,7 @@
 (** Minimal JSON reader.
 
     Just enough to validate and introspect the JSON this repository
-    emits ({!Metrics.to_json}, [BENCH_galerkin.json], [--metrics-out]
+    emits ({!Metrics.to_json}, [BENCH_scale.json], [--metrics-out]
     files): objects, arrays, strings (common escapes incl. [\uXXXX]),
     numbers, booleans, null.  Not a streaming parser; intended for small
     configuration/metrics files. *)

@@ -40,38 +40,9 @@ let test_anisotropic_basis_orthogonal () =
     done
   done
 
-let test_anisotropic_pce () =
-  (* Represent f = xi0^2 + xi1 exactly with degrees [2; 1] (impossible at
-     isotropic order 1, wasteful at order 2 in 5 dims). *)
-  let families = Array.make 2 Polychaos.Family.hermite in
-  let b = Polychaos.Basis.anisotropic families ~degrees:[| 2; 1 |] in
-  let f xi = (xi.(0) *. xi.(0)) +. xi.(1) in
-  let p = Polychaos.Projection.project b f in
-  let rng = Prob.Rng.create ~seed:77L () in
-  for _ = 1 to 200 do
-    let xi = Polychaos.Basis.sample_point b rng in
-    Helpers.check_float ~eps:1e-9 "exact representation" (f xi) (Polychaos.Pce.eval p xi)
-  done
-
-let test_anisotropic_special_case () =
-  (* The leakage special case benefits from a deep order only in the
-     region variables; check an anisotropic basis gives the same mean as
-     the isotropic one at equal per-dimension depth. *)
-  let families = Array.make 1 Polychaos.Family.hermite in
-  let b_iso = Polychaos.Basis.isotropic Polychaos.Family.hermite ~dim:1 ~order:4 in
-  let b_box = Polychaos.Basis.anisotropic families ~degrees:[| 4 |] in
-  let lambda = 0.5 in
-  let p_iso = Polychaos.Projection.lognormal_univariate b_iso ~dim:0 ~mu:0.0 ~sigma:lambda in
-  let p_box = Polychaos.Projection.lognormal_univariate b_box ~dim:0 ~mu:0.0 ~sigma:lambda in
-  Helpers.check_float ~eps:1e-12 "same mean" (Polychaos.Pce.mean p_iso) (Polychaos.Pce.mean p_box);
-  Helpers.check_float ~eps:1e-12 "same variance" (Polychaos.Pce.variance p_iso)
-    (Polychaos.Pce.variance p_box)
-
 let suite =
   [
     Alcotest.test_case "box count" `Quick test_box_count;
     Alcotest.test_case "box generate" `Quick test_box_generate;
     Alcotest.test_case "anisotropic orthogonality" `Quick test_anisotropic_basis_orthogonal;
-    Alcotest.test_case "anisotropic projection exact" `Quick test_anisotropic_pce;
-    Alcotest.test_case "anisotropic lognormal" `Quick test_anisotropic_special_case;
   ]

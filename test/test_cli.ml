@@ -16,19 +16,23 @@ let contains s sub =
   let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
   at 0
 
-let run args =
+(* [timeout] bounds a run that might start a daemon: coreutils'
+   timeout stops it and exits 124, so the case fails instead of hanging. *)
+let run ?timeout args =
   let err = Filename.temp_file "opera_cli_test" ".err" in
+  let prefix = match timeout with Some s -> Printf.sprintf "timeout %d " s | None -> "" in
   Fun.protect
     ~finally:(fun () -> Sys.remove err)
     (fun () ->
       let code =
         Sys.command
-          (Printf.sprintf "%s %s >/dev/null 2>%s" (Filename.quote exe) args (Filename.quote err))
+          (Printf.sprintf "%s%s %s >/dev/null 2>%s" prefix (Filename.quote exe) args
+             (Filename.quote err))
       in
       (code, In_channel.with_open_bin err In_channel.input_all))
 
-let check ?names what expected args =
-  let code, stderr = run args in
+let check ?timeout ?names what expected args =
+  let code, stderr = run ?timeout args in
   Alcotest.(check int) what expected code;
   if contains stderr "Fatal error: exception" then
     Alcotest.failf "%s: uncaught exception on stderr:\n%s" what stderr;
@@ -43,6 +47,18 @@ let with_temp_file ?(suffix = ".json") contents f =
   output_string oc contents;
   close_out oc;
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "opera_cli_cache" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let rm_rf () =
+    if Sys.file_exists dir then begin
+      Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
+      Sys.rmdir dir
+    end
+  in
+  Fun.protect ~finally:rm_rf (fun () -> f dir)
 
 let tiny_batch =
   {|{"defaults": {"nodes": 120, "steps": 2, "solver": "direct"},
@@ -91,6 +107,22 @@ let test_usage_errors_exit_two () =
   check "generate --nodes 3" 2 "generate --nodes 3";
   check "analyze missing --netlist" 2 "analyze --netlist /nonexistent.sp";
   check "mc missing --netlist" 2 "mc --netlist /nonexistent.sp";
+  (* Counts are >= 0 everywhere: a negative one is not "use the
+     environment". *)
+  let small = "--nodes 100 --steps 2 " in
+  check ~names:"--domains" "analyze --domains -3" 2 ("analyze " ^ small ^ "--domains -3");
+  check ~names:"--domains" "compare --domains -1" 2
+    ("compare " ^ small ^ "--samples 4 --domains -1");
+  check ~names:"--domains" "special --domains -2" 2 ("special " ^ small ^ "--domains -2");
+  check ~names:"--st-candidates" "analyze --st-candidates -1" 2
+    ("analyze " ^ small ^ "--solver st --st-candidates -1");
+  check ~names:"--st-candidates" "compare --st-candidates -5" 2
+    ("compare " ^ small ^ "--samples 4 --solver st --st-candidates -5");
+  with_temp_file tiny_batch (fun path ->
+      check ~names:"--domains" "batch --domains -1" 2
+        ("batch --domains -1 " ^ Filename.quote path);
+      check ~names:"--jobs-parallel" "batch --jobs-parallel -2" 2
+        ("batch --jobs-parallel -2 " ^ Filename.quote path));
   (* Output files in a missing directory: a usage error naming the path,
      raised before anything is solved. *)
   let out ext = "/nonexistent-dir/out." ^ ext in
@@ -172,23 +204,23 @@ let test_serve_usage_errors_exit_two () =
   check "serve empty --listen" 2 "serve --listen= --cache-dir /tmp --queue 0";
   (* a listen path occupied by a regular file is refused (Invalid_config -> 2) *)
   with_temp_file "not a socket" (fun path ->
-      check "serve --listen over a regular file" 2 ("serve --listen " ^ Filename.quote path))
+      check "serve --listen over a regular file" 2 ("serve --listen " ^ Filename.quote path));
+  (* Negative counts: were one accepted, the daemon would start and
+     serve until the timeout stops it. *)
+  with_temp_dir (fun dir ->
+      let listen = "serve --listen " ^ Filename.quote (Filename.concat dir "s.sock") in
+      List.iter
+        (fun (flag, value) ->
+          check ~timeout:10 ~names:flag
+            (Printf.sprintf "serve %s %s" flag value)
+            2
+            (Printf.sprintf "%s %s %s" listen flag value))
+        [ ("--jobs-parallel", "-2"); ("--domains", "-1"); ("--gc-every", "-1") ])
 
 let test_batch_runs_a_tiny_batch () =
   with_temp_file tiny_batch (fun path ->
       check "tiny batch runs clean" 0 ("batch " ^ Filename.quote path);
       check "dry-run plans without solving" 0 ("batch --dry-run " ^ Filename.quote path))
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "opera_cli_cache" "" in
-  Sys.remove dir;
-  let rm_rf () =
-    if Sys.file_exists dir then begin
-      Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
-      Sys.rmdir dir
-    end
-  in
-  Fun.protect ~finally:rm_rf (fun () -> f dir)
 
 let test_batch_resume_and_shard_exit_zero () =
   with_temp_file

@@ -161,24 +161,36 @@ let test_apply_bitwise_across_domains () =
         yd)
     [ 2; 3; 4 ]
 
+(* Both stepping routes: the matrix-free operator fans its chaos blocks
+   out over domains, and the assembled direct factor steps through
+   level-scheduled triangular sweeps. *)
 let test_solve_bitwise_across_domains () =
   let m = small_model () in
   let steps = 6 in
-  let solve domains =
-    let options =
-      solver_options ~domains (Opera.Galerkin.Matrix_free_pcg { tol = 1e-12; max_iter = 1000 })
-    in
-    fst (Opera.Galerkin.solve_transient ~options m ~h:0.25e-9 ~steps)
-  in
-  let r1 = solve 1 and r3 = solve 3 in
-  let n = m.Opera.Stochastic_model.n in
-  for step = 0 to steps do
-    for node = 0 to n - 1 do
-      Helpers.check_float ~eps:0.0 "sequential = 3 domains (bitwise)"
-        (Opera.Response.mean_at r1 ~step ~node)
-        (Opera.Response.mean_at r3 ~step ~node)
-    done
-  done
+  List.iter
+    (fun (route, solver) ->
+      let solve domains =
+        let options = solver_options ~domains solver in
+        fst (Opera.Galerkin.solve_transient ~options m ~h:0.25e-9 ~steps)
+      in
+      let r1 = solve 1 and r3 = solve 3 in
+      let n = m.Opera.Stochastic_model.n in
+      for step = 0 to steps do
+        for node = 0 to n - 1 do
+          Helpers.check_float ~eps:0.0
+            (route ^ ": sequential mean = 3 domains (bitwise)")
+            (Opera.Response.mean_at r1 ~step ~node)
+            (Opera.Response.mean_at r3 ~step ~node);
+          Helpers.check_float ~eps:0.0
+            (route ^ ": sequential variance = 3 domains (bitwise)")
+            (Opera.Response.variance_at r1 ~step ~node)
+            (Opera.Response.variance_at r3 ~step ~node)
+        done
+      done)
+    [
+      ("matrix-free", Opera.Galerkin.Matrix_free_pcg { tol = 1e-12; max_iter = 1000 });
+      ("direct", Opera.Galerkin.Direct);
+    ]
 
 (* --- AMG mean-block preconditioner ------------------------------------- *)
 

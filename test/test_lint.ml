@@ -381,11 +381,21 @@ let test_json_report () =
     L.default_config.L.clock_allowlist;
   let items = get_exn "findings list" (Util.Json.to_list (member "findings")) in
   Alcotest.(check int) "findings length" (List.length r.L.findings) (List.length items);
+  let rule_ids = List.map L.rule_id L.all_rules in
   List.iter
     (fun item ->
+      let field k = get_exn ("finding." ^ k) (Util.Json.member k item) in
+      let rule = get_exn "finding.rule is a string" (Util.Json.to_string (field "rule")) in
+      Alcotest.(check bool) ("finding rule " ^ rule ^ " is in the catalogue") true
+        (List.mem rule rule_ids);
       List.iter
-        (fun k -> ignore (get_exn ("finding." ^ k) (Util.Json.member k item)))
-        [ "rule"; "file"; "line"; "col"; "waived"; "message" ])
+        (fun k -> ignore (get_exn ("finding." ^ k ^ " is a string") (Util.Json.to_string (field k))))
+        [ "file"; "message" ];
+      List.iter
+        (fun k -> ignore (get_exn ("finding." ^ k ^ " is an integer") (Util.Json.to_int (field k))))
+        [ "line"; "col" ];
+      Alcotest.(check bool) "finding.waived is a boolean" true
+        (match field "waived" with Util.Json.Bool _ -> true | _ -> false))
     items
 
 (* --- SARIF 2.1.0 ------------------------------------------------------ *)

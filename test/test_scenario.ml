@@ -39,19 +39,11 @@ let fresh_dir () =
 let records_of results =
   Array.to_list (Array.map (fun r -> Util.Json.render r.Engine.record) results)
 
-let run ?cache_dir ?(jobs_parallel = 1) ?(resume = false) ?shard ?metrics ?emit jobs =
+let run ?cache_dir ?(jobs_parallel = 1) ?(resume = false) ?shard ?metrics
+    ?(precond = Linalg.Precond.Cholesky) ?(warm_start = true) ?emit jobs =
   let metrics = match metrics with Some m -> m | None -> Util.Metrics.create () in
   let config =
-    {
-      Engine.cache_dir;
-      jobs_parallel;
-      domains = 1;
-      metrics;
-      warm_start = true;
-      precond = Linalg.Precond.Cholesky;
-      resume;
-      shard;
-    }
+    { Engine.cache_dir; jobs_parallel; domains = 1; metrics; warm_start; precond; resume; shard }
   in
   Engine.run ~config ?emit jobs
 
@@ -566,7 +558,35 @@ let test_resume_replays_bitwise () =
   Alcotest.(check int) "its job re-runs and re-journals" 1 zeroed_summary.Engine.journaled;
   Alcotest.(check (list string))
     "stream after zero-length damage still matches the cold run bitwise"
-    (records_of cold_results) (records_of zeroed_results)
+    (records_of cold_results) (records_of zeroed_results);
+  (* The preconditioner and warm starts move an iterative record's
+     digits without touching the job, so they key the journal too: a
+     record replays only under the settings that computed it. *)
+  let mf = Opera.Galerkin.Matrix_free_pcg { tol = 1e-10; max_iter = 500 } in
+  let iterative =
+    [|
+      { (base_job "mf0") with Job.analysis = Job.Transient; solver = mf };
+      { (base_job "mf1") with Job.analysis = Job.Transient; solver = mf; drain_scale = 1.5 };
+    |]
+  in
+  let amg = Linalg.Precond.Amg and cholesky = Linalg.Precond.Cholesky in
+  let _ = run ~cache_dir ~precond:amg iterative in
+  List.iter
+    (fun (what, precond, warm_start) ->
+      let fresh, _ = run ~precond ~warm_start iterative in
+      let resumed, s = run ~cache_dir ~resume:true ~precond ~warm_start iterative in
+      Alcotest.(check int) (what ^ ": nothing replays across settings") 0 s.Engine.replayed;
+      Alcotest.(check (list string))
+        (what ^ ": the stream is a fresh run's") (records_of fresh) (records_of resumed))
+    [ ("amg -> cholesky", cholesky, true); ("warm start on -> off", amg, false) ];
+  let _, same = run ~cache_dir ~resume:true ~precond:amg iterative in
+  Alcotest.(check int) "the journaling settings replay" 2 same.Engine.replayed;
+  (* --gc-results keys the same way: under amg it keeps the two amg
+     entries and drops the 3 + 2 + 2 journaled under other settings. *)
+  Alcotest.(check int) "gc keeps only its own settings' entries" 7
+    (Scenario.Registry.gc
+       (Scenario.Registry.create ~precond:amg ~dir:(Some cache_dir) ())
+       ~keep:(Array.append jobs iterative))
 
 (* --- a simulated kill mid-stream, then resume ------------------------- *)
 
@@ -603,28 +623,50 @@ let test_kill_then_resume () =
 (* --- shard partitioning ----------------------------------------------- *)
 
 let test_shard_partition () =
+  (* DC, transient and special-case corners on one grid: three operator
+     groups, so every shard needs factors another shard may have built. *)
   let jobs =
     Array.init 7 (fun i ->
-        { (base_job (Printf.sprintf "dc%d" i)) with Job.drain_scale = 1.0 +. (0.1 *. float_of_int i) })
+        let analysis =
+          match i mod 3 with
+          | 0 -> Job.Dc
+          | 1 -> Job.Transient
+          | _ -> Job.Special { regions = 4; lambda = 0.5 }
+        in
+        {
+          (base_job (Printf.sprintf "j%d" i)) with
+          Job.analysis;
+          drain_scale = 1.0 +. (0.1 *. float_of_int i);
+        })
   in
   let names jobs = Array.to_list (Array.map (fun (r : Engine.result) -> r.Engine.job.Job.name) jobs) in
+  let unsharded, cold = run ~cache_dir:(fresh_dir ()) jobs in
+  let unsharded = records_of unsharded in
+  Alcotest.(check bool) "the cold run factors" true (cold.Engine.factorizations > 0);
   List.iter
     (fun k ->
+      (* The k shards cooperate through one cache dir, as k processes
+         sharing --cache-dir do. *)
+      let cache_dir = fresh_dir () in
+      let factored = ref 0 in
       let slices =
         List.init k (fun i ->
-            let results, s = run ~shard:(i, k) jobs in
+            let results, s = run ~cache_dir ~shard:(i, k) jobs in
+            factored := !factored + s.Engine.factorizations;
             Alcotest.(check int)
               (Printf.sprintf "summary jobs = slice size (shard %d/%d)" i k)
               (Array.length results) s.Engine.jobs;
             (* Each shard keeps batch order and is exactly the subset the
-               index hash assigns to it. *)
-            let expected =
-              List.filteri (fun idx _ -> Engine.shard_of idx ~shards:k = i) (Array.to_list jobs)
-              |> List.map (fun (j : Job.t) -> j.Job.name)
-            in
+               index hash assigns to it, byte for byte the unsharded
+               run's records. *)
+            let mine l = List.filteri (fun idx _ -> Engine.shard_of idx ~shards:k = i) l in
             Alcotest.(check (list string))
               (Printf.sprintf "shard %d/%d is its hash slice, in batch order" i k)
-              expected (names results);
+              (List.map (fun (j : Job.t) -> j.Job.name) (mine (Array.to_list jobs)))
+              (names results);
+            Alcotest.(check (list string))
+              (Printf.sprintf "shard %d/%d streams the unsharded records" i k)
+              (mine unsharded) (records_of results);
             names results)
         |> List.concat
       in
@@ -633,7 +675,12 @@ let test_shard_partition () =
       Alcotest.(check (list string))
         (Printf.sprintf "%d shards cover every job exactly once" k)
         (List.sort compare (Array.to_list (Array.map (fun (j : Job.t) -> j.Job.name) jobs)))
-        (List.sort compare slices))
+        (List.sort compare slices);
+      (* Shared store, no duplicated work: together the shards factor
+         exactly as often as one cold run. *)
+      Alcotest.(check int)
+        (Printf.sprintf "%d shards factor as often as one cold run" k)
+        cold.Engine.factorizations !factored)
     [ 1; 2; 3 ];
   List.iter
     (fun shard ->

@@ -263,14 +263,17 @@ let is_terminator line =
   | Ok j ->
       List.exists (fun k -> J.member k j <> None) [ "done"; "error"; "pong"; "stats"; "ok" ]
 
-(* One request/response exchange: (records, terminator line). *)
-let rpc c line =
-  send c line;
+(* One response: (records, terminator line). *)
+let read_response c =
   let rec go acc =
     let l = input_line c.ic in
     if is_terminator l then (List.rev acc, l) else go (l :: acc)
   in
   go []
+
+let rpc c line =
+  send c line;
+  read_response c
 
 let stats_counter c name =
   let _, line = rpc c {|{"op":"stats"}|} in
@@ -370,6 +373,23 @@ let test_serve_warm_replay_bitwise () =
           let fresh_records, _ = rpc c (batch_line ~reuse:false (dc_batch_doc ())) in
           Alcotest.(check (list string)) "reuse:false still bitwise" cold_records fresh_records;
           Alcotest.(check int) "reuse:false did not replay" 2
+            (stats_counter c "service.replays");
+
+          (* Two clients submit the warm batch at once: both requests sit
+             in the admission queue together, both replay bitwise. *)
+          let clients = [ connect sock; connect sock ] in
+          List.iter (fun c' -> send c' line) clients;
+          List.iter
+            (fun c' ->
+              let records, done_line = read_response c' in
+              Alcotest.(check (list string)) "concurrent records bitwise" cold_records records;
+              Alcotest.(check string) "concurrent done line" cold_done done_line;
+              disconnect c')
+            clients;
+          Alcotest.(check int) "concurrent: no new factorizations" f_cold
+            (stats_counter c "engine.factorizations");
+          Alcotest.(check int) "concurrent: nothing rejected" 0 (stats_counter c "service.rejects");
+          Alcotest.(check int) "concurrent: both requests replayed" 6
             (stats_counter c "service.replays");
           disconnect c))
 

@@ -186,7 +186,20 @@ let test_metrics_sorted_and_reset () =
   Util.Metrics.observe metrics "mmm" 0.5;
   (match Util.Json.parse (Util.Metrics.to_json metrics) with
   | Error e -> Alcotest.failf "JSON parse: %s" e
-  | Ok j -> Alcotest.(check (list string)) "keys sorted" [ "aaa"; "mmm"; "zzz" ] (Util.Json.keys j));
+  | Ok j ->
+      Alcotest.(check (list string)) "keys sorted" [ "aaa"; "mmm"; "zzz" ] (Util.Json.keys j);
+      (* Entry shapes: a counter carries an integer value, a histogram its
+         count, sum, mean and buckets ending in the le_inf overflow. *)
+      let field name k = Option.bind (Util.Json.member name j) (Util.Json.member k) in
+      Alcotest.(check (option int)) "counter value" (Some 1)
+        (Option.bind (field "aaa" "value") Util.Json.to_int);
+      List.iter
+        (fun k ->
+          Alcotest.(check bool) ("histogram " ^ k) true
+            (Option.bind (field "mmm" k) Util.Json.to_float <> None))
+        [ "count"; "sum"; "mean" ];
+      Alcotest.(check bool) "histogram overflow bucket" true
+        (Option.bind (field "mmm" "buckets") (Util.Json.member "le_inf") <> None));
   Util.Metrics.reset metrics;
   Alcotest.(check int) "reset clears counters" 0 (Util.Metrics.counter metrics "zzz");
   Alcotest.(check int) "reset clears histograms" 0 (Util.Metrics.observations metrics "mmm")

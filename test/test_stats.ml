@@ -1,4 +1,4 @@
-(* Online statistics, batch statistics, histogram, KS, PCA, Gram-Charlier. *)
+(* Online statistics, batch statistics, histogram, KS, Gram-Charlier. *)
 
 let test_online_against_batch () =
   let rng = Helpers.rng () in
@@ -88,39 +88,6 @@ let test_ks_different_distribution () =
   let p = Prob.Ks.p_value xs ys in
   Alcotest.(check bool) (Printf.sprintf "shifted dist rejected (p=%.2g)" p) true (p < 1e-6)
 
-let test_pca_decorrelates () =
-  (* Correlated 2D Gaussian: xi2 = 0.8 xi1 + 0.6 eta. *)
-  let rng = Prob.Rng.create ~seed:21L () in
-  let samples =
-    Array.init 5000 (fun _ ->
-        let x = Prob.Rng.gaussian rng in
-        let e = Prob.Rng.gaussian rng in
-        [| x; (0.8 *. x) +. (0.6 *. e) |])
-  in
-  let pca = Prob.Pca.of_samples samples in
-  let transformed = Array.map (Prob.Pca.transform pca) samples in
-  let c01 =
-    Prob.Stats.correlation (Array.map (fun s -> s.(0)) transformed)
-      (Array.map (fun s -> s.(1)) transformed)
-  in
-  Alcotest.(check bool) "transformed components uncorrelated" true (Float.abs c01 < 0.05);
-  (* Total variance preserved. *)
-  let total_before =
-    Prob.Stats.variance (Array.map (fun s -> s.(0)) samples)
-    +. Prob.Stats.variance (Array.map (fun s -> s.(1)) samples)
-  in
-  let total_after = Array.fold_left ( +. ) 0.0 pca.Prob.Pca.variances in
-  Helpers.check_close ~rtol:1e-6 "variance preserved" total_before total_after
-
-let test_pca_roundtrip () =
-  let pca =
-    Prob.Pca.of_covariance ~mean:[| 1.0; -2.0 |]
-      (Linalg.Dense.of_arrays [| [| 2.0; 0.3 |]; [| 0.3; 1.0 |] |])
-  in
-  let x = [| 0.7; 0.1 |] in
-  let back = Prob.Pca.inverse_transform pca (Prob.Pca.transform pca x) in
-  Helpers.check_vec ~eps:1e-10 "inverse_transform . transform = id" x back
-
 let test_gram_charlier_gaussian_limit () =
   (* With Gaussian moments the expansions reduce to the normal pdf. *)
   let m = { Prob.Gram_charlier.mean = 0.3; variance = 4.0; skewness = 0.0; kurtosis_excess = 0.0 } in
@@ -202,8 +169,6 @@ let suite =
     Alcotest.test_case "histogram gap" `Quick test_histogram_gap;
     Alcotest.test_case "ks same" `Slow test_ks_same_distribution;
     Alcotest.test_case "ks different" `Slow test_ks_different_distribution;
-    Alcotest.test_case "pca decorrelates" `Slow test_pca_decorrelates;
-    Alcotest.test_case "pca roundtrip" `Quick test_pca_roundtrip;
     Alcotest.test_case "gram-charlier gaussian limit" `Quick test_gram_charlier_gaussian_limit;
     Alcotest.test_case "gram-charlier normalization" `Quick test_gram_charlier_integrates_to_one;
     Alcotest.test_case "hermite he" `Quick test_hermite_he;

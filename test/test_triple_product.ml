@@ -156,38 +156,6 @@ let test_pce_central_moments () =
   Helpers.check_float ~eps:1e-8 "skewness" 0.0 (Polychaos.Pce.skewness x);
   Helpers.check_float ~eps:1e-7 "kurtosis" 0.0 (Polychaos.Pce.kurtosis_excess x)
 
-let test_projection_of_polynomial_is_exact () =
-  let b = basis2 in
-  (* f(xi) = 2 + xiG + 0.5 (xiG^2 - 1) is inside the basis span. *)
-  let f xi = 2.0 +. xi.(0) +. (0.5 *. ((xi.(0) *. xi.(0)) -. 1.0)) in
-  let p = Polychaos.Projection.project b f in
-  Helpers.check_float ~eps:1e-10 "a0" 2.0 p.Polychaos.Pce.coefs.(0);
-  Helpers.check_float ~eps:1e-10 "a1" 1.0 p.Polychaos.Pce.coefs.(1);
-  Helpers.check_float ~eps:1e-10 "a3" 0.5 p.Polychaos.Pce.coefs.(3);
-  Helpers.check_float ~eps:1e-10 "a4" 0.0 p.Polychaos.Pce.coefs.(4)
-
-let test_lognormal_projection () =
-  (* exp(mu + s xi): closed-form Hermite coefficients vs quadrature. *)
-  let order = 4 in
-  let b = Polychaos.Basis.isotropic Polychaos.Family.hermite ~dim:1 ~order in
-  let mu = -0.3 and sigma = 0.4 in
-  let closed = Polychaos.Projection.lognormal_univariate b ~dim:0 ~mu ~sigma in
-  let quad = Polychaos.Projection.project b ~quad_points:20 (fun xi -> exp (mu +. (sigma *. xi.(0)))) in
-  for k = 0 to Polychaos.Basis.size b - 1 do
-    Helpers.check_float ~eps:1e-8
-      (Printf.sprintf "lognormal coef %d" k)
-      closed.Polychaos.Pce.coefs.(k) quad.Polychaos.Pce.coefs.(k)
-  done;
-  (* Mean of the lognormal: exp(mu + sigma^2/2). *)
-  Helpers.check_float ~eps:1e-10 "lognormal mean" (exp (mu +. (sigma *. sigma /. 2.0)))
-    (Polychaos.Pce.mean closed);
-  (* Variance converges to the true lognormal variance as order grows. *)
-  let true_var =
-    Prob.Distributions.variance (Prob.Distributions.Lognormal { mu; sigma })
-  in
-  Helpers.check_float ~eps:(0.02 *. true_var) "lognormal variance (order 4)" true_var
-    (Polychaos.Pce.variance closed)
-
 let prop_pce_eval_linear =
   Helpers.qcheck_case ~count:50 "pce add/scale evaluate pointwise"
     QCheck.(pair (float_range (-2.) 2.) (float_range (-2.) 2.))
@@ -211,7 +179,5 @@ let suite =
     Alcotest.test_case "pce variable/arith" `Quick test_pce_variable_and_arithmetic;
     Alcotest.test_case "pce galerkin product" `Quick test_pce_mul;
     Alcotest.test_case "pce central moments" `Quick test_pce_central_moments;
-    Alcotest.test_case "projection exact on span" `Quick test_projection_of_polynomial_is_exact;
-    Alcotest.test_case "lognormal projection" `Quick test_lognormal_projection;
     prop_pce_eval_linear;
   ]
