@@ -30,7 +30,12 @@
    over the transient), every solve converges, and the warm artifact
    replay performs zero full decodes —
    so a scaling regression fails the target rather than just skewing
-   the numbers. *)
+   the numbers.  Each record also times one block V-cycle on
+   [block_columns] right-hand sides against as many single applies on
+   the mean block ("block_vcycle": seconds per column and the computed
+   bytes each form moves); the bench dies if any column of the block
+   result differs from its single apply in one bit, and sets no timing
+   bound. *)
 
 let sizes = ref [ 10_000; 100_000; 1_000_000 ]
 let quick = ref false
@@ -56,6 +61,13 @@ type solve = {
   stored_nnz : int;
 }
 
+type block = {
+  block_s : float;  (* per column, one block apply of [block_columns] *)
+  single_s : float;  (* per column, [block_columns] single applies *)
+  block_bytes : float;
+  single_bytes : float;
+}
+
 type record = {
   nodes : int;
   assemble_s : float;
@@ -64,7 +76,11 @@ type record = {
   stream_bytes : int;
   heap_mb : float;
   solves : solve list;
+  block : block;
 }
+
+(* The chaos-block count of the paper's order-2, two-variable model. *)
+let block_columns = 6
 
 let best_of f =
   let best = ref infinity and keep = ref None in
@@ -104,6 +120,56 @@ let run_solve ~label ~kind g b =
     stored_nnz = Linalg.Precond.stored_nnz precond;
   }
 
+(* Computed bytes of one V(1,1)-cycle serving [k] columns: each level's
+   operator is swept for the two residuals and each prolongator for the
+   restriction and the prolongation (one stored float and one index per
+   entry, counted here as the hierarchy's stored entries twice), plus
+   about eight vector passes per level and column. *)
+let vcycle_bytes amg ~k =
+  let dims = Linalg.Amg.level_dims amg in
+  float_of_int (Linalg.Amg.cycles amg)
+  *. ((2.0 *. 16.0 *. float_of_int (Linalg.Amg.stored_nnz amg))
+     +. (8.0 *. 8.0 *. float_of_int (k * List.fold_left ( + ) 0 dims)))
+
+(* One block V-cycle on [block_columns] right-hand sides against as many
+   single applies, on the mean block; every column must match bitwise. *)
+let bench_block g =
+  let n, _ = Linalg.Sparse.dims g in
+  let k = block_columns in
+  let amg = Linalg.Amg.build g in
+  let src = Array.init (k * n) (fun i -> sin (float_of_int (i + 1))) in
+  let dst = Array.make (k * n) 0.0 in
+  let cols = Array.init k Fun.id in
+  let bws = Linalg.Amg.create_block_ws amg ~k in
+  let ws = Linalg.Amg.create_ws amg in
+  let b = Array.make n 0.0 and x = Array.make n 0.0 in
+  let singles = Array.make (k * n) 0.0 in
+  let (), block_s =
+    best_of (fun () -> Linalg.Amg.apply_block amg bws ~src ~dst ~cols ~lo:0 ~hi:k)
+  in
+  let (), single_s =
+    best_of (fun () ->
+        for c = 0 to k - 1 do
+          Array.blit src (c * n) b 0 n;
+          Linalg.Amg.apply amg ws ~b ~x;
+          Array.blit x 0 singles (c * n) n
+        done)
+  in
+  for i = 0 to (k * n) - 1 do
+    if Int64.bits_of_float dst.(i) <> Int64.bits_of_float singles.(i) then
+      die "%d nodes: block V-cycle column %d differs from its single apply at row %d" n (i / n)
+        (i mod n)
+  done;
+  let per v = v /. float_of_int k in
+  Printf.printf "  block v-cycle x%d: %.3f ms/column vs %.3f ms/column single\n%!" k
+    (1e3 *. per block_s) (1e3 *. per single_s);
+  {
+    block_s = per block_s;
+    single_s = per single_s;
+    block_bytes = vcycle_bytes amg ~k;
+    single_bytes = float_of_int k *. vcycle_bytes amg ~k:1;
+  }
+
 let bench_size n =
   let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default n in
   (* A fresh registry per repetition: the stream counters are a
@@ -133,7 +199,8 @@ let bench_size n =
     :: (if nodes <= ic0_cutoff then [ run_solve ~label:"ic0" ~kind:Linalg.Precond.Ic0 g b ]
         else [])
   in
-  ({ nodes; assemble_s; stream_stamps; stream_nnz; stream_bytes; heap_mb; solves }, g)
+  let block = bench_block g in
+  ({ nodes; assemble_s; stream_stamps; stream_nnz; stream_bytes; heap_mb; solves; block }, g)
 
 let amg_of r =
   match List.find_opt (fun s -> s.precond = "amg") r.solves with
@@ -244,6 +311,15 @@ let () =
         ("bytes_per_node", num (float_of_int r.stream_bytes /. float_of_int r.nodes));
         ("heap_mb", num r.heap_mb);
         ("solves", Util.Json.List (List.map solve_json r.solves));
+        ( "block_vcycle",
+          Util.Json.Obj
+            [
+              ("columns", num (float_of_int block_columns));
+              ("block_s_per_column", num r.block.block_s);
+              ("single_s_per_column", num r.block.single_s);
+              ("block_bytes", num r.block.block_bytes);
+              ("single_bytes", num r.block.single_bytes);
+            ] );
       ]
   in
   let metrics =

@@ -72,9 +72,15 @@ let solver_arg r =
           factors, coefficients recovered by a dense transform)."
     solver_enum r
 
+(* Input a flag names that the program cannot use, such as an unreadable
+   or malformed netlist, or an output file it cannot write; [dispatch]
+   reports it as a usage error. *)
+exception Bad_input of string
+
 (* The st knobs ride along as plain flags; they only matter when
    --solver st is selected, and rewrite the St payload in place so the
-   solver value stays a single source of truth. *)
+   solver value stays a single source of truth.  A candidate bound too
+   small to span the order's basis is a usage error naming the flag. *)
 let st_candidates_arg r =
   int_at_least 0 [ "--st-candidates" ]
     ~doc:"Candidate-pool bound for stochastic-testing point selection (0 = the full tensor \
@@ -86,10 +92,13 @@ let st_seed_arg r =
     ~doc:"Seed of the stochastic-testing point-selection top-up draws.  Only used by --solver \
           st with --st-candidates beyond the tensor grid." r
 
-let apply_st_knobs solver ~candidates ~seed =
+let apply_st_knobs solver ~order ~candidates ~seed =
   match solver with
-  | Opera.Galerkin.St k ->
-      Opera.Galerkin.St { k with candidates; seed = Int64.of_int seed }
+  | Opera.Galerkin.St k -> (
+      let st = Opera.Galerkin.St { k with candidates; seed = Int64.of_int seed } in
+      match Scenario.Job.check_st_candidates ~order st with
+      | Ok () -> st
+      | Error why -> raise (Bad_input ("--st-candidates: " ^ why)))
   | s -> s
 
 let precond_enum = List.map (fun k -> (Linalg.Precond.to_string k, k)) Linalg.Precond.all
@@ -180,10 +189,6 @@ let parse_bytes s =
 
 (* ---- input and output files -------------------------------------------- *)
 
-(* Input a flag names that the program cannot use, such as an unreadable
-   or malformed netlist, or an output file it cannot write; [dispatch]
-   reports it as a usage error. *)
-exception Bad_input of string
 
 (* An output file must land in an existing directory.  Callers check
    every output flag before any work runs, so a mistyped path costs

@@ -59,6 +59,9 @@ let run argv =
   @@ fun _ ->
   Cli_common.check_output "--csv" !csv;
   Cli_common.check_output "--svg" !svg;
+  let solver =
+    Cli_common.apply_st_knobs !solver ~order:!order ~candidates:!st_candidates ~seed:!st_seed
+  in
   Cli_common.with_health ~log_level:!log_level ~metrics_out:!metrics_out @@ fun () ->
   let circuit, vdd, spec = Cli_common.load_circuit !netlist !nodes in
   Printf.printf "circuit: %s\n" (Powergrid.Circuit.stats circuit);
@@ -74,7 +77,7 @@ let run argv =
       order = !order;
       h = !step_ps *. 1e-12;
       steps = !steps;
-      solver = Cli_common.apply_st_knobs !solver ~candidates:!st_candidates ~seed:!st_seed;
+      solver;
       policy = !policy;
       sigma_scale = 1.0;
       drain_scale = 1.0;

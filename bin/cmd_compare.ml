@@ -36,6 +36,9 @@ let run argv =
   Cli_common.dispatch ~prog:"opera compare"
     ~summary:"OPERA vs Monte Carlo on one grid (a Table-1 row)." ~args ~argv
   @@ fun _ ->
+  let solver =
+    Cli_common.apply_st_knobs !solver ~order:!order ~candidates:!st_candidates ~seed:!st_seed
+  in
   Cli_common.with_health ~log_level:!log_level ~metrics_out:!metrics_out @@ fun () ->
   let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default !nodes in
   let config =
@@ -45,7 +48,7 @@ let run argv =
       steps = !steps;
       mc_samples = !samples;
       seed = Int64.of_int !seed;
-      solver = Cli_common.apply_st_knobs !solver ~candidates:!st_candidates ~seed:!st_seed;
+      solver;
       ordering = Linalg.Ordering.Nested_dissection;
       probes = [||];
       domains = !domains;

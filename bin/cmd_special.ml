@@ -29,15 +29,19 @@ let run argv =
   Cli_common.dispatch ~prog:"opera special"
     ~summary:"Sec. 5.1 special case: leakage-only variation." ~args ~argv
   @@ fun _ ->
+  (* The batch engine's split and rule: a count the near-square tiling
+     cannot honor is a usage error, never a silently different run. *)
+  let regions =
+    match Scenario.Job.check_regions !regions with
+    | Ok r -> r
+    | Error why -> raise (Cli_common.Bad_input ("--regions " ^ why))
+  in
   Cli_common.with_health ~log_level:!log_level ~metrics_out:!metrics_out @@ fun () ->
-  let side = int_of_float (Float.round (sqrt (float_of_int !regions))) in
-  let rx = Int.max 1 side in
-  let ry = Int.max 1 (!regions / rx) in
+  let rx, ry = Scenario.Job.region_split regions in
   let spec =
     { (Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default !nodes) with
       Powergrid.Grid_spec.regions_x = rx; regions_y = ry }
   in
-  let regions = rx * ry in
   let vdd = spec.Powergrid.Grid_spec.vdd in
   let circuit = Powergrid.Grid_gen.generate spec in
   let leaks =

@@ -99,44 +99,40 @@ let rhs_into (m : Stochastic_model.t) ~drain_buf t out =
     m.u_drain_coefs;
   ignore t
 
-(* Mean-block preconditioner: block j solved with the nominal mean
-   solver (exact factor, ic0 or AMG per [Precond.kind]) and divided by
-   the basis norm.  All scratch (the output vector, per-chunk block and
-   backend workspaces, the inverse norms) is allocated once in the
-   closure and reused across applications — the returned vector is
+(* Mean-block preconditioner: every block j solved with the nominal
+   mean solver (exact factor, ic0 or AMG per [Precond.kind]) and divided
+   by the basis norm.  The N+1 blocks go through the backend's block
+   apply — one pass over the factor or hierarchy for all of them —
+   straight from [r] into [z].  All scratch (the output vector, the
+   per-chunk block workspaces, the inverse norms) is allocated once in
+   the closure and reused across applications — the returned vector is
    therefore only valid until the next call, which is exactly the
-   contract CG needs.  Blocks are independent, so the loop chunks
-   across domains; each chunk owns its scratch, and the shared backend
-   is applied through its workspace-explicit in-place solve (always
-   bitwise-deterministic: exact sweeps are level-scheduled stable, the
-   approximate backends sequential).  Each application is counted and
-   timed into [metrics] (from the calling domain only). *)
+   contract CG needs.  Domains split the blocks into column chunks,
+   each with its own workspace; every column is bitwise the single
+   apply, so results do not depend on the domain count.  Each
+   application is counted and timed into [metrics] (from the calling
+   domain only). *)
 let mean_block_preconditioner ?(domains = 0) ?(metrics = Util.Metrics.global)
     (m : Stochastic_model.t) mean_solver =
   let size = Polychaos.Basis.size m.basis in
   let n = m.n in
   let d = Util.Parallel.resolve domains in
   let chunks = Int.max 1 (Int.min d size) in
-  (* Parallelism goes across blocks first; when only one chunk exists
-     (a single-block basis) the spare domains instead level-schedule
-     the triangular sweeps inside the nominal-factor solve. *)
-  let inner_domains = if chunks > 1 then 1 else d in
+  let width = (size + chunks - 1) / chunks in
   let z = Array.make (size * n) 0.0 in
-  let block = Array.init chunks (fun _ -> Array.make n 0.0) in
-  let work = Array.init chunks (fun _ -> Linalg.Precond.create_ws mean_solver) in
+  let cols = Array.init size Fun.id in
+  let work = Array.init chunks (fun _ -> Linalg.Precond.create_block_ws mean_solver ~k:width) in
   let inv_gamma = Array.init size (fun j -> 1.0 /. Polychaos.Basis.norm_sq m.basis j) in
   fun (r : Linalg.Vec.t) ->
     Util.Metrics.incr metrics "galerkin.precond_applies";
     Util.Metrics.span metrics "galerkin.precond_s" (fun () ->
+        (* opera-lint: race — a chunk writes only blocks [lo, hi) of z through its own workspace *)
         Util.Parallel.for_chunks ~domains:d size (fun ~chunk ~lo ~hi ->
-            let blk = block.(chunk) and wk = work.(chunk) in
+            Linalg.Precond.apply_block mean_solver work.(chunk) ~src:r ~dst:z ~cols ~lo ~hi;
             for j = lo to hi - 1 do
-              let base = j * n in
-              Array.blit r base blk 0 n;
-              Linalg.Precond.apply_in_place mean_solver wk ~domains:inner_domains blk;
-              let s = inv_gamma.(j) in
-              for i = 0 to n - 1 do
-                z.(base + i) <- blk.(i) *. s
+              let base = j * n and s = inv_gamma.(j) in
+              for i = base to base + n - 1 do
+                z.(i) <- z.(i) *. s
               done
             done);
         z)

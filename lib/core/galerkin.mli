@@ -16,14 +16,16 @@ type solver =
   | Mean_pcg of { tol : float; max_iter : int }
       (** conjugate gradient on the augmented system, preconditioned by the
           factorized nominal block — the "iterative block solver" route of
-          Sec. 5.2 *)
+          Sec. 5.2.  Each preconditioner apply solves all [N+1] blocks in
+          one block solve ({!Linalg.Precond.apply_block}). *)
   | Matrix_free_pcg of { tol : float; max_iter : int }
       (** same mean-block PCG, but the augmented operator is never
           assembled: the matvec is {!Galerkin_op}'s block-structured
           apply straight from the per-rank matrices and the sparse
           triple-product coupling.  Memory drops from
-          [O((N+1)^2 nnz)] to [O(sum_r nnz_r + (N+1) n)], and the matvec
-          parallelizes across chaos blocks (see [options.domains]). *)
+          [O((N+1)^2 nnz)] to [O(sum_r nnz_r + (N+1) n)]; the matvec
+          reads each term matrix once per apply, and splits the chaos
+          blocks across domains (see [options.domains]). *)
   | St of { tol : float; max_refine : int; candidates : int; seed : int64 }
       (** stochastic-testing collocation ({!St_solver}): the gPC system
           is solved at [N+1] selected testing points as fully decoupled
@@ -74,7 +76,8 @@ type options = {
           the same cost structure *)
   domains : int;
       (** domain count for the block-parallel paths (matrix-free matvec,
-          mean-block preconditioner); {!Util.Parallel.resolve} convention:
+          mean-block preconditioner; domains split the chaos blocks into
+          column chunks of the block kernels); {!Util.Parallel.resolve} convention:
           [0] defers to the [OPERA_DOMAINS] environment variable, default
           sequential.  Results are bitwise identical for any value. *)
   policy : policy;

@@ -1,8 +1,12 @@
 (* Matrix-free application of the augmented stochastic Galerkin operator
    [At = sum_r T_r (x) A_r] — see galerkin_op.mli.  The coupling tensor is
-   flattened per OUTPUT block j into a dense triplet array so the apply is
-   one linear scan per block, and blocks parallelize trivially (disjoint
-   output slices, per-block summation order fixed => bitwise-deterministic
+   flattened per (term, output block) into a run of (input block,
+   coefficient) pairs.  An apply makes one pass per term matrix: it first
+   mixes the input blocks through the term's coupling rows,
+   [m_j = sum_k T_r(j,k) x_k], then accumulates [y_j += A_r m_j] for every
+   output block the term reaches in one multi-vector product.  Output
+   blocks split across domains (disjoint slices of [y] and of the mixing
+   scratch, per-block summation order fixed => bitwise-deterministic
    results for any domain count). *)
 
 type t = {
@@ -10,9 +14,11 @@ type t = {
   size : int;  (* N+1 chaos blocks *)
   domains : int;  (* resolved domain count for apply *)
   terms : Linalg.Sparse.t array;  (* merged per-rank matrices *)
-  block_terms : int array array;  (* per output block j: term indices *)
-  block_inputs : int array array;  (* per output block j: input blocks k *)
-  block_coefs : float array array;  (* per output block j: E(psi_r psi_j psi_k) *)
+  mix_ptr : int array;  (* (term t, block j) pairs at mix_ptr.(t*size+j) .. next - 1 *)
+  mix_in : int array;  (* input block k of each pair *)
+  mix_coef : float array;  (* E(psi_r psi_j psi_k) of each pair *)
+  term_blocks : int array array;  (* per term: output blocks with a pair, ascending *)
+  mixed : float array;  (* size * n: the mixed inputs m_j of the current term *)
   coupling_nnz : int;
 }
 
@@ -40,42 +46,40 @@ let of_terms ?(domains = 0) ~tp ~n terms =
   let term_mats = Array.of_list (List.map snd terms) in
   let ranks = Array.of_list (List.map fst terms) in
   let nterms = Array.length ranks in
-  (* Flatten the nonzero coupling entries, grouped by output block j. *)
-  let coupling_nnz = ref 0 in
-  let bt = Array.make size [||] and bi = Array.make size [||] and bc = Array.make size [||] in
-  for j = 0 to size - 1 do
-    let ts = ref [] and ks = ref [] and cs = ref [] and cnt = ref 0 in
-    for ti = 0 to nterms - 1 do
-      let r = ranks.(ti) in
-      for k = 0 to size - 1 do
-        let c = Polychaos.Triple_product.value tp r j k in
-        if Util.Floats.nonzero c then begin
-          ts := ti :: !ts;
-          ks := k :: !ks;
-          cs := c :: !cs;
-          incr cnt
-        end
-      done
-    done;
-    let m = !cnt in
-    coupling_nnz := !coupling_nnz + m;
-    let ta = Array.make m 0 and ka = Array.make m 0 and ca = Array.make m 0.0 in
-    List.iteri (fun idx v -> ta.(m - 1 - idx) <- v) !ts;
-    List.iteri (fun idx v -> ka.(m - 1 - idx) <- v) !ks;
-    List.iteri (fun idx v -> ca.(m - 1 - idx) <- v) !cs;
-    bt.(j) <- ta;
-    bi.(j) <- ka;
-    bc.(j) <- ca
-  done;
+  (* Flatten the nonzero coupling entries, grouped by term, then output
+     block j, then input block k. *)
+  let mix_ptr = Array.make ((nterms * size) + 1) 0 in
+  let ins = ref [] and coefs = ref [] and cnt = ref 0 in
+  let term_blocks =
+    Array.init nterms (fun ti ->
+        let r = ranks.(ti) in
+        let blocks = ref [] in
+        for j = 0 to size - 1 do
+          let before = !cnt in
+          for k = 0 to size - 1 do
+            let c = Polychaos.Triple_product.value tp r j k in
+            if Util.Floats.nonzero c then begin
+              ins := k :: !ins;
+              coefs := c :: !coefs;
+              incr cnt
+            end
+          done;
+          if !cnt > before then blocks := j :: !blocks;
+          mix_ptr.((ti * size) + j + 1) <- !cnt
+        done;
+        Array.of_list (List.rev !blocks))
+  in
   {
     n;
     size;
     domains = Util.Parallel.resolve domains;
     terms = term_mats;
-    block_terms = bt;
-    block_inputs = bi;
-    block_coefs = bc;
-    coupling_nnz = !coupling_nnz;
+    mix_ptr;
+    mix_in = Array.of_list (List.rev !ins);
+    mix_coef = Array.of_list (List.rev !coefs);
+    term_blocks;
+    mixed = Array.make (size * n) 0.0;
+    coupling_nnz = !cnt;
   }
 
 let gt ?domains (m : Stochastic_model.t) =
@@ -111,28 +115,59 @@ let nnz op =
 
 let domains op = op.domains
 
-let with_domains op d = { op with domains = Util.Parallel.resolve d }
+let with_domains op d =
+  { op with domains = Util.Parallel.resolve d; mixed = Array.make (op.size * op.n) 0.0 }
+
+(* m_j <- sum_k T(j,k) x_k over the pairs [e0, e1) (at least one), in
+   ascending k. *)
+let[@opera.hot] mix_block op x ~j e0 e1 =
+  let n = op.n and m = op.mixed in
+  let base = j * n in
+  let off = op.mix_in.(e0) * n and c = op.mix_coef.(e0) in
+  for i = 0 to n - 1 do
+    m.(base + i) <- c *. x.(off + i)
+  done;
+  for e = e0 + 1 to e1 - 1 do
+    let off = op.mix_in.(e) * n and c = op.mix_coef.(e) in
+    for i = 0 to n - 1 do
+      m.(base + i) <- m.(base + i) +. (c *. x.(off + i))
+    done
+  done
+
+(* Output blocks [lo, hi): zero them, then for each term mix the blocks
+   it reaches and apply its matrix to all of them in one pass. *)
+let[@opera.hot] apply_blocks op x y lo hi =
+  let n = op.n in
+  Array.fill y (lo * n) ((hi - lo) * n) 0.0;
+  for t = 0 to Array.length op.terms - 1 do
+    let blocks = op.term_blocks.(t) in
+    let a = ref 0 in
+    while !a < Array.length blocks && blocks.(!a) < lo do
+      incr a
+    done;
+    let b = ref !a in
+    while !b < Array.length blocks && blocks.(!b) < hi do
+      let j = blocks.(!b) in
+      let p = (t * op.size) + j in
+      mix_block op x ~j op.mix_ptr.(p) op.mix_ptr.(p + 1);
+      incr b
+    done;
+    Linalg.Sparse.mul_block_acc op.terms.(t) ~x:op.mixed ~y ~cols:blocks ~lo:!a ~hi:!b
+  done
 
 let[@opera.hot] apply_into op x y =
   let d = dim op in
   if Array.length x <> d || Array.length y <> d then
     invalid_arg "Galerkin_op.apply_into: dimension mismatch";
   if x == y then invalid_arg "Galerkin_op.apply_into: x and y must be distinct";
-  let n = op.n in
   (* One counter bump and one timed span per operator application, on the
-     calling domain only: the worker domains spawned by [parallel_for]
+     calling domain only: the worker domains spawned by [for_chunks]
      never touch the registry. *)
   Util.Metrics.incr Util.Metrics.global "galerkin_op.matvecs";
   Util.Metrics.span Util.Metrics.global "galerkin_op.matvec_s" (fun () ->
-      (* opera-lint: race — j owns slice y[j*n,(j+1)*n); x is read-only *)
-      Util.Parallel.parallel_for ~domains:op.domains op.size (fun j ->
-          let yoff = j * n in
-          Array.fill y yoff n 0.0;
-          let ts = op.block_terms.(j) and ks = op.block_inputs.(j) and cs = op.block_coefs.(j) in
-          for e = 0 to Array.length ts - 1 do
-            Linalg.Sparse.mul_vec_acc_off ~alpha:cs.(e) op.terms.(ts.(e)) x ~xoff:(ks.(e) * n) y
-              ~yoff
-          done))
+      (* opera-lint: race — a chunk owns output blocks [lo, hi) of y and of op.mixed; x is read-only *)
+      Util.Parallel.for_chunks ~domains:op.domains op.size (fun ~chunk:_ ~lo ~hi ->
+          apply_blocks op x y lo hi))
 
 let apply op x =
   let y = Array.make (dim op) 0.0 in

@@ -9,15 +9,20 @@
 
     [y_j = sum_r sum_k T_r(j,k) A_r x_k]
 
-    — block [j] of the output touches only the coupling entries
-    [(r, j, k)] with [E(psi_r psi_j psi_k) <> 0], each one an
-    allocation-free [Sparse.mul_vec_acc_off] on flat block slices.
-    Storage is [O(sum_r nnz(A_r) + coupling entries)], independent of the
-    Kronecker fill; no [Sparse.kron] is ever called.
+    — computed as [y_j = sum_r A_r m_rj] with the mixed inputs
+    [m_rj = sum_k T_r(j,k) x_k] over the coupling entries
+    [E(psi_r psi_j psi_k) <> 0].  Each term matrix is read once per
+    apply: its mixed blocks go through one allocation-free
+    [Sparse.mul_block_acc] on flat block slices.  Storage is
+    [O(sum_r nnz(A_r) + coupling entries)] plus one [(N+1) n] mixing
+    scratch, independent of the Kronecker fill; no [Sparse.kron] is
+    ever called.
 
-    Output blocks are disjoint, so the apply parallelizes over chaos
-    blocks with {!Util.Parallel} — results are bitwise identical for any
-    domain count because each block's summation order never changes. *)
+    Output blocks are disjoint, so the apply splits them across domains
+    with {!Util.Parallel} — results are bitwise identical for any domain
+    count because each block's summation order never changes.  An
+    operator owns its mixing scratch: apply one operator from one
+    thread at a time ({!with_domains} makes another). *)
 
 type t
 
@@ -69,4 +74,5 @@ val domains : t -> int
 (** The resolved domain count used by {!apply_into}. *)
 
 val with_domains : t -> int -> t
-(** Same operator, different domain count (cheap; shares all tables). *)
+(** Same operator, different domain count (shares all tables; gets its
+    own mixing scratch). *)

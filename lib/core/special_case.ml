@@ -48,12 +48,17 @@ let excitation_term t k =
   | _ -> (* mixed indices never receive single-variable lognormal content *) ());
   u
 
-(* The N+1 decoupled blocks share two factorizations and nothing else:
-   each block k owns its state x.(k), its slice of [coefs] and (inside a
-   chunk) its scratch, so the per-step block loop runs chunked across
-   domains.  The shared factors are applied through the
-   workspace-explicit solve; the drain profile of the step is computed
-   once, sequentially, before the parallel region. *)
+(* The N+1 decoupled blocks share two factorizations and nothing else,
+   so each step is one block solve: the right-hand sides of all blocks
+   are staged column by column in [rhs] ([u_k], plus [C x_k / h] from
+   one block product on the previous states), then one multi-vector
+   triangular solve against [fdc] (DC) or [fbe] (every step) writes the
+   new states straight into [coefs] — which is also the state the next
+   step reads.  Domains split the blocks into column chunks, each with
+   its own triangular workspace; every column is bitwise the
+   single-vector solve, so results do not depend on the domain count.
+   The drain profile of the step is computed once, sequentially, before
+   the parallel region. *)
 let run_decoupled ?(domains = 0) ?(metrics = Util.Metrics.global) ?factors t ~h ~steps ~probes
     ~record =
   let n = t.mna.Powergrid.Mna.n in
@@ -80,21 +85,27 @@ let run_decoupled ?(domains = 0) ?(metrics = Util.Metrics.global) ?factors t ~h 
   in
   let static = Array.init size (excitation_term t) in
   let drain = Linalg.Vec.create n in
-  (* Per-block state across time. *)
-  let x = Array.init size (fun _ -> Linalg.Vec.create n) in
+  (* Block states across time ([coefs], block k at [k * n]) and the
+     staged right-hand sides. *)
   let coefs = Array.make (size * n) 0.0 in
+  let rhs = Array.make (size * n) 0.0 in
+  let cols = Array.init size Fun.id in
   let d = Util.Parallel.resolve domains in
   let chunks = Int.max 1 (Int.min d size) in
-  (* Blocks are decoupled, so parallelism goes across blocks first;
-     with a single block the spare domains level-schedule the
-     triangular sweeps inside each factor solve instead. *)
-  let inner_domains = if chunks > 1 then 1 else d in
-  let u_bufs = Array.init chunks (fun _ -> Linalg.Vec.create n) in
-  let work_bufs = Array.init chunks (fun _ -> Linalg.Vec.create n) in
-  let fill_u u_k k =
-    Array.blit static.(k) 0 u_k 0 n;
-    (* Rank 0 carries the deterministic drain profile of the step. *)
-    if k = 0 then Linalg.Vec.axpy ~alpha:1.0 drain u_k
+  let width = (size + chunks - 1) / chunks in
+  let work =
+    Array.init chunks (fun _ ->
+        Array.make (Linalg.Sparse_cholesky.block_work_dim fdc ~k:width) 0.0)
+  in
+  let stage_u lo hi =
+    for k = lo to hi - 1 do
+      Array.blit static.(k) 0 rhs (k * n) n;
+      (* Rank 0 carries the deterministic drain profile of the step. *)
+      if k = 0 then
+        for i = 0 to n - 1 do
+          rhs.(i) <- rhs.(i) +. drain.(i)
+        done
+    done
   in
   let set_drain time =
     Linalg.Vec.fill drain 0.0;
@@ -102,33 +113,23 @@ let run_decoupled ?(domains = 0) ?(metrics = Util.Metrics.global) ?factors t ~h 
   in
   (* DC initial condition per block. *)
   set_drain 0.0;
-  (* opera-lint: race — fill_u writes only the chunk-owned u_k buffer *)
+  (* opera-lint: race — a chunk writes only blocks [lo, hi) of rhs and coefs *)
   Util.Parallel.for_chunks ~domains:d size (fun ~chunk ~lo ~hi ->
-      let u_k = u_bufs.(chunk) and work = work_bufs.(chunk) in
-      for k = lo to hi - 1 do
-        fill_u u_k k;
-        Array.blit u_k 0 x.(k) 0 n;
-        Linalg.Sparse_cholesky.solve_in_place_ws fdc ~domains:inner_domains ~work x.(k);
-        Array.blit x.(k) 0 coefs (k * n) n
-      done);
+      stage_u lo hi;
+      Linalg.Sparse_cholesky.solve_block_ws fdc ~work:work.(chunk) ~cols ~lo ~hi ~src:rhs
+        ~dst:coefs);
   record 0 coefs;
   for step = 1 to steps do
     let time = float_of_int step *. h in
     let span = Util.Metrics.start_span () in
     set_drain time;
-    (* opera-lint: race — fill_u writes only the chunk-owned u_k buffer *)
+    (* opera-lint: race — a chunk writes only blocks [lo, hi) of rhs and coefs *)
     Util.Parallel.for_chunks ~domains:d size (fun ~chunk ~lo ~hi ->
-        let u_k = u_bufs.(chunk) and work = work_bufs.(chunk) in
-        for k = lo to hi - 1 do
-          fill_u u_k k;
-          let xk = x.(k) in
-          (* rhs = u_k + (C/h) x_k, built allocation-free in x_k's slot:
-             stage u_k, then accumulate the capacitance product. *)
-          Linalg.Sparse.mul_vec_acc ~alpha:(1.0 /. h) c xk u_k;
-          Array.blit u_k 0 xk 0 n;
-          Linalg.Sparse_cholesky.solve_in_place_ws fbe ~domains:inner_domains ~work xk;
-          Array.blit xk 0 coefs (k * n) n
-        done);
+        (* rhs_k = u_k + (C/h) x_k, then x_k <- (G + C/h)^-1 rhs_k *)
+        stage_u lo hi;
+        Linalg.Sparse.mul_block_acc ~alpha:(1.0 /. h) c ~x:coefs ~y:rhs ~cols ~lo ~hi;
+        Linalg.Sparse_cholesky.solve_block_ws fbe ~work:work.(chunk) ~cols ~lo ~hi ~src:rhs
+          ~dst:coefs);
     ignore (Util.Metrics.stop_span metrics "special.step_s" span);
     record step coefs
   done;

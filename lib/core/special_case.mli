@@ -41,9 +41,12 @@ val solve :
   probes:int array ->
   Response.t * float
 (** Decoupled solves: one factorization, [ (N+1) * steps ] triangular
-    solves. Returns the response and elapsed seconds.  The [N+1]
-    independent block solves of each step run chunked across [domains]
-    ({!Util.Parallel.resolve} convention: [0] = [OPERA_DOMAINS]
+    solves, made as one block solve per step
+    ({!Linalg.Sparse_cholesky.solve_block_ws}: one pass over the factor
+    for all [N+1] blocks, each block bitwise its single solve), with the
+    [C x_k / h] products as one block product.  Returns the response
+    and elapsed seconds.  [domains] splits the blocks into column
+    chunks ({!Util.Parallel.resolve} convention: [0] = [OPERA_DOMAINS]
     environment variable, default sequential); results are identical for
     any domain count.
 

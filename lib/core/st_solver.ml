@@ -2,9 +2,10 @@
    well-chosen testing points, solve each point as an ordinary
    deterministic system, and recover the Galerkin-layout coefficients
    through the dense inverse-Vandermonde transform.  The point solves
-   are embarrassingly parallel and share their factors or mean solver
-   read-only, so the whole backend rides the transient hot path's
-   kernel discipline: per-chunk scratch, disjoint output slices,
+   share their factors or mean solver read-only — the points iterating
+   against the mean solver run in lockstep, one block apply per round —
+   so the whole backend rides the transient hot path's kernel
+   discipline: per-chunk workspaces, disjoint output slices,
    bitwise-identical results at any domain count. *)
 
 type points = {
@@ -102,6 +103,11 @@ let select_points ?(candidates = 0) ?(seed = default_seed) basis =
   let inv = Linalg.Lu.inverse (Linalg.Lu.factor vand) in
   { basis; pts; vand; inv }
 
+let spans ?(seed = default_seed) basis candidates =
+  match select_points ~candidates ~seed basis with
+  | _ -> true
+  | exception Invalid_argument _ -> false
+
 (* ---- per-point operators and excitations ----------------------------- *)
 
 let nominal (m : Stochastic_model.t) terms =
@@ -192,111 +198,238 @@ let checked_ms ~options (m : Stochastic_model.t) ~count = function
       if kind = Linalg.Precond.Cholesky then count ();
       Linalg.Precond.make ~ordering:options.ordering kind (mean_g m)
 
-(* Per-chunk scratch of the point solves, allocated once per sweep.
-   [resid] is the stationary residual and the fallback's
-   triangular-solve workspace; [krylov] carries the CG workspace and the
-   operator / preconditioner outputs, present exactly when the shared
-   mean solver is approximate — the property that picks the route. *)
-type scratch = {
-  resid : Linalg.Vec.t;
-  krylov : (Linalg.Cg.workspace * Linalg.Vec.t * Linalg.Vec.t) option;
+(* ---- lockstep point solves ---------------------------------------------
+
+   Every testing point iterates against the same mean solver, so the
+   points of a chunk run in lockstep: each round, every point still
+   running takes its own step up to the point where it needs
+   [M^-1 r], stages [r] as its column of [stage], and one block apply
+   of the mean solver serves them all.  A point keeps its own vectors,
+   scalars, iteration count and stopping test; its arithmetic is
+   operation for operation the single-point iteration's, and the block
+   apply is bitwise the single apply, so a point's result does not
+   depend on which points ran beside it or on the domain count.
+   Against the exact factor the iteration is stationary refinement
+   [x <- x + M^-1 (b - G(xi) x)], whose contraction rate is the
+   spectral radius of [I - G(0)^-1 G(xi)] ~ O(sigma |xi|); against an
+   approximate mean solver (AMG V-cycles, IC(0)) it is PCG, which
+   converges on the preconditioned spectrum where a stationary
+   iteration would contract only as fast as the preconditioner
+   alone. *)
+
+type lockstep = {
+  ln : int;
+  krylov : bool;  (* approximate mean solver: PCG; exact: refinement *)
+  stage : Linalg.Vec.t;  (* size * n: point i's column for the shared apply *)
+  resid : Linalg.Vec.t array;  (* per point: residual r *)
+  dir : Linalg.Vec.t array;  (* per point: CG direction p (PCG only) *)
+  prod : Linalg.Vec.t array;  (* per point: A p (PCG only) *)
+  bnorm : float array;
+  rz : float array;
+  rnorm : float array;
+  iters : int array;
+  active : int array array;  (* per chunk: points in the next shared apply *)
+  bws : Linalg.Precond.block_ws array;  (* per chunk *)
 }
 
-let create_scratch ms n =
+let create_lockstep ms ~size ~n ~chunks =
+  let krylov = Linalg.Precond.backend ms <> Linalg.Precond.Cholesky in
+  let per_point () = Array.init size (fun _ -> Array.make n 0.0) in
+  let width = (size + chunks - 1) / chunks in
   {
-    resid = Array.make n 0.0;
-    krylov =
-      (match Linalg.Precond.backend ms with
-      | Linalg.Precond.Cholesky -> None
-      | _ -> Some (Linalg.Cg.workspace_create n, Array.make n 0.0, Array.make n 0.0));
+    ln = n;
+    krylov;
+    stage = Array.make (size * n) 0.0;
+    resid = per_point ();
+    dir = (if krylov then per_point () else [||]);
+    prod = (if krylov then per_point () else [||]);
+    bnorm = Array.make size 0.0;
+    rz = Array.make size 0.0;
+    rnorm = Array.make size 0.0;
+    iters = Array.make size 0;
+    active = Array.init chunks (fun _ -> Array.make width 0);
+    bws = Array.init chunks (fun _ -> Linalg.Precond.create_block_ws ms ~k:width);
   }
 
-(* Stationary refinement against the exact mean factor: start from
-   [M^{-1} b] (or the caller's iterate when [warm]), then
-   [x <- x + M^{-1} r] until the relative residual meets [tol].  The
-   contraction rate is the spectral radius of [I - G(0)^{-1} G(xi)] ~
-   O(sigma |xi|), so a handful of sweeps suffice. *)
-let stationary_refine ~warm ~ms ~msws ~tol ~max_refine ~g ~b ~bnorm ~resid x =
-  let n = Array.length b in
+let stage_in ls i v = Array.blit v 0 ls.stage (i * ls.ln) ls.ln
+
+(* Stationary refinement of the [m] points listed in [act]: start from
+   [M^-1 b] (or the point's iterate when [warm]), then
+   [x <- x + M^-1 r] until the relative residual meets [tol] or
+   [max_refine] sweeps are spent. *)
+let refine_lockstep ls ~ms ~bws ~act ~m ~warm ~tol ~max_refine ~g ~b ~x =
+  let n = ls.ln and stage = ls.stage in
+  let apply k = Linalg.Precond.apply_block ms bws ~src:stage ~dst:stage ~cols:act ~lo:0 ~hi:k in
   if not warm then begin
-    Array.blit b 0 x 0 n;
-    Linalg.Precond.apply_in_place ms msws x
+    for a = 0 to m - 1 do
+      stage_in ls act.(a) b.(act.(a))
+    done;
+    apply m;
+    for a = 0 to m - 1 do
+      let i = act.(a) in
+      Array.blit stage (i * n) x.(i) 0 n
+    done
   end;
-  let sweeps = ref 0 and rn = ref 0.0 and converged = ref (Util.Floats.is_zero bnorm) in
-  let running = ref (not !converged) in
-  while !running do
-    Array.blit b 0 resid 0 n;
-    Linalg.Sparse.mul_vec_acc ~alpha:(-1.0) g x resid;
-    rn := Linalg.Vec.norm2 resid;
-    if !rn <= tol *. bnorm then begin
-      converged := true;
-      running := false
-    end
-    else if !sweeps >= max_refine then running := false
-    else begin
-      Linalg.Precond.apply_in_place ms msws resid;
-      Linalg.Vec.axpy ~alpha:1.0 resid x;
-      incr sweeps
+  let running = ref 0 in
+  for a = 0 to m - 1 do
+    let i = act.(a) in
+    ls.bnorm.(i) <- Linalg.Vec.norm2 b.(i);
+    ls.iters.(i) <- 0;
+    ls.rnorm.(i) <- 0.0;
+    if not (Util.Floats.is_zero ls.bnorm.(i)) then begin
+      act.(!running) <- i;
+      incr running
     end
   done;
-  (!sweeps, !rn, !converged)
+  while !running > 0 do
+    let next = ref 0 in
+    for a = 0 to !running - 1 do
+      let i = act.(a) in
+      let r = ls.resid.(i) in
+      Array.blit b.(i) 0 r 0 n;
+      Linalg.Sparse.mul_vec_acc ~alpha:(-1.0) g.(i) x.(i) r;
+      let rn = Linalg.Vec.norm2 r in
+      ls.rnorm.(i) <- rn;
+      if rn > tol *. ls.bnorm.(i) && ls.iters.(i) < max_refine then begin
+        stage_in ls i r;
+        act.(!next) <- i;
+        incr next
+      end
+    done;
+    apply !next;
+    for a = 0 to !next - 1 do
+      let i = act.(a) in
+      let xi = x.(i) and off = i * n in
+      for j = 0 to n - 1 do
+        xi.(j) <- xi.(j) +. stage.(off + j)
+      done;
+      ls.iters.(i) <- ls.iters.(i) + 1
+    done;
+    running := !next
+  done
 
-(* PCG preconditioned by an approximate mean solver (AMG V-cycles,
-   IC(0)): a stationary iteration would contract only as fast as the
-   preconditioner alone, while CG converges on the preconditioned
-   spectrum.  The point's current state is the warm start (zero when
-   cold); [max_refine] caps the iterations. *)
-let pcg_solve ~warm ~ms ~msws ~tol ~max_refine ~g ~b (cg, ap, z) x =
-  let n = Array.length b in
-  if not warm then Linalg.Vec.fill x 0.0;
-  let matvec p =
-    Linalg.Sparse.mul_vec_into g p ap;
-    ap
-  in
-  let precond r =
-    Array.blit r 0 z 0 n;
-    Linalg.Precond.apply_in_place ms msws z;
-    z
-  in
-  let report =
-    Linalg.Cg.solve_report_in_place ~precond ~max_iter:max_refine ~tol ~ws:cg ~matvec ~b ~x ()
-  in
-  Linalg.Solve_report.(report.iterations, report.residual_norm, report.converged)
-
-(* One point's solve against the shared mean solver: stationary
-   refinement when it is the exact factor, PCG when it is approximate.
-   Points that miss the tolerance within [max_refine] sweeps (or
-   iterations) fall back to their own factorization (returned so the
-   caller can count it — and reuse it).  Everything writes chunk-local
-   or point-owned buffers only. *)
-let refine_point ?(warm = false) ~ms ~msws ~ordering ~tol ~max_refine ~g ~b ~scratch x =
-  let n = Array.length b in
-  let t0 = Util.Timer.start () in
-  let bnorm = Linalg.Vec.norm2 b in
-  let solver, (iterations, rn, converged) =
-    match scratch.krylov with
-    | None ->
-        ( "st-refine",
-          stationary_refine ~warm ~ms ~msws ~tol ~max_refine ~g ~b ~bnorm ~resid:scratch.resid x
-        )
-    | Some k -> ("st-pcg", pcg_solve ~warm ~ms ~msws ~tol ~max_refine ~g ~b k x)
-  in
-  let fell_back =
-    if converged then None
-    else begin
-      (* A tail point whose G(xi) drifted too far from the mean: factor it
-         directly so the returned state always meets the tolerance. *)
-      let fi = Linalg.Sparse_cholesky.factor ~ordering g in
-      Array.blit b 0 x 0 n;
-      Linalg.Sparse_cholesky.solve_in_place_ws fi ~work:scratch.resid x;
-      Some fi
+(* PCG of the [m] points listed in [act], each from its current state
+   (zero when not [warm]) with [max_refine] iterations at most: the
+   iteration of {!Linalg.Cg.solve_report_in_place} with its
+   preconditioner applies gathered into block applies.  [M^-1 r] comes
+   back in the point's column of [stage]. *)
+let pcg_lockstep ls ~ms ~bws ~act ~m ~warm ~tol ~max_refine ~g ~b ~x =
+  let n = ls.ln and stage = ls.stage in
+  let running = ref 0 in
+  for a = 0 to m - 1 do
+    let i = act.(a) in
+    let xi = x.(i) and r = ls.resid.(i) and ap = ls.prod.(i) in
+    if not warm then Linalg.Vec.fill xi 0.0;
+    let bnorm = Linalg.Vec.norm2 b.(i) in
+    ls.bnorm.(i) <- bnorm;
+    ls.iters.(i) <- 0;
+    if Util.Floats.is_zero bnorm then begin
+      (* the exact solution of a zero right-hand side *)
+      Linalg.Vec.fill xi 0.0;
+      ls.rnorm.(i) <- 0.0
     end
-  in
-  let report =
-    Linalg.Solve_report.make ~solver ~iterations ~residual_norm:rn ~rhs_norm:bnorm ~tol
-      ~converged ~wall_seconds:(Util.Timer.elapsed_s t0) ()
-  in
-  (report, fell_back)
+    else begin
+      Linalg.Sparse.mul_vec_into g.(i) xi ap;
+      let bi = b.(i) in
+      for j = 0 to n - 1 do
+        r.(j) <- bi.(j) -. ap.(j)
+      done;
+      stage_in ls i r;
+      act.(!running) <- i;
+      incr running
+    end
+  done;
+  while !running > 0 do
+    Linalg.Precond.apply_block ms bws ~src:stage ~dst:stage ~cols:act ~lo:0 ~hi:!running;
+    let next = ref 0 in
+    for a = 0 to !running - 1 do
+      let i = act.(a) in
+      let r = ls.resid.(i) and p = ls.dir.(i) and off = i * n in
+      let rz' = ref 0.0 in
+      for j = 0 to n - 1 do
+        rz' := !rz' +. (r.(j) *. stage.(off + j))
+      done;
+      if ls.iters.(i) = 0 then begin
+        Array.blit stage off p 0 n;
+        ls.rz.(i) <- !rz';
+        ls.rnorm.(i) <- Linalg.Vec.norm2 r
+      end
+      else begin
+        let beta = !rz' /. ls.rz.(i) in
+        ls.rz.(i) <- !rz';
+        for j = 0 to n - 1 do
+          p.(j) <- stage.(off + j) +. (beta *. p.(j))
+        done
+      end;
+      let target = tol *. ls.bnorm.(i) in
+      if ls.rnorm.(i) > target && ls.iters.(i) < max_refine then begin
+        ls.iters.(i) <- ls.iters.(i) + 1;
+        let ap = ls.prod.(i) in
+        Linalg.Sparse.mul_vec_into g.(i) p ap;
+        let alpha = ls.rz.(i) /. Linalg.Vec.dot p ap in
+        Linalg.Vec.axpy ~alpha p x.(i);
+        Linalg.Vec.axpy ~alpha:(-.alpha) ap r;
+        let rn = Linalg.Vec.norm2 r in
+        ls.rnorm.(i) <- rn;
+        if rn > target then begin
+          stage_in ls i r;
+          act.(!next) <- i;
+          incr next
+        end
+      end
+    done;
+    running := !next
+  done
+
+(* Solve the points [lo, hi) of one chunk in lockstep, then settle each:
+   a point that missed the tolerance within [max_refine] sweeps (or
+   iterations) falls back to its own factorization (kept in
+   [fallback.(i)] so the caller can count it — and reuse it), and gets
+   its report in [reports.(i)].  [skip i] excludes points the caller
+   solves otherwise.  Everything writes point-owned slots or the
+   chunk's own workspace only. *)
+let solve_points ls ~ms ~chunk ~lo ~hi ~skip ~warm ~ordering ~tol ~max_refine ~g ~b ~x ~reports
+    ~fallback =
+  let t0 = Util.Timer.start () in
+  let act = ls.active.(chunk) and bws = ls.bws.(chunk) in
+  let m = ref 0 in
+  for i = lo to hi - 1 do
+    if not (skip i) then begin
+      act.(!m) <- i;
+      incr m
+    end
+  done;
+  let m = !m in
+  if ls.krylov then pcg_lockstep ls ~ms ~bws ~act ~m ~warm ~tol ~max_refine ~g ~b ~x
+  else refine_lockstep ls ~ms ~bws ~act ~m ~warm ~tol ~max_refine ~g ~b ~x;
+  (* The chunk's wall time, shared out evenly over its points. *)
+  let wall = Util.Timer.elapsed_s t0 /. float_of_int (Int.max m 1) in
+  for i = lo to hi - 1 do
+    if not (skip i) then begin
+      (* [rnorm] is 0 for a zero right-hand side, so this is each
+         route's own stopping test. *)
+      let converged = ls.rnorm.(i) <= tol *. ls.bnorm.(i) in
+      let fell_back =
+        if converged then None
+        else begin
+          (* A tail point whose G(xi) drifted too far from the mean: factor
+             it directly so the returned state always meets the tolerance. *)
+          let fi = Linalg.Sparse_cholesky.factor ~ordering g.(i) in
+          Array.blit b.(i) 0 x.(i) 0 ls.ln;
+          Linalg.Sparse_cholesky.solve_in_place_ws fi ~work:ls.resid.(i) x.(i);
+          Some fi
+        end
+      in
+      if Option.is_some fell_back then fallback.(i) <- fell_back;
+      reports.(i) <-
+        Some
+          ( Linalg.Solve_report.make
+              ~solver:(if ls.krylov then "st-pcg" else "st-refine")
+              ~iterations:ls.iters.(i) ~residual_norm:ls.rnorm.(i) ~rhs_norm:ls.bnorm.(i) ~tol
+              ~converged ~wall_seconds:wall (),
+            fell_back )
+    end
+  done
 
 (* Coefficient recovery: block k of [coefs] is [sum_i inv(k,i) x_i],
    chunked over blocks with disjoint writes (i ascends in a fixed order,
@@ -338,27 +471,22 @@ let settle_reports ~metrics ~agg reports =
   if !fallbacks > 0 then Util.Metrics.incr ~by:!fallbacks metrics "st.fallbacks";
   (!sweeps, !fallbacks)
 
-(* Fan the N+1 points across domains.  [chunks > 1] forces the inner
-   triangular sweeps sequential (each domain owns whole points); with a
-   single chunk the spare domains level-schedule inside the solves —
-   the same split as the mean-block preconditioner. *)
+(* Fan the N+1 points across domains: each chunk runs its points in
+   lockstep against the shared mean solver with its own block
+   workspace (the same split as the mean-block preconditioner). *)
 let point_dc_sweep ~options ~ms ~g_pts ~b_pts ~x_pts reports =
   let size = Array.length g_pts in
   let n = Array.length b_pts.(0) in
   let d = Util.Parallel.resolve options.domains in
   let chunks = Int.max 1 (Int.min d size) in
-  let msws = Array.init chunks (fun _ -> Linalg.Precond.create_ws ms) in
-  let scratch = Array.init chunks (fun _ -> create_scratch ms n) in
+  let ls = create_lockstep ms ~size ~n ~chunks in
+  let fallback = Array.make size None in
   let tol = options.refine_tol and max_refine = options.refine_max in
   let ordering = options.ordering in
+  (* opera-lint: race — a chunk writes only the slots of its own points and its own workspace *)
   Util.Parallel.for_chunks ~domains:d size (fun ~chunk ~lo ~hi ->
-      for i = lo to hi - 1 do
-        let r =
-          refine_point ~ms ~msws:msws.(chunk) ~ordering ~tol ~max_refine ~g:g_pts.(i)
-            ~b:b_pts.(i) ~scratch:scratch.(chunk) x_pts.(i)
-        in
-        reports.(i) <- Some r
-      done)
+      solve_points ls ~ms ~chunk ~lo ~hi ~skip:(fun _ -> false) ~warm:false ~ordering ~tol
+        ~max_refine ~g:g_pts ~b:b_pts ~x:x_pts ~reports ~fallback)
 
 (* ---- DC ---------------------------------------------------------------- *)
 
@@ -471,10 +599,15 @@ let solve_transient ?(options = default_options) ?points ?f0 ?fstep
   in
   let d = Util.Parallel.resolve options.domains in
   let chunks = Int.max 1 (Int.min d size) in
+  (* Right-hand-side buffers: one per chunk on the exact route, one per
+     point on the approximate route (each point's CG keeps its own rhs
+     through the lockstep). *)
   let work =
     if Option.is_some fstep then Array.init chunks (fun _ -> Array.make n 0.0) else [||]
   in
-  let ubuf = Array.init chunks (fun _ -> Array.make n 0.0) in
+  let ubuf =
+    Array.init (if Option.is_some fstep then chunks else size) (fun _ -> Array.make n 0.0)
+  in
   let x_pts = Array.init size (fun _ -> Array.make n 0.0) in
   let coefs = Array.make (size * n) 0.0 in
   let drain_buf = Array.make n 0.0 in
@@ -495,13 +628,7 @@ let solve_transient ?(options = default_options) ?points ?f0 ?fstep
      state x_i carries across steps — the warm start is structural.  The
      drain profile is shared read-only; every write inside the fan-out
      lands in point-owned or chunk-owned buffers / slots. *)
-  let msws_step, scratch_step =
-    match mstep with
-    | Some msp ->
-        ( Array.init chunks (fun _ -> Linalg.Precond.create_ws msp),
-          Array.init chunks (fun _ -> create_scratch msp n) )
-    | None -> ([||], [||])
-  in
+  let step_ls = Option.map (fun msp -> create_lockstep msp ~size ~n ~chunks) mstep in
   (* A point whose iterative solve broke down keeps its direct factor
      for the remaining steps instead of re-failing every step. *)
   let fallback_f = Array.make size None in
@@ -524,27 +651,23 @@ let solve_transient ?(options = default_options) ?points ?f0 ?fstep
               Linalg.Sparse_cholesky.solve_in_place_ws fstep.(i) ~work:wk x_pts.(i)
             done)
     | None ->
-        let msp = Option.get mstep in
-        (* opera-lint: race — drain_buf is read-only inside (axpy source); x_pts / step_reports / fallback_f writes land in per-point slots disjoint across chunks *)
+        let msp = Option.get mstep and ls = Option.get step_ls in
+        let has_factor i = Option.is_some fallback_f.(i) in
+        (* opera-lint: race — drain_buf is read-only inside (axpy source); ubuf / x_pts / step_reports / fallback_f writes land in per-point slots disjoint across chunks *)
         Util.Parallel.for_chunks ~domains:d size (fun ~chunk ~lo ~hi ->
-            let u = ubuf.(chunk) and scratch = scratch_step.(chunk) in
             for i = lo to hi - 1 do
+              let u = ubuf.(i) in
               Array.blit static_pts.(i) 0 u 0 n;
               Linalg.Vec.axpy ~alpha:dcoef_pts.(i) drain_buf u;
               Linalg.Sparse.mul_vec_acc ~alpha:(1.0 /. h) c_pts.(i) x_pts.(i) u;
               match fallback_f.(i) with
               | Some fi ->
                   Array.blit u 0 x_pts.(i) 0 n;
-                  Linalg.Sparse_cholesky.solve_in_place_ws fi ~work:scratch.resid x_pts.(i)
-              | None ->
-                  let r =
-                    refine_point ~warm:true ~ms:msp ~msws:msws_step.(chunk) ~ordering ~tol
-                      ~max_refine ~g:a_pts.(i) ~b:u ~scratch x_pts.(i)
-                  in
-                  step_reports.(i) <- Some r;
-                  let _, fb = r in
-                  if Option.is_some fb then fallback_f.(i) <- fb
-            done);
+                  Linalg.Sparse_cholesky.solve_in_place_ws fi ~work:ls.resid.(i) x_pts.(i)
+              | None -> ()
+            done;
+            solve_points ls ~ms:msp ~chunk ~lo ~hi ~skip:has_factor ~warm:true ~ordering ~tol
+              ~max_refine ~g:a_pts ~b:ubuf ~x:x_pts ~reports:step_reports ~fallback:fallback_f);
         let s, f = settle_reports ~metrics ~agg step_reports in
         sweeps := !sweeps + s;
         fallbacks := !fallbacks + f;

@@ -19,19 +19,24 @@
       converges by iterative refinement
       [x <- x + G(0)^{-1} (b - G(xi_i) x)]; against an approximate mean
       solver (AMG, IC(0)) each point is solved by CG preconditioned with
-      it.  A point that misses the tolerance within [refine_max] sweeps
-      or iterations falls back to its own factorization (counted in
-      [stats.health]).
+      it.  The points iterate in lockstep: each keeps its own vectors,
+      scalars, iteration count and stopping test, and one block apply
+      of the mean solver ({!Linalg.Precond.apply_block}) serves every
+      point still running, so each point's result is bitwise its
+      single-point iteration's.  A point that misses the tolerance
+      within [refine_max] sweeps or iterations falls back to its own
+      factorization (counted in [stats.health]).
     - Transient: on the exact route, one factorization of
       [G(xi_i) + C(xi_i)/h] {e per point}, reused across every
       backward-Euler step; each step is one level-scheduled triangular
       solve per point, warm-started trivially because the point states
       carry across steps.  On an approximate route, one mean
       stepping-matrix solver preconditions a warm-started CG solve per
-      point per step.
+      point per step, the points again in lockstep.
 
-    Points fan out across {!Util.Parallel.for_chunks} with per-chunk
-    scratch; results are bitwise identical for any domain count.  All
+    Points fan out across {!Util.Parallel.for_chunks} in column chunks,
+    each chunk running its points in lockstep with its own block
+    workspace; results are bitwise identical for any domain count.  All
     moments, yield bounds and {!Response} plumbing downstream are
     backend-agnostic — the recovered coefficients use the same block
     layout as {!Galerkin}. *)
@@ -56,6 +61,11 @@ val select_points : ?candidates:int -> ?seed:int64 -> Polychaos.Basis.t -> point
     [(candidates, seed)].  Selection is modified Gram–Schmidt with
     exact ties broken toward the lower candidate index.  Raises
     [Invalid_argument] if the pool cannot span the basis. *)
+
+val spans : ?seed:int64 -> Polychaos.Basis.t -> int -> bool
+(** [spans basis candidates] holds when {!select_points} with that
+    candidate bound (and [seed]) finds [Basis.size] points — the check
+    behind the usage error for a too-small [st_candidates]. *)
 
 val mean_g : Stochastic_model.t -> Linalg.Sparse.t
 (** The nominal (rank-0) conductance matrix [G(0)] — what {!solve_dc}

@@ -34,22 +34,26 @@ let grouped_wire_matrices (circuit : Powergrid.Circuit.t) k =
     circuit.resistors;
   Array.map Linalg.Sparse_builder.to_csc builders
 
+let family_of (vm : Varmodel.t) =
+  match vm.family with
+  | Varmodel.Gaussian -> Polychaos.Family.hermite
+  | Varmodel.Uniform ->
+      if vm.mode = Varmodel.Combined then
+        invalid_arg
+          "Stochastic_model.build: the Combined (Eq. 14) reduction needs Gaussian closure; \
+           use Separate or Grouped_wires with Uniform variations";
+      Polychaos.Family.legendre
+
+let basis_of ?(order = 2) vm =
+  Polychaos.Basis.isotropic (family_of vm) ~dim:(Varmodel.dim vm) ~order
+
 let build ?(order = 2) ?tp (vm : Varmodel.t) ~vdd circuit =
   let mna = Powergrid.Mna.assemble circuit in
   let n = mna.Powergrid.Mna.n in
   let dim = Varmodel.dim vm in
   if vm.multiplicative_wt && vm.mode <> Varmodel.Separate then
     invalid_arg "Stochastic_model.build: multiplicative_wt needs Separate mode (xiW, xiT kept apart)";
-  let family =
-    match vm.family with
-    | Varmodel.Gaussian -> Polychaos.Family.hermite
-    | Varmodel.Uniform ->
-        if vm.mode = Varmodel.Combined then
-          invalid_arg
-            "Stochastic_model.build: the Combined (Eq. 14) reduction needs Gaussian closure; \
-             use Separate or Grouped_wires with Uniform variations";
-        Polychaos.Family.legendre
-  in
+  let family = family_of vm in
   let basis = Polychaos.Basis.isotropic family ~dim ~order in
   let tp =
     match tp with

@@ -20,6 +20,12 @@ type t = {
   vdd : float;
 }
 
+val basis_of : ?order:int -> Varmodel.t -> Polychaos.Basis.t
+(** The response basis {!build} expands in: the model's family
+    (Hermite for Gaussian variations, Legendre for uniform) over its
+    {!Varmodel.dim} variables, truncated at total degree [order]
+    (default 2).  Raises [Invalid_argument] where {!build} does. *)
+
 val build :
   ?order:int ->
   ?tp:(Polychaos.Basis.t -> Polychaos.Triple_product.t) ->

@@ -7,11 +7,12 @@
    fixed number of V(1,1)-cycles with weighted-Jacobi smoothing and a
    dense direct solve at the coarsest level.  The apply path is
    allocation-free: every level's solution / rhs / residual scratch
-   lives in a caller-owned {!ws}, so block-parallel users (the
-   mean-block preconditioner, the ST per-point solves) give each chunk
-   its own workspace and the per-block arithmetic is bitwise-identical
-   at any domain count — one application is a purely sequential pass
-   over the hierarchy.
+   lives in a caller-owned {!ws} (or, for {!apply_block}'s k-column
+   panels, {!block_ws}), so block-parallel users (the mean-block
+   preconditioner, the ST point solves) give each column chunk its own
+   workspace and the per-column arithmetic is bitwise-identical at any
+   domain count — one application is a purely sequential pass over the
+   hierarchy.
 
    Level storage is Bigarray-backed ({!Util.Codec.fsection} /
    {!Util.Codec.isection}) so a hierarchy decoded from a v2 artifact
@@ -519,6 +520,463 @@ let apply t w ~b ~x =
   cycle t w ~b ~x ~zero_x:true;
   for _c = 2 to t.ncycles do
     cycle t w ~b ~x ~zero_x:false
+  done
+
+(* ---- multi-vector V-cycle ----------------------------------------------
+
+   [apply_block] runs the same V(1,1)-cycles on k right-hand sides in
+   panels of up to [panel] columns.  Inside a panel of width [w] every
+   level keeps its vectors node-major — entry (i, c) at [i * w + c] —
+   so each entry of a level operator or prolongator, loaded once,
+   updates [w] adjacent slots.  The residual, restriction and
+   prolongation are unrolled for widths 6, 4, 3 and 2 with one float
+   register per column (a generic loop over the width measured slower
+   than single applies); width 1 is the single-vector kernels
+   themselves.  Per column every kernel performs the single-vector
+   kernel's operations in the same order, the residual's exact-zero
+   skip included, so each column equals {!apply} bit for bit. *)
+
+let panel = 6
+
+type block_ws = {
+  bk : int;  (* widest block this workspace serves *)
+  kx : float array array;  (* per-level solution, node-major [pn * panel] *)
+  kb : float array array;  (* per-level rhs *)
+  kr : float array array;  (* per-level residual *)
+  kc : float array;  (* coarse rhs / solution, [coarse_dim * panel] *)
+}
+
+let create_block_ws t ~k =
+  let k = Int.max k 1 in
+  let w = Int.min k panel in
+  let level l = Array.make (t.pls.(l).pn * w) 0.0 in
+  let nl = Array.length t.pls in
+  {
+    bk = k;
+    kx = Array.init nl level;
+    kb = Array.init nl level;
+    kr = Array.init nl level;
+    kc = Array.make (t.coarse_dim * w) 0.0;
+  }
+
+(* Column [j] of the residual, one panel column at a time with the
+   exact-zero skip: the fallback when a panel's [x_j] has a zero. *)
+let[@opera.hot] residual_column pl ~w ~x ~r j =
+  let k0 = Bigarray.Array1.unsafe_get pl.pcol j in
+  let k1 = Bigarray.Array1.unsafe_get pl.pcol (j + 1) in
+  for c = 0 to w - 1 do
+    let xj = x.((j * w) + c) in
+    if not (Util.Floats.equal_exact xj 0.0) then
+      for q = k0 to k1 - 1 do
+        let i = (Bigarray.Array1.unsafe_get pl.prow q * w) + c in
+        r.(i) <- r.(i) -. (Bigarray.Array1.unsafe_get pl.pval q *. xj)
+      done
+  done
+
+let[@opera.hot] residual_p6 pl ~b ~x ~r =
+  Array.blit b 0 r 0 (pl.pn * 6);
+  for j = 0 to pl.pn - 1 do
+    let k0 = Bigarray.Array1.unsafe_get pl.pcol j in
+    let k1 = Bigarray.Array1.unsafe_get pl.pcol (j + 1) in
+    let xb = j * 6 in
+    let x0 = x.(xb) in
+    let x1 = x.(xb + 1) in
+    let x2 = x.(xb + 2) in
+    let x3 = x.(xb + 3) in
+    let x4 = x.(xb + 4) in
+    let x5 = x.(xb + 5) in
+    if
+      (not (Util.Floats.equal_exact x0 0.0))
+      && (not (Util.Floats.equal_exact x1 0.0))
+      && (not (Util.Floats.equal_exact x2 0.0))
+      && (not (Util.Floats.equal_exact x3 0.0))
+      && (not (Util.Floats.equal_exact x4 0.0))
+      && (not (Util.Floats.equal_exact x5 0.0))
+    then
+      for q = k0 to k1 - 1 do
+        let rb = Bigarray.Array1.unsafe_get pl.prow q * 6 in
+        let v = Bigarray.Array1.unsafe_get pl.pval q in
+        r.(rb) <- r.(rb) -. (v *. x0);
+        r.(rb + 1) <- r.(rb + 1) -. (v *. x1);
+        r.(rb + 2) <- r.(rb + 2) -. (v *. x2);
+        r.(rb + 3) <- r.(rb + 3) -. (v *. x3);
+        r.(rb + 4) <- r.(rb + 4) -. (v *. x4);
+        r.(rb + 5) <- r.(rb + 5) -. (v *. x5)
+      done
+    else residual_column pl ~w:6 ~x ~r j
+  done
+
+let[@opera.hot] residual_p4 pl ~b ~x ~r =
+  Array.blit b 0 r 0 (pl.pn * 4);
+  for j = 0 to pl.pn - 1 do
+    let k0 = Bigarray.Array1.unsafe_get pl.pcol j in
+    let k1 = Bigarray.Array1.unsafe_get pl.pcol (j + 1) in
+    let xb = j * 4 in
+    let x0 = x.(xb) in
+    let x1 = x.(xb + 1) in
+    let x2 = x.(xb + 2) in
+    let x3 = x.(xb + 3) in
+    if
+      (not (Util.Floats.equal_exact x0 0.0))
+      && (not (Util.Floats.equal_exact x1 0.0))
+      && (not (Util.Floats.equal_exact x2 0.0))
+      && (not (Util.Floats.equal_exact x3 0.0))
+    then
+      for q = k0 to k1 - 1 do
+        let rb = Bigarray.Array1.unsafe_get pl.prow q * 4 in
+        let v = Bigarray.Array1.unsafe_get pl.pval q in
+        r.(rb) <- r.(rb) -. (v *. x0);
+        r.(rb + 1) <- r.(rb + 1) -. (v *. x1);
+        r.(rb + 2) <- r.(rb + 2) -. (v *. x2);
+        r.(rb + 3) <- r.(rb + 3) -. (v *. x3)
+      done
+    else residual_column pl ~w:4 ~x ~r j
+  done
+
+let[@opera.hot] residual_p3 pl ~b ~x ~r =
+  Array.blit b 0 r 0 (pl.pn * 3);
+  for j = 0 to pl.pn - 1 do
+    let k0 = Bigarray.Array1.unsafe_get pl.pcol j in
+    let k1 = Bigarray.Array1.unsafe_get pl.pcol (j + 1) in
+    let xb = j * 3 in
+    let x0 = x.(xb) in
+    let x1 = x.(xb + 1) in
+    let x2 = x.(xb + 2) in
+    if
+      (not (Util.Floats.equal_exact x0 0.0))
+      && (not (Util.Floats.equal_exact x1 0.0))
+      && (not (Util.Floats.equal_exact x2 0.0))
+    then
+      for q = k0 to k1 - 1 do
+        let rb = Bigarray.Array1.unsafe_get pl.prow q * 3 in
+        let v = Bigarray.Array1.unsafe_get pl.pval q in
+        r.(rb) <- r.(rb) -. (v *. x0);
+        r.(rb + 1) <- r.(rb + 1) -. (v *. x1);
+        r.(rb + 2) <- r.(rb + 2) -. (v *. x2)
+      done
+    else residual_column pl ~w:3 ~x ~r j
+  done
+
+let[@opera.hot] residual_p2 pl ~b ~x ~r =
+  Array.blit b 0 r 0 (pl.pn * 2);
+  for j = 0 to pl.pn - 1 do
+    let k0 = Bigarray.Array1.unsafe_get pl.pcol j in
+    let k1 = Bigarray.Array1.unsafe_get pl.pcol (j + 1) in
+    let xb = j * 2 in
+    let x0 = x.(xb) in
+    let x1 = x.(xb + 1) in
+    if
+      (not (Util.Floats.equal_exact x0 0.0))
+      && (not (Util.Floats.equal_exact x1 0.0))
+    then
+      for q = k0 to k1 - 1 do
+        let rb = Bigarray.Array1.unsafe_get pl.prow q * 2 in
+        let v = Bigarray.Array1.unsafe_get pl.pval q in
+        r.(rb) <- r.(rb) -. (v *. x0);
+        r.(rb + 1) <- r.(rb + 1) -. (v *. x1)
+      done
+    else residual_column pl ~w:2 ~x ~r j
+  done
+
+let[@opera.hot] restrict_p6 pl ~r ~rc =
+  for c = 0 to pl.pcoarse - 1 do
+    let s0 = ref 0.0 in
+    let s1 = ref 0.0 in
+    let s2 = ref 0.0 in
+    let s3 = ref 0.0 in
+    let s4 = ref 0.0 in
+    let s5 = ref 0.0 in
+    let k0 = Bigarray.Array1.unsafe_get pl.qcol c in
+    let k1 = Bigarray.Array1.unsafe_get pl.qcol (c + 1) in
+    for q = k0 to k1 - 1 do
+      let ib = Bigarray.Array1.unsafe_get pl.qrow q * 6 in
+      let v = Bigarray.Array1.unsafe_get pl.qval q in
+      s0 := !s0 +. (v *. r.(ib));
+      s1 := !s1 +. (v *. r.(ib + 1));
+      s2 := !s2 +. (v *. r.(ib + 2));
+      s3 := !s3 +. (v *. r.(ib + 3));
+      s4 := !s4 +. (v *. r.(ib + 4));
+      s5 := !s5 +. (v *. r.(ib + 5))
+    done;
+    let cb = c * 6 in
+    rc.(cb) <- !s0;
+    rc.(cb + 1) <- !s1;
+    rc.(cb + 2) <- !s2;
+    rc.(cb + 3) <- !s3;
+    rc.(cb + 4) <- !s4;
+    rc.(cb + 5) <- !s5
+  done
+
+let[@opera.hot] restrict_p4 pl ~r ~rc =
+  for c = 0 to pl.pcoarse - 1 do
+    let s0 = ref 0.0 in
+    let s1 = ref 0.0 in
+    let s2 = ref 0.0 in
+    let s3 = ref 0.0 in
+    let k0 = Bigarray.Array1.unsafe_get pl.qcol c in
+    let k1 = Bigarray.Array1.unsafe_get pl.qcol (c + 1) in
+    for q = k0 to k1 - 1 do
+      let ib = Bigarray.Array1.unsafe_get pl.qrow q * 4 in
+      let v = Bigarray.Array1.unsafe_get pl.qval q in
+      s0 := !s0 +. (v *. r.(ib));
+      s1 := !s1 +. (v *. r.(ib + 1));
+      s2 := !s2 +. (v *. r.(ib + 2));
+      s3 := !s3 +. (v *. r.(ib + 3))
+    done;
+    let cb = c * 4 in
+    rc.(cb) <- !s0;
+    rc.(cb + 1) <- !s1;
+    rc.(cb + 2) <- !s2;
+    rc.(cb + 3) <- !s3
+  done
+
+let[@opera.hot] restrict_p3 pl ~r ~rc =
+  for c = 0 to pl.pcoarse - 1 do
+    let s0 = ref 0.0 in
+    let s1 = ref 0.0 in
+    let s2 = ref 0.0 in
+    let k0 = Bigarray.Array1.unsafe_get pl.qcol c in
+    let k1 = Bigarray.Array1.unsafe_get pl.qcol (c + 1) in
+    for q = k0 to k1 - 1 do
+      let ib = Bigarray.Array1.unsafe_get pl.qrow q * 3 in
+      let v = Bigarray.Array1.unsafe_get pl.qval q in
+      s0 := !s0 +. (v *. r.(ib));
+      s1 := !s1 +. (v *. r.(ib + 1));
+      s2 := !s2 +. (v *. r.(ib + 2))
+    done;
+    let cb = c * 3 in
+    rc.(cb) <- !s0;
+    rc.(cb + 1) <- !s1;
+    rc.(cb + 2) <- !s2
+  done
+
+let[@opera.hot] restrict_p2 pl ~r ~rc =
+  for c = 0 to pl.pcoarse - 1 do
+    let s0 = ref 0.0 in
+    let s1 = ref 0.0 in
+    let k0 = Bigarray.Array1.unsafe_get pl.qcol c in
+    let k1 = Bigarray.Array1.unsafe_get pl.qcol (c + 1) in
+    for q = k0 to k1 - 1 do
+      let ib = Bigarray.Array1.unsafe_get pl.qrow q * 2 in
+      let v = Bigarray.Array1.unsafe_get pl.qval q in
+      s0 := !s0 +. (v *. r.(ib));
+      s1 := !s1 +. (v *. r.(ib + 1))
+    done;
+    let cb = c * 2 in
+    rc.(cb) <- !s0;
+    rc.(cb + 1) <- !s1
+  done
+
+let[@opera.hot] prolong_p6 pl ~xc ~x =
+  for c = 0 to pl.pcoarse - 1 do
+    let cb = c * 6 in
+    let v0 = xc.(cb) in
+    let v1 = xc.(cb + 1) in
+    let v2 = xc.(cb + 2) in
+    let v3 = xc.(cb + 3) in
+    let v4 = xc.(cb + 4) in
+    let v5 = xc.(cb + 5) in
+    let k0 = Bigarray.Array1.unsafe_get pl.qcol c in
+    let k1 = Bigarray.Array1.unsafe_get pl.qcol (c + 1) in
+    for q = k0 to k1 - 1 do
+      let ib = Bigarray.Array1.unsafe_get pl.qrow q * 6 in
+      let p = Bigarray.Array1.unsafe_get pl.qval q in
+      x.(ib) <- x.(ib) +. (p *. v0);
+      x.(ib + 1) <- x.(ib + 1) +. (p *. v1);
+      x.(ib + 2) <- x.(ib + 2) +. (p *. v2);
+      x.(ib + 3) <- x.(ib + 3) +. (p *. v3);
+      x.(ib + 4) <- x.(ib + 4) +. (p *. v4);
+      x.(ib + 5) <- x.(ib + 5) +. (p *. v5)
+    done
+  done
+
+let[@opera.hot] prolong_p4 pl ~xc ~x =
+  for c = 0 to pl.pcoarse - 1 do
+    let cb = c * 4 in
+    let v0 = xc.(cb) in
+    let v1 = xc.(cb + 1) in
+    let v2 = xc.(cb + 2) in
+    let v3 = xc.(cb + 3) in
+    let k0 = Bigarray.Array1.unsafe_get pl.qcol c in
+    let k1 = Bigarray.Array1.unsafe_get pl.qcol (c + 1) in
+    for q = k0 to k1 - 1 do
+      let ib = Bigarray.Array1.unsafe_get pl.qrow q * 4 in
+      let p = Bigarray.Array1.unsafe_get pl.qval q in
+      x.(ib) <- x.(ib) +. (p *. v0);
+      x.(ib + 1) <- x.(ib + 1) +. (p *. v1);
+      x.(ib + 2) <- x.(ib + 2) +. (p *. v2);
+      x.(ib + 3) <- x.(ib + 3) +. (p *. v3)
+    done
+  done
+
+let[@opera.hot] prolong_p3 pl ~xc ~x =
+  for c = 0 to pl.pcoarse - 1 do
+    let cb = c * 3 in
+    let v0 = xc.(cb) in
+    let v1 = xc.(cb + 1) in
+    let v2 = xc.(cb + 2) in
+    let k0 = Bigarray.Array1.unsafe_get pl.qcol c in
+    let k1 = Bigarray.Array1.unsafe_get pl.qcol (c + 1) in
+    for q = k0 to k1 - 1 do
+      let ib = Bigarray.Array1.unsafe_get pl.qrow q * 3 in
+      let p = Bigarray.Array1.unsafe_get pl.qval q in
+      x.(ib) <- x.(ib) +. (p *. v0);
+      x.(ib + 1) <- x.(ib + 1) +. (p *. v1);
+      x.(ib + 2) <- x.(ib + 2) +. (p *. v2)
+    done
+  done
+
+let[@opera.hot] prolong_p2 pl ~xc ~x =
+  for c = 0 to pl.pcoarse - 1 do
+    let cb = c * 2 in
+    let v0 = xc.(cb) in
+    let v1 = xc.(cb + 1) in
+    let k0 = Bigarray.Array1.unsafe_get pl.qcol c in
+    let k1 = Bigarray.Array1.unsafe_get pl.qcol (c + 1) in
+    for q = k0 to k1 - 1 do
+      let ib = Bigarray.Array1.unsafe_get pl.qrow q * 2 in
+      let p = Bigarray.Array1.unsafe_get pl.qval q in
+      x.(ib) <- x.(ib) +. (p *. v0);
+      x.(ib + 1) <- x.(ib + 1) +. (p *. v1)
+    done
+  done
+
+let[@opera.hot] residual_panel pl ~w ~b ~x ~r =
+  match w with
+  | 6 -> residual_p6 pl ~b ~x ~r
+  | 4 -> residual_p4 pl ~b ~x ~r
+  | 3 -> residual_p3 pl ~b ~x ~r
+  | 2 -> residual_p2 pl ~b ~x ~r
+  | _ -> residual_into pl ~b ~x ~r
+
+let[@opera.hot] restrict_panel pl ~w ~r ~rc =
+  match w with
+  | 6 -> restrict_p6 pl ~r ~rc
+  | 4 -> restrict_p4 pl ~r ~rc
+  | 3 -> restrict_p3 pl ~r ~rc
+  | 2 -> restrict_p2 pl ~r ~rc
+  | _ -> restrict_into pl ~r ~rc
+
+let[@opera.hot] prolong_panel pl ~w ~xc ~x =
+  match w with
+  | 6 -> prolong_p6 pl ~xc ~x
+  | 4 -> prolong_p4 pl ~xc ~x
+  | 3 -> prolong_p3 pl ~xc ~x
+  | 2 -> prolong_p2 pl ~xc ~x
+  | _ -> prolong_add pl ~xc ~x
+
+let[@opera.hot] smooth_from_zero_panel pl ~w ~b ~x =
+  for i = 0 to pl.pn - 1 do
+    let wd = omega *. Bigarray.Array1.unsafe_get pl.pdiag i in
+    for s = i * w to (i * w) + w - 1 do
+      x.(s) <- wd *. b.(s)
+    done
+  done
+
+let[@opera.hot] smooth_correct_panel pl ~w ~r ~x =
+  for i = 0 to pl.pn - 1 do
+    let wd = omega *. Bigarray.Array1.unsafe_get pl.pdiag i in
+    for s = i * w to (i * w) + w - 1 do
+      x.(s) <- x.(s) +. (wd *. r.(s))
+    done
+  done
+
+let[@opera.hot] coarse_solve_panel l cn ~w y =
+  for i = 0 to cn - 1 do
+    let base = i * cn and ib = i * w in
+    for j = 0 to i - 1 do
+      let v = l.(base + j) and jb = j * w in
+      for s = 0 to w - 1 do
+        y.(ib + s) <- y.(ib + s) -. (v *. y.(jb + s))
+      done
+    done;
+    let d = l.(base + i) in
+    for s = ib to ib + w - 1 do
+      y.(s) <- y.(s) /. d
+    done
+  done;
+  for i = cn - 1 downto 0 do
+    let ib = i * w in
+    for j = i + 1 to cn - 1 do
+      let v = l.((j * cn) + i) and jb = j * w in
+      for s = 0 to w - 1 do
+        y.(ib + s) <- y.(ib + s) -. (v *. y.(jb + s))
+      done
+    done;
+    let d = l.((i * cn) + i) in
+    for s = ib to ib + w - 1 do
+      y.(s) <- y.(s) /. d
+    done
+  done
+
+(* {!cycle} on one panel; level 0 lives in the workspace too ([kb.(0)]
+   gathered from the caller, [kx.(0)] scattered back). *)
+let[@opera.hot] cycle_panel t bw ~w ~zero_x =
+  let nl = Array.length t.pls in
+  for l = 0 to nl - 1 do
+    let pl = t.pls.(l) in
+    let bl = bw.kb.(l) and xl = bw.kx.(l) and rl = bw.kr.(l) in
+    if l = 0 && not zero_x then begin
+      residual_panel pl ~w ~b:bl ~x:xl ~r:rl;
+      smooth_correct_panel pl ~w ~r:rl ~x:xl
+    end
+    else smooth_from_zero_panel pl ~w ~b:bl ~x:xl;
+    residual_panel pl ~w ~b:bl ~x:xl ~r:rl;
+    let rc = if l = nl - 1 then bw.kc else bw.kb.(l + 1) in
+    restrict_panel pl ~w ~r:rl ~rc
+  done;
+  coarse_solve_panel t.coarse_l t.coarse_dim ~w bw.kc;
+  for l = nl - 1 downto 0 do
+    let pl = t.pls.(l) in
+    let bl = bw.kb.(l) and xl = bw.kx.(l) and rl = bw.kr.(l) in
+    let xc = if l = nl - 1 then bw.kc else bw.kx.(l + 1) in
+    prolong_panel pl ~w ~xc ~x:xl;
+    residual_panel pl ~w ~b:bl ~x:xl ~r:rl;
+    smooth_correct_panel pl ~w ~r:rl ~x:xl
+  done
+
+let[@opera.hot] apply_block t bw ~src ~dst ~cols ~lo ~hi =
+  let n = t.nfine in
+  if lo < 0 || hi > Array.length cols || lo > hi then
+    invalid_arg "Amg.apply_block: column range out of bounds";
+  if hi - lo > bw.bk then invalid_arg "Amg.apply_block: block wider than the workspace";
+  if Array.length bw.kx <> Array.length t.pls
+     || Array.length bw.kc <> t.coarse_dim * Int.min bw.bk panel
+  then invalid_arg "Amg.apply_block: workspace built for another hierarchy";
+  for c = lo to hi - 1 do
+    let col = cols.(c) in
+    if col < 0 || (col + 1) * n > Array.length src || (col + 1) * n > Array.length dst then
+      invalid_arg "Amg.apply_block: column outside the block vectors"
+  done;
+  let nl = Array.length t.pls in
+  (* Level-0 rhs and solution: the hierarchy's own slots, or the coarse
+     buffer when the fine level is solved directly. *)
+  let b0 = if nl = 0 then bw.kc else bw.kb.(0) in
+  let x0 = if nl = 0 then bw.kc else bw.kx.(0) in
+  let c0 = ref lo in
+  while !c0 < hi do
+    let left = hi - !c0 in
+    let w = if left >= 6 then 6 else if left = 5 then 3 else left in
+    for c = 0 to w - 1 do
+      let off = cols.(!c0 + c) * n in
+      for i = 0 to n - 1 do
+        b0.((i * w) + c) <- src.(off + i)
+      done
+    done;
+    if nl = 0 then coarse_solve_panel t.coarse_l t.coarse_dim ~w bw.kc
+    else begin
+      cycle_panel t bw ~w ~zero_x:true;
+      for _c = 2 to t.ncycles do
+        cycle_panel t bw ~w ~zero_x:false
+      done
+    end;
+    for c = 0 to w - 1 do
+      let off = cols.(!c0 + c) * n in
+      for i = 0 to n - 1 do
+        dst.(off + i) <- x0.((i * w) + c)
+      done
+    done;
+    c0 := !c0 + w
   done
 
 (* ---- solver-compatible wrappers --------------------------------------- *)

@@ -16,11 +16,14 @@
     The hierarchy is built once ({!build}) and applied as a fixed number
     of V-cycles ({!apply}) through a caller-owned workspace, so the
     apply path allocates nothing and a million-node mean block can be
-    preconditioned thousands of times per solve.  One application is a
-    purely sequential pass: given the same hierarchy and right-hand
-    side it is bitwise-identical at any domain count, which is what
-    lets the mean-block preconditioner fan chaos blocks across domains
-    without perturbing the repo's determinism guarantees.
+    preconditioned thousands of times per solve.  {!apply_block} runs
+    the same cycles on k right-hand sides per pass over each level,
+    every column bitwise {!apply}.  Both are purely sequential passes:
+    given the same hierarchy and right-hand sides they are
+    bitwise-identical at any domain count, which is what lets the
+    mean-block preconditioner and the ST point solves split their
+    columns across domains without perturbing the repo's determinism
+    guarantees.
 
     Setup state round-trips through the v2 artifact codec
     ({!to_frame} / {!of_frame_sections}): level storage is
@@ -66,6 +69,26 @@ val apply : t -> ws -> b:Vec.t -> x:Vec.t -> unit
     the rhs [b], starting from zero.  Allocation-free and sequential —
     usable inside hot solver loops and deterministic at any domain
     count. *)
+
+type block_ws
+(** Node-major per-level scratch for {!apply_block}, holding up to a
+    fixed number of columns.  One per concurrent applier. *)
+
+val create_block_ws : t -> k:int -> block_ws
+(** Workspace for blocks of up to [k] columns: three floats per unknown
+    of every level for each column of the widest panel, [min k 6]. *)
+
+val apply_block :
+  t -> block_ws -> src:Vec.t -> dst:Vec.t -> cols:int array -> lo:int -> hi:int -> unit
+(** [apply_block t ws ~src ~dst ~cols ~lo ~hi] runs {!apply} on every
+    column [c] in [cols.(lo .. hi-1)] of the column-major block vectors
+    [src] (right-hand sides) and [dst] (solutions; [src == dst] is
+    allowed), column [c] occupying [c*n .. c*n+n-1].  One pass over
+    each level's operator and prolongator serves all the columns:
+    smoothing, residuals, restriction, prolongation and the dense
+    coarsest solve are k-wide.  Every column equals {!apply} bit for
+    bit.  Allocation-free and sequential; [hi - lo] must not exceed the
+    workspace width. *)
 
 (** {1 Solver-compatible wrappers} *)
 

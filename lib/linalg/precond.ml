@@ -14,7 +14,9 @@
    the chunked mean-block loop stays allocation-free, and every apply
    is deterministic at any domain count: the exact factor's
    level-scheduled sweeps are bitwise-stable by construction, and the
-   IC(0) and AMG applies are purely sequential. *)
+   IC(0) and AMG applies are purely sequential.  The block apply serves
+   k vectors per pass over the backend's data, each column bitwise the
+   single apply. *)
 
 type kind = Cholesky | Ic0 | Amg | Auto
 
@@ -99,6 +101,34 @@ let apply_in_place t ws ?domains (x : Vec.t) =
       Array.blit x 0 mb 0 (Array.length x);
       Amg.apply t mw ~b:mb ~x
   | _ -> invalid_arg "Precond.apply_in_place: workspace does not match backend"
+
+(* Block applies: one pass of the backend over k columns.  The exact
+   factor and AMG have true multi-vector kernels; IC(0) loops its
+   single-vector solve over the columns through one column buffer. *)
+type block_ws =
+  | Exact_bws of Vec.t
+  | Incomplete_bws of Vec.t
+  | Multigrid_bws of Amg.block_ws
+
+let create_block_ws t ~k =
+  match t with
+  | Exact f -> Exact_bws (Array.make (Sparse_cholesky.block_work_dim f ~k) 0.0)
+  | Incomplete f -> Incomplete_bws (Array.make (Cg.ic0_dim f) 0.0)
+  | Multigrid a -> Multigrid_bws (Amg.create_block_ws a ~k)
+
+let apply_block t bws ~src ~dst ~cols ~lo ~hi =
+  match (t, bws) with
+  | Exact f, Exact_bws work -> Sparse_cholesky.solve_block_ws f ~work ~cols ~lo ~hi ~src ~dst
+  | Incomplete f, Incomplete_bws col ->
+      let n = Array.length col in
+      for c = lo to hi - 1 do
+        let off = cols.(c) * n in
+        Array.blit src off col 0 n;
+        Cg.ic0_solve_in_place f col;
+        Array.blit col 0 dst off n
+      done
+  | Multigrid a, Multigrid_bws w -> Amg.apply_block a w ~src ~dst ~cols ~lo ~hi
+  | _ -> invalid_arg "Precond.apply_block: workspace does not match backend"
 
 let as_cg_preconditioner t =
   let ws = create_ws t in

@@ -11,7 +11,8 @@
     [M^-1] exactly; callers that iterate against the mean solver pick
     their iteration from {!backend} (a stationary refinement converges
     quickly only against the exact factor, so the approximate backends
-    serve as CG preconditioners). *)
+    serve as CG preconditioners).  {!apply_block} serves k vectors in
+    one pass over the backend's data. *)
 
 type kind = Cholesky | Ic0 | Amg | Auto
 
@@ -60,6 +61,24 @@ val apply_in_place : t -> ws -> ?domains:int -> Vec.t -> unit
     nothing; [domains] parallelizes only the exact factor's triangular
     sweeps (bitwise-stable), the approximate backends run
     sequentially. *)
+
+type block_ws
+
+val create_block_ws : t -> k:int -> block_ws
+(** Workspace for {!apply_block} on blocks of up to [k] columns
+    ([min k 6] floats per unknown for the exact factor, three times that
+    per unknown of every AMG level, one column for IC(0)). *)
+
+val apply_block :
+  t -> block_ws -> src:Vec.t -> dst:Vec.t -> cols:int array -> lo:int -> hi:int -> unit
+(** [apply_block t ws ~src ~dst ~cols ~lo ~hi] writes [M^-1 b] for each
+    column [c] in [cols.(lo .. hi-1)] of the column-major block vectors
+    [src] and [dst] (column [c] occupying [c*n .. c*n+n-1]; [src == dst]
+    applies in place).  The exact factor ({!Sparse_cholesky.solve_block_ws})
+    and AMG ({!Amg.apply_block}) make one pass over their data for the
+    whole block; IC(0) loops over the columns.  Every column equals
+    {!apply_in_place} bit for bit.  Allocation-free and sequential:
+    callers split columns across domains, one workspace per chunk. *)
 
 val as_cg_preconditioner : t -> Cg.preconditioner
 (** Allocating closure form for {!Cg.solve}-style callers; the returned

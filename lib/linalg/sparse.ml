@@ -249,22 +249,128 @@ let mul_vec a x =
   mul_vec_into a x y;
   y
 
-let[@opera.hot] mul_vec_acc_off ?(alpha = 1.0) a x ~xoff y ~yoff =
-  if xoff < 0 || yoff < 0 || xoff + a.ncols > Array.length x || yoff + a.nrows > Array.length y
-  then invalid_arg "Sparse.mul_vec_acc_off: slice out of bounds";
+(* Column [j]'s step of {!mul_vec_acc} on the slices at [xoff] and
+   [yoff]: [xj = alpha * x.(xoff + j)], skipped when exactly zero, then
+   [y.(yoff + rowind k) += values k * xj] in storage order — the
+   panels' fallback when one of their [xj] is zero.  It reads [xj]
+   itself: a float argument would be boxed at every call. *)
+let[@opera.hot] acc_column a ~alpha ~x ~xoff ~y ~yoff j =
+  let xj = alpha *. Array.unsafe_get x (xoff + j) in
+  if not (Util.Floats.equal_exact xj 0.0) then
+    for k = Array.unsafe_get a.colptr j to Array.unsafe_get a.colptr (j + 1) - 1 do
+      let r = yoff + Array.unsafe_get a.rowind k in
+      Array.unsafe_set y r (Array.unsafe_get y r +. (Array.unsafe_get a.values k *. xj))
+    done
+
+let[@opera.hot] mul_vec_acc ?(alpha = 1.0) a x y =
+  if Array.length x <> a.ncols || Array.length y <> a.nrows then
+    invalid_arg "Sparse.mul_vec_acc: dimension mismatch";
   let { colptr; rowind; values; ncols; _ } = a in
   for j = 0 to ncols - 1 do
-    let xj = alpha *. x.(xoff + j) in
+    let xj = alpha *. x.(j) in
     if not (Util.Floats.equal_exact xj 0.0) then
       for k = colptr.(j) to colptr.(j + 1) - 1 do
-        y.(yoff + rowind.(k)) <- y.(yoff + rowind.(k)) +. (values.(k) *. xj)
+        y.(rowind.(k)) <- y.(rowind.(k)) +. (values.(k) *. xj)
       done
   done
 
-let[@opera.hot] mul_vec_acc ?alpha a x y =
-  if Array.length x <> a.ncols || Array.length y <> a.nrows then
-    invalid_arg "Sparse.mul_vec_acc: dimension mismatch";
-  mul_vec_acc_off ?alpha a x ~xoff:0 y ~yoff:0
+(* ---- multi-vector product -------------------------------------------
+   [mul_block_acc] reads each column of A once for a panel of up to
+   three vectors: the columns stay in the caller's column-major blocks,
+   and beyond three scattered output streams the panel's offsets and
+   operands no longer fit in registers (a six-wide panel measured
+   slower than two three-wide ones).  Per vector the arithmetic is {!mul_vec_acc}'s: [xj =
+   alpha * x_c(j)], skipped when exactly zero, then the column's
+   entries scattered in storage order — so each column of the result
+   is bitwise the single-vector product.  When one of the panel's [xj]
+   is zero the column falls back to per-vector scatters, which keeps
+   the skip exact (adding [v * 0] could turn a [-0] into [+0]). *)
+
+let[@opera.hot] mul_panel3 a ~alpha ~x ~y ~cols ~c0 =
+  let { colptr; rowind; values; ncols; _ } = a in
+  let n = ncols in
+  let o0 = Array.unsafe_get cols c0 * n in
+  let o1 = Array.unsafe_get cols (c0 + 1) * n in
+  let o2 = Array.unsafe_get cols (c0 + 2) * n in
+  for j = 0 to ncols - 1 do
+    let x0 = alpha *. Array.unsafe_get x (o0 + j) in
+    let x1 = alpha *. Array.unsafe_get x (o1 + j) in
+    let x2 = alpha *. Array.unsafe_get x (o2 + j) in
+    let k0 = Array.unsafe_get colptr j and k1 = Array.unsafe_get colptr (j + 1) in
+    if
+      (not (Util.Floats.equal_exact x0 0.0))
+      && (not (Util.Floats.equal_exact x1 0.0))
+      && (not (Util.Floats.equal_exact x2 0.0))
+    then
+      for k = k0 to k1 - 1 do
+        let v = Array.unsafe_get values k and r = Array.unsafe_get rowind k in
+        Array.unsafe_set y (o0 + r) (Array.unsafe_get y (o0 + r) +. (v *. x0));
+        Array.unsafe_set y (o1 + r) (Array.unsafe_get y (o1 + r) +. (v *. x1));
+        Array.unsafe_set y (o2 + r) (Array.unsafe_get y (o2 + r) +. (v *. x2))
+      done
+    else begin
+      acc_column a ~alpha ~x ~xoff:o0 ~y ~yoff:o0 j;
+      acc_column a ~alpha ~x ~xoff:o1 ~y ~yoff:o1 j;
+      acc_column a ~alpha ~x ~xoff:o2 ~y ~yoff:o2 j
+    end
+  done
+
+let[@opera.hot] mul_panel2 a ~alpha ~x ~y ~cols ~c0 =
+  let { colptr; rowind; values; ncols; _ } = a in
+  let n = ncols in
+  let o0 = Array.unsafe_get cols c0 * n in
+  let o1 = Array.unsafe_get cols (c0 + 1) * n in
+  for j = 0 to ncols - 1 do
+    let x0 = alpha *. Array.unsafe_get x (o0 + j) in
+    let x1 = alpha *. Array.unsafe_get x (o1 + j) in
+    let k0 = Array.unsafe_get colptr j and k1 = Array.unsafe_get colptr (j + 1) in
+    if
+      (not (Util.Floats.equal_exact x0 0.0))
+      && (not (Util.Floats.equal_exact x1 0.0))
+    then
+      for k = k0 to k1 - 1 do
+        let v = Array.unsafe_get values k and r = Array.unsafe_get rowind k in
+        Array.unsafe_set y (o0 + r) (Array.unsafe_get y (o0 + r) +. (v *. x0));
+        Array.unsafe_set y (o1 + r) (Array.unsafe_get y (o1 + r) +. (v *. x1))
+      done
+    else begin
+      acc_column a ~alpha ~x ~xoff:o0 ~y ~yoff:o0 j;
+      acc_column a ~alpha ~x ~xoff:o1 ~y ~yoff:o1 j
+    end
+  done
+
+let[@opera.hot] mul_panel1 a ~alpha ~x ~y ~cols ~c0 =
+  let { colptr; rowind; values; ncols; _ } = a in
+  let o = Array.unsafe_get cols c0 * ncols in
+  for j = 0 to ncols - 1 do
+    let xj = alpha *. Array.unsafe_get x (o + j) in
+    if not (Util.Floats.equal_exact xj 0.0) then
+      for k = Array.unsafe_get colptr j to Array.unsafe_get colptr (j + 1) - 1 do
+        let r = o + Array.unsafe_get rowind k in
+        Array.unsafe_set y r (Array.unsafe_get y r +. (Array.unsafe_get values k *. xj))
+      done
+  done
+
+let[@opera.hot] mul_block_acc ?(alpha = 1.0) a ~x ~y ~cols ~lo ~hi =
+  if a.nrows <> a.ncols then invalid_arg "Sparse.mul_block_acc: matrix is not square";
+  if lo < 0 || hi > Array.length cols || lo > hi then
+    invalid_arg "Sparse.mul_block_acc: column range out of bounds";
+  let n = a.ncols in
+  for c = lo to hi - 1 do
+    let col = cols.(c) in
+    if col < 0 || (col + 1) * n > Array.length x || (col + 1) * n > Array.length y then
+      invalid_arg "Sparse.mul_block_acc: column outside the block vectors"
+  done;
+  let c0 = ref lo in
+  while !c0 < hi do
+    let left = hi - !c0 in
+    let width = Int.min left 3 in
+    (match width with
+    | 3 -> mul_panel3 a ~alpha ~x ~y ~cols ~c0:!c0
+    | 2 -> mul_panel2 a ~alpha ~x ~y ~cols ~c0:!c0
+    | _ -> mul_panel1 a ~alpha ~x ~y ~cols ~c0:!c0);
+    c0 := !c0 + width
+  done
 
 let mul_vec_t a x =
   if Array.length x <> a.nrows then invalid_arg "Sparse.mul_vec_t: dimension mismatch";

@@ -63,14 +63,17 @@ val mul_vec_into : t -> Vec.t -> Vec.t -> unit
 val mul_vec_acc : ?alpha:float -> t -> Vec.t -> Vec.t -> unit
 (** [mul_vec_acc ~alpha a x y] accumulates [y <- y + alpha * A x] without
     allocating ([alpha] defaults to 1).  The allocation-free building
-    block of transient right-hand sides and of the matrix-free Galerkin
-    kernel. *)
+    block of transient right-hand sides. *)
 
-val mul_vec_acc_off : ?alpha:float -> t -> Vec.t -> xoff:int -> Vec.t -> yoff:int -> unit
-(** [mul_vec_acc_off ~alpha a x ~xoff y ~yoff] accumulates
-    [y.(yoff..) <- y.(yoff..) + alpha * A x.(xoff..)] on slices of larger
-    vectors — the per-block kernel of the matrix-free augmented operator
-    (block vectors stay flat; no sub-array copies). *)
+val mul_block_acc :
+  ?alpha:float -> t -> x:Vec.t -> y:Vec.t -> cols:int array -> lo:int -> hi:int -> unit
+(** [mul_block_acc ~alpha a ~x ~y ~cols ~lo ~hi] accumulates
+    [y_c <- y_c + alpha * A x_c] for each column [c] in
+    [cols.(lo .. hi-1)] of the column-major block vectors [x] and [y]
+    (column [c] occupies [c*n .. c*n+n-1]; [a] is square, [n x n]).
+    One pass over [A] serves a panel of up to three columns, and each
+    column equals {!mul_vec_acc} on it bit for bit.  Allocation-free
+    and sequential: domains split columns. *)
 
 val mul_vec_t : t -> Vec.t -> Vec.t
 (** [mul_vec_t a x] is [A^T x]. *)

@@ -608,6 +608,239 @@ let[@opera.hot] solve_in_place_ws f ?(domains = 1) ~work b =
 
 let solve_in_place f b = solve_in_place_ws f ~work:f.work b
 
+(* ---- multi-vector solves -------------------------------------------
+   One pass over [L] serves a panel of up to [block_panel] right-hand
+   sides held node-major in the workspace: entry (i, c) sits at
+   [i * w + c] for a panel of width [w], so each entry of [L] updates
+   [w] adjacent slots.  The gather fuses the permutation [y = P b] and
+   the scatter its inverse, reading and writing the caller's
+   column-major blocks directly.  Within each column the arithmetic is
+   {!lower_solve} then {!upper_solve} operation for operation — the
+   forward scatter in column order, the backward gather in ascending
+   row order — so every column equals {!solve_in_place_ws} bit for bit
+   whatever the panel it rode in.
+
+   Panels are unrolled for widths 6, 4, 3 and 2 (a width of 5 splits
+   3 + 2; a single column runs the plain sweeps), with one float
+   register per column and unchecked indexing: a generic loop over the
+   panel width reloads its bounds and loop counter per entry and runs
+   slower than single solves.  The indices are safe by construction —
+   [factor] builds, and [decode] re-validates, monotone column pointers
+   and in-range row indices, and the entry checks below bound the
+   caller's arrays. *)
+
+let block_panel = 6
+
+let block_work_dim f ~k = Int.min (Int.max k 1) block_panel * f.n
+
+let[@opera.hot] gather_panel f (w : Vec.t) ~width ~cols ~c0 (src : Vec.t) =
+  let n = f.n and p = f.p in
+  for c = 0 to width - 1 do
+    let off = Array.unsafe_get cols (c0 + c) * n in
+    for i = 0 to n - 1 do
+      Array.unsafe_set w ((i * width) + c) (Array.unsafe_get src (off + Array.unsafe_get p i))
+    done
+  done
+
+let[@opera.hot] scatter_panel f (w : Vec.t) ~width ~cols ~c0 (dst : Vec.t) =
+  let n = f.n and p = f.p in
+  for c = 0 to width - 1 do
+    let off = Array.unsafe_get cols (c0 + c) * n in
+    for i = 0 to n - 1 do
+      Array.unsafe_set dst (off + Array.unsafe_get p i) (Array.unsafe_get w ((i * width) + c))
+    done
+  done
+
+let[@opera.hot] sweep_panel6 f w =
+  let lp = f.lp and li = f.li and lx = f.lx in
+  for j = 0 to f.n - 1 do
+    let q0 = Array.unsafe_get lp j and q1 = Array.unsafe_get lp (j + 1) in
+    let d = Array.unsafe_get lx q0 and bj = 6 * j in
+    let y0 = Array.unsafe_get w bj /. d in
+    let y1 = Array.unsafe_get w (bj + 1) /. d in
+    let y2 = Array.unsafe_get w (bj + 2) /. d in
+    let y3 = Array.unsafe_get w (bj + 3) /. d in
+    let y4 = Array.unsafe_get w (bj + 4) /. d in
+    let y5 = Array.unsafe_get w (bj + 5) /. d in
+    Array.unsafe_set w bj y0;
+    Array.unsafe_set w (bj + 1) y1;
+    Array.unsafe_set w (bj + 2) y2;
+    Array.unsafe_set w (bj + 3) y3;
+    Array.unsafe_set w (bj + 4) y4;
+    Array.unsafe_set w (bj + 5) y5;
+    for q = q0 + 1 to q1 - 1 do
+      let v = Array.unsafe_get lx q and r = 6 * Array.unsafe_get li q in
+      Array.unsafe_set w r (Array.unsafe_get w r -. (v *. y0));
+      Array.unsafe_set w (r + 1) (Array.unsafe_get w (r + 1) -. (v *. y1));
+      Array.unsafe_set w (r + 2) (Array.unsafe_get w (r + 2) -. (v *. y2));
+      Array.unsafe_set w (r + 3) (Array.unsafe_get w (r + 3) -. (v *. y3));
+      Array.unsafe_set w (r + 4) (Array.unsafe_get w (r + 4) -. (v *. y4));
+      Array.unsafe_set w (r + 5) (Array.unsafe_get w (r + 5) -. (v *. y5))
+    done
+  done;
+  for j = f.n - 1 downto 0 do
+    let q0 = Array.unsafe_get lp j and q1 = Array.unsafe_get lp (j + 1) in
+    let bj = 6 * j in
+    let a0 = ref (Array.unsafe_get w bj) in
+    let a1 = ref (Array.unsafe_get w (bj + 1)) in
+    let a2 = ref (Array.unsafe_get w (bj + 2)) in
+    let a3 = ref (Array.unsafe_get w (bj + 3)) in
+    let a4 = ref (Array.unsafe_get w (bj + 4)) in
+    let a5 = ref (Array.unsafe_get w (bj + 5)) in
+    for q = q0 + 1 to q1 - 1 do
+      let v = Array.unsafe_get lx q and r = 6 * Array.unsafe_get li q in
+      a0 := !a0 -. (v *. Array.unsafe_get w r);
+      a1 := !a1 -. (v *. Array.unsafe_get w (r + 1));
+      a2 := !a2 -. (v *. Array.unsafe_get w (r + 2));
+      a3 := !a3 -. (v *. Array.unsafe_get w (r + 3));
+      a4 := !a4 -. (v *. Array.unsafe_get w (r + 4));
+      a5 := !a5 -. (v *. Array.unsafe_get w (r + 5))
+    done;
+    let d = Array.unsafe_get lx q0 in
+    Array.unsafe_set w bj (!a0 /. d);
+    Array.unsafe_set w (bj + 1) (!a1 /. d);
+    Array.unsafe_set w (bj + 2) (!a2 /. d);
+    Array.unsafe_set w (bj + 3) (!a3 /. d);
+    Array.unsafe_set w (bj + 4) (!a4 /. d);
+    Array.unsafe_set w (bj + 5) (!a5 /. d)
+  done
+
+let[@opera.hot] sweep_panel4 f w =
+  let lp = f.lp and li = f.li and lx = f.lx in
+  for j = 0 to f.n - 1 do
+    let q0 = Array.unsafe_get lp j and q1 = Array.unsafe_get lp (j + 1) in
+    let d = Array.unsafe_get lx q0 and bj = 4 * j in
+    let y0 = Array.unsafe_get w bj /. d in
+    let y1 = Array.unsafe_get w (bj + 1) /. d in
+    let y2 = Array.unsafe_get w (bj + 2) /. d in
+    let y3 = Array.unsafe_get w (bj + 3) /. d in
+    Array.unsafe_set w bj y0;
+    Array.unsafe_set w (bj + 1) y1;
+    Array.unsafe_set w (bj + 2) y2;
+    Array.unsafe_set w (bj + 3) y3;
+    for q = q0 + 1 to q1 - 1 do
+      let v = Array.unsafe_get lx q and r = 4 * Array.unsafe_get li q in
+      Array.unsafe_set w r (Array.unsafe_get w r -. (v *. y0));
+      Array.unsafe_set w (r + 1) (Array.unsafe_get w (r + 1) -. (v *. y1));
+      Array.unsafe_set w (r + 2) (Array.unsafe_get w (r + 2) -. (v *. y2));
+      Array.unsafe_set w (r + 3) (Array.unsafe_get w (r + 3) -. (v *. y3))
+    done
+  done;
+  for j = f.n - 1 downto 0 do
+    let q0 = Array.unsafe_get lp j and q1 = Array.unsafe_get lp (j + 1) in
+    let bj = 4 * j in
+    let a0 = ref (Array.unsafe_get w bj) in
+    let a1 = ref (Array.unsafe_get w (bj + 1)) in
+    let a2 = ref (Array.unsafe_get w (bj + 2)) in
+    let a3 = ref (Array.unsafe_get w (bj + 3)) in
+    for q = q0 + 1 to q1 - 1 do
+      let v = Array.unsafe_get lx q and r = 4 * Array.unsafe_get li q in
+      a0 := !a0 -. (v *. Array.unsafe_get w r);
+      a1 := !a1 -. (v *. Array.unsafe_get w (r + 1));
+      a2 := !a2 -. (v *. Array.unsafe_get w (r + 2));
+      a3 := !a3 -. (v *. Array.unsafe_get w (r + 3))
+    done;
+    let d = Array.unsafe_get lx q0 in
+    Array.unsafe_set w bj (!a0 /. d);
+    Array.unsafe_set w (bj + 1) (!a1 /. d);
+    Array.unsafe_set w (bj + 2) (!a2 /. d);
+    Array.unsafe_set w (bj + 3) (!a3 /. d)
+  done
+
+let[@opera.hot] sweep_panel3 f w =
+  let lp = f.lp and li = f.li and lx = f.lx in
+  for j = 0 to f.n - 1 do
+    let q0 = Array.unsafe_get lp j and q1 = Array.unsafe_get lp (j + 1) in
+    let d = Array.unsafe_get lx q0 and bj = 3 * j in
+    let y0 = Array.unsafe_get w bj /. d in
+    let y1 = Array.unsafe_get w (bj + 1) /. d in
+    let y2 = Array.unsafe_get w (bj + 2) /. d in
+    Array.unsafe_set w bj y0;
+    Array.unsafe_set w (bj + 1) y1;
+    Array.unsafe_set w (bj + 2) y2;
+    for q = q0 + 1 to q1 - 1 do
+      let v = Array.unsafe_get lx q and r = 3 * Array.unsafe_get li q in
+      Array.unsafe_set w r (Array.unsafe_get w r -. (v *. y0));
+      Array.unsafe_set w (r + 1) (Array.unsafe_get w (r + 1) -. (v *. y1));
+      Array.unsafe_set w (r + 2) (Array.unsafe_get w (r + 2) -. (v *. y2))
+    done
+  done;
+  for j = f.n - 1 downto 0 do
+    let q0 = Array.unsafe_get lp j and q1 = Array.unsafe_get lp (j + 1) in
+    let bj = 3 * j in
+    let a0 = ref (Array.unsafe_get w bj) in
+    let a1 = ref (Array.unsafe_get w (bj + 1)) in
+    let a2 = ref (Array.unsafe_get w (bj + 2)) in
+    for q = q0 + 1 to q1 - 1 do
+      let v = Array.unsafe_get lx q and r = 3 * Array.unsafe_get li q in
+      a0 := !a0 -. (v *. Array.unsafe_get w r);
+      a1 := !a1 -. (v *. Array.unsafe_get w (r + 1));
+      a2 := !a2 -. (v *. Array.unsafe_get w (r + 2))
+    done;
+    let d = Array.unsafe_get lx q0 in
+    Array.unsafe_set w bj (!a0 /. d);
+    Array.unsafe_set w (bj + 1) (!a1 /. d);
+    Array.unsafe_set w (bj + 2) (!a2 /. d)
+  done
+
+let[@opera.hot] sweep_panel2 f w =
+  let lp = f.lp and li = f.li and lx = f.lx in
+  for j = 0 to f.n - 1 do
+    let q0 = Array.unsafe_get lp j and q1 = Array.unsafe_get lp (j + 1) in
+    let d = Array.unsafe_get lx q0 and bj = 2 * j in
+    let y0 = Array.unsafe_get w bj /. d in
+    let y1 = Array.unsafe_get w (bj + 1) /. d in
+    Array.unsafe_set w bj y0;
+    Array.unsafe_set w (bj + 1) y1;
+    for q = q0 + 1 to q1 - 1 do
+      let v = Array.unsafe_get lx q and r = 2 * Array.unsafe_get li q in
+      Array.unsafe_set w r (Array.unsafe_get w r -. (v *. y0));
+      Array.unsafe_set w (r + 1) (Array.unsafe_get w (r + 1) -. (v *. y1))
+    done
+  done;
+  for j = f.n - 1 downto 0 do
+    let q0 = Array.unsafe_get lp j and q1 = Array.unsafe_get lp (j + 1) in
+    let bj = 2 * j in
+    let a0 = ref (Array.unsafe_get w bj) in
+    let a1 = ref (Array.unsafe_get w (bj + 1)) in
+    for q = q0 + 1 to q1 - 1 do
+      let v = Array.unsafe_get lx q and r = 2 * Array.unsafe_get li q in
+      a0 := !a0 -. (v *. Array.unsafe_get w r);
+      a1 := !a1 -. (v *. Array.unsafe_get w (r + 1))
+    done;
+    let d = Array.unsafe_get lx q0 in
+    Array.unsafe_set w bj (!a0 /. d);
+    Array.unsafe_set w (bj + 1) (!a1 /. d)
+  done
+
+let[@opera.hot] solve_block_ws f ~work ~cols ~lo ~hi ~src ~dst =
+  let n = f.n in
+  if lo < 0 || hi > Array.length cols || lo > hi then
+    invalid_arg "Sparse_cholesky.solve_block_ws: column range out of bounds";
+  if Array.length work < block_work_dim f ~k:(hi - lo) then
+    invalid_arg "Sparse_cholesky.solve_block_ws: workspace too small";
+  for c = lo to hi - 1 do
+    let col = cols.(c) in
+    if col < 0 || (col + 1) * n > Array.length src || (col + 1) * n > Array.length dst then
+      invalid_arg "Sparse_cholesky.solve_block_ws: column outside the block vectors"
+  done;
+  let c0 = ref lo in
+  while !c0 < hi do
+    let left = hi - !c0 in
+    let width = if left >= 6 then 6 else if left = 5 then 3 else left in
+    gather_panel f work ~width ~cols ~c0:!c0 src;
+    (match width with
+    | 6 -> sweep_panel6 f work
+    | 4 -> sweep_panel4 f work
+    | 3 -> sweep_panel3 f work
+    | 2 -> sweep_panel2 f work
+    | _ ->
+        lower_solve f work;
+        upper_solve f work);
+    scatter_panel f work ~width ~cols ~c0:!c0 dst;
+    c0 := !c0 + width
+  done
+
 let solve f b =
   let x = Array.copy b in
   solve_in_place f x;

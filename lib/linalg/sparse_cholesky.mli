@@ -3,7 +3,10 @@
     Up-looking numeric factorization driven by the elimination tree
     (CSparse-style), with a fill-reducing ordering applied first.  This is
     the solver behind both the deterministic transient analysis and the
-    augmented stochastic Galerkin system. *)
+    augmented stochastic Galerkin system.  {!solve_block_ws} applies one
+    factor to many right-hand sides in one pass over [L] — the mean-block
+    preconditioner's, the special case's and the ST points' shared
+    solves. *)
 
 exception Not_positive_definite of int
 (** Raised with the offending (permuted) pivot index. *)
@@ -49,6 +52,24 @@ val solve_in_place_ws : t -> ?domains:int -> work:Vec.t -> Vec.t -> unit
     parallel region the sweeps degrade to inline execution (see
     {!Util.Parallel.for_chunks}), so passing the ambient domain count
     from block-parallel callers is always safe. *)
+
+val block_work_dim : t -> k:int -> int
+(** Workspace length {!solve_block_ws} needs for blocks of up to [k]
+    columns: [min k 6 * dim], 6 being the widest panel. *)
+
+val solve_block_ws :
+  t -> work:Vec.t -> cols:int array -> lo:int -> hi:int -> src:Vec.t -> dst:Vec.t -> unit
+(** [solve_block_ws f ~work ~cols ~lo ~hi ~src ~dst] solves [A x = b]
+    for each column [c] in [cols.(lo .. hi-1)] of the column-major
+    block vectors [src] and [dst] (column [c] occupies
+    [c*n .. c*n+n-1]): [b] is read from [src], [x] written to [dst]
+    ([src == dst] solves in place; other columns are untouched).
+    Columns are swept in panels of up to six, each panel one
+    pass over [L] through the node-major [work] (length at least
+    {!block_work_dim}), with the permutation fused into the gather and
+    the scatter.  Every column equals {!solve_in_place_ws} bit for bit.
+    Allocation-free and sequential: domains split columns, each chunk
+    with its own [work]. *)
 
 val encode : t -> Util.Codec.encoder -> unit
 (** Serialize the factor (permutation + CSC arrays of [L]) for the

@@ -253,58 +253,95 @@ let load_file path =
   | exception Parse_error (0, msg) -> Error (Printf.sprintf "%s: %s" path msg)
   | exception Parse_error (line, msg) -> Error (Printf.sprintf "%s:%d: %s" path line msg)
 
-let float_str v = Printf.sprintf "%.9g" v
+(* The writer appends straight to one buffer.  Values go through
+   [caml_format_float "%.9g"], the primitive Printf's [%.9g] conversion
+   calls, so the bytes are Printf's without its per-field format
+   interpretation and intermediate strings. *)
+external format_float : string -> float -> string = "caml_format_float"
 
-let wave_str = function
-  | Waveform.Dc v -> float_str v
+let add_float buf v = Buffer.add_string buf (format_float "%.9g" v)
+
+let add_int buf i = Buffer.add_string buf (string_of_int i)
+
+let add_node buf i =
+  if i = Circuit.ground then Buffer.add_char buf '0'
+  else begin
+    Buffer.add_char buf 'n';
+    add_int buf i
+  end
+
+(* [name k a b]: the card name, its index and two node fields. *)
+let add_card buf name k a b =
+  Buffer.add_string buf name;
+  add_int buf k;
+  Buffer.add_char buf ' ';
+  add_node buf a;
+  Buffer.add_char buf ' ';
+  add_node buf b;
+  Buffer.add_char buf ' '
+
+let add_wave buf = function
+  | Waveform.Dc v -> add_float buf v
   | Waveform.Pulse p ->
-      Printf.sprintf "PULSE(%s %s %s %s %s %s %s)" (float_str p.base) (float_str p.peak)
-        (float_str p.delay) (float_str p.rise) (float_str p.fall) (float_str p.width)
-        (float_str p.period)
+      Buffer.add_string buf "PULSE(";
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char buf ' ';
+          add_float buf v)
+        [ p.base; p.peak; p.delay; p.rise; p.fall; p.width; p.period ];
+      Buffer.add_char buf ')'
   | Waveform.Pwl points ->
-      let body =
-        Array.to_list points
-        |> List.map (fun (t, v) -> Printf.sprintf "%s %s" (float_str t) (float_str v))
-        |> String.concat " "
-      in
-      Printf.sprintf "PWL(%s)" body
+      Buffer.add_string buf "PWL(";
+      Array.iteri
+        (fun i (t, v) ->
+          if i > 0 then Buffer.add_char buf ' ';
+          add_float buf t;
+          Buffer.add_char buf ' ';
+          add_float buf v)
+        points;
+      Buffer.add_char buf ')'
 
 let to_string ?(title = "generated by opera") (c : Circuit.t) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf ("* " ^ title ^ "\n");
-  let node i = if i = Circuit.ground then "0" else Printf.sprintf "n%d" i in
   Array.iteri
     (fun k (r : Circuit.resistor) ->
-      let kind =
-        match r.rkind with Circuit.Metal -> "metal" | Circuit.Via -> "via" | Circuit.Package -> "package"
-      in
+      add_card buf "R" k r.rnode1 r.rnode2;
+      add_float buf r.ohms;
       Buffer.add_string buf
-        (Printf.sprintf "R%d %s %s %s KIND=%s\n" k (node r.rnode1) (node r.rnode2)
-           (float_str r.ohms) kind))
+        (match r.rkind with
+        | Circuit.Metal -> " KIND=metal\n"
+        | Circuit.Via -> " KIND=via\n"
+        | Circuit.Package -> " KIND=package\n"))
     c.resistors;
   Array.iteri
     (fun k (cap : Circuit.capacitor) ->
-      let kind = match cap.ckind with Circuit.Gate -> "gate" | Circuit.Fixed -> "fixed" in
+      add_card buf "C" k cap.cnode1 cap.cnode2;
+      add_float buf cap.farads;
       Buffer.add_string buf
-        (Printf.sprintf "C%d %s %s %s KIND=%s\n" k (node cap.cnode1) (node cap.cnode2)
-           (float_str cap.farads) kind))
+        (match cap.ckind with Circuit.Gate -> " KIND=gate\n" | Circuit.Fixed -> " KIND=fixed\n"))
     c.capacitors;
   Array.iteri
     (fun k (src : Circuit.current_source) ->
-      Buffer.add_string buf
-        (Printf.sprintf "I%d %s 0 %s REGION=%d\n" k (node src.inode) (wave_str src.wave)
-           src.region))
+      add_card buf "I" k src.inode Circuit.ground;
+      add_wave buf src.wave;
+      Buffer.add_string buf " REGION=";
+      add_int buf src.region;
+      Buffer.add_char buf '\n')
     c.isources;
   Array.iteri
     (fun k (l : Circuit.inductor) ->
-      Buffer.add_string buf
-        (Printf.sprintf "L%d %s %s %s\n" k (node l.lnode1) (node l.lnode2) (float_str l.henries)))
+      add_card buf "L" k l.lnode1 l.lnode2;
+      add_float buf l.henries;
+      Buffer.add_char buf '\n')
     c.inductors;
   Array.iteri
     (fun k (v : Circuit.vsource) ->
-      Buffer.add_string buf
-        (Printf.sprintf "V%d %s 0 %s RS=%s\n" k (node v.vnode) (float_str v.volts)
-           (float_str v.series_ohms)))
+      add_card buf "V" k v.vnode Circuit.ground;
+      add_float buf v.volts;
+      Buffer.add_string buf " RS=";
+      add_float buf v.series_ohms;
+      Buffer.add_char buf '\n')
     c.vsources;
   Buffer.add_string buf ".end\n";
   Buffer.contents buf

@@ -114,6 +114,27 @@ let positive_int name v = if v > 0 then Ok v else Error (Printf.sprintf "field %
    be honored; [of_json] rejects them instead of silently running with a
    different region count (which would also desynchronize the operator
    signature from the grid actually built). *)
+(* A candidate bound below the tensor grid keeps only the heaviest
+   candidates, which need not span the basis; say so before any job
+   runs, with the least bound that works. *)
+let check_st_candidates ~order = function
+  | Opera.Galerkin.St { candidates; seed; _ } when candidates > 0 ->
+      let basis = Opera.Stochastic_model.basis_of ~order Opera.Varmodel.paper_default in
+      if Opera.St_solver.spans ~seed basis candidates then Ok ()
+      else begin
+        let size = Polychaos.Basis.size basis in
+        let least = ref (candidates + 1) in
+        while !least < 4 * (size + 16) && not (Opera.St_solver.spans ~seed basis !least) do
+          incr least
+        done;
+        Error
+          (Printf.sprintf
+             "%d candidates cannot span the %d-term order-%d chaos basis; use 0 (the whole \
+              tensor grid) or at least %d"
+             candidates size order !least)
+      end
+  | _ -> Ok ()
+
 let region_split regions =
   let side = int_of_float (Float.round (sqrt (float_of_int regions))) in
   let rx = Int.max 1 side in
@@ -131,8 +152,7 @@ let check_regions regions =
     let above = ref (regions + 1) in
     while not (tileable !above) do incr above done;
     Error
-      (Printf.sprintf
-         "field \"regions\" must tile a near-square rx*ry grid; %d does not (nearest are %d and %d)"
+      (Printf.sprintf "must tile a near-square rx*ry grid; %d does not (nearest are %d and %d)"
          regions !below !above)
   end
 
@@ -169,6 +189,11 @@ let of_json ?(defaults = Util.Json.Obj []) ?(name = "job") json =
       in
       let* st_seed = int_field ~default:1 defaults json "st_seed" in
       let* solver = solver_of_string ~st_candidates ~st_seed:(Int64.of_int st_seed) solver in
+      let* () =
+        Result.map_error
+          (fun why -> Printf.sprintf "field \"st_candidates\" of job %S: %s" name why)
+          (check_st_candidates ~order solver)
+      in
       let* policy = string_field ~default:"warn" defaults json "policy" in
       let* policy = policy_of_string policy in
       let* sigma_scale = finite_field ~default:1.0 defaults json "sigma_scale" in
@@ -193,7 +218,9 @@ let of_json ?(defaults = Util.Json.Obj []) ?(name = "job") json =
             if netlist <> "" then
               Error "special-case jobs need a generated grid (region geometry unknown for netlists)"
             else
-              let* regions = check_regions regions in
+              let* regions =
+                Result.map_error (fun why -> "field \"regions\" " ^ why) (check_regions regions)
+              in
               Ok (Special { regions; lambda })
         | "yield" -> Ok (Yield { budget_pct })
         | s -> Error (Printf.sprintf "unknown analysis %S (dc, transient, special, yield)" s)

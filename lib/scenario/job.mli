@@ -58,6 +58,13 @@ val policy_of_string : string -> (Opera.Galerkin.policy, string) result
 
 val policy_name : Opera.Galerkin.policy -> string
 
+val check_st_candidates : order:int -> Opera.Galerkin.solver -> (unit, string) result
+(** For an [St] solver with a positive candidate bound: [Error why]
+    when the bound keeps too few tensor-grid candidates to span the
+    order-[order] chaos basis of the batch variation model, naming the
+    least bound that does.  {!of_json} applies it to ["st_candidates"];
+    the CLI to [--st-candidates]. *)
+
 val region_split : int -> int * int
 (** [(rx, ry)] near-square tiling of a special-case region count:
     [rx = round(sqrt regions)], [ry = regions / rx].  The engine builds
@@ -65,13 +72,21 @@ val region_split : int -> int * int
     counts where [rx * ry = regions], so parsed jobs always run with the
     region count they asked for. *)
 
+val check_regions : int -> (int, string) result
+(** [Ok regions] when {!region_split} tiles exactly [regions] regions;
+    otherwise [Error why] naming the nearest counts that do ("must tile
+    a near-square rx*ry grid; 5 does not (nearest are 4 and 6)") — the
+    rule behind the ["regions"] field and [opera special --regions]. *)
+
 val of_json : ?defaults:Util.Json.t -> ?name:string -> Util.Json.t -> (t, string) result
 (** Parse one job object.  Missing fields fall back to [defaults] (an
     object) and then to built-in defaults; unknown fields are an error,
     as is a special-case region count {!region_split} cannot honor, an
     unknown ["solver"]/["policy"] string, a negative ["st_candidates"]
     or ["probe"], a non-finite ["step_ps"], ["sigma_scale"],
-    ["drain_scale"], ["leak_scale"], ["lambda"] or ["budget_pct"]
+    ["drain_scale"], ["leak_scale"], ["lambda"] or ["budget_pct"], an
+    ["st_candidates"] bound too small to span the basis
+    ({!check_st_candidates})
     (NaN and infinities would render as [null] in the record), and a
     ["step_ps"] so small that [1/h] overflows.
     ["st_candidates"]/["st_seed"] configure the stochastic-testing point

@@ -118,6 +118,15 @@ let test_usage_errors_exit_two () =
     ("analyze " ^ small ^ "--solver st --st-candidates -1");
   check ~names:"--st-candidates" "compare --st-candidates -5" 2
     ("compare " ^ small ^ "--samples 4 --solver st --st-candidates -5");
+  (* A candidate bound below the tensor grid that cannot span the
+     order-3 basis, and region counts the near-square split cannot
+     tile: usage errors naming the flag, not a crash or another run. *)
+  check ~names:"--st-candidates" "analyze --st-candidates 2 at order 3" 2
+    ("analyze " ^ small ^ "--solver st --order 3 --st-candidates 2");
+  check ~names:"--st-candidates" "compare --st-candidates 2 at order 3" 2
+    ("compare " ^ small ^ "--samples 4 --solver st --order 3 --st-candidates 2");
+  check ~names:"--regions" "special --regions 5" 2 ("special " ^ small ^ "--samples 2 --regions 5");
+  check ~names:"--regions" "special --regions 7" 2 ("special " ^ small ^ "--samples 2 --regions 7");
   with_temp_file tiny_batch (fun path ->
       check ~names:"--domains" "batch --domains -1" 2
         ("batch --domains -1 " ^ Filename.quote path);
@@ -150,6 +159,11 @@ let test_batch_rejects_malformed_jobs () =
     (fun path -> check "duplicate job names" 2 ("batch " ^ Filename.quote path));
   with_temp_file {|{"jobs": [{"analysis": "special", "regions": 5}]}|} (fun path ->
       check "non-tileable region count" 2 ("batch " ^ Filename.quote path));
+  with_temp_file
+    {|{"jobs":[{"name":"a","nodes":100,"steps":2,"solver":"st","order":3,"st_candidates":2}]}|}
+    (fun path ->
+      check ~names:"st_candidates" "st candidates that cannot span the basis" 2
+        ("batch " ^ Filename.quote path));
   with_temp_file {|{"jobs": [{"analysis": "dc", "nodes": 60, "probe": 1000000}]}|} (fun path ->
       check "out-of-range probe" 2 ("batch " ^ Filename.quote path));
   with_temp_file {|{"jobs": [{"analysis": "dc", "nodes": 3}]}|} (fun path ->

@@ -256,7 +256,31 @@ let test_kernels_allocate_nothing () =
   let work = Array.make n 0.0 in
   zero "Sparse_cholesky.solve_in_place_ws" (fun () ->
       Array.blit b 0 x 0 n;
-      Linalg.Sparse_cholesky.solve_in_place_ws f ~work x)
+      Linalg.Sparse_cholesky.solve_in_place_ws f ~work x);
+  (* The block kernels, at widths that take every panel shape. *)
+  let k = 15 in
+  let cols = Array.init k Fun.id in
+  let src = Array.init (k * n) (fun i -> b.(i mod n)) and dst = Array.make (k * n) 0.0 in
+  let bwork = Array.make (Linalg.Sparse_cholesky.block_work_dim f ~k) 0.0 in
+  let amg_bws = Linalg.Amg.create_block_ws amg ~k in
+  List.iter
+    (fun hi ->
+      let at what = Printf.sprintf "%s (%d columns)" what hi in
+      zero (at "Sparse_cholesky.solve_block_ws") (fun () ->
+          Linalg.Sparse_cholesky.solve_block_ws f ~work:bwork ~cols ~lo:0 ~hi ~src ~dst);
+      zero (at "Sparse.mul_block_acc") (fun () ->
+          Linalg.Sparse.mul_block_acc ~alpha:(-1.0) a ~x:src ~y:dst ~cols ~lo:0 ~hi);
+      zero (at "Amg.apply_block") (fun () ->
+          Linalg.Amg.apply_block amg amg_bws ~src ~dst ~cols ~lo:0 ~hi))
+    [ 1; 2; 3; 4; 5; 6; k ];
+  List.iter
+    (fun kind ->
+      let p = Linalg.Precond.make kind a in
+      let bws = Linalg.Precond.create_block_ws p ~k in
+      zero
+        ("Precond.apply_block " ^ Linalg.Precond.to_string kind)
+        (fun () -> Linalg.Precond.apply_block p bws ~src ~dst ~cols ~lo:0 ~hi:k))
+    [ Linalg.Precond.Amg; Linalg.Precond.Cholesky; Linalg.Precond.Ic0 ]
 
 let test_galerkin_op_allocation_flat_in_n () =
   (* Per-application bookkeeping (the metrics span, the per-term

@@ -189,6 +189,45 @@ let test_netlist_grid_roundtrip () =
         (Powergrid.Waveform.eval w2 t))
     [ 0.0; 0.2e-9; 0.7e-9; 1.3e-9 ]
 
+(* The writer's bytes, pinned by digest: the benchmark's netlists and
+   every cache key over a netlist's contents depend on them. *)
+let pinned_netlist_text =
+  {|* pinned sources
+V1 a 0 1.2 RS=0.05
+L1 a b 2.5n
+R1 b c 0.37 KIND=metal
+R2 c 0 1.1k KIND=via
+R3 a c 1e-3 KIND=package
+C1 b 0 1.25p KIND=gate
+C2 c 0 3.3f
+I1 b 0 2m REGION=1
+I2 c 0 PWL(0 0 1e-10 0.004 3.7e-10 1.234567891e-3 1n 0) REGION=0
+I3 c 0 PULSE(0 1m 0 0.1n 0.1n 0.3n 1n)
+.end
+|}
+
+let test_netlist_writer_pinned () =
+  let generated nodes =
+    let spec =
+      { (Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default nodes) with
+        Powergrid.Grid_spec.seed = 1L }
+    in
+    Powergrid.Netlist.to_string ~title:(Powergrid.Grid_spec.describe spec)
+      (Powergrid.Grid_gen.generate spec)
+  in
+  let parsed =
+    Powergrid.Netlist.to_string
+      (Powergrid.Netlist.parse_string pinned_netlist_text).Powergrid.Netlist.circuit
+  in
+  List.iter
+    (fun (what, want, text) ->
+      Alcotest.(check string) what want (Digest.to_hex (Digest.string text)))
+    [
+      ("600-node grid", "35fd480dc720144f44a3a6127d633243", generated 600);
+      ("3,000-node grid", "b72518dad48613e80de677b9e336d500", generated 3000);
+      ("parsed sources", "64e7944f75cf60104691e69fb5c1d14b", parsed);
+    ]
+
 let test_netlist_errors () =
   let bad text =
     try
@@ -222,4 +261,5 @@ let suite =
     Alcotest.test_case "netlist roundtrip" `Quick test_netlist_roundtrip;
     Alcotest.test_case "generated grid roundtrip" `Quick test_netlist_grid_roundtrip;
     Alcotest.test_case "netlist errors" `Quick test_netlist_errors;
+    Alcotest.test_case "netlist writer bytes pinned" `Quick test_netlist_writer_pinned;
   ]

@@ -771,6 +771,51 @@ let test_result_signature_covers_record_knobs () =
   Alcotest.(check bool) "pcg tolerance changes the result signature" true
     (Job.result_signature (pcg 1e-10) <> Job.result_signature (pcg 1e-6))
 
+(* --- round-off routes pinned across commits ---------------------------- *)
+
+(* The determinism cases above compare runs of one build; this one pins
+   the bytes of the routes whose records are exact functions of their
+   kernels' operation order — direct, special case, st and pcg, under
+   the exact and the AMG mean solver — to digests recorded before the
+   multi-vector kernels replaced the per-block loops.  A kernel that
+   reorders one sum moves a record's last bit and fails here.
+   Matrix-free is left out: its term-matrix pass reorders sums. *)
+let pinned_roundoff_digests =
+  [
+    (Linalg.Precond.Cholesky, "ffd882efc469e5404e90fc667771e16c");
+    (Linalg.Precond.Amg, "98e8422816c1d9b932ea518b597e732a");
+  ]
+
+let test_roundoff_routes_pinned () =
+  let pin name analysis solver =
+    {
+      (base_job name) with
+      Job.source = Job.Generated { nodes = 400 };
+      analysis;
+      solver;
+    }
+  in
+  let pcg = Opera.Galerkin.Mean_pcg { tol = 1e-10; max_iter = 500 } in
+  let jobs =
+    [|
+      pin "dc" Job.Dc Opera.Galerkin.Direct;
+      pin "tr" Job.Transient Opera.Galerkin.Direct;
+      pin "sp" (Job.Special { regions = 4; lambda = 0.5 }) Opera.Galerkin.Direct;
+      pin "st-dc" Job.Dc Opera.Galerkin.default_st;
+      pin "st-tr" Job.Transient Opera.Galerkin.default_st;
+      pin "pcg-dc" Job.Dc pcg;
+      pin "pcg-tr" Job.Transient pcg;
+    |]
+  in
+  List.iter
+    (fun (precond, want) ->
+      let results, _ = run ~precond jobs in
+      Alcotest.(check string)
+        ("records under --precond " ^ Linalg.Precond.to_string precond)
+        want
+        (Digest.to_hex (Digest.string (String.concat "\n" (records_of results)))))
+    pinned_roundoff_digests
+
 let suite =
   [
     Alcotest.test_case "plan groups by operator signature" `Quick test_plan_groups;
@@ -805,4 +850,6 @@ let suite =
       test_registry_gc;
     Alcotest.test_case "result signature covers record-shaping knobs" `Quick
       test_result_signature_covers_record_knobs;
+    Alcotest.test_case "round-off routes pinned across commits" `Slow
+      test_roundoff_routes_pinned;
   ]

@@ -149,22 +149,26 @@ let test_mul_vec_acc () =
      Alcotest.fail "short y accepted"
    with Invalid_argument _ -> ())
 
-let test_mul_vec_acc_off () =
+let test_mul_block_acc () =
   let a = of_triplets ~nrows:2 ~ncols:2 [ (0, 0, 1.0); (0, 1, 2.0); (1, 1, -1.0) ] in
-  (* x, y are flat block vectors: block 1 of x feeds block 0 of y *)
+  (* x, y are flat block vectors; only the listed column (block 1) moves *)
   let x = [| 9.0; 9.0; 1.0; 3.0 |] in
   let y = [| 1.0; 1.0; 7.0; 7.0 |] in
-  Linalg.Sparse.mul_vec_acc_off ~alpha:1.0 a x ~xoff:2 y ~yoff:0;
+  Linalg.Sparse.mul_block_acc ~alpha:1.0 a ~x ~y ~cols:[| 0; 1 |] ~lo:1 ~hi:2;
   (* A [1; 3] = [7; -3] *)
-  Helpers.check_vec ~eps:1e-12 "offset blocks" [| 8.0; -2.0; 7.0; 7.0 |] y;
+  Helpers.check_vec ~eps:1e-12 "listed block only" [| 1.0; 1.0; 14.0; 4.0 |] y;
   (try
-     Linalg.Sparse.mul_vec_acc_off a x ~xoff:3 y ~yoff:0;
-     Alcotest.fail "x overrun accepted"
+     Linalg.Sparse.mul_block_acc a ~x ~y ~cols:[| 2 |] ~lo:0 ~hi:1;
+     Alcotest.fail "column overrun accepted"
    with Invalid_argument _ -> ());
   (try
-     Linalg.Sparse.mul_vec_acc_off a x ~xoff:0 y ~yoff:3;
+     Linalg.Sparse.mul_block_acc a ~x ~y:[| 1.0; 1.0 |] ~cols:[| 1 |] ~lo:0 ~hi:1;
      Alcotest.fail "y overrun accepted"
-   with Invalid_argument _ -> ())
+   with Invalid_argument _ -> ());
+  try
+    Linalg.Sparse.mul_block_acc a ~x ~y ~cols:[| 0 |] ~lo:0 ~hi:2;
+    Alcotest.fail "range overrun accepted"
+  with Invalid_argument _ -> ()
 
 let test_mul_vec_acc_matches_mul_vec =
   let arb = QCheck.(array_of_size (Gen.return 6) (float_range (-3.) 3.)) in
@@ -271,7 +275,7 @@ let suite =
     Alcotest.test_case "builder growth" `Quick test_builder_growth;
     test_mul_vec_matches_dense;
     Alcotest.test_case "mul_vec_acc" `Quick test_mul_vec_acc;
-    Alcotest.test_case "mul_vec_acc_off" `Quick test_mul_vec_acc_off;
+    Alcotest.test_case "mul_block_acc" `Quick test_mul_block_acc;
     test_mul_vec_acc_matches_mul_vec;
     Alcotest.test_case "of_stamps = of_triplets" `Quick test_of_stamps_matches_triplets;
     Alcotest.test_case "of_stamps dedup" `Quick test_of_stamps_dedup;

@@ -88,7 +88,7 @@ type config = {
 
 let default_config =
   {
-    unsafe_allowlist = [ "sparse.ml" ];
+    unsafe_allowlist = [ "sparse.ml"; "sparse_cholesky.ml" ];
     clock_allowlist = [ "timer.ml" ];
     check_mli = true;
   }
