@@ -92,7 +92,7 @@ bench-paper:
 # wall-clock at 1e5, zero full decodes on the warm replay) and dies on
 # any breach.
 bench-scale:
-	dune exec bench/scale_bench.exe
+	dune exec bench/scale_bench.exe -- --reps 3
 	rm -rf _bench_scale_cache
 
 examples:

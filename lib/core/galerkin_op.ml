@@ -58,7 +58,7 @@ let of_terms ?(domains = 0) ~tp ~n terms =
           let before = !cnt in
           for k = 0 to size - 1 do
             let c = Polychaos.Triple_product.value tp r j k in
-            if Util.Floats.nonzero c then begin
+            if not (Util.Floats.equal_exact c 0.0) then begin
               ins := k :: !ins;
               coefs := c :: !coefs;
               incr cnt

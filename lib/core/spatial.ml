@@ -100,7 +100,9 @@ let build_model ?(order = 2) t ~(base : Varmodel.t) ~spec circuit =
     let w = t.mode_weights.(m) in
     let acc = ref (Linalg.Sparse.zero ~nrows:n ~ncols:n) in
     Array.iteri
-      (fun r g_r -> if Util.Floats.nonzero w.(r) then acc := Linalg.Sparse.axpy ~alpha:w.(r) g_r !acc)
+      (fun r g_r ->
+        if not (Util.Floats.equal_exact w.(r) 0.0) then
+          acc := Linalg.Sparse.axpy ~alpha:w.(r) g_r !acc)
       region_g;
     !acc
   in

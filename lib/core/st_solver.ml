@@ -3,10 +3,12 @@
    deterministic system, and recover the Galerkin-layout coefficients
    through the dense inverse-Vandermonde transform.  The point solves
    share their factors or mean solver read-only — the points iterating
-   against the mean solver run in lockstep, one block apply per round —
-   so the whole backend rides the transient hot path's kernel
-   discipline: per-chunk workspaces, disjoint output slices,
-   bitwise-identical results at any domain count. *)
+   against the mean solver run in lockstep, one block apply per round,
+   and a cohort of excitation corners shares each point's factor, one
+   block solve per step for all of them — so the whole backend rides
+   the transient hot path's kernel discipline: per-chunk workspaces,
+   disjoint output slices, bitwise-identical results at any domain
+   count. *)
 
 type points = {
   basis : Polychaos.Basis.t;
@@ -215,38 +217,40 @@ let checked_ms ~options (m : Stochastic_model.t) ~count = function
    approximate mean solver (AMG V-cycles, IC(0)) it is PCG, which
    converges on the preconditioned spectrum where a stationary
    iteration would contract only as fast as the preconditioner
-   alone. *)
+   alone.  A point here is one column: a testing point of one member of
+   a cohort (see the cohort section below), so everything is indexed by
+   column. *)
 
 type lockstep = {
   ln : int;
   krylov : bool;  (* approximate mean solver: PCG; exact: refinement *)
-  stage : Linalg.Vec.t;  (* size * n: point i's column for the shared apply *)
-  resid : Linalg.Vec.t array;  (* per point: residual r *)
-  dir : Linalg.Vec.t array;  (* per point: CG direction p (PCG only) *)
-  prod : Linalg.Vec.t array;  (* per point: A p (PCG only) *)
+  stage : Linalg.Vec.t;  (* ncols * n: column i's slot for the shared apply *)
+  resid : Linalg.Vec.t array;  (* per column: residual r *)
+  dir : Linalg.Vec.t array;  (* per column: CG direction p (PCG only) *)
+  prod : Linalg.Vec.t array;  (* per column: A p (PCG only) *)
   bnorm : float array;
   rz : float array;
   rnorm : float array;
   iters : int array;
-  active : int array array;  (* per chunk: points in the next shared apply *)
+  active : int array array;  (* per chunk: columns in the next shared apply *)
   bws : Linalg.Precond.block_ws array;  (* per chunk *)
 }
 
-let create_lockstep ms ~size ~n ~chunks =
+let create_lockstep ms ~ncols ~n ~chunks =
   let krylov = Linalg.Precond.backend ms <> Linalg.Precond.Cholesky in
-  let per_point () = Array.init size (fun _ -> Array.make n 0.0) in
-  let width = (size + chunks - 1) / chunks in
+  let per_column () = Array.init ncols (fun _ -> Array.make n 0.0) in
+  let width = (ncols + chunks - 1) / chunks in
   {
     ln = n;
     krylov;
-    stage = Array.make (size * n) 0.0;
-    resid = per_point ();
-    dir = (if krylov then per_point () else [||]);
-    prod = (if krylov then per_point () else [||]);
-    bnorm = Array.make size 0.0;
-    rz = Array.make size 0.0;
-    rnorm = Array.make size 0.0;
-    iters = Array.make size 0;
+    stage = Array.make (ncols * n) 0.0;
+    resid = per_column ();
+    dir = (if krylov then per_column () else [||]);
+    prod = (if krylov then per_column () else [||]);
+    bnorm = Array.make ncols 0.0;
+    rz = Array.make ncols 0.0;
+    rnorm = Array.make ncols 0.0;
+    iters = Array.make ncols 0;
     active = Array.init chunks (fun _ -> Array.make width 0);
     bws = Array.init chunks (fun _ -> Linalg.Precond.create_block_ws ms ~k:width);
   }
@@ -276,7 +280,7 @@ let refine_lockstep ls ~ms ~bws ~act ~m ~warm ~tol ~max_refine ~g ~b ~x =
     ls.bnorm.(i) <- Linalg.Vec.norm2 b.(i);
     ls.iters.(i) <- 0;
     ls.rnorm.(i) <- 0.0;
-    if not (Util.Floats.is_zero ls.bnorm.(i)) then begin
+    if not (Util.Floats.equal_exact ls.bnorm.(i) 0.0) then begin
       act.(!running) <- i;
       incr running
     end
@@ -323,7 +327,7 @@ let pcg_lockstep ls ~ms ~bws ~act ~m ~warm ~tol ~max_refine ~g ~b ~x =
     let bnorm = Linalg.Vec.norm2 b.(i) in
     ls.bnorm.(i) <- bnorm;
     ls.iters.(i) <- 0;
-    if Util.Floats.is_zero bnorm then begin
+    if Util.Floats.equal_exact bnorm 0.0 then begin
       (* the exact solution of a zero right-hand side *)
       Linalg.Vec.fill xi 0.0;
       ls.rnorm.(i) <- 0.0
@@ -432,9 +436,10 @@ let solve_points ls ~ms ~chunk ~lo ~hi ~skip ~warm ~ordering ~tol ~max_refine ~g
   done
 
 (* Coefficient recovery: block k of [coefs] is [sum_i inv(k,i) x_i],
-   chunked over blocks with disjoint writes (i ascends in a fixed order,
-   so the summation is bitwise stable). *)
-let[@opera.hot] transform_into (p : points) ~n ~domains x_pts coefs =
+   with [x_i] the column [first + i] of [x_cols], chunked over blocks
+   with disjoint writes (i ascends in a fixed order, so the summation is
+   bitwise stable). *)
+let[@opera.hot] transform_into (p : points) ~n ~domains ~first x_cols coefs =
   let size = Array.length p.pts in
   Util.Parallel.for_chunks ~domains size (fun ~chunk:_ ~lo ~hi ->
       for k = lo to hi - 1 do
@@ -442,8 +447,8 @@ let[@opera.hot] transform_into (p : points) ~n ~domains x_pts coefs =
         Array.fill coefs base n 0.0;
         for i = 0 to size - 1 do
           let w = Linalg.Dense.get p.inv k i in
-          if Util.Floats.nonzero w then begin
-            let xi = x_pts.(i) in
+          if not (Util.Floats.equal_exact w 0.0) then begin
+            let xi = x_cols.(first + i) in
             for j = 0 to n - 1 do
               coefs.(base + j) <- coefs.(base + j) +. (w *. xi.(j))
             done
@@ -471,26 +476,62 @@ let settle_reports ~metrics ~agg reports =
   if !fallbacks > 0 then Util.Metrics.incr ~by:!fallbacks metrics "st.fallbacks";
   (!sweeps, !fallbacks)
 
-(* Fan the N+1 points across domains: each chunk runs its points in
+(* Fan the columns across domains: each chunk runs its columns in
    lockstep against the shared mean solver with its own block
    workspace (the same split as the mean-block preconditioner). *)
-let point_dc_sweep ~options ~ms ~g_pts ~b_pts ~x_pts reports =
-  let size = Array.length g_pts in
-  let n = Array.length b_pts.(0) in
+let point_dc_sweep ~options ~ms ~g_cols ~b_cols ~x_cols reports =
+  let ncols = Array.length g_cols in
+  let n = Array.length b_cols.(0) in
   let d = Util.Parallel.resolve options.domains in
-  let chunks = Int.max 1 (Int.min d size) in
-  let ls = create_lockstep ms ~size ~n ~chunks in
-  let fallback = Array.make size None in
+  let chunks = Int.max 1 (Int.min d ncols) in
+  let ls = create_lockstep ms ~ncols ~n ~chunks in
+  let fallback = Array.make ncols None in
   let tol = options.refine_tol and max_refine = options.refine_max in
   let ordering = options.ordering in
-  (* opera-lint: race — a chunk writes only the slots of its own points and its own workspace *)
-  Util.Parallel.for_chunks ~domains:d size (fun ~chunk ~lo ~hi ->
+  (* opera-lint: race — a chunk writes only the slots of its own columns and its own workspace *)
+  Util.Parallel.for_chunks ~domains:d ncols (fun ~chunk ~lo ~hi ->
       solve_points ls ~ms ~chunk ~lo ~hi ~skip:(fun _ -> false) ~warm:false ~ordering ~tol
-        ~max_refine ~g:g_pts ~b:b_pts ~x:x_pts ~reports ~fallback)
+        ~max_refine ~g:g_cols ~b:b_cols ~x:x_cols ~reports ~fallback)
+
+(* ---- cohorts ----------------------------------------------------------
+
+   A cohort is k models sharing one operator — the engine's corners of
+   one operator group, which differ only in their excitation.  Member
+   [j] at testing point [i] is column [c = j * size + i]: the columns
+   of every member refine against G(0) in one lockstep, and each step
+   solves point [i]'s stepping factor once for the k columns that share
+   it.  A column's arithmetic is a lone point's, operation for
+   operation, and the block solves and applies are bitwise their single
+   forms, so every member's result is bitwise its own k = 1 solve —
+   which is what {!solve_dc} and {!solve_transient} are. *)
+
+let cohort_operator name (ms : Stochastic_model.t array) =
+  if Array.length ms = 0 then invalid_arg (name ^ ": empty cohort");
+  let m = ms.(0) in
+  Array.iter
+    (fun (mj : Stochastic_model.t) ->
+      if mj.g_terms != m.g_terms || mj.c_terms != m.c_terms || mj.basis != m.basis then
+        invalid_arg (name ^ ": cohort members must share one operator"))
+    ms;
+  m
+
+(* Per-column excitations at t = 0, and the coefficient vector of each
+   member recovered from its columns. *)
+let dc_rhs_cols (ms : Stochastic_model.t array) (p : points) =
+  let size = Array.length p.pts in
+  Array.init
+    (Array.length ms * size)
+    (fun c -> Stochastic_model.u_of_sample ms.(c / size) p.pts.(c mod size) 0.0)
+
+let transform_members p ~n ~domains x_cols coefs =
+  let size = Array.length p.pts in
+  Array.iteri (fun j cj -> transform_into p ~n ~domains ~first:(j * size) x_cols cj) coefs
 
 (* ---- DC ---------------------------------------------------------------- *)
 
-let solve_dc ?(options = default_options) ?points ?f0 (m : Stochastic_model.t) =
+let solve_dc_cohort ?(options = default_options) ?points ?f0 ms =
+  let m = cohort_operator "St_solver.solve_dc_cohort" ms in
+  let k = Array.length ms in
   let metrics = options.metrics in
   let factorizations = ref 0 in
   let count () = incr factorizations in
@@ -499,22 +540,24 @@ let solve_dc ?(options = default_options) ?points ?f0 (m : Stochastic_model.t) =
   let select_seconds = Util.Metrics.stop_span metrics "st.select_s" t_sel in
   let size = Array.length p.pts in
   let n = m.n in
-  Util.Metrics.incr ~by:size metrics "st.points";
+  let ncols = k * size in
+  Util.Metrics.incr ~by:ncols metrics "st.points";
   let t_f = Util.Metrics.start_span () in
-  let ms = checked_ms ~options m ~count f0 in
+  let msolver = checked_ms ~options m ~count f0 in
   let factor_seconds = Util.Metrics.stop_span metrics "st.factor_s" t_f in
   let g_pts = Array.init size (fun i -> Stochastic_model.g_of_sample m p.pts.(i)) in
-  let b_pts = Array.init size (fun i -> Stochastic_model.u_of_sample m p.pts.(i) 0.0) in
-  let x_pts = Array.init size (fun _ -> Array.make n 0.0) in
-  let reports = Array.make size None in
+  let g_cols = Array.init ncols (fun c -> g_pts.(c mod size)) in
+  let b_cols = dc_rhs_cols ms p in
+  let x_cols = Array.init ncols (fun _ -> Array.make n 0.0) in
+  let reports = Array.make ncols None in
   let agg = Linalg.Solve_report.agg_create () in
   let t_steps = Util.Timer.start () in
   Util.Metrics.span metrics "st.step_s" (fun () ->
-      point_dc_sweep ~options ~ms ~g_pts ~b_pts ~x_pts reports);
+      point_dc_sweep ~options ~ms:msolver ~g_cols ~b_cols ~x_cols reports);
   let sweeps, fallbacks = settle_reports ~metrics ~agg reports in
-  let coefs = Array.make (size * n) 0.0 in
+  let coefs = Array.init k (fun _ -> Array.make (size * n) 0.0) in
   Util.Metrics.span metrics "st.transform_s" (fun () ->
-      transform_into p ~n ~domains:options.domains x_pts coefs);
+      transform_members p ~n ~domains:options.domains x_cols coefs);
   let step_seconds = Util.Timer.elapsed_s t_steps in
   let nnz_point = Array.fold_left (fun acc g -> acc + Linalg.Sparse.nnz g) 0 g_pts in
   ( coefs,
@@ -523,18 +566,25 @@ let solve_dc ?(options = default_options) ?points ?f0 (m : Stochastic_model.t) =
       factorizations = !factorizations + fallbacks;
       refine_sweeps = sweeps;
       nnz_point;
-      nnz_factor = Linalg.Precond.stored_nnz ms;
+      nnz_factor = Linalg.Precond.stored_nnz msolver;
       select_seconds;
       factor_seconds;
       step_seconds;
       health = agg;
     } )
 
+let solve_dc ?options ?points ?f0 m =
+  let coefs, stats = solve_dc_cohort ?options ?points ?f0 [| m |] in
+  (coefs.(0), stats)
+
 (* ---- transient --------------------------------------------------------- *)
 
-let solve_transient ?(options = default_options) ?points ?f0 ?fstep
-    (m : Stochastic_model.t) ~h ~steps =
+let solve_transient_cohort ?(options = default_options) ?points ?f0 ?fstep ms ~probes ~h ~steps =
   if h <= 0.0 then invalid_arg "St_solver.solve_transient: step must be positive";
+  let m = cohort_operator "St_solver.solve_transient_cohort" ms in
+  let k = Array.length ms in
+  if Array.length probes <> k then
+    invalid_arg "St_solver.solve_transient_cohort: need one probe set per member";
   let metrics = options.metrics in
   let factorizations = ref 0 in
   let count () = incr factorizations in
@@ -543,16 +593,17 @@ let solve_transient ?(options = default_options) ?points ?f0 ?fstep
   let select_seconds = Util.Metrics.stop_span metrics "st.select_s" t_sel in
   let size = Array.length p.pts in
   let n = m.n in
-  Util.Metrics.incr ~by:size metrics "st.points";
+  let ncols = k * size in
+  Util.Metrics.incr ~by:ncols metrics "st.points";
   let g_pts = Array.init size (fun i -> Stochastic_model.g_of_sample m p.pts.(i)) in
   let c_pts = Array.init size (fun i -> Stochastic_model.c_of_sample m p.pts.(i)) in
   let t_f = Util.Metrics.start_span () in
-  let ms = checked_ms ~options m ~count f0 in
+  let msolver = checked_ms ~options m ~count f0 in
   (* Stepping backend: cached exact factors when supplied; otherwise the
      exact route builds the classic N+1 per-point factors, while the
      approximate backends (amg / ic0 / auto at large n) build ONE mean
      stepping-matrix solver [G(0) + C(0)/h] plus the per-point stepping
-     matrices, and every step solves each point by CG preconditioned
+     matrices, and every step solves each column by CG preconditioned
      with the mean solver from its (structurally warm) previous state —
      no N+1 factors resident, which is what survives at 10^5+ nodes. *)
   let fstep, mstep, a_pts =
@@ -592,89 +643,116 @@ let solve_transient ?(options = default_options) ?points ?f0 ?fstep
   in
   let factor_seconds = Util.Metrics.stop_span metrics "st.factor_s" t_f in
   let psi_pts = Array.map (Polychaos.Basis.eval_all m.basis) p.pts in
-  let static_pts = Array.map (static_of_point m) psi_pts in
-  let dcoef_pts = Array.map (drain_coef_of_point m) psi_pts in
-  let response =
-    Response.create ~basis:m.basis ~n ~steps ~h ~vdd:m.vdd ~probes:options.probes
+  let static_cols =
+    Array.init ncols (fun c -> static_of_point ms.(c / size) psi_pts.(c mod size))
+  in
+  let dcoef_cols =
+    Array.init ncols (fun c -> drain_coef_of_point ms.(c / size) psi_pts.(c mod size))
+  in
+  let responses =
+    Array.init k (fun j ->
+        Response.create ~basis:m.basis ~n ~steps ~h ~vdd:ms.(j).vdd ~probes:probes.(j))
   in
   let d = Util.Parallel.resolve options.domains in
-  let chunks = Int.max 1 (Int.min d size) in
-  (* Right-hand-side buffers: one per chunk on the exact route, one per
-     point on the approximate route (each point's CG keeps its own rhs
-     through the lockstep). *)
-  let work =
-    if Option.is_some fstep then Array.init chunks (fun _ -> Array.make n 0.0) else [||]
-  in
-  let ubuf =
-    Array.init (if Option.is_some fstep then chunks else size) (fun _ -> Array.make n 0.0)
-  in
-  let x_pts = Array.init size (fun _ -> Array.make n 0.0) in
-  let coefs = Array.make (size * n) 0.0 in
+  (* The exact route splits points over domains (a point's k columns
+     share its factor); the approximate route splits columns. *)
+  let chunks = Int.max 1 (Int.min d (if Option.is_some fstep then size else ncols)) in
+  let x_cols = Array.init ncols (fun _ -> Array.make n 0.0) in
+  let coefs = Array.init k (fun _ -> Array.make (size * n) 0.0) in
   let drain_buf = Array.make n 0.0 in
-  let reports = Array.make size None in
+  let reports = Array.make ncols None in
   let agg = Linalg.Solve_report.agg_create () in
   let t_steps = Util.Timer.start () in
-  (* Stochastic DC initial state: solve every point against the shared
-     mean solver, exactly as solve_dc does. *)
-  let b_pts = Array.init size (fun i -> Stochastic_model.u_of_sample m p.pts.(i) 0.0) in
-  point_dc_sweep ~options ~ms ~g_pts ~b_pts ~x_pts reports;
+  let record_members step =
+    Array.iteri (fun j r -> Response.record_step r ~step ~coefs:coefs.(j)) responses
+  in
+  (* Stochastic DC initial state: solve every column against the shared
+     mean solver, exactly as solve_dc_cohort does. *)
+  let g_cols = Array.init ncols (fun c -> g_pts.(c mod size)) in
+  point_dc_sweep ~options ~ms:msolver ~g_cols ~b_cols:(dc_rhs_cols ms p) ~x_cols reports;
   let dc_sweeps, dc_fallbacks = settle_reports ~metrics ~agg reports in
   let sweeps = ref dc_sweeps and fallbacks = ref dc_fallbacks in
-  transform_into p ~n ~domains:options.domains x_pts coefs;
-  Response.record_step response ~step:0 ~coefs;
-  (* Backward Euler per point: rhs_i = u_i(t) + C_i x_i / h, then either
-     one triangular solve with the point's cached factor or a warm
-     preconditioned CG solve against the mean stepping solver.  The
-     state x_i carries across steps — the warm start is structural.  The
-     drain profile is shared read-only; every write inside the fan-out
-     lands in point-owned or chunk-owned buffers / slots. *)
-  let step_ls = Option.map (fun msp -> create_lockstep msp ~size ~n ~chunks) mstep in
-  (* A point whose iterative solve broke down keeps its direct factor
+  transform_members p ~n ~domains:options.domains x_cols coefs;
+  record_members 0;
+  (* Backward Euler per column: rhs = u(t) + C_i x / h, then either one
+     solve with the point's cached factor — a block solve over the k
+     columns of that point — or a warm preconditioned CG solve against
+     the mean stepping solver.  The state x carries across steps — the
+     warm start is structural.  The drain profile is shared read-only;
+     every write inside the fan-out lands in column-owned or
+     chunk-owned buffers / slots. *)
+  let step_ls = Option.map (fun msp -> create_lockstep msp ~ncols ~n ~chunks) mstep in
+  (* Right-hand-side buffers: on the exact route one per chunk, with a
+     k-column stage and block workspace; on the approximate route one
+     per column (each column's CG keeps its own rhs through the
+     lockstep). *)
+  let ubuf =
+    Array.init (if Option.is_some fstep then chunks else ncols) (fun _ -> Array.make n 0.0)
+  in
+  let stage, bwork =
+    match fstep with
+    | Some fs ->
+        ( Array.init chunks (fun _ -> Array.make (k * n) 0.0),
+          Array.init chunks (fun _ ->
+              Array.make (Linalg.Sparse_cholesky.block_work_dim fs.(0) ~k) 0.0) )
+    | None -> ([||], [||])
+  in
+  let members = Array.init k Fun.id in
+  let a_cols = Array.init (Array.length a_pts * k) (fun c -> a_pts.(c mod size)) in
+  (* A column whose iterative solve broke down keeps its direct factor
      for the remaining steps instead of re-failing every step. *)
-  let fallback_f = Array.make size None in
-  let step_reports = Array.make size None in
+  let fallback_f = Array.make ncols None in
+  let step_reports = Array.make ncols None in
   let tol = options.refine_tol and max_refine = options.refine_max in
   let ordering = options.ordering in
-  for k = 1 to steps do
-    let t = float_of_int k *. h in
+  let load_rhs u c =
+    let i = c mod size in
+    Array.blit static_cols.(c) 0 u 0 n;
+    Linalg.Vec.axpy ~alpha:dcoef_cols.(c) drain_buf u;
+    Linalg.Sparse.mul_vec_acc ~alpha:(1.0 /. h) c_pts.(i) x_cols.(c) u
+  in
+  for step = 1 to steps do
+    let t = float_of_int step *. h in
     Stochastic_model.drain_profile_into m t drain_buf;
     (match fstep with
     | Some fstep ->
-        (* opera-lint: race — drain_buf is read-only inside (axpy source) *)
+        (* opera-lint: race — load_rhs writes only the chunk's u and reads drain_buf and x_cols; stage and bwork are the chunk's own; x_cols writes land in the columns of the chunk's own points *)
         Util.Parallel.for_chunks ~domains:d size (fun ~chunk ~lo ~hi ->
-            let u = ubuf.(chunk) and wk = work.(chunk) in
+            let u = ubuf.(chunk) and st = stage.(chunk) in
             for i = lo to hi - 1 do
-              Array.blit static_pts.(i) 0 u 0 n;
-              Linalg.Vec.axpy ~alpha:dcoef_pts.(i) drain_buf u;
-              Linalg.Sparse.mul_vec_acc ~alpha:(1.0 /. h) c_pts.(i) x_pts.(i) u;
-              Array.blit u 0 x_pts.(i) 0 n;
-              Linalg.Sparse_cholesky.solve_in_place_ws fstep.(i) ~work:wk x_pts.(i)
+              for j = 0 to k - 1 do
+                load_rhs u ((j * size) + i);
+                Array.blit u 0 st (j * n) n
+              done;
+              Linalg.Sparse_cholesky.solve_block_ws fstep.(i) ~work:bwork.(chunk) ~cols:members
+                ~lo:0 ~hi:k ~src:st ~dst:st;
+              for j = 0 to k - 1 do
+                Array.blit st (j * n) x_cols.((j * size) + i) 0 n
+              done
             done)
     | None ->
         let msp = Option.get mstep and ls = Option.get step_ls in
-        let has_factor i = Option.is_some fallback_f.(i) in
-        (* opera-lint: race — drain_buf is read-only inside (axpy source); ubuf / x_pts / step_reports / fallback_f writes land in per-point slots disjoint across chunks *)
-        Util.Parallel.for_chunks ~domains:d size (fun ~chunk ~lo ~hi ->
-            for i = lo to hi - 1 do
-              let u = ubuf.(i) in
-              Array.blit static_pts.(i) 0 u 0 n;
-              Linalg.Vec.axpy ~alpha:dcoef_pts.(i) drain_buf u;
-              Linalg.Sparse.mul_vec_acc ~alpha:(1.0 /. h) c_pts.(i) x_pts.(i) u;
-              match fallback_f.(i) with
-              | Some fi ->
-                  Array.blit u 0 x_pts.(i) 0 n;
-                  Linalg.Sparse_cholesky.solve_in_place_ws fi ~work:ls.resid.(i) x_pts.(i)
+        let has_factor c = Option.is_some fallback_f.(c) in
+        (* opera-lint: race — load_rhs writes only ubuf.(c) of the chunk's columns and reads drain_buf and x_cols; ubuf / x_cols / step_reports / fallback_f writes land in per-column slots disjoint across chunks *)
+        Util.Parallel.for_chunks ~domains:d ncols (fun ~chunk ~lo ~hi ->
+            for c = lo to hi - 1 do
+              let u = ubuf.(c) in
+              load_rhs u c;
+              match fallback_f.(c) with
+              | Some fc ->
+                  Array.blit u 0 x_cols.(c) 0 n;
+                  Linalg.Sparse_cholesky.solve_in_place_ws fc ~work:ls.resid.(c) x_cols.(c)
               | None -> ()
             done;
             solve_points ls ~ms:msp ~chunk ~lo ~hi ~skip:has_factor ~warm:true ~ordering ~tol
-              ~max_refine ~g:a_pts ~b:ubuf ~x:x_pts ~reports:step_reports ~fallback:fallback_f);
+              ~max_refine ~g:a_cols ~b:ubuf ~x:x_cols ~reports:step_reports ~fallback:fallback_f);
         let s, f = settle_reports ~metrics ~agg step_reports in
         sweeps := !sweeps + s;
         fallbacks := !fallbacks + f;
-        Array.fill step_reports 0 size None);
+        Array.fill step_reports 0 ncols None);
     Util.Metrics.span metrics "st.transform_s" (fun () ->
-        transform_into p ~n ~domains:options.domains x_pts coefs);
-    Response.record_step response ~step:k ~coefs
+        transform_members p ~n ~domains:options.domains x_cols coefs);
+    record_members step
   done;
   let step_seconds = Util.Timer.elapsed_s t_steps in
   Util.Metrics.observe metrics "st.step_s" step_seconds;
@@ -696,7 +774,7 @@ let solve_transient ?(options = default_options) ?points ?f0 ?fstep
           (Linalg.Precond.stored_nnz (Option.get mstep))
           fallback_f
   in
-  ( response,
+  ( responses,
     {
       points = size;
       factorizations = !factorizations + !fallbacks;
@@ -708,3 +786,10 @@ let solve_transient ?(options = default_options) ?points ?f0 ?fstep
       step_seconds;
       health = agg;
     } )
+
+let solve_transient ?(options = default_options) ?points ?f0 ?fstep m ~h ~steps =
+  let responses, stats =
+    solve_transient_cohort ~options ?points ?f0 ?fstep [| m |] ~probes:[| options.probes |] ~h
+      ~steps
+  in
+  (responses.(0), stats)

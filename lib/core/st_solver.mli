@@ -34,12 +34,23 @@
       stepping-matrix solver preconditions a warm-started CG solve per
       point per step, the points again in lockstep.
 
-    Points fan out across {!Util.Parallel.for_chunks} in column chunks,
-    each chunk running its points in lockstep with its own block
-    workspace; results are bitwise identical for any domain count.  All
-    moments, yield bounds and {!Response} plumbing downstream are
-    backend-agnostic — the recovered coefficients use the same block
-    layout as {!Galerkin}. *)
+    Cohorts: {!solve_dc_cohort} and {!solve_transient_cohort} solve k
+    models that share one operator and differ only in their excitation
+    (the batch engine's corners of one operator group) in one pass.
+    Member [j] at point [i] is column [j * (N+1) + i]: every column
+    refines against the mean solver in one lockstep, and each step
+    solves point [i]'s stepping factor once, as one block solve
+    ({!Linalg.Sparse_cholesky.solve_block_ws}), for the k columns that
+    share it.  Each member's result is bitwise its own k = 1 solve;
+    {!solve_dc} and {!solve_transient} are exactly that call.
+
+    Columns fan out across {!Util.Parallel.for_chunks} in chunks, each
+    chunk running its columns in lockstep with its own block workspace
+    (the exact transient steps split points, each point's k columns
+    riding one block solve); results are bitwise identical for any
+    domain count.  All moments, yield bounds and {!Response} plumbing
+    downstream are backend-agnostic — the recovered coefficients use the
+    same block layout as {!Galerkin}. *)
 
 type points = {
   basis : Polychaos.Basis.t;
@@ -99,9 +110,11 @@ type options = {
       (** {!Util.Parallel.resolve} convention; points fan out across
           domains, results bitwise identical for any count *)
   metrics : Util.Metrics.t;
-      (** receives [st.points], [st.refine_sweeps], [st.fallbacks] and
-          the [st.select_s] / [st.factor_s] / [st.step_s] /
-          [st.transform_s] spans (calling domain only) *)
+      (** receives [st.points] (N+1 per member), [st.refine_sweeps],
+          [st.fallbacks] and the [st.select_s] / [st.factor_s] /
+          [st.step_s] / [st.transform_s] spans (calling domain only; one
+          observation per call or per step, whatever the cohort's
+          width) *)
 }
 
 val default_options : options
@@ -153,4 +166,35 @@ val solve_transient :
     states carried across steps.  Approximate route: one mean
     stepping-matrix solver, then one warm-started preconditioned CG
     solve per point per step.  [fstep] must hold exactly [N+1] factors of the grid
-    dimension. *)
+    dimension.  The one-member {!solve_transient_cohort}. *)
+
+val solve_dc_cohort :
+  ?options:options ->
+  ?points:points ->
+  ?f0:Linalg.Sparse_cholesky.t ->
+  Stochastic_model.t array ->
+  Linalg.Vec.t array * stats
+(** {!solve_dc} for k members at once: one coefficient vector per
+    member, each bitwise the member's own {!solve_dc}.  The members must
+    share one operator — the same G and C terms and basis, physically
+    (drain-scaled copies of one model) — and only their excitations may
+    differ; [Invalid_argument] otherwise or on an empty array.  [stats]
+    covers the whole cohort: [refine_sweeps] and [health] sum over
+    every column, the rest describe the shared operator and solvers. *)
+
+val solve_transient_cohort :
+  ?options:options ->
+  ?points:points ->
+  ?f0:Linalg.Sparse_cholesky.t ->
+  ?fstep:Linalg.Sparse_cholesky.t array ->
+  Stochastic_model.t array ->
+  probes:int array array ->
+  h:float ->
+  steps:int ->
+  Response.t array * stats
+(** {!solve_transient} for k members at once, member [j] recording the
+    probes [probes.(j)] ([options.probes] is not read).  Each step of
+    the exact route solves every point's stepping factor once, as one
+    k-column block solve; every member's response is bitwise its own
+    {!solve_transient}.  Operator sharing and [stats] as for
+    {!solve_dc_cohort}. *)

@@ -320,7 +320,7 @@ let fvec_of_array a =
   b
 
 let inverse_diag a =
-  Array.map (fun d -> if Util.Floats.is_zero d then 0.0 else 1.0 /. d) (Sparse.diag a)
+  Array.map (fun d -> if Util.Floats.equal_exact d 0.0 then 0.0 else 1.0 /. d) (Sparse.diag a)
 
 let plevel_of_sparse a inv_diag p =
   let n, _ = Sparse.dims a in

@@ -7,7 +7,9 @@ let identity_preconditioner r = Array.copy r
 let jacobi a =
   let d = Sparse.diag a in
   Array.iteri
-    (fun i v -> if Util.Floats.is_zero v then invalid_arg (Printf.sprintf "Cg.jacobi: zero diagonal at %d" i))
+    (fun i v ->
+      if Util.Floats.equal_exact v 0.0 then
+        invalid_arg (Printf.sprintf "Cg.jacobi: zero diagonal at %d" i))
     d;
   let inv = Array.map (fun v -> 1.0 /. v) d in
   fun r -> Vec.mul_elementwise inv r
@@ -55,7 +57,7 @@ let ic0_factorize a =
       if k < j then begin
         let pjk = find_in_col k j in
         let ljk = if pjk >= 0 then lx.(pjk) else 0.0 in
-        if Util.Floats.nonzero ljk then
+        if not (Util.Floats.equal_exact ljk 0.0) then
           (* for each i >= j with (i,k) and (i,j) in pattern *)
           for p = colptr.(k) to colptr.(k + 1) - 1 do
             let i = rowind.(p) in
@@ -153,7 +155,7 @@ let[@opera.hot] solve_report_in_place ?(precond = identity_preconditioner) ?max_
   if workspace_dim ws <> n then
     invalid_arg "Cg.solve_report_in_place: workspace dimension mismatch";
   let bnorm = Vec.norm2 b in
-  if Util.Floats.is_zero bnorm then begin
+  if Util.Floats.equal_exact bnorm 0.0 then begin
     (* The exact solution of an SPD system with a zero right-hand side is
        zero: return it outright instead of iterating against a zero
        target (which could never be met from a nonzero initial guess). *)

@@ -70,7 +70,7 @@ let matmul a b =
   for i = 0 to a.rows - 1 do
     for k = 0 to a.cols - 1 do
       let aik = a.data.((i * a.cols) + k) in
-      if Util.Floats.nonzero aik then
+      if not (Util.Floats.equal_exact aik 0.0) then
         for j = 0 to b.cols - 1 do
           c.data.((i * c.cols) + j) <- c.data.((i * c.cols) + j) +. (aik *. b.data.((k * b.cols) + j))
         done
@@ -95,7 +95,7 @@ let matvec_t a x =
   let y = Vec.create a.cols in
   for i = 0 to a.rows - 1 do
     let xi = x.(i) in
-    if Util.Floats.nonzero xi then
+    if not (Util.Floats.equal_exact xi 0.0) then
       for j = 0 to a.cols - 1 do
         y.(j) <- y.(j) +. (a.data.((i * a.cols) + j) *. xi)
       done

@@ -80,7 +80,7 @@ let tridiagonal ~diag ~off =
   let pythag a b =
     let absa = Float.abs a and absb = Float.abs b in
     if absa > absb then absa *. sqrt (1.0 +. ((absb /. absa) ** 2.0))
-    else if Util.Floats.is_zero absb then 0.0
+    else if Util.Floats.equal_exact absb 0.0 then 0.0
     else absb *. sqrt (1.0 +. ((absa /. absb) ** 2.0))
   in
   for l = 0 to n - 1 do
@@ -112,7 +112,7 @@ let tridiagonal ~diag ~off =
              let f = !s *. e.(i) and b = !c *. e.(i) in
              let r = pythag f !g in
              e.(i + 1) <- r;
-             if Util.Floats.is_zero r then begin
+             if Util.Floats.equal_exact r 0.0 then begin
                d.(i + 1) <- d.(i + 1) -. !p;
                e.(!m) <- 0.0;
                raise Exit

@@ -36,7 +36,7 @@ let factor a =
     for i = k + 1 to n - 1 do
       let lik = get i k /. pivot in
       set i k lik;
-      if Util.Floats.nonzero lik then
+      if not (Util.Floats.equal_exact lik 0.0) then
         for j = k + 1 to n - 1 do
           set i j (get i j -. (lik *. get k j))
         done

@@ -59,7 +59,7 @@ let of_triplets ~nrows ~ncols triplets =
       acc := !acc +. v;
       incr k
     done;
-    if Util.Floats.nonzero !acc then begin
+    if not (Util.Floats.equal_exact !acc 0.0) then begin
       ri := i :: !ri;
       vs := !acc :: !vs;
       counts.(j + 1) <- counts.(j + 1) + 1;
@@ -101,7 +101,7 @@ let[@opera.hot] sort_merge_column (rowind : int array) (values : float array) lo
       acc := !acc +. values.(!k);
       incr k
     done;
-    if Util.Floats.nonzero !acc then begin
+    if not (Util.Floats.equal_exact !acc 0.0) then begin
       rowind.(!out) <- i;
       values.(!out) <- !acc;
       incr out
@@ -198,7 +198,7 @@ let of_dense d =
   for j = ncols - 1 downto 0 do
     for i = nrows - 1 downto 0 do
       let v = Dense.get d i j in
-      if Util.Floats.nonzero v then triplets := (i, j, v) :: !triplets
+      if not (Util.Floats.equal_exact v 0.0) then triplets := (i, j, v) :: !triplets
     done
   done;
   of_triplets ~nrows ~ncols !triplets
@@ -418,7 +418,7 @@ let axpy ~alpha a b =
     let ea = a.colptr.(j + 1) and eb = b.colptr.(j + 1) in
     while !ka < ea || !kb < eb do
       let push i v =
-        if Util.Floats.nonzero v then begin
+        if not (Util.Floats.equal_exact v 0.0) then begin
           rowind.(!pos) <- i;
           values.(!pos) <- v;
           incr pos
@@ -451,7 +451,7 @@ let axpy ~alpha a b =
 let add a b = axpy ~alpha:1.0 a b
 
 let scale alpha a =
-  if Util.Floats.is_zero alpha then zero ~nrows:a.nrows ~ncols:a.ncols
+  if Util.Floats.equal_exact alpha 0.0 then zero ~nrows:a.nrows ~ncols:a.ncols
   else { a with values = Array.map (fun v -> alpha *. v) a.values }
 
 let map_values f a = { a with values = Array.map f a.values }
@@ -480,7 +480,7 @@ let kron c a =
   for jc = 0 to ccols - 1 do
     let cnt = ref 0 in
     for ic = 0 to crows - 1 do
-      if Util.Floats.nonzero (Dense.get c ic jc) then incr cnt
+      if not (Util.Floats.equal_exact (Dense.get c ic jc) 0.0) then incr cnt
     done;
     nz_per_col_c.(jc) <- !cnt
   done;
@@ -502,7 +502,7 @@ let kron c a =
       let pos = ref colptr.(j) in
       for ic = 0 to crows - 1 do
         let cij = Dense.get c ic jc in
-        if Util.Floats.nonzero cij then
+        if not (Util.Floats.equal_exact cij 0.0) then
           for k = a.colptr.(ja) to a.colptr.(ja + 1) - 1 do
             rowind.(!pos) <- (ic * a.nrows) + a.rowind.(k);
             values.(!pos) <- cij *. a.values.(k);

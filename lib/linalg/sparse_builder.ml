@@ -91,7 +91,7 @@ let to_csc b =
         acc := !acc +. snd seg.(!k);
         incr k
       done;
-      if Util.Floats.nonzero !acc then begin
+      if not (Util.Floats.equal_exact !acc 0.0) then begin
         rowind.(!pos) <- r;
         values.(!pos) <- !acc;
         incr pos

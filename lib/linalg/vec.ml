@@ -92,4 +92,4 @@ let approx_equal ?(tol = 1e-9) x y =
 let rel_error x ~reference =
   let denom = norm2 reference in
   let num = dist2 x reference in
-  if Util.Floats.is_zero denom then norm2 x else num /. denom
+  if Util.Floats.equal_exact denom 0.0 then norm2 x else num /. denom

@@ -61,12 +61,13 @@ let mul tp a b =
   let n = Basis.size a.basis in
   let coefs = Array.make n 0.0 in
   for i = 0 to n - 1 do
-    if Util.Floats.nonzero a.coefs.(i) then
+    if not (Util.Floats.equal_exact a.coefs.(i) 0.0) then
       for j = 0 to n - 1 do
-        if Util.Floats.nonzero b.coefs.(j) then
+        if not (Util.Floats.equal_exact b.coefs.(j) 0.0) then
           for k = 0 to n - 1 do
             let c = Triple_product.value tp i j k in
-            if Util.Floats.nonzero c then coefs.(k) <- coefs.(k) +. (a.coefs.(i) *. b.coefs.(j) *. c)
+            if not (Util.Floats.equal_exact c 0.0) then
+              coefs.(k) <- coefs.(k) +. (a.coefs.(i) *. b.coefs.(j) *. c)
           done
       done
   done;

@@ -51,7 +51,7 @@ let value t i j k =
      Array.iteri
        (fun d di ->
          let v = t.per_dim.(d).(di).(jj.(d)).(kk.(d)) in
-         if Util.Floats.is_zero v then begin
+         if Util.Floats.equal_exact v 0.0 then begin
            acc := 0.0;
            raise Exit
          end;

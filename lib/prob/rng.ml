@@ -66,7 +66,7 @@ let gaussian r =
         let u = (2.0 *. float r) -. 1.0 in
         let v = (2.0 *. float r) -. 1.0 in
         let s = (u *. u) +. (v *. v) in
-        if s >= 1.0 || Util.Floats.is_zero s then draw ()
+        if s >= 1.0 || Util.Floats.equal_exact s 0.0 then draw ()
         else begin
           let m = sqrt (-2.0 *. log s /. s) in
           r.spare <- Some (v *. m);

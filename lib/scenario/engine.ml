@@ -367,7 +367,7 @@ let prelude store count ~precond (rep : Job.t) members =
   | Job.Special _ -> prelude_special store count rep members
   | Job.Dc | Job.Transient | Job.Yield _ -> prelude_galerkin store count ~precond rep members
 
-(* ---- per-job execution ----------------------------------------------- *)
+(* ---- cohort execution ------------------------------------------------ *)
 
 let resolve_probe (job : Job.t) spec n =
   match job.probe with
@@ -478,61 +478,100 @@ let yield_fields response ~vdd ~steps ~budget_pct =
     ("worst_fail_node", num (float_of_int !worst_node));
   ]
 
-(* Backward-Euler stepping against the group's shared factors — the
-   allocation pattern of Galerkin.solve_transient's Direct route with
-   the factorizations replaced by workspace-explicit applications of the
-   shared, read-only factors. *)
-let direct_transient (ctx : galerkin_ctx) (job : Job.t) ~probe ~inner reg =
-  let model = scaled_model ctx.model job in
+let transient_record (job : Job.t) response ~vdd ~probe ~n =
+  let fields = transient_fields response ~vdd ~probe ~steps:job.steps ~n in
+  let fields =
+    match job.analysis with
+    | Job.Yield { budget_pct } -> fields @ yield_fields response ~vdd ~steps:job.steps ~budget_pct
+    | _ -> fields
+  in
+  (base_fields job ~probe fields, Some response)
+
+(* A direct cohort against the group's shared factors: one pass over
+   the Gt factor for every member's initial state, then one pass over
+   the Gt + Ct/h factor per backward-Euler step — the allocation pattern
+   of Galerkin.solve_transient's Direct route with the factorizations
+   replaced by block solves of the shared, read-only factors.  Member
+   [j]'s state is column [j] of [block], and every column is bitwise
+   its single-vector solve. *)
+let run_direct_cohort (ctx : galerkin_ctx) fdc (jobs : Job.t array) reg ~inner =
+  let k = Array.length jobs in
+  let model = ctx.model in
   let n = model.Opera.Stochastic_model.n in
   let basis = model.Opera.Stochastic_model.basis in
-  let size = Polychaos.Basis.size basis in
-  let dim = size * n in
-  let fdc = Option.get ctx.fdc in
-  let f = List.assoc job.h ctx.fmt in
-  let ct = Option.get ctx.ct in
-  let response =
-    Opera.Response.create ~basis ~n ~steps:job.steps ~h:job.h ~vdd:ctx.gvdd
-      ~probes:[| probe |]
+  let dim = Polychaos.Basis.size basis * n in
+  let vdd = ctx.gvdd in
+  let models = Array.map (scaled_model model) jobs in
+  let probes = Array.map (fun job -> resolve_probe job ctx.gspec n) jobs in
+  let block = Array.make (k * dim) 0.0 in
+  let cols = Array.init k Fun.id in
+  let chunks = Int.max 1 (Int.min (Util.Parallel.resolve inner) k) in
+  let work =
+    Array.init chunks (fun c ->
+        let lo, hi = Util.Parallel.chunk_bounds ~n:k ~chunks c in
+        Array.make (Linalg.Sparse_cholesky.block_work_dim fdc ~k:(hi - lo)) 0.0)
+  in
+  (* One pass over [f] for every column.  A lone column keeps the
+     level-scheduled sweeps when the job owns spare domains; a wider
+     cohort splits its columns over them.  Both are bitwise the
+     sequential solve. *)
+  let solve f =
+    if k = 1 then Linalg.Sparse_cholesky.solve_in_place_ws f ~domains:inner ~work:work.(0) block
+    else
+      (* opera-lint: race — a chunk solves only its own columns of block, through its own workspace *)
+      Util.Parallel.for_chunks ~domains:inner k (fun ~chunk ~lo ~hi ->
+          Linalg.Sparse_cholesky.solve_block_ws f ~work:work.(chunk) ~cols ~lo ~hi ~src:block
+            ~dst:block)
   in
   let drain_buf = Array.make n 0.0 in
   let u = Array.make dim 0.0 in
-  let rhs = Array.make dim 0.0 in
-  let ct_a = Array.make dim 0.0 in
-  let work = Array.make dim 0.0 in
-  let a = Array.make dim 0.0 in
-  Opera.Galerkin.rhs_into model ~drain_buf 0.0 a;
-  Linalg.Sparse_cholesky.solve_in_place_ws fdc ~domains:inner ~work a;
-  Opera.Response.record_step response ~step:0 ~coefs:a;
-  for k = 1 to job.steps do
-    let t = float_of_int k *. job.h in
-    Opera.Galerkin.rhs_into model ~drain_buf t u;
-    Linalg.Sparse.mul_vec_into ct a ct_a;
-    for i = 0 to dim - 1 do
-      rhs.(i) <- u.(i) +. (ct_a.(i) /. job.h)
-    done;
-    Util.Metrics.span reg "engine.step_s" (fun () ->
-        Array.blit rhs 0 a 0 dim;
-        (* Level-scheduled sweeps when the job owns spare domains;
-           bitwise identical to the sequential path. *)
-        Linalg.Sparse_cholesky.solve_in_place_ws f ~domains:inner ~work a);
-    Opera.Response.record_step response ~step:k ~coefs:a
+  for j = 0 to k - 1 do
+    Opera.Galerkin.rhs_into models.(j) ~drain_buf 0.0 u;
+    Array.blit u 0 block (j * dim) dim
   done;
-  response
-
-let direct_dc (ctx : galerkin_ctx) (job : Job.t) ~inner reg =
-  let model = scaled_model ctx.model job in
-  let n = model.Opera.Stochastic_model.n in
-  let size = Polychaos.Basis.size model.Opera.Stochastic_model.basis in
-  let dim = size * n in
-  let fdc = Option.get ctx.fdc in
-  let drain_buf = Array.make n 0.0 in
-  let coefs = Array.make dim 0.0 in
-  let work = Array.make dim 0.0 in
-  Opera.Galerkin.rhs_into model ~drain_buf 0.0 coefs;
-  Util.Metrics.span reg "engine.step_s" (fun () ->
-      Linalg.Sparse_cholesky.solve_in_place_ws fdc ~domains:inner ~work coefs);
-  coefs
+  let column j = Array.sub block (j * dim) dim in
+  match jobs.(0).analysis with
+  | Job.Dc ->
+      Util.Metrics.span reg "engine.step_s" (fun () -> solve fdc);
+      Array.mapi (fun j job -> (dc_record job ~vdd ~model ~probe:probes.(j) (column j), None)) jobs
+  | Job.Transient | Job.Yield _ ->
+      let h = jobs.(0).h and steps = jobs.(0).steps in
+      let f = List.assoc h ctx.fmt in
+      let ct = Option.get ctx.ct in
+      let responses =
+        Array.map
+          (fun probe -> Opera.Response.create ~basis ~n ~steps ~h ~vdd ~probes:[| probe |])
+          probes
+      in
+      let a = Array.make dim 0.0 in
+      let ct_a = Array.make dim 0.0 in
+      let record step =
+        Array.iteri
+          (fun j response ->
+            Array.blit block (j * dim) a 0 dim;
+            Opera.Response.record_step response ~step ~coefs:a)
+          responses
+      in
+      solve fdc;
+      record 0;
+      for step = 1 to steps do
+        let t = float_of_int step *. h in
+        for j = 0 to k - 1 do
+          let base = j * dim in
+          Array.blit block base a 0 dim;
+          Opera.Galerkin.rhs_into models.(j) ~drain_buf t u;
+          Linalg.Sparse.mul_vec_into ct a ct_a;
+          for i = 0 to dim - 1 do
+            block.(base + i) <- u.(i) +. (ct_a.(i) /. h)
+          done
+        done;
+        Util.Metrics.span reg "engine.step_s" (fun () -> solve f);
+        record step
+      done;
+      Array.mapi
+        (fun j job -> transient_record job responses.(j) ~vdd ~probe:probes.(j) ~n)
+        jobs
+  | Job.Special _ -> invalid_arg "Engine.run_direct_cohort: special job in a Galerkin group"
 
 let galerkin_options (job : Job.t) reg ~probe ~inner ~warm_start ~precond =
   {
@@ -546,40 +585,25 @@ let galerkin_options (job : Job.t) reg ~probe ~inner ~warm_start ~precond =
     precond;
   }
 
-let run_galerkin_job (ctx : galerkin_ctx) (job : Job.t) reg ~inner ~warm_start ~precond =
+(* The iterative routes ([pcg], [matrix-free]) factor their small
+   nominal blocks per job, so each job is a cohort of one. *)
+let run_iterative_job (ctx : galerkin_ctx) (job : Job.t) reg ~inner ~warm_start ~precond =
   let n = ctx.model.Opera.Stochastic_model.n in
   let probe = resolve_probe job ctx.gspec n in
   let vdd = ctx.gvdd in
-  match (job.analysis, ctx.fdc) with
-  | Job.Dc, Some _ ->
-      let coefs = direct_dc ctx job ~inner reg in
-      (dc_record job ~vdd ~model:ctx.model ~probe coefs, None)
-  | Job.Dc, None ->
-      let model = scaled_model ctx.model job in
-      let options = galerkin_options job reg ~probe ~inner ~warm_start ~precond in
+  let model = scaled_model ctx.model job in
+  let options = galerkin_options job reg ~probe ~inner ~warm_start ~precond in
+  match job.analysis with
+  | Job.Dc ->
       let coefs = Opera.Galerkin.solve_dc ~options model in
       (dc_record job ~vdd ~model ~probe coefs, None)
-  | (Job.Transient | Job.Yield _), _ ->
-      let response =
-        match ctx.fdc with
-        | Some _ -> direct_transient ctx job ~probe ~inner reg
-        | None ->
-            let model = scaled_model ctx.model job in
-            let options = galerkin_options job reg ~probe ~inner ~warm_start ~precond in
-            let response, _stats =
-              Opera.Galerkin.solve_transient ~options model ~h:job.h ~steps:job.steps
-            in
-            response
+  | Job.Transient | Job.Yield _ ->
+      let response, _stats =
+        Opera.Galerkin.solve_transient ~options model ~h:job.h ~steps:job.steps
       in
-      let fields = transient_fields response ~vdd ~probe ~steps:job.steps ~n in
-      let fields =
-        match job.analysis with
-        | Job.Yield { budget_pct } ->
-            fields @ yield_fields response ~vdd ~steps:job.steps ~budget_pct
-        | _ -> fields
-      in
-      (base_fields job ~probe fields, Some response)
-  | Job.Special _, _ -> invalid_arg "Engine.run_galerkin_job: special job in a Galerkin group"
+      transient_record job response ~vdd ~probe ~n
+  | Job.Special _ -> invalid_arg "Engine.run_iterative_job: special job in a Galerkin group"
+
 
 let run_special_job (ctx : special_ctx) (job : Job.t) reg ~inner =
   let lambda =
@@ -619,14 +643,15 @@ let run_special_job (ctx : special_ctx) (job : Job.t) reg ~inner =
   in
   (base_fields job ~probe fields, Some response)
 
+
 (* The engine precomputes everything (candidates, seed) shapes — the
    point set and every factor — so only the convergence knobs of the
-   job's [St] payload still matter here. *)
-let st_options_of (job : Job.t) reg ~probe ~inner ~precond =
+   job's [St] payload still matter here; a cohort shares them. *)
+let st_options_of (job : Job.t) reg ~inner ~precond =
   let tol, max_refine, candidates, seed =
     match job.solver with
     | Opera.Galerkin.St { tol; max_refine; candidates; seed } -> (tol, max_refine, candidates, seed)
-    | _ -> invalid_arg "Engine.run_st_job: not an st job"
+    | _ -> invalid_arg "Engine.run_st_cohort: not an st job"
   in
   {
     Opera.St_solver.candidates;
@@ -635,44 +660,122 @@ let st_options_of (job : Job.t) reg ~probe ~inner ~precond =
     refine_max = max_refine;
     ordering = Linalg.Ordering.Nested_dissection;
     precond;
-    probes = [| probe |];
+    probes = [||];
     domains = inner;
     metrics = reg;
   }
 
-let run_st_job (ctx : st_ctx) (job : Job.t) reg ~inner ~precond =
-  let model = scaled_model ctx.stmodel job in
-  let n = model.Opera.Stochastic_model.n in
-  let probe = resolve_probe job ctx.stspec n in
+(* An st cohort: every (job, point) column refines against G(0) in one
+   lockstep, and each step solves every point's stepping factor once
+   for all the cohort's jobs (St_solver's cohort form). *)
+let run_st_cohort (ctx : st_ctx) (jobs : Job.t array) reg ~inner ~precond =
+  let rep = jobs.(0) in
+  let models = Array.map (scaled_model ctx.stmodel) jobs in
+  let n = ctx.stmodel.Opera.Stochastic_model.n in
+  let probes = Array.map (fun job -> resolve_probe job ctx.stspec n) jobs in
   let vdd = ctx.stvdd in
-  let options = st_options_of job reg ~probe ~inner ~precond in
-  match job.analysis with
+  let options = st_options_of rep reg ~inner ~precond in
+  match rep.analysis with
   | Job.Dc ->
-      let coefs, _stats = Opera.St_solver.solve_dc ~options ~points:ctx.stpoints ?f0:ctx.stf0 model in
-      (dc_record job ~vdd ~model ~probe coefs, None)
+      let coefs, _stats =
+        Opera.St_solver.solve_dc_cohort ~options ~points:ctx.stpoints ?f0:ctx.stf0 models
+      in
+      Array.mapi
+        (fun j job -> (dc_record job ~vdd ~model:models.(j) ~probe:probes.(j) coefs.(j), None))
+        jobs
   | Job.Transient | Job.Yield _ ->
-      let fstep = List.assoc_opt job.h ctx.stfstep in
-      let response, _stats =
-        Opera.St_solver.solve_transient ~options ~points:ctx.stpoints ?f0:ctx.stf0 ?fstep model
-          ~h:job.h ~steps:job.steps
+      let fstep = List.assoc_opt rep.h ctx.stfstep in
+      let responses, _stats =
+        Opera.St_solver.solve_transient_cohort ~options ~points:ctx.stpoints ?f0:ctx.stf0 ?fstep
+          models
+          ~probes:(Array.map (fun p -> [| p |]) probes)
+          ~h:rep.h ~steps:rep.steps
       in
-      let fields = transient_fields response ~vdd ~probe ~steps:job.steps ~n in
-      let fields =
-        match job.analysis with
-        | Job.Yield { budget_pct } ->
-            fields @ yield_fields response ~vdd ~steps:job.steps ~budget_pct
-        | _ -> fields
-      in
-      (base_fields job ~probe fields, Some response)
-  | Job.Special _ -> invalid_arg "Engine.run_st_job: special job in an st group"
+      Array.mapi
+        (fun j job -> transient_record job responses.(j) ~vdd ~probe:probes.(j) ~n)
+        jobs
+  | Job.Special _ -> invalid_arg "Engine.run_st_cohort: special job in an st group"
 
-let run_job ctx job reg ~inner ~warm_start ~precond =
-  Util.Metrics.incr reg "engine.jobs";
+(* One claim: a chunk of a cohort, run as one pass of its route. *)
+let run_cohort ctx jobs reg ~inner ~warm_start ~precond =
+  let k = Array.length jobs in
+  Util.Metrics.incr reg ~by:k "engine.jobs";
+  Util.Metrics.incr reg "engine.cohorts";
+  Util.Metrics.observe reg "engine.cohort_columns" (float_of_int k);
   Util.Metrics.span reg "engine.job_s" (fun () ->
       match ctx with
-      | Galerkin_ctx g -> run_galerkin_job g job reg ~inner ~warm_start ~precond
-      | Special_ctx s -> run_special_job s job reg ~inner
-      | St_ctx s -> run_st_job s job reg ~inner ~precond)
+      | Galerkin_ctx ({ fdc = Some fdc; _ } as g) -> run_direct_cohort g fdc jobs reg ~inner
+      | Galerkin_ctx g ->
+          Array.map (fun job -> run_iterative_job g job reg ~inner ~warm_start ~precond) jobs
+      | Special_ctx s -> Array.map (fun job -> run_special_job s job reg ~inner) jobs
+      | St_ctx s -> run_st_cohort s jobs reg ~inner ~precond)
+
+(* ---- cohorts ----------------------------------------------------------
+
+   A cohort is the set of jobs of one operator group that apply the same
+   factors in the same order, so one pass over each factor serves them
+   all: the direct DC jobs; the direct transient and yield jobs of one
+   (h, steps); the exact-route st jobs of one analysis class, (h,
+   steps) — DC solves take no step — and convergence knobs.  Every
+   special-case, matrix-free and pcg job, and every st job under an
+   approximate mean solver, is a cohort of one.  Floats enter a key as
+   their bit patterns, the identity the artifact keys use. *)
+
+type cohort_key =
+  | Direct_dc
+  | Direct_steps of { h : int64; steps : int }
+  | St_dc of { tol : int64; max_refine : int }
+  | St_steps of { h : int64; steps : int; tol : int64; max_refine : int }
+
+let cohort_key ~precond (job : Job.t) =
+  let bits = Int64.bits_of_float in
+  let exact = precond = Linalg.Precond.Cholesky in
+  match (job.solver, job.analysis) with
+  | Opera.Galerkin.Direct, Job.Dc -> Some Direct_dc
+  | Opera.Galerkin.Direct, (Job.Transient | Job.Yield _) ->
+      Some (Direct_steps { h = bits job.h; steps = job.steps })
+  | Opera.Galerkin.St { tol; max_refine; _ }, Job.Dc when exact ->
+      Some (St_dc { tol = bits tol; max_refine })
+  | Opera.Galerkin.St { tol; max_refine; _ }, (Job.Transient | Job.Yield _) when exact ->
+      Some (St_steps { h = bits job.h; steps = job.steps; tol = bits tol; max_refine })
+  | _ -> None
+
+(* The widest panel of Sparse_cholesky.solve_block_ws: a wider cohort
+   splits into near-equal claims of at most this many jobs. *)
+let cohort_width = 6
+
+let claims_of_groups ~precond jobs groups =
+  let claims = ref [] in
+  let add members =
+    let k = Array.length members in
+    let parts = (k + cohort_width - 1) / cohort_width in
+    for c = 0 to parts - 1 do
+      let lo, hi = Util.Parallel.chunk_bounds ~n:k ~chunks:parts c in
+      claims := Array.sub members lo (hi - lo) :: !claims
+    done
+  in
+  Array.iter
+    (fun members ->
+      let cohorts = Hashtbl.create 4 and order = ref [] in
+      Array.iter
+        (fun i ->
+          match cohort_key ~precond jobs.(i) with
+          | None -> add [| i |]
+          | Some key -> (
+              match Hashtbl.find_opt cohorts key with
+              | Some l -> l := i :: !l
+              | None ->
+                  let l = ref [ i ] in
+                  Hashtbl.add cohorts key l;
+                  order := l :: !order))
+        members;
+      List.iter (fun l -> add (Array.of_list (List.rev !l))) !order)
+    groups;
+  let claims = Array.of_list !claims in
+  Array.sort (fun a b -> compare a.(0) b.(0)) claims;
+  claims
+
+let cohorts ~precond jobs = claims_of_groups ~precond jobs (plan jobs)
 
 (* ---- batch execution ------------------------------------------------- *)
 
@@ -689,7 +792,8 @@ let shard_filter config jobs =
       Array.of_list (List.rev !sel)
 
 (* What a domain takes next in [run]'s claim loop: a factor task, a
-   ready job with its group's context, nothing yet, or nothing ever. *)
+   ready cohort chunk with its group's context, nothing yet, or nothing
+   ever. *)
 type claim = Factor of int | Run of int * ctx | Wait | Finished
 
 let run ?(config = default_config) ?emit jobs =
@@ -723,7 +827,10 @@ let run ?(config = default_config) ?emit jobs =
       (List.filter (fun i -> not done_.(i)) (List.init njobs (fun i -> i)))
   in
   let npending = Array.length pending in
-  let groups = plan (Array.map (fun i -> jobs.(i)) pending) in
+  let pending_jobs = Array.map (fun i -> jobs.(i)) pending in
+  let groups = plan pending_jobs in
+  let claims = claims_of_groups ~precond:config.precond pending_jobs groups in
+  let nclaims = Array.length claims in
   let factorizations = Atomic.make 0 in
   let count () = Atomic.incr factorizations in
   let setups =
@@ -760,7 +867,8 @@ let run ?(config = default_config) ?emit jobs =
      sequential whenever the batch itself fans out, so the domain count
      stays bounded by [jobs_parallel]. *)
   let inner = if jp > 1 then 1 else config.domains in
-  let regs = Array.init npending (fun _ -> Util.Metrics.create ()) in
+  let regs = Array.init nclaims (fun _ -> Util.Metrics.create ()) in
+  let claim_group = Array.map (fun members -> group_of.(members.(0))) claims in
   (* Factor tasks in group order, as (group, factor index). *)
   let tasks =
     Array.concat
@@ -771,20 +879,24 @@ let run ?(config = default_config) ?emit jobs =
   let tregs = Array.init ntasks (fun _ -> Util.Metrics.create ()) in
   (* The claim loop.  Every domain — the main one included — repeatedly
      claims under [lock]: the first unclaimed factor task, in group
-     order; failing that, the first unclaimed job, in input order, whose
-     group has all its factors ([ctx.(g)] set); failing that, it waits
-     on [cond].  At one domain this is every factor, then every job.  A
-     finished factor completes its group's context once the last one
-     lands; a finished job journals its record, then publishes it.  Only
-     the main domain emits: records leave in input order, each flushed as
-     soon as it and every earlier-indexed job are done, so a killed run's
-     JSONL is always an exact prefix of the uninterrupted stream.  A
-     failing job parks its exception (lowest input index wins, matching
-     the deterministic re-raise discipline of Util.Parallel.for_chunks)
-     and later jobs still run; a failing factor fails every job of its
-     group the same way, parked at the group's first job.  A failing emit
-     callback stops further claims and re-raises after the in-flight
-     tasks drain. *)
+     order; failing that, the first unclaimed cohort chunk, in the input
+     order of its first job, whose group has all its factors ([ctx.(g)]
+     set); failing that, it waits on [cond].  At one domain this is
+     every factor, then every chunk.  A finished factor completes its
+     group's context once the last one lands; a finished chunk journals
+     each job's record, publishes them, and emits what became ready —
+     the domain that finishes a record emits it, so a record never
+     waits for another domain's long claim.  Records leave in input
+     order, one emit at a time, each flushed as soon as it and every
+     earlier-indexed job are done, so a killed run's JSONL is always an
+     exact prefix of the uninterrupted stream.  A failing job parks its
+     exception (lowest input index wins, matching the deterministic
+     re-raise discipline of Util.Parallel.for_chunks) and later jobs
+     still run; a chunk whose shared solve fails parks at its first
+     job, and a failing factor fails every job of its group the same
+     way, parked at the group's first job.  A failing emit callback
+     stops further claims and re-raises after the in-flight tasks
+     drain. *)
   let lock = Mutex.create () in
   let cond = Condition.create () in
   let built = Array.map (fun s -> Array.make (Array.length s.factors) None) setups in
@@ -792,13 +904,13 @@ let run ?(config = default_config) ?emit jobs =
     Array.map (fun s -> if Array.length s.factors = 0 then Some (s.finish [||]) else None) setups
   in
   let failed = Array.make (Array.length setups) false in
-  let claimed = Array.make npending false in
+  let claimed = Array.make nclaims false in
   let next_task = ref 0 in
   let first_unclaimed = ref 0 in
   let stop = Atomic.make false in
   let remaining = ref npending in
   let job_failure = ref None in
-  let emit_failure = ref None in
+  let emit_failure = Atomic.make None in
   let park i e =
     match !job_failure with Some (j, _) when j <= i -> () | _ -> job_failure := Some (i, e)
   in
@@ -813,21 +925,61 @@ let run ?(config = default_config) ?emit jobs =
         Factor (!next_task - 1)
       end
       else begin
-        while !first_unclaimed < npending && claimed.(!first_unclaimed) do
+        while !first_unclaimed < nclaims && claimed.(!first_unclaimed) do
           incr first_unclaimed
         done;
-        let rec ready c =
-          if c = npending then if !first_unclaimed < npending then Wait else Finished
+        let rec ready q =
+          if q = nclaims then if !first_unclaimed < nclaims then Wait else Finished
           else
-            match ctx.(group_of.(c)) with
-            | Some x when not claimed.(c) ->
-                claimed.(c) <- true;
-                Run (c, x)
-            | _ -> ready (c + 1)
+            match ctx.(claim_group.(q)) with
+            | Some x when not claimed.(q) ->
+                claimed.(q) <- true;
+                Run (q, x)
+            | _ -> ready (q + 1)
         in
         ready !first_unclaimed
       end
     end
+  in
+  (* Records leave in input order, one [emit] at a time: a domain that
+     publishes records, and the main domain between claims, emits the
+     ready prefix under [emit_lock].  Every publisher drains after
+     publishing, so no record waits for another domain's claim to end.
+     [next_emit] moves under both locks. *)
+  let next_emit = ref 0 in
+  let emit_lock = Mutex.create () in
+  let take_ready () =
+    let ready = ref [] in
+    Mutex.lock lock;
+    while !next_emit < njobs && done_.(!next_emit) do
+      ready := Option.get out.(!next_emit) :: !ready;
+      incr next_emit
+    done;
+    Mutex.unlock lock;
+    List.rev !ready
+  in
+  let drain_ready () =
+    match emit with
+    | None -> ()
+    | Some emit ->
+        Mutex.lock emit_lock;
+        (* The callback runs outside [lock]: it may flush to a pipe,
+           block on a slow consumer, or raise — none of which may stall
+           the claims of domains not emitting. *)
+        List.iter
+          (fun r ->
+            if Option.is_none (Atomic.get emit_failure) then
+              match emit r with
+              | () -> ()
+              | exception e ->
+                  Atomic.set emit_failure (Some e);
+                  Atomic.set stop true;
+                  (* wake domains waiting for a group to become ready *)
+                  Mutex.lock lock;
+                  Condition.broadcast cond;
+                  Mutex.unlock lock)
+          (take_ready ());
+        Mutex.unlock emit_lock
   in
   let factor_one t =
     let g, k = tasks.(t) in
@@ -847,76 +999,55 @@ let run ?(config = default_config) ?emit jobs =
            claimed: claim them all as failed. *)
         if not failed.(g) then begin
           failed.(g) <- true;
-          Array.iter (fun c -> claimed.(c) <- true) groups.(g);
+          Array.iteri (fun q cg -> if cg = g then claimed.(q) <- true) claim_group;
           remaining := !remaining - Array.length groups.(g);
           park pending.(groups.(g).(0)) e
         end);
     Condition.broadcast cond;
     Mutex.unlock lock
   in
-  let job_one c x =
-    let i = pending.(c) in
-    let job = jobs.(i) in
-    let outcome =
+  let chunk_one q x =
+    let idx = Array.map (fun c -> pending.(c)) claims.(q) in
+    let cjobs = Array.map (fun i -> jobs.(i)) idx in
+    let outcomes =
       match
-        let record, response =
-          run_job x job regs.(c) ~inner ~warm_start:config.warm_start ~precond:config.precond
-        in
-        (* Journal-ahead: the record is on disk (atomically) before it
-           can reach the stream, so --resume never misses an emitted
-           record.  Registry serializes its own writes. *)
-        Registry.record registry job record;
-        { job; record; response }
+        run_cohort x cjobs regs.(q) ~inner ~warm_start:config.warm_start ~precond:config.precond
       with
-      | r -> Ok r
+      | runs ->
+          Array.mapi
+            (fun j (record, response) ->
+              let job = cjobs.(j) in
+              (* Journal-ahead: the record is on disk (atomically) before
+                 it can reach the stream, so --resume never misses an
+                 emitted record.  Registry serializes its own writes. *)
+              match Registry.record registry job record with
+              | () -> Ok { job; record; response }
+              | exception e -> Error e)
+            runs
       (* The st route factors its testing points inside the job too. *)
       | exception Linalg.Sparse_cholesky.Not_positive_definite _ ->
-          Error (Invalid_batch (not_pd job))
-      | exception e -> Error e
+          [| Error (Invalid_batch (not_pd cjobs.(0))) |]
+      | exception e -> [| Error e |]
     in
     Mutex.lock lock;
-    (match outcome with
-    | Ok r ->
-        out.(i) <- Some r;
-        done_.(i) <- true
-    | Error e -> park i e);
-    decr remaining;
+    Array.iteri
+      (fun j outcome ->
+        let i = idx.(j) in
+        match outcome with
+        | Ok r ->
+            out.(i) <- Some r;
+            done_.(i) <- true
+        | Error e -> park i e)
+      outcomes;
+    remaining := !remaining - Array.length idx;
     Condition.broadcast cond;
-    Mutex.unlock lock
+    Mutex.unlock lock;
+    drain_ready ()
   in
   let perform = function
     | Factor t -> factor_one t
-    | Run (c, x) -> job_one c x
+    | Run (q, x) -> chunk_one q x
     | Wait | Finished -> ()
-  in
-  let next_emit = ref 0 in
-  let drain_ready () =
-    match emit with
-    | None -> ()
-    | Some emit when !emit_failure = None ->
-        let ready = ref [] in
-        Mutex.lock lock;
-        while !next_emit < njobs && done_.(!next_emit) do
-          ready := Option.get out.(!next_emit) :: !ready;
-          incr next_emit
-        done;
-        Mutex.unlock lock;
-        (* The callback runs unlocked: it may flush to a pipe, block on a
-           slow consumer, or raise — none of which may stall workers. *)
-        List.iter
-          (fun r ->
-            if !emit_failure = None then
-              match emit r with
-              | () -> ()
-              | exception e ->
-                  emit_failure := Some e;
-                  Atomic.set stop true;
-                  (* wake domains waiting for a group to become ready *)
-                  Mutex.lock lock;
-                  Condition.broadcast cond;
-                  Mutex.unlock lock)
-          (List.rev !ready)
-    | Some _ -> ()
   in
   let rec worker_loop () =
     Mutex.lock lock;
@@ -936,7 +1067,9 @@ let run ?(config = default_config) ?emit jobs =
         worker_loop ()
   in
   let workers = Array.init (jp - 1) (fun _ -> Domain.spawn worker_loop) in
-  (* The main domain emits between tasks, and while it waits. *)
+  (* The main domain also emits between its claims and while it waits:
+     the replayed records, which stream first, and any prefix another
+     domain completed. *)
   let rec main_loop () =
     drain_ready ();
     Mutex.lock lock;
@@ -953,7 +1086,7 @@ let run ?(config = default_config) ?emit jobs =
   (* Emit stragglers as their prefixes complete; on an emit failure the
      sink is dead, so just drain the in-flight tasks via the joins. *)
   Mutex.lock lock;
-  while !remaining > 0 && !emit_failure = None do
+  while !remaining > 0 && Option.is_none (Atomic.get emit_failure) do
     Condition.wait cond lock;
     Mutex.unlock lock;
     drain_ready ();
@@ -971,7 +1104,7 @@ let run ?(config = default_config) ?emit jobs =
   Util.Metrics.incr metrics ~by:rstats.Registry.journaled "registry.writes";
   Util.Metrics.incr metrics ~by:rstats.Registry.corrupt "registry.corrupt";
   (match !job_failure with Some (_, e) -> raise e | None -> ());
-  (match !emit_failure with Some e -> raise e | None -> ());
+  (match Atomic.get emit_failure with Some e -> raise e | None -> ());
   let results = Array.map Option.get out in
   let st = Store.stats store in
   ( results,

@@ -7,13 +7,33 @@
     read-through against the artifact {!Store}.  Each numeric Cholesky
     factor the group needs is then one task of a single claim loop
     shared by all [jobs_parallel] domains: a domain takes the first
-    unclaimed factor task (in group order), else the first unclaimed job
-    (in input order) whose group's factors all exist, else it waits.  So
-    factors build concurrently with each other and with other groups'
-    jobs, each read-through against the store; jobs apply the shared
-    factors read-only through workspace-explicit solves, each with its
-    own metrics registry (merged into the engine registry after the
-    join).  At one domain the order is every factor, then every job.
+    unclaimed factor task (in group order), else the first unclaimed
+    cohort chunk (in the input order of its first job) whose group's
+    factors all exist, else it waits.  So factors build concurrently
+    with each other and with other groups' jobs, each read-through
+    against the store; jobs apply the shared factors read-only through
+    workspace-explicit solves, each claim with its own metrics registry
+    (merged into the engine registry after the join).  At one domain
+    the order is every factor, then every chunk.
+
+    Cohorts ({!cohorts}): the jobs of a group that apply the same
+    factors in the same order step in lockstep.  The direct DC jobs
+    form one cohort; so do the direct transient and yield jobs of one
+    [(h, steps)], and the exact-route st jobs (under [--precond
+    cholesky]) of one analysis class, [(h, steps)] (not for DC) and
+    convergence knobs; every special-case, matrix-free and pcg job, and
+    every st job under an approximate mean solver, is a cohort of one.
+    A cohort of k jobs is claimed as [ceil (k / 6)] near-equal chunks
+    (six being the widest panel of
+    {!Linalg.Sparse_cholesky.solve_block_ws}).  A direct chunk makes
+    one block solve against the [Gt] factor for all its initial states,
+    then one against the [Gt + Ct/h] factor per step; an st chunk runs
+    {!Opera.St_solver.solve_dc_cohort} or
+    {!Opera.St_solver.solve_transient_cohort}.  Each column is bitwise
+    its single-vector solve, so every record is byte-identical to the
+    job's record run alone.  With one job in flight ([jobs_parallel] =
+    1) a wide chunk splits its columns over [domains]; a one-column
+    chunk keeps the level-scheduled single solve.
 
     Factor sharing covers the [Direct] solver route, the special-case
     path and the stochastic-testing route ([st] — the node ordering, the
@@ -62,10 +82,15 @@ type config = {
           [jobs_parallel > 1] so the domain count stays bounded *)
   metrics : Util.Metrics.t;
       (** receives [engine.factorizations], [engine.jobs],
-          [engine.group_setup_s] (per-group prelude), [engine.factor_s]
-          (per factor task), [engine.step_s], the [store.*] and
-          [registry.*] counters, and every per-task registry (merged
-          post-join) *)
+          [engine.cohorts] (claims run), [engine.cohort_columns] (one
+          observation of each claim's job count), [engine.job_s] (per
+          claim), [engine.group_setup_s] (per-group prelude),
+          [engine.factor_s] (per factor task), [engine.step_s] (one
+          observation per cohort step of the direct route: a DC
+          chunk's solve or one transient step, each a single block
+          solve for all the chunk's jobs), the
+          [store.*] and [registry.*] counters, and every per-task
+          registry (merged post-join) *)
   warm_start : bool;
       (** seed each transient step's Krylov solve from the previous
           step (with linear extrapolation) for iterative jobs; see
@@ -125,14 +150,26 @@ val plan : Job.t array -> int array array
     occurrence; each inner array keeps batch order.  Exposed for tests
     and dry-run reporting. *)
 
+val cohorts : precond:Linalg.Precond.kind -> Job.t array -> int array array
+(** The claims {!run} makes of a batch run under [precond]: each
+    operator group's cohorts (see the module header), a cohort of k
+    jobs split into [ceil (k / 6)] near-equal chunks of consecutive
+    members, ordered by their first job's index; each inner array keeps
+    batch order.  Exposed for tests. *)
+
 val run : ?config:config -> ?emit:(result -> unit) -> Job.t array -> result array * summary
 (** Execute a batch; results are indexed like the (shard-filtered)
-    input jobs.  [emit] is called on the main domain, in input order,
+    input jobs.  [emit] is called in input order, one call at a time,
     for each result as soon as it and every earlier-indexed result is
-    available — including replayed results, which stream first.  Factor
-    tasks and jobs run on [jobs_parallel] domains (at most one per
-    pending job), the main domain included; see the module header for
-    the claim order.  An exception from [emit] stops further claims,
+    available — including replayed results, which stream first.  The
+    call comes from whichever domain completed that prefix (the main
+    domain or a worker), so [emit] must be safe to call from any
+    domain.  Factor
+    tasks and cohort chunks run on [jobs_parallel] domains (at most one
+    per pending job), the main domain included; see the module header
+    for the claim order.  Each job journals its own record before it is
+    published; a chunk whose shared solve fails parks the failure at
+    its first job.  An exception from [emit] stops further claims,
     drains the tasks in flight, and is re-raised.  Raises
     {!Invalid_batch} on an empty batch, an invalid shard spec, an
     unreadable or malformed netlist (during a group's prelude) or an

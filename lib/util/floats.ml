@@ -9,17 +9,13 @@
    auditable in one place. *)
 
 (* The one sanctioned exact comparison.  NaN is never equal to anything,
-   including itself — callers guarding divides with [is_zero] therefore
-   still divide by NaN; that is the IEEE-faithful behaviour we want
+   including itself — callers guarding divides with [equal_exact d 0.0]
+   therefore still divide by NaN; that is the IEEE-faithful behaviour we want
    (NaN propagates instead of being silently zeroed).  A primitive, not
    a function: the compiler expands it to an unboxed float compare at
    every call site, even across modules under [-opaque], so hot kernels
    can call it per element without boxing. *)
 external equal_exact : float -> float -> bool = "%equal"
-
-let is_zero x = equal_exact x 0.0
-
-let nonzero x = not (equal_exact x 0.0)
 
 (* Tolerance compare for *computed* quantities: absolute-or-relative,
    symmetric in [a] and [b].  [atol] dominates near zero, [rtol] away

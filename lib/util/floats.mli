@@ -15,14 +15,16 @@ external equal_exact : float -> float -> bool = "%equal"
     an inline, unboxed float compare — the per-element sparsity test of
     the allocation-free kernels calls it directly. *)
 
-val is_zero : float -> bool
-(** [equal_exact x 0.0] — guard checks before division and
-    structural-sparsity tests.  [is_zero (-0.0) = true];
-    [is_zero nan = false], so NaN propagates through guarded divides
-    instead of being silently zeroed. *)
-
-val nonzero : float -> bool
-(** [not (is_zero x)] — skip-zero-work sparsity checks in kernels. *)
+(* No unary float helper ([is_zero], [nonzero], ...) may live here.
+   Under [-opaque] (the default profile, the build users and the
+   benchmark run) a call to an ordinary function of another library
+   goes through its closure with the float boxed: one such test per
+   element cost a 2,500-node sparse product 4,868 minor words per call.
+   Only an [external] primitive is expanded inline at every call site,
+   so guard and sparsity tests write [equal_exact x 0.0] —
+   [equal_exact (-0.0) 0.0] holds and [equal_exact nan 0.0] does not,
+   so NaN propagates through guarded divides instead of being silently
+   zeroed. *)
 
 val approx_equal : ?rtol:float -> ?atol:float -> float -> float -> bool
 (** Tolerance comparison for computed quantities:

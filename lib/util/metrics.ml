@@ -86,7 +86,7 @@ let total t name =
 
 (* Fold a registry into another under a name prefix: counters add,
    histograms merge component-wise.  Used by the batch engine to roll
-   per-job registries (owned by the worker domain while the job runs)
+   per-claim registries (owned by the worker domain while the claim runs)
    into the engine registry after the join — so the merge itself always
    happens on one domain. *)
 let merge_into ?(prefix = "") src ~into =

@@ -53,7 +53,7 @@ val merge_into : ?prefix:string -> t -> into:t -> unit
 (** [merge_into ~prefix src ~into] folds every metric of [src] into
     [into] under [prefix ^ name]: counters add, histograms merge
     component-wise (count/sum/min/max/buckets).  Both registries must be
-    owned by the calling domain — the batch engine merges per-job
+    owned by the calling domain — the batch engine merges per-claim
     registries only after joining their workers. *)
 
 type span

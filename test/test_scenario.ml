@@ -39,11 +39,11 @@ let fresh_dir () =
 let records_of results =
   Array.to_list (Array.map (fun r -> Util.Json.render r.Engine.record) results)
 
-let run ?cache_dir ?(jobs_parallel = 1) ?(resume = false) ?shard ?metrics
+let run ?cache_dir ?(jobs_parallel = 1) ?(domains = 1) ?(resume = false) ?shard ?metrics
     ?(precond = Linalg.Precond.Cholesky) ?(warm_start = true) ?emit jobs =
   let metrics = match metrics with Some m -> m | None -> Util.Metrics.create () in
   let config =
-    { Engine.cache_dir; jobs_parallel; domains = 1; metrics; warm_start; precond; resume; shard }
+    { Engine.cache_dir; jobs_parallel; domains; metrics; warm_start; precond; resume; shard }
   in
   Engine.run ~config ?emit jobs
 
@@ -771,6 +771,111 @@ let test_result_signature_covers_record_knobs () =
   Alcotest.(check bool) "pcg tolerance changes the result signature" true
     (Job.result_signature (pcg 1e-10) <> Job.result_signature (pcg 1e-6))
 
+(* --- cohorts never change a record ------------------------------------ *)
+
+(* Jobs of one operator group that apply the same factors in the same
+   order: two direct DC jobs, a direct transient/yield cohort of four, a
+   transient at a second h and one at a second step count, three st
+   transients and an st DC job — each with its own drain_scale and
+   probe, interleaved in the batch. *)
+let cohort_jobs () =
+  let job name analysis solver drain probe =
+    { (base_job name) with Job.analysis; solver; drain_scale = drain; probe = Some probe }
+  in
+  let direct = Opera.Galerkin.Direct and st = Opera.Galerkin.default_st in
+  [|
+    job "dc0" Job.Dc direct 0.9 3;
+    job "tr0" Job.Transient direct 1.1 17;
+    job "st0" Job.Transient st 0.8 40;
+    job "dc1" Job.Dc direct 1.2 5;
+    job "tr1" Job.Transient direct 0.7 60;
+    { (job "tr-h2" Job.Transient direct 1.05 11) with Job.h = 250e-12 };
+    job "y0" (Job.Yield { budget_pct = 5.0 }) direct 1.3 80;
+    job "st1" Job.Transient st 1.15 7;
+    job "tr2" Job.Transient direct 0.95 100;
+    { (job "tr-s6" Job.Transient direct 0.85 21) with Job.steps = 6 };
+    job "st-dc" Job.Dc st 1.25 33;
+    job "st2" Job.Transient st 0.75 90;
+  |]
+
+(* The shape of the benchmark's corner sweep on a small generated grid:
+   4 direct DC, 5 transient and 3 yield corners, 6 order-3 st
+   transients, 4 matrix-free transients and 8 special-case corners. *)
+let sweep_shape_jobs () =
+  let drains = [| 0.85; 0.9; 1.0; 1.05; 1.1; 1.2 |] in
+  let corner prefix count f =
+    Array.init count (fun i ->
+        let job = base_job (Printf.sprintf "%s%d" prefix i) in
+        f { job with Job.drain_scale = drains.(i) } i)
+  in
+  let mf =
+    match Job.solver_of_string "matrix-free" with Ok s -> s | Error e -> failwith e
+  in
+  Array.concat
+    [
+      corner "dc" 4 (fun j _ -> j);
+      corner "tr" 5 (fun j _ -> { j with Job.analysis = Job.Transient });
+      corner "y" 3 (fun j i ->
+          { j with Job.analysis = Job.Yield { budget_pct = 5.0 +. (0.3 *. float_of_int i) } });
+      corner "st" 6 (fun j _ ->
+          { j with Job.analysis = Job.Transient; solver = st_solver; order = 3 });
+      corner "mf" 4 (fun j _ -> { j with Job.analysis = Job.Transient; solver = mf });
+      Array.init 8 (fun i ->
+          {
+            (base_job (Printf.sprintf "sp%d" i)) with
+            Job.analysis = Job.Special { regions = 4; lambda = 0.2 +. (0.075 *. float_of_int i) };
+            leak_scale = 0.5 +. (0.125 *. float_of_int i);
+          });
+    ]
+
+(* Every job of the cohort batch, run in one batch at any
+   jobs_parallel and domain count, has the record it has when it runs
+   alone: a column of a block solve or of a lockstep is bitwise its
+   single-vector solve. *)
+let test_cohorts_never_change_a_record () =
+  let jobs = cohort_jobs () in
+  let alone =
+    Array.to_list (Array.map (fun job -> List.hd (records_of (fst (run [| job |])))) jobs)
+  in
+  List.iter
+    (fun (jobs_parallel, domains) ->
+      let results, _ = run ~jobs_parallel ~domains jobs in
+      Alcotest.(check (list string))
+        (Printf.sprintf "jobs_parallel=%d domains=%d: each record as run alone" jobs_parallel
+           domains)
+        alone (records_of results))
+    [ (1, 1); (1, 3); (2, 1); (2, 3); (4, 1); (4, 3) ]
+
+(* The corner sweep plans 16 claims: the four direct DC corners, the
+   eight transient and yield corners as 4 + 4, the six st corners as
+   one, and twelve claims of one.  The factorization and refinement
+   counts are the ones recorded before cohorts existed. *)
+let test_sweep_shape_claims () =
+  let jobs = sweep_shape_jobs () in
+  Alcotest.(check (list (list int)))
+    "claims"
+    ([ [ 0; 1; 2; 3 ]; [ 4; 5; 6; 7 ]; [ 8; 9; 10; 11 ]; [ 12; 13; 14; 15; 16; 17 ] ]
+    @ List.init 12 (fun i -> [ 18 + i ]))
+    (Array.to_list
+       (Array.map Array.to_list (Engine.cohorts ~precond:Linalg.Precond.Cholesky jobs)));
+  let metrics = Util.Metrics.create () in
+  let _ = run ~jobs_parallel:2 ~metrics jobs in
+  let count = Util.Metrics.counter metrics in
+  Alcotest.(check int) "engine.cohorts" 16 (count "engine.cohorts");
+  Alcotest.(check int) "engine.jobs" 30 (count "engine.jobs");
+  Alcotest.(check int) "engine.cohort_columns observations" 16
+    (Util.Metrics.observations metrics "engine.cohort_columns");
+  Helpers.check_float ~eps:0.0 "engine.cohort_columns sum" 30.0
+    (Util.Metrics.total metrics "engine.cohort_columns");
+  (* one DC block solve, then two transient chunks of 4 steps *)
+  Alcotest.(check int) "engine.step_s: one per cohort step" 9
+    (Util.Metrics.observations metrics "engine.step_s");
+  Alcotest.(check int) "engine.factorizations" 15 (count "engine.factorizations");
+  Alcotest.(check int) "st.refine_sweeps" 732 (count "st.refine_sweeps");
+  (* under an approximate mean solver st jobs run alone *)
+  Alcotest.(check int) "claims under --precond amg" 21
+    (Array.length (Engine.cohorts ~precond:Linalg.Precond.Amg jobs))
+
 (* --- round-off routes pinned across commits ---------------------------- *)
 
 (* The determinism cases above compare runs of one build; this one pins
@@ -784,6 +889,14 @@ let pinned_roundoff_digests =
   [
     (Linalg.Precond.Cholesky, "ffd882efc469e5404e90fc667771e16c");
     (Linalg.Precond.Amg, "98e8422816c1d9b932ea518b597e732a");
+  ]
+
+(* The cohort batch's digests, recorded before jobs sharing a factor
+   stepped together. *)
+let pinned_cohort_digests =
+  [
+    (Linalg.Precond.Cholesky, "e695cebb56cf98a57879e4ffd291244f");
+    (Linalg.Precond.Amg, "aa1bec635f01fadff46a8e3dd2df0712");
   ]
 
 let test_roundoff_routes_pinned () =
@@ -814,7 +927,15 @@ let test_roundoff_routes_pinned () =
         ("records under --precond " ^ Linalg.Precond.to_string precond)
         want
         (Digest.to_hex (Digest.string (String.concat "\n" (records_of results)))))
-    pinned_roundoff_digests
+    pinned_roundoff_digests;
+  List.iter
+    (fun (precond, want) ->
+      let results, _ = run ~precond (cohort_jobs ()) in
+      Alcotest.(check string)
+        ("cohort batch under --precond " ^ Linalg.Precond.to_string precond)
+        want
+        (Digest.to_hex (Digest.string (String.concat "\n" (records_of results)))))
+    pinned_cohort_digests
 
 let suite =
   [
@@ -852,4 +973,6 @@ let suite =
       test_result_signature_covers_record_knobs;
     Alcotest.test_case "round-off routes pinned across commits" `Slow
       test_roundoff_routes_pinned;
+    Alcotest.test_case "cohorts never change a record" `Slow test_cohorts_never_change_a_record;
+    Alcotest.test_case "corner-sweep shape: 16 claims" `Slow test_sweep_shape_claims;
   ]

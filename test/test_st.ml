@@ -263,6 +263,80 @@ let test_domain_count_bitwise () =
       done)
     [ Linalg.Precond.Cholesky; Linalg.Precond.Amg ]
 
+(* A cohort of drain-scaled corners: every member's DC coefficients and
+   transient response are bitwise its own solo solve, on both routes and
+   at any domain count, and the cohort's refinement count is the sum of
+   the solo counts. *)
+let test_cohort_members_bitwise_solo () =
+  (* the default grid's drain pulses fall inside these steps, so the
+     members' drain scales show *)
+  let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default 160 in
+  let m =
+    Opera.Stochastic_model.build ~order:2 Opera.Varmodel.paper_default
+      ~vdd:spec.Powergrid.Grid_spec.vdd (Powergrid.Grid_gen.generate spec)
+  in
+  let scaled s =
+    {
+      m with
+      Opera.Stochastic_model.u_drain_coefs =
+        List.map (fun (rank, c) -> (rank, c *. s)) m.Opera.Stochastic_model.u_drain_coefs;
+    }
+  in
+  let members = [| m; scaled 0.8; scaled 1.3 |] in
+  let probes = [| [| 3 |]; [| 17; 40 |]; [||] |] in
+  let n = m.Opera.Stochastic_model.n in
+  let h = 125e-12 and steps = 4 in
+  let same_response a b =
+    let ok = ref true in
+    for step = 0 to steps do
+      for node = 0 to n - 1 do
+        let eq f = Util.Floats.equal_exact (f a ~step ~node) (f b ~step ~node) in
+        if not (eq Opera.Response.mean_at && eq Opera.Response.std_at) then ok := false
+      done
+    done;
+    !ok
+  in
+  List.iter
+    (fun (precond, domains) ->
+      let tag what =
+        Printf.sprintf "%s at %d domain(s): %s" (Linalg.Precond.to_string precond) domains what
+      in
+      let options = { St.default_options with St.domains; precond } in
+      let coefs, dc_stats = St.solve_dc_cohort ~options members in
+      let dc_solo = Array.map (fun mj -> St.solve_dc ~options mj) members in
+      Array.iteri
+        (fun j (c, _) -> Alcotest.(check bool) (tag "dc member = solo") true (coefs.(j) = c))
+        dc_solo;
+      Alcotest.(check int) (tag "dc refine sweeps add up")
+        (Array.fold_left (fun acc (_, s) -> acc + s.St.refine_sweeps) 0 dc_solo)
+        dc_stats.St.refine_sweeps;
+      let responses, tr_stats = St.solve_transient_cohort ~options members ~probes ~h ~steps in
+      let tr_solo =
+        Array.mapi
+          (fun j mj ->
+            St.solve_transient ~options:{ options with St.probes = probes.(j) } mj ~h ~steps)
+          members
+      in
+      Array.iteri
+        (fun j (r, _) ->
+          Alcotest.(check bool)
+            (tag "transient member = solo")
+            true
+            (same_response responses.(j) r))
+        tr_solo;
+      Alcotest.(check bool)
+        (tag "the members' drain scales move their responses")
+        false
+        (same_response responses.(0) responses.(2));
+      Alcotest.(check int) (tag "transient refine sweeps add up")
+        (Array.fold_left (fun acc (_, s) -> acc + s.St.refine_sweeps) 0 tr_solo)
+        tr_stats.St.refine_sweeps)
+    [ (Linalg.Precond.Cholesky, 1); (Linalg.Precond.Cholesky, 3); (Linalg.Precond.Amg, 1);
+      (Linalg.Precond.Amg, 3) ];
+  Alcotest.check_raises "members must share one operator"
+    (Invalid_argument "St_solver.solve_dc_cohort: cohort members must share one operator")
+    (fun () -> ignore (St.solve_dc_cohort [| m; model () |]))
+
 (* --- codec roundtrip of a per-point factor ------------------------------ *)
 
 let test_point_factor_codec_roundtrip () =
@@ -418,6 +492,7 @@ let suite =
     Alcotest.test_case "non-exact precond = exact" `Quick test_nonexact_precond_matches_exact;
     Alcotest.test_case "galerkin dispatch" `Quick test_galerkin_dispatch;
     Alcotest.test_case "domain-count bitwise" `Quick test_domain_count_bitwise;
+    Alcotest.test_case "cohort members bitwise solo" `Quick test_cohort_members_bitwise_solo;
     Alcotest.test_case "point factor codec roundtrip" `Quick test_point_factor_codec_roundtrip;
     Alcotest.test_case "special case equivalence" `Quick test_special_case_equivalence;
     Alcotest.test_case "job parsing" `Quick test_job_parsing;
