@@ -132,20 +132,21 @@ let tp_provider store basis =
    [Invalid_batch] it raises precedes the first record.  Each
    factorization the group needs is then one task of [run]'s claim
    loop, run on whichever domain claims it, alongside other groups'
-   factors and jobs; a job becomes claimable once all of its group's
-   factors exist, and [finish] assembles the context from them.  Every
-   task assembles the matrix it factors itself: the tasks share only
-   read-only values (model, ordering, assembled [Ct] or [G]), never a
-   [Lazy.t], which OCaml 5 refuses to force from two domains at once.
-   A shared factor is complete before any job applies it (read-only,
-   through workspace-explicit solves). *)
+   factors and jobs.  A claim depends on exactly the factors its route
+   applies ([route]), becomes claimable once those exist, and gets a
+   context assembled from them alone.  Every task assembles the matrix
+   it factors itself: the tasks share only read-only values (model,
+   ordering, assembled [Ct] or [G]), never a [Lazy.t], which OCaml 5
+   refuses to force from two domains at once.  A shared factor is
+   complete before any claim applies it (read-only, through
+   workspace-explicit solves). *)
 
 type galerkin_ctx = {
   model : Opera.Stochastic_model.t;
   gspec : Powergrid.Grid_spec.t option;
   gvdd : float;
   fdc : Linalg.Sparse_cholesky.t option;  (** Direct route: factor of Gt *)
-  fmt : (float * Linalg.Sparse_cholesky.t) list;  (** Direct route: Gt + Ct/h per h *)
+  fmt : Linalg.Sparse_cholesky.t option;  (** Direct stepping: Gt + Ct/h at the claim's h *)
   ct : Linalg.Sparse.t option;  (** assembled Ct for stepping right-hand sides *)
 }
 
@@ -153,7 +154,7 @@ type special_ctx = {
   sc : Opera.Special_case.t;
   sspec : Powergrid.Grid_spec.t;
   sfdc : Linalg.Sparse_cholesky.t;  (** factor of G *)
-  sfbe : (float * Linalg.Sparse_cholesky.t) list;  (** factor of G + C/h per h *)
+  sfbe : Linalg.Sparse_cholesky.t;  (** factor of G + C/h at the claim's h *)
 }
 
 type st_ctx = {
@@ -164,9 +165,9 @@ type st_ctx = {
   stf0 : Linalg.Sparse_cholesky.t option;
       (** factor of the mean G(0); [None] under a non-exact [--precond]
           (the solver builds its own mean-block backend) *)
-  stfstep : (float * Linalg.Sparse_cholesky.t array) list;
-      (** per h: one factor of [G(xi_i) + C(xi_i)/h] per testing point;
-          empty under a non-exact [--precond] *)
+  stfstep : Linalg.Sparse_cholesky.t array option;
+      (** at the claim's h: one factor of [G(xi_i) + C(xi_i)/h] per
+          testing point; [None] for DC and under a non-exact [--precond] *)
 }
 
 type ctx = Galerkin_ctx of galerkin_ctx | Special_ctx of special_ctx | St_ctx of st_ctx
@@ -186,13 +187,25 @@ let stepping_hs members =
          match j.analysis with Job.Dc -> None | _ -> Some j.h)
   |> List.sort_uniq compare
 
+(* The position of [h] among a group's step sizes.  Floats compare as
+   their bit patterns, the identity the artifact and cohort keys use. *)
+let h_index hs h =
+  let bits = Int64.bits_of_float h in
+  let rec find k = function
+    | [] -> invalid_arg "Engine.h_index: step size not among its group's"
+    | x :: rest -> if Int64.equal (Int64.bits_of_float x) bits then k else find (k + 1) rest
+  in
+  find 0 hs
+
 (* A group after its prelude: the node count its probes are checked
-   against, one closure per factor, and the context assembled from the
-   built factors (passed in task order). *)
+   against, one closure per factor, and each job's route — the indices
+   of the factors it applies and the context assembled from exactly
+   those factors, passed in that order.  Jobs of one cohort share a
+   route. *)
 type setup = {
   nodes : int;
   factors : (unit -> Linalg.Sparse_cholesky.t) array;
-  finish : Linalg.Sparse_cholesky.t array -> ctx;
+  route : Job.t -> int array * (Linalg.Sparse_cholesky.t array -> ctx);
 }
 
 (* The usage error for an indefinite operator: a [sigma_scale] large
@@ -205,14 +218,16 @@ let not_pd (job : Job.t) =
       Printf.sprintf "job %s: sigma_scale %g makes the operator not positive definite" job.name
         job.sigma_scale
 
-let prelude_galerkin store count ~precond (rep : Job.t) members =
+(* [load] parses a netlist path once per run (see [run]); the parsed
+   circuit is shared read-only by every group that names the path. *)
+let prelude_galerkin store count ~load ~precond (rep : Job.t) members =
   let circuit, gvdd, gspec =
     match rep.Job.source with
     | Job.Generated { nodes } ->
         let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default nodes in
         (Powergrid.Grid_gen.generate spec, spec.Powergrid.Grid_spec.vdd, Some spec)
     | Job.Netlist path -> (
-        match Powergrid.Netlist.load_file path with
+        match load path with
         | Ok parsed -> (parsed.Powergrid.Netlist.circuit, vdd_default, None)
         | Error msg -> raise (Invalid_batch (Printf.sprintf "job %s: netlist %s" rep.Job.name msg)))
   in
@@ -223,14 +238,14 @@ let prelude_galerkin store count ~precond (rep : Job.t) members =
   let n = model.Opera.Stochastic_model.n in
   let not_pd = not_pd rep in
   let hs = stepping_hs members in
-  let setup factors finish = { nodes = n; factors; finish } in
-  let no_factors ctx = setup [||] (fun _ -> ctx) in
+  let setup factors route = { nodes = n; factors; route } in
+  let no_factors ctx = setup [||] (fun _ -> ([||], fun _ -> ctx)) in
   match rep.solver with
   | Opera.Galerkin.Mean_pcg _ | Opera.Galerkin.Matrix_free_pcg _ ->
       (* Iterative jobs run through the full Galerkin machinery; they
          share the expanded model (and the cached triple-product tensor)
          but factor their small nominal blocks per job. *)
-      no_factors (Galerkin_ctx { model; gspec; gvdd; fdc = None; fmt = []; ct = None })
+      no_factors (Galerkin_ctx { model; gspec; gvdd; fdc = None; fmt = None; ct = None })
   | Opera.Galerkin.Direct ->
       let size = Polychaos.Basis.size model.Opera.Stochastic_model.basis in
       let dim = size * n in
@@ -255,9 +270,13 @@ let prelude_galerkin store count ~precond (rep : Job.t) members =
               (Linalg.Sparse.axpy ~alpha:(1.0 /. h) (Option.get ct)
                  (Opera.Galerkin.assemble_g model)))
       in
-      setup (Array.of_list (gt_task :: List.map mt_task hs)) (fun fs ->
-          let fmt = List.mapi (fun k h -> (h, fs.(k + 1))) hs in
-          Galerkin_ctx { model; gspec; gvdd; fdc = Some fs.(0); fmt; ct })
+      let ctx fs fmt = Galerkin_ctx { model; gspec; gvdd; fdc = Some fs.(0); fmt; ct } in
+      (* DC solves against Gt alone; stepping at h also applies that h's
+         Gt + Ct/h. *)
+      setup (Array.of_list (gt_task :: List.map mt_task hs)) (fun (job : Job.t) ->
+          match job.analysis with
+          | Job.Dc -> ([| 0 |], fun fs -> ctx fs None)
+          | _ -> ([| 0; 1 + h_index hs job.h |], fun fs -> ctx fs (Some fs.(1))))
   | Opera.Galerkin.St { candidates; seed; _ } ->
       (* Decoupled point solves on grid-sized (n, not size*n) matrices.
          Selection is deterministic given (basis, candidates, seed) and
@@ -287,7 +306,7 @@ let prelude_galerkin store count ~precond (rep : Job.t) members =
          all: passing [f0]/[fstep] would pin the solver's exact path, and
          at the node counts where ic0/amg matter the N+1 per-point
          stepping factors are exactly the memory this knob avoids. *)
-      if precond <> Linalg.Precond.Cholesky then no_factors (ctx None [])
+      if precond <> Linalg.Precond.Cholesky then no_factors (ctx None None)
       else
         let g0_task =
           cached_factor store ~count ~not_pd ~key:(tagged_key rep "st-g0") ~dim:n (fun () ->
@@ -297,10 +316,17 @@ let prelude_galerkin store count ~precond (rep : Job.t) members =
           cached_factor store ~count ~not_pd ~key:(st_point_key rep h i) ~dim:n (fun () ->
               Linalg.Sparse_cholesky.factor ~perm (Opera.St_solver.step_matrix model points i ~h))
         in
+        (* DC refines against G(0) alone; stepping at h also applies that
+           h's N+1 point factors. *)
         setup
           (Array.concat ([| g0_task |] :: List.map (fun h -> Array.init size (point_task h)) hs))
-          (fun fs ->
-            ctx (Some fs.(0)) (List.mapi (fun k h -> (h, Array.sub fs (1 + (k * size)) size)) hs))
+          (fun (job : Job.t) ->
+            match job.analysis with
+            | Job.Dc -> ([| 0 |], fun fs -> ctx (Some fs.(0)) None)
+            | _ ->
+                let base = 1 + (h_index hs job.h * size) in
+                ( Array.append [| 0 |] (Array.init size (fun i -> base + i)),
+                  fun fs -> ctx (Some fs.(0)) (Some (Array.sub fs 1 size)) ))
 
 let prelude_special store count (rep : Job.t) members =
   let regions, lambda =
@@ -357,15 +383,17 @@ let prelude_special store count (rep : Job.t) members =
   {
     nodes = n;
     factors = Array.of_list (g_task :: List.map be_task hs);
-    finish =
-      (fun fs ->
-        Special_ctx { sc; sspec; sfdc = fs.(0); sfbe = List.mapi (fun k h -> (h, fs.(k + 1))) hs });
+    (* every special-case job steps: G, then its h's G + C/h *)
+    route =
+      (fun (job : Job.t) ->
+        ( [| 0; 1 + h_index hs job.h |],
+          fun fs -> Special_ctx { sc; sspec; sfdc = fs.(0); sfbe = fs.(1) } ));
   }
 
-let prelude store count ~precond (rep : Job.t) members =
+let prelude store count ~load ~precond (rep : Job.t) members =
   match rep.analysis with
   | Job.Special _ -> prelude_special store count rep members
-  | Job.Dc | Job.Transient | Job.Yield _ -> prelude_galerkin store count ~precond rep members
+  | Job.Dc | Job.Transient | Job.Yield _ -> prelude_galerkin store count ~load ~precond rep members
 
 (* ---- cohort execution ------------------------------------------------ *)
 
@@ -536,7 +564,7 @@ let run_direct_cohort (ctx : galerkin_ctx) fdc (jobs : Job.t array) reg ~inner =
       Array.mapi (fun j job -> (dc_record job ~vdd ~model ~probe:probes.(j) (column j), None)) jobs
   | Job.Transient | Job.Yield _ ->
       let h = jobs.(0).h and steps = jobs.(0).steps in
-      let f = List.assoc h ctx.fmt in
+      let f = Option.get ctx.fmt in
       let ct = Option.get ctx.ct in
       let responses =
         Array.map
@@ -625,9 +653,8 @@ let run_special_job (ctx : special_ctx) (job : Job.t) reg ~inner =
              ctx.sc.Opera.Special_case.leaks);
     }
   in
-  let fbe = List.assoc job.h ctx.sfbe in
   let response, _elapsed =
-    Opera.Special_case.solve ~domains:inner ~metrics:reg ~factors:(ctx.sfdc, fbe) sc ~h:job.h
+    Opera.Special_case.solve ~domains:inner ~metrics:reg ~factors:(ctx.sfdc, ctx.sfbe) sc ~h:job.h
       ~steps:job.steps ~probes:[| probe |]
   in
   let vdd = ctx.sspec.Powergrid.Grid_spec.vdd in
@@ -684,9 +711,9 @@ let run_st_cohort (ctx : st_ctx) (jobs : Job.t array) reg ~inner ~precond =
         (fun j job -> (dc_record job ~vdd ~model:models.(j) ~probe:probes.(j) coefs.(j), None))
         jobs
   | Job.Transient | Job.Yield _ ->
-      let fstep = List.assoc_opt rep.h ctx.stfstep in
       let responses, _stats =
-        Opera.St_solver.solve_transient_cohort ~options ~points:ctx.stpoints ?f0:ctx.stf0 ?fstep
+        Opera.St_solver.solve_transient_cohort ~options ~points:ctx.stpoints ?f0:ctx.stf0
+          ?fstep:ctx.stfstep
           models
           ~probes:(Array.map (fun p -> [| p |]) probes)
           ~h:rep.h ~steps:rep.steps
@@ -792,8 +819,8 @@ let shard_filter config jobs =
       Array.of_list (List.rev !sel)
 
 (* What a domain takes next in [run]'s claim loop: a factor task, a
-   ready cohort chunk with its group's context, nothing yet, or nothing
-   ever. *)
+   ready cohort chunk with the context assembled from its factors,
+   nothing yet, or nothing ever. *)
 type claim = Factor of int | Run of int * ctx | Wait | Finished
 
 let run ?(config = default_config) ?emit jobs =
@@ -833,11 +860,24 @@ let run ?(config = default_config) ?emit jobs =
   let nclaims = Array.length claims in
   let factorizations = Atomic.make 0 in
   let count () = Atomic.incr factorizations in
+  (* Each distinct netlist path is parsed once per run, on the main
+     domain; its circuit is shared read-only by every group naming it
+     (nothing built from a parsed circuit writes to it). *)
+  let netlists = Hashtbl.create 2 in
+  let load path =
+    match Hashtbl.find_opt netlists path with
+    | Some parsed -> parsed
+    | None ->
+        let parsed = Powergrid.Netlist.load_file path in
+        Hashtbl.add netlists path parsed;
+        if Result.is_ok parsed then Util.Metrics.incr metrics "engine.netlists";
+        parsed
+  in
   let setups =
     Array.map
       (fun members ->
         Util.Metrics.span metrics "engine.group_setup_s" (fun () ->
-            prelude store count ~precond:config.precond
+            prelude store count ~load ~precond:config.precond
               jobs.(pending.(members.(0)))
               (Array.map (fun c -> jobs.(pending.(c))) members)))
       groups
@@ -868,22 +908,45 @@ let run ?(config = default_config) ?emit jobs =
      stays bounded by [jobs_parallel]. *)
   let inner = if jp > 1 then 1 else config.domains in
   let regs = Array.init nclaims (fun _ -> Util.Metrics.create ()) in
-  let claim_group = Array.map (fun members -> group_of.(members.(0))) claims in
-  (* Factor tasks in group order, as (group, factor index). *)
+  (* Factor tasks in group order, as (group, factor index); group [g]'s
+     factor [k] is task [base.(g) + k]. *)
   let tasks =
     Array.concat
       (Array.to_list
          (Array.mapi (fun g s -> Array.init (Array.length s.factors) (fun k -> (g, k))) setups))
   in
   let ntasks = Array.length tasks in
+  let base = Array.make (Array.length setups) 0 in
+  Array.iteri (fun t (g, k) -> if k = 0 then base.(g) <- t) tasks;
   let tregs = Array.init ntasks (fun _ -> Util.Metrics.create ()) in
+  (* Each claim's route — a chunk's jobs share one: the tasks whose
+     factors it applies, and its context assembled from exactly those. *)
+  let routes =
+    Array.map
+      (fun members ->
+        let g = group_of.(members.(0)) in
+        let ks, assemble = setups.(g).route pending_jobs.(members.(0)) in
+        (Array.map (fun k -> base.(g) + k) ks, assemble))
+      claims
+  in
+  (* The claims that apply each task, in claim order. *)
+  let dependents = Array.make ntasks [] in
+  for q = nclaims - 1 downto 0 do
+    Array.iter (fun t -> dependents.(t) <- q :: dependents.(t)) (fst routes.(q))
+  done;
   (* The claim loop.  Every domain — the main one included — repeatedly
-     claims under [lock]: the first unclaimed factor task, in group
-     order; failing that, the first unclaimed cohort chunk, in the input
-     order of its first job, whose group has all its factors ([ctx.(g)]
-     set); failing that, it waits on [cond].  At one domain this is
-     every factor, then every chunk.  A finished factor completes its
-     group's context once the last one lands; a finished chunk journals
+     claims under [lock], taking the first of:
+     - the head chunk, which holds the lowest-indexed job not yet done
+       ([head], moved under [lock] as chunks settle, never through
+       emission, so a run without [emit] schedules the same way), once
+       its factors exist;
+     - the first unclaimed factor task, in group order, that an
+       unclaimed chunk needs — the rest are skipped;
+     - the first unclaimed chunk, in the input order of its first job,
+       whose factors all exist ([missing.(q) = 0]);
+     and failing all three it waits on [cond].  A chunk waits only for
+     the factors its route applies: a direct DC chunk for [Gt], not for
+     the [Gt + Ct/h] its group also builds.  A finished chunk journals
      each job's record, publishes them, and emits what became ready —
      the domain that finishes a record emits it, so a record never
      waits for another domain's long claim.  Records leave in input
@@ -893,18 +956,17 @@ let run ?(config = default_config) ?emit jobs =
      exception (lowest input index wins, matching the deterministic
      re-raise discipline of Util.Parallel.for_chunks) and later jobs
      still run; a chunk whose shared solve fails parks at its first
-     job, and a failing factor fails every job of its group the same
-     way, parked at the group's first job.  A failing emit callback
+     job, and a failing factor fails exactly the unclaimed chunks that
+     need it, parked at their lowest job index.  A failing emit callback
      stops further claims and re-raises after the in-flight tasks
      drain. *)
   let lock = Mutex.create () in
   let cond = Condition.create () in
-  let built = Array.map (fun s -> Array.make (Array.length s.factors) None) setups in
-  let ctx =
-    Array.map (fun s -> if Array.length s.factors = 0 then Some (s.finish [||]) else None) setups
-  in
-  let failed = Array.make (Array.length setups) false in
+  let built = Array.make ntasks None in
+  let missing = Array.map (fun (deps, _) -> Array.length deps) routes in
   let claimed = Array.make nclaims false in
+  let settled = Array.make nclaims false in
+  let head = ref 0 in
   let next_task = ref 0 in
   let first_unclaimed = ref 0 in
   let stop = Atomic.make false in
@@ -914,30 +976,39 @@ let run ?(config = default_config) ?emit jobs =
   let park i e =
     match !job_failure with Some (j, _) when j <= i -> () | _ -> job_failure := Some (i, e)
   in
+  let ready q = (not claimed.(q)) && missing.(q) = 0 in
+  let needed t = List.exists (fun q -> not claimed.(q)) dependents.(t) in
+  let take q =
+    claimed.(q) <- true;
+    let deps, assemble = routes.(q) in
+    Run (q, assemble (Array.map (fun t -> Option.get built.(t)) deps))
+  in
   let claim () =
     if Atomic.get stop then Finished
     else begin
-      while !next_task < ntasks && failed.(fst tasks.(!next_task)) do
-        incr next_task
+      while !head < nclaims && settled.(!head) do
+        incr head
       done;
-      if !next_task < ntasks then begin
-        incr next_task;
-        Factor (!next_task - 1)
-      end
+      if !head < nclaims && ready !head then take !head
       else begin
-        while !first_unclaimed < nclaims && claimed.(!first_unclaimed) do
-          incr first_unclaimed
+        while !next_task < ntasks && not (needed !next_task) do
+          incr next_task
         done;
-        let rec ready q =
-          if q = nclaims then if !first_unclaimed < nclaims then Wait else Finished
-          else
-            match ctx.(claim_group.(q)) with
-            | Some x when not claimed.(q) ->
-                claimed.(q) <- true;
-                Run (q, x)
-            | _ -> ready (q + 1)
-        in
-        ready !first_unclaimed
+        if !next_task < ntasks then begin
+          incr next_task;
+          Factor (!next_task - 1)
+        end
+        else begin
+          while !first_unclaimed < nclaims && claimed.(!first_unclaimed) do
+            incr first_unclaimed
+          done;
+          let rec scan q =
+            if q = nclaims then if !first_unclaimed < nclaims then Wait else Finished
+            else if ready q then take q
+            else scan (q + 1)
+          in
+          scan !first_unclaimed
+        end
       end
     end
   in
@@ -974,7 +1045,7 @@ let run ?(config = default_config) ?emit jobs =
               | exception e ->
                   Atomic.set emit_failure (Some e);
                   Atomic.set stop true;
-                  (* wake domains waiting for a group to become ready *)
+                  (* wake domains waiting for a factor *)
                   Mutex.lock lock;
                   Condition.broadcast cond;
                   Mutex.unlock lock)
@@ -991,18 +1062,21 @@ let run ?(config = default_config) ?emit jobs =
     Mutex.lock lock;
     (match built_f with
     | Ok f ->
-        built.(g).(k) <- Some f;
-        if Array.for_all Option.is_some built.(g) then
-          ctx.(g) <- Some (setups.(g).finish (Array.map Option.get built.(g)))
-    | Error e ->
-        (* The group can never become ready, so none of its jobs was
-           claimed: claim them all as failed. *)
-        if not failed.(g) then begin
-          failed.(g) <- true;
-          Array.iteri (fun q cg -> if cg = g then claimed.(q) <- true) claim_group;
-          remaining := !remaining - Array.length groups.(g);
-          park pending.(groups.(g).(0)) e
-        end);
+        built.(t) <- Some f;
+        List.iter (fun q -> missing.(q) <- missing.(q) - 1) dependents.(t)
+    | Error e -> (
+        (* No chunk that needs [t] can ever become ready, so none of them
+           was claimed: claim the live ones as failed. *)
+        match List.filter (fun q -> not claimed.(q)) dependents.(t) with
+        | [] -> ()
+        | first :: _ as lost ->
+            List.iter
+              (fun q ->
+                claimed.(q) <- true;
+                settled.(q) <- true;
+                remaining := !remaining - Array.length claims.(q))
+              lost;
+            park pending.(claims.(first).(0)) e));
     Condition.broadcast cond;
     Mutex.unlock lock
   in
@@ -1039,6 +1113,7 @@ let run ?(config = default_config) ?emit jobs =
             done_.(i) <- true
         | Error e -> park i e)
       outcomes;
+    settled.(q) <- true;
     remaining := !remaining - Array.length idx;
     Condition.broadcast cond;
     Mutex.unlock lock;
@@ -1049,40 +1124,62 @@ let run ?(config = default_config) ?emit jobs =
     | Run (q, x) -> chunk_one q x
     | Wait | Finished -> ()
   in
-  let rec worker_loop () =
+  (* [engine.wait_s]: one observation per stretch a domain spends
+     blocked in the claim loop, from its first [Wait] until it holds a
+     claim or finishes.  Domain [d] records into [wregs.(d)] alone. *)
+  let wregs = Array.init jp (fun _ -> Util.Metrics.create ()) in
+  let blocked since =
+    match since with Some _ -> since | None -> Some (Util.Metrics.start_span ())
+  in
+  let unblocked d since =
+    Option.iter (fun s -> ignore (Util.Metrics.stop_span wregs.(d) "engine.wait_s" s)) since
+  in
+  let rec worker_loop d =
     Mutex.lock lock;
-    let rec next () =
+    let rec next since =
       match claim () with
       | Wait ->
+          let since = blocked since in
           Condition.wait cond lock;
-          next ()
-      | c -> c
+          next since
+      | c ->
+          unblocked d since;
+          c
     in
-    let c = next () in
+    let c = next None in
     Mutex.unlock lock;
     match c with
     | Finished -> ()
     | c ->
         perform c;
-        worker_loop ()
+        worker_loop d
   in
-  let workers = Array.init (jp - 1) (fun _ -> Domain.spawn worker_loop) in
+  let workers = Array.init (jp - 1) (fun w -> Domain.spawn (fun () -> worker_loop (w + 1))) in
   (* The main domain also emits between its claims and while it waits:
      the replayed records, which stream first, and any prefix another
      domain completed. *)
-  let rec main_loop () =
+  let rec main_loop since =
     drain_ready ();
     Mutex.lock lock;
     let c = claim () in
-    (match c with Wait -> Condition.wait cond lock | _ -> ());
+    let since =
+      match c with
+      | Wait ->
+          let since = blocked since in
+          Condition.wait cond lock;
+          since
+      | _ ->
+          unblocked 0 since;
+          None
+    in
     Mutex.unlock lock;
     match c with
     | Finished -> ()
     | c ->
         perform c;
-        main_loop ()
+        main_loop since
   in
-  main_loop ();
+  main_loop None;
   (* Emit stragglers as their prefixes complete; on an emit failure the
      sink is dead, so just drain the in-flight tasks via the joins. *)
   Mutex.lock lock;
@@ -1097,6 +1194,7 @@ let run ?(config = default_config) ?emit jobs =
   drain_ready ();
   Array.iter (fun reg -> Util.Metrics.merge_into reg ~into:metrics) tregs;
   Array.iter (fun reg -> Util.Metrics.merge_into reg ~into:metrics) regs;
+  Array.iter (fun reg -> Util.Metrics.merge_into reg ~into:metrics) wregs;
   let factorizations = Atomic.get factorizations in
   if factorizations > 0 then Util.Metrics.incr metrics ~by:factorizations "engine.factorizations";
   let rstats = Registry.stats registry in

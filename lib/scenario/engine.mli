@@ -6,15 +6,30 @@
     symbolic ordering) runs once on the main domain before any job,
     read-through against the artifact {!Store}.  Each numeric Cholesky
     factor the group needs is then one task of a single claim loop
-    shared by all [jobs_parallel] domains: a domain takes the first
-    unclaimed factor task (in group order), else the first unclaimed
-    cohort chunk (in the input order of its first job) whose group's
-    factors all exist, else it waits.  So factors build concurrently
-    with each other and with other groups' jobs, each read-through
-    against the store; jobs apply the shared factors read-only through
-    workspace-explicit solves, each claim with its own metrics registry
-    (merged into the engine registry after the join).  At one domain
-    the order is every factor, then every chunk.
+    shared by all [jobs_parallel] domains.  A cohort chunk depends on
+    exactly the factors its route applies, and its context is assembled
+    from those alone:
+    - direct DC: [Gt];
+    - direct transient or yield at step [h]: [Gt] and that [h]'s
+      [Gt + Ct/h];
+    - exact-route st DC: [G(0)];
+    - st transient or yield at [h]: [G(0)] and that [h]'s N+1
+      testing-point factors;
+    - special case at [h]: [G] and that [h]'s [G + C/h];
+    - matrix-free and pcg: none.
+
+    A domain takes the chunk holding the lowest-indexed job not yet done
+    if its factors exist; else the first unclaimed factor task, in group
+    order, that some unclaimed chunk needs; else the first unclaimed
+    chunk, in the input order of its first job, whose factors all
+    exist; else it waits.  So factors build concurrently with each
+    other and with the chunks whose factors are done — a direct DC
+    corner streams once [Gt] exists, while its group's [Gt + Ct/h] is
+    still being factored — and a lone domain never waits.  Each factor
+    task is read-through against the store; chunks apply the shared
+    factors read-only through workspace-explicit solves, each claim
+    with its own metrics registry (merged into the engine registry
+    after the join).
 
     Cohorts ({!cohorts}): the jobs of a group that apply the same
     factors in the same order step in lockstep.  The direct DC jobs
@@ -85,12 +100,16 @@ type config = {
           [engine.cohorts] (claims run), [engine.cohort_columns] (one
           observation of each claim's job count), [engine.job_s] (per
           claim), [engine.group_setup_s] (per-group prelude),
+          [engine.netlists] (distinct netlist files parsed: one parse
+          per path per run, shared by every group naming it),
           [engine.factor_s] (per factor task), [engine.step_s] (one
           observation per cohort step of the direct route: a DC
           chunk's solve or one transient step, each a single block
-          solve for all the chunk's jobs), the
-          [store.*] and [registry.*] counters, and every per-task
-          registry (merged post-join) *)
+          solve for all the chunk's jobs), [engine.wait_s] (one
+          observation per stretch a domain spends blocked in the claim
+          loop, from its first wait until it holds a claim or finishes
+          — none at [jobs_parallel] 1), the [store.*] and [registry.*]
+          counters, and every per-task registry (merged post-join) *)
   warm_start : bool;
       (** seed each transient step's Krylov solve from the previous
           step (with linear extrapolation) for iterative jobs; see
@@ -174,12 +193,14 @@ val run : ?config:config -> ?emit:(result -> unit) -> Job.t array -> result arra
     {!Invalid_batch} on an empty batch, an invalid shard spec, an
     unreadable or malformed netlist (during a group's prelude) or an
     out-of-range probe (checked after every prelude, before any task
-    runs).  A failed factorization fails every job of its group; an
-    indefinite operator does so as {!Invalid_batch}.  Failures
-    propagate after all other tasks finish — including
-    {!Opera.Galerkin.Solver_diverged} from jobs running under the
-    [fail] policy: the earliest-indexed failure wins, and no record past
-    it is emitted. *)
+    runs).  A failed factorization fails exactly the jobs whose route
+    applies that factor, parked at the lowest of their indices; factor
+    tasks no remaining job needs are then skipped, and jobs that do not
+    apply it still run.  An indefinite operator fails this way as
+    {!Invalid_batch}.  Failures propagate after all other tasks finish —
+    including {!Opera.Galerkin.Solver_diverged} from jobs running under
+    the [fail] policy: the earliest-indexed failure wins, and no record
+    at or past it is emitted. *)
 
 val run_jsonl : ?config:config -> out_channel -> Job.t array -> summary
 (** {!run} with [emit] writing and flushing one record per line in

@@ -477,9 +477,18 @@ let test_invalid_batch () =
      the job and the file. *)
   expect_invalid "missing netlist" ~prefix:"job nl: netlist /nonexistent/grid.sp" ~records:[]
     [| base_job "ok"; { (base_job "nl") with Job.source = Job.Netlist "/nonexistent/grid.sp" } |];
-  (* An indefinite chaos operator fails its factor task: every job of its
-     group fails, the earliest is re-raised, and no record at or past it
-     leaves — on the direct and the st route. *)
+  (* Every group that names a netlist shares one parse, and a missing
+     one names the first job whose group reads it. *)
+  expect_invalid "missing netlist, two groups" ~prefix:"job nl-st: netlist /nonexistent/grid.sp"
+    ~records:[]
+    [|
+      base_job "ok";
+      { (base_job "nl-st") with Job.source = Job.Netlist "/nonexistent/grid.sp"; solver = st_solver };
+      { (base_job "nl") with Job.source = Job.Netlist "/nonexistent/grid.sp" };
+    |];
+  (* An indefinite chaos operator fails its factor task: every job that
+     needs the failed factor fails, the earliest is re-raised, and no
+     record at or past it leaves — on the direct and the st route. *)
   List.iter
     (fun (route, solver) ->
       expect_invalid
@@ -876,6 +885,77 @@ let test_sweep_shape_claims () =
   Alcotest.(check int) "claims under --precond amg" 21
     (Array.length (Engine.cohorts ~precond:Linalg.Precond.Amg jobs))
 
+(* --- a record waits only for the factors it applies -------------------- *)
+
+let chol_files dir =
+  Array.fold_left
+    (fun acc f ->
+      if String.starts_with ~prefix:"chol-" f && Filename.check_suffix f ".opra" then acc + 1
+      else acc)
+    0 (Sys.readdir dir)
+
+(* At one domain the first record leaves as soon as the factors its own
+   route applies exist: a direct DC corner needs Gt but not Gt + Ct/h,
+   an st DC corner G(0) but no testing-point factor, and a transient at
+   the smaller step neither step's factor at the larger one.  The
+   factors on disk when the first record reaches [emit] show it.  A
+   lone domain always has a factor task or a ready chunk to claim, so
+   it never waits. *)
+let test_record_waits_only_for_its_factors () =
+  let tr name = { (base_job name) with Job.analysis = Job.Transient } in
+  let sp name = { (base_job name) with Job.analysis = Job.Special { regions = 4; lambda = 0.5 } } in
+  let st job = { job with Job.solver = st_solver } in
+  let h2 = 250e-12 in
+  List.iter
+    (fun (what, jobs, want) ->
+      let cache_dir = fresh_dir () in
+      let at_first = ref None in
+      let emit _ = if Option.is_none !at_first then at_first := Some (chol_files cache_dir) in
+      let metrics = Util.Metrics.create () in
+      let results, _ = run ~cache_dir ~metrics ~emit jobs in
+      Alcotest.(check (option int))
+        (what ^ ": factors on disk at the first record")
+        (Some want) !at_first;
+      Alcotest.(check int)
+        (what ^ ": a lone domain never waits")
+        0
+        (Util.Metrics.observations metrics "engine.wait_s");
+      let alone =
+        List.concat_map (fun job -> records_of (fst (run [| job |]))) (Array.to_list jobs)
+      in
+      Alcotest.(check (list string)) (what ^ ": each record as run alone") alone (records_of results);
+      Alcotest.(check (list string))
+        (what ^ ": the stream at jobs_parallel 2")
+        alone
+        (records_of (fst (run ~jobs_parallel:2 jobs))))
+    [
+      ("direct [dc; tr]", [| base_job "dc"; tr "tr" |], 1);
+      ("st [st-dc; st-tr]", [| st (base_job "st-dc"); st (tr "st-tr") |], 1);
+      ("direct [tr at h1; tr at h2]", [| tr "tr"; { (tr "tr-h2") with Job.h = h2 } |], 2);
+      ("special [sp at h1; sp at h2]", [| sp "sp"; { (sp "sp-h2") with Job.h = h2 } |], 2);
+    ]
+
+(* --- one parse per netlist ---------------------------------------------- *)
+
+let test_netlist_parsed_once () =
+  let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default 60 in
+  let path = Filename.temp_file "opera_netlist" ".sp" in
+  write_file path (Powergrid.Netlist.to_string (Powergrid.Grid_gen.generate spec));
+  let mf = Opera.Galerkin.Matrix_free_pcg { tol = 1e-10; max_iter = 500 } in
+  let on_netlist name solver =
+    { (base_job name) with Job.source = Job.Netlist path; analysis = Job.Transient; solver }
+  in
+  let jobs =
+    [| on_netlist "direct" Opera.Galerkin.Direct; on_netlist "st" st_solver; on_netlist "mf" mf |]
+  in
+  let metrics = Util.Metrics.create () in
+  let results, summary = run ~metrics jobs in
+  Alcotest.(check int) "three operator groups" 3 summary.Engine.groups;
+  Alcotest.(check int) "engine.netlists" 1 (Util.Metrics.counter metrics "engine.netlists");
+  let alone = List.concat_map (fun job -> records_of (fst (run [| job |]))) (Array.to_list jobs) in
+  Alcotest.(check (list string)) "each record as run alone" alone (records_of results);
+  Sys.remove path
+
 (* --- round-off routes pinned across commits ---------------------------- *)
 
 (* The determinism cases above compare runs of one build; this one pins
@@ -975,4 +1055,7 @@ let suite =
       test_roundoff_routes_pinned;
     Alcotest.test_case "cohorts never change a record" `Slow test_cohorts_never_change_a_record;
     Alcotest.test_case "corner-sweep shape: 16 claims" `Slow test_sweep_shape_claims;
+    Alcotest.test_case "a record waits only for the factors it applies" `Slow
+      test_record_waits_only_for_its_factors;
+    Alcotest.test_case "each netlist is parsed once per run" `Quick test_netlist_parsed_once;
   ]

@@ -27,6 +27,26 @@ let model ?(order = 2) () =
   let circuit = Powergrid.Grid_gen.generate Helpers.small_grid_spec in
   Opera.Stochastic_model.build ~order Opera.Varmodel.paper_default ~vdd circuit
 
+(* The small grid's drains are idle over the few steps a test takes, so
+   a transient test that must see the drain path runs on the default
+   generator grid at 160 nodes, whose drain pulses start within them;
+   [check_drains_active] pins that precondition. *)
+let active_model ?(order = 2) () =
+  let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default 160 in
+  Opera.Stochastic_model.build ~order Opera.Varmodel.paper_default
+    ~vdd:spec.Powergrid.Grid_spec.vdd (Powergrid.Grid_gen.generate spec)
+
+(* Some drain source draws current at one of steps 1..[steps]. *)
+let check_drains_active m ~h ~steps =
+  let buf = Linalg.Vec.create m.Opera.Stochastic_model.n in
+  Alcotest.(check bool)
+    "drains draw current within the steps" true
+    (List.exists
+       (fun step ->
+         Opera.Stochastic_model.drain_profile_into m (float_of_int step *. h) buf;
+         Array.exists (fun v -> not (Util.Floats.equal_exact v 0.0)) buf)
+       (List.init steps (fun s -> s + 1)))
+
 let dense_equal_exact a b =
   let n, m = Linalg.Dense.dims a in
   Linalg.Dense.dims b = (n, m)
@@ -106,11 +126,18 @@ let st_options m =
   ignore m;
   { St.default_options with St.domains = 1 }
 
+(* Order 2 runs where the drains are active.  Order 3 keeps the small
+   grid: on the 160-node grid its st means sit up to 2.8e-6 V from
+   Galerkin's (drops up to 78 mV), above this test's 1e-6 V mean bound,
+   while against exact deterministic solves at off-point samples both
+   order-3 expansions err by 3e-6 to 7.5e-6 V — collocation truncation,
+   which the fixed bound does not allow for. *)
 let test_transient_matches_galerkin () =
+  let h = 0.25e-9 and steps = 6 in
+  let active = active_model ~order:2 () in
+  check_drains_active active ~h ~steps;
   List.iter
-    (fun order ->
-      let m = model ~order () in
-      let h = 0.25e-9 and steps = 6 in
+    (fun (order, m) ->
       let galerkin, _ = Opera.Galerkin.solve_transient m ~h ~steps in
       let st, stats = St.solve_transient ~options:(st_options m) m ~h ~steps in
       let size = Polychaos.Basis.size m.Opera.Stochastic_model.basis in
@@ -121,7 +148,7 @@ let test_transient_matches_galerkin () =
       check_moments_close
         ~what:(Printf.sprintf "order %d" order)
         ~steps ~n:m.Opera.Stochastic_model.n galerkin st)
-    [ 2; 3 ]
+    [ (2, active); (3, model ~order:3 ()) ]
 
 let test_transient_matches_on_netlist () =
   let circuit = Powergrid.Grid_gen.generate Helpers.small_grid_spec in
@@ -147,8 +174,9 @@ let test_nonexact_precond_matches_exact () =
      factors; every point is still solved to the same residual target,
      so the recovered moments must agree with the exact route to
      solver accuracy. *)
-  let m = model () in
+  let m = active_model () in
   let h = 0.25e-9 and steps = 4 in
+  check_drains_active m ~h ~steps;
   let exact, exact_stats = St.solve_transient ~options:(st_options m) m ~h ~steps in
   let amg, stats =
     St.solve_transient
@@ -241,8 +269,9 @@ let test_galerkin_dispatch () =
 let test_domain_count_bitwise () =
   (* Both point-solve routes: stationary refinement on the exact factor,
      PCG against the shared AMG hierarchy. *)
-  let m = model () in
+  let m = active_model () in
   let h = 0.25e-9 and steps = 4 in
+  check_drains_active m ~h ~steps;
   List.iter
     (fun precond ->
       let solve domains =
@@ -268,13 +297,8 @@ let test_domain_count_bitwise () =
    at any domain count, and the cohort's refinement count is the sum of
    the solo counts. *)
 let test_cohort_members_bitwise_solo () =
-  (* the default grid's drain pulses fall inside these steps, so the
-     members' drain scales show *)
-  let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default 160 in
-  let m =
-    Opera.Stochastic_model.build ~order:2 Opera.Varmodel.paper_default
-      ~vdd:spec.Powergrid.Grid_spec.vdd (Powergrid.Grid_gen.generate spec)
-  in
+  (* the members' drain scales must show *)
+  let m = active_model () in
   let scaled s =
     {
       m with
@@ -362,8 +386,10 @@ let test_point_factor_codec_roundtrip () =
 let test_special_case_equivalence () =
   (* Deterministic matrices, stochastic (truncated-lognormal) excitation:
      the solution is linear in the truncated excitation, hence exactly in
-     the basis span — ST interpolation loses nothing. *)
-  let spec = Helpers.small_grid_spec in
+     the basis span — ST interpolation loses nothing.  On the 160-node
+     grid the drains are active within the steps, so the bound sees the
+     drain path too. *)
+  let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default 160 in
   let circuit = Powergrid.Grid_gen.generate spec in
   let n = Powergrid.Circuit.node_count circuit in
   let leaks = Array.init n (fun node -> (node, (node * 2) / n, 4e-6)) in
