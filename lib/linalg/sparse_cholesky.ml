@@ -347,7 +347,14 @@ let factor ?(ordering = Ordering.Min_degree) ?perm a =
   done;
   Array.fill w 0 n (-1);
   let x = Array.make n 0.0 in
-  (* Numeric up-looking pass. *)
+  (* Numeric up-looking pass.  The column update below is the hot loop:
+     it reads unchecked, on invariants the factor maintains itself —
+     every [stack] entry is below [n]; [lp.(i) + 1 <= fill.(i) <=
+     lp.(i+1)], so the slots read lie in column [i]; and the rows
+     written so far are below [k].  It runs four entries at a time.  The
+     rows one column updates are distinct, so each [x] slot still takes
+     exactly the subtraction the one-at-a-time loop gave it: no sum is
+     reordered and [L] is the same bit for bit. *)
   for k = 0 to n - 1 do
     let top = ereach ~colptr ~rowind ~parent ~k ~w ~stack ~path in
     (* Scatter the upper column k of A into x. *)
@@ -357,11 +364,24 @@ let factor ?(ordering = Ordering.Min_degree) ?perm a =
       if i = k then d := values.(p) else x.(i) <- values.(p)
     done;
     for t = top to n - 1 do
-      let i = stack.(t) in
-      let lki = x.(i) /. lx.(lp.(i)) in
-      x.(i) <- 0.0;
-      for p = lp.(i) + 1 to fill.(i) - 1 do
-        x.(li.(p)) <- x.(li.(p)) -. (lx.(p) *. lki)
+      let i = Array.unsafe_get stack t in
+      let p0 = Array.unsafe_get lp i + 1 and p1 = Array.unsafe_get fill i in
+      let lki = Array.unsafe_get x i /. Array.unsafe_get lx (p0 - 1) in
+      Array.unsafe_set x i 0.0;
+      let p = ref p0 in
+      while !p + 3 < p1 do
+        let q = !p in
+        let r0 = Array.unsafe_get li q and r1 = Array.unsafe_get li (q + 1) in
+        let r2 = Array.unsafe_get li (q + 2) and r3 = Array.unsafe_get li (q + 3) in
+        Array.unsafe_set x r0 (Array.unsafe_get x r0 -. (Array.unsafe_get lx q *. lki));
+        Array.unsafe_set x r1 (Array.unsafe_get x r1 -. (Array.unsafe_get lx (q + 1) *. lki));
+        Array.unsafe_set x r2 (Array.unsafe_get x r2 -. (Array.unsafe_get lx (q + 2) *. lki));
+        Array.unsafe_set x r3 (Array.unsafe_get x r3 -. (Array.unsafe_get lx (q + 3) *. lki));
+        p := q + 4
+      done;
+      for q = !p to p1 - 1 do
+        let r = Array.unsafe_get li q in
+        Array.unsafe_set x r (Array.unsafe_get x r -. (Array.unsafe_get lx q *. lki))
       done;
       d := !d -. (lki *. lki);
       let pos = fill.(i) in

@@ -20,7 +20,16 @@ val factor : ?ordering:Ordering.kind -> ?perm:Perm.t -> Sparse.t -> t
     amortizing one symbolic analysis over many factorizations with the same
     pattern (Monte-Carlo sampling, repeated transients).
     Raises {!Not_positive_definite} if a pivot is non-positive and
-    [Invalid_argument] if [a] is not square. *)
+    [Invalid_argument] if [a] is not square.
+
+    The numeric pass is up-looking: row [k]'s pattern comes from the
+    elimination tree in topological order, and each column [i] in it
+    scatters [x(r) -= L(r,i) * L(k,i)] over its entries so far.  That
+    column update runs four entries at a time with unchecked reads.
+    The rows one column updates are distinct, so the unroll reorders no
+    sum: [L] is bit for bit the one-entry-at-a-time loop's (the
+    reference the tests compare it with), and an indefinite matrix
+    fails at the same pivot. *)
 
 val solve : t -> Vec.t -> Vec.t
 (** [solve f b] solves [A x = b]. *)

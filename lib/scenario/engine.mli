@@ -109,7 +109,11 @@ type config = {
           observation per stretch a domain spends blocked in the claim
           loop, from its first wait until it holds a claim or finishes
           — none at [jobs_parallel] 1), the [store.*] and [registry.*]
-          counters, and every per-task registry (merged post-join) *)
+          counters, the [store.write_s] and [store.read_s] histograms
+          (each artifact miss's encode and write, each hit's read and
+          decode: [engine.factor_s] less [store.write_s] on a cold run
+          is the factorization time itself), and every per-task
+          registry (merged post-join) *)
   warm_start : bool;
       (** seed each transient step's Krylov solve from the previous
           step (with linear extrapolation) for iterative jobs; see

@@ -133,9 +133,8 @@ let record t job json =
   match path t job with
   | None -> ()
   | Some file ->
-      let bytes = Util.Codec.frame ~kind ~version (fun e -> write_json e json) in
       with_lock t (fun () ->
-          Util.Codec.write_file file bytes;
+          Util.Codec.write_frame_file file ~kind ~version (fun e -> write_json e json);
           t.stats.journaled <- t.stats.journaled + 1)
 
 let lookup t job =

@@ -42,11 +42,15 @@ let locked t f =
 let stats t = locked t (fun () -> { t.stats with hits = t.stats.hits })
 
 (* Count one lookup outcome in [stats] and the matching [store.*]
-   metric, under [lock]. *)
-let tally t name bump =
+   metric, under [lock]; [timed] adds one observation to a histogram
+   under the same lock. *)
+let tally ?timed t name bump =
   locked t (fun () ->
       bump t.stats;
-      Util.Metrics.incr t.metrics name)
+      Util.Metrics.incr t.metrics name;
+      match timed with
+      | Some (histogram, seconds) -> Util.Metrics.observe t.metrics histogram seconds
+      | None -> ())
 
 let key_of_bytes bytes = Digest.to_hex (Digest.string bytes)
 
@@ -68,16 +72,22 @@ let touch file =
      read-only cache dir must not fail the lookup that reused it. *)
   try Unix.utimes file 0.0 0.0 with Unix.Unix_error _ -> ()
 
-(* The shared skeleton of both lookup shapes: count the miss and encode
-   on rebuild, never trust a damaged artifact (log, drop, rebuild), and
-   classify every decode outcome.  [read] returns the raw load result;
-   [finish] turns it into the value (both may raise [Corrupt]). *)
+(* The shared skeleton of both lookup shapes: count the miss and write
+   the artifact on rebuild, never trust a damaged artifact (log, drop,
+   rebuild), and classify every decode outcome.  [write] encodes a value
+   into [file]; [read] returns the raw load result; [finish] turns it
+   into the value (both may raise [Corrupt]).  [store.write_s] times
+   each miss's encode and write, [store.read_s] each hit's read and
+   decode. *)
 let lookup t ~file ~write ~read ~finish ~on_hit ~build =
   let rebuild () =
     tally t "store.misses" (fun s -> s.misses <- s.misses + 1);
     let value = build () in
-    Util.Codec.write_file file (write value);
-    tally t "store.writes" (fun s -> s.writes <- s.writes + 1);
+    let t0 = Util.Timer.start () in
+    write value;
+    tally t "store.writes"
+      ~timed:("store.write_s", Util.Timer.elapsed_s t0)
+      (fun s -> s.writes <- s.writes + 1);
     value
   in
   let corrupt why =
@@ -86,13 +96,16 @@ let lookup t ~file ~write ~read ~finish ~on_hit ~build =
     remove_corrupt file;
     rebuild ()
   in
+  let t0 = Util.Timer.start () in
   match read () with
   | exception Util.Codec.Corrupt why -> corrupt why
   | None -> rebuild ()
   | Some loaded -> (
       match finish loaded with
       | value ->
-          tally t "store.hits" (fun s -> s.hits <- s.hits + 1);
+          tally t "store.hits"
+            ~timed:("store.read_s", Util.Timer.elapsed_s t0)
+            (fun s -> s.hits <- s.hits + 1);
           on_hit loaded;
           touch file;
           value
@@ -110,7 +123,7 @@ let find_or_build t ~kind ~version ~key ~encode ~decode ~build =
   | None -> build ()
   | Some file ->
       lookup t ~file
-        ~write:(fun value -> Util.Codec.frame ~kind ~version (encode value))
+        ~write:(fun value -> Util.Codec.write_frame_file file ~kind ~version (encode value))
         ~read:(fun () -> Util.Codec.read_frame ~kind ~version file)
         ~finish:(fun d ->
           let value = decode d in
@@ -126,7 +139,7 @@ let find_or_build_sections t ~kind ~version ~key ~encode ~decode ~build =
       lookup t ~file
         ~write:(fun value ->
           let meta, sections = encode value in
-          Util.Codec.frame_v2 ~kind ~version ~meta ~sections)
+          Util.Codec.write_file file (Util.Codec.frame_v2 ~kind ~version ~meta ~sections))
         ~read:(fun () -> Util.Codec.read_frame_v2 ~kind ~version file)
         ~finish:(fun (d, sections) ->
           let value = decode d sections in

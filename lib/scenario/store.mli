@@ -23,10 +23,14 @@ val create : ?metrics:Util.Metrics.t -> dir:string option -> unit -> t
 (** [dir = None] disables the store (every lookup builds); [Some d]
     creates [d] (and parents) if needed.  [metrics] receives the
     [store.hits] / [store.misses] / [store.corrupt] / [store.writes]
-    counters.  A store may be shared by several domains: the stats and
-    metrics updates of a lookup happen under one mutex, while reads,
-    decodes, builds and writes run outside it — the batch engine's
-    domains look up distinct artifacts concurrently. *)
+    counters and two histograms: [store.write_s], the encode-and-write
+    time of each miss, and [store.read_s], the read-and-decode time of
+    each hit — so a caller timing a lookup can tell artifact I/O from
+    the build.  A store may be shared by several domains: the stats and
+    metrics updates of a lookup (the two observations included) happen
+    under one mutex, while reads, decodes, builds and writes run
+    outside it — the batch engine's domains look up distinct artifacts
+    concurrently. *)
 
 val disabled : t
 (** A store with no directory: {!find_or_build} always builds. *)
@@ -65,11 +69,13 @@ val find_or_build :
     malformed payload, say [Invalid_argument] out of an array build —
     is treated the same way: logged, dropped, rebuilt.  Only
     [Out_of_memory] and [Stack_overflow] stay fatal.  On miss,
-    [build ()] runs and its encoding is written back atomically (temp
-    file + rename, world-readable).  The hit path streams the frame
-    ({!Util.Codec.read_frame}): the artifact is resident once, with the
-    checksum folded during the read — gigabyte factors never occupy
-    double their size. *)
+    [build ()] runs and [encode] streams the artifact to disk
+    ({!Util.Codec.write_frame_file}: 64 KiB chunks into a temp file,
+    checksum folded as they go, then an atomic, world-readable rename),
+    so no copy of the payload or the frame is ever made.  The hit path
+    streams the frame back ({!Util.Codec.read_frame}): the artifact is
+    resident once, with the checksum folded during the read — gigabyte
+    factors never occupy double their size. *)
 
 val find_or_build_sections :
   t ->

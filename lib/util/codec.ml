@@ -27,31 +27,143 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
 (* ---- encoder -------------------------------------------------------- *)
 
-type encoder = Buffer.t
+(* Little-endian 64-bit stores and loads go through the compiler's own
+   primitives.  [Bytes.set_int64_le] and [String.get_int64_le] are
+   ordinary functions: under -opaque each call boxes its [int64], four
+   minor words per element of a bulk array.  These primitives compile
+   inline on unboxed values, bounds-checked like the functions they
+   replace. *)
+external set_i64_ne : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
-let encoder ?(initial_size = 1024) () = Buffer.create initial_size
+external get_i64_ne : string -> int -> int64 = "%caml_string_get64"
 
-let contents (e : encoder) = Buffer.contents e
+external swap64 : int64 -> int64 = "%bswap_int64"
 
-let write_i64 (e : encoder) (v : int64) = Buffer.add_int64_le e v
+let[@inline] put_i64 b pos v = set_i64_ne b pos (if Sys.big_endian then swap64 v else v)
 
-let write_int (e : encoder) (v : int) = write_i64 e (Int64.of_int v)
+let[@inline] get_i64 s pos =
+  let v = get_i64_ne s pos in
+  if Sys.big_endian then swap64 v else v
 
-let write_bool (e : encoder) b = Buffer.add_char e (if b then '\001' else '\000')
+(* An encoder is one byte buffer.  In memory ([sink = None]) it grows
+   by doubling and {!contents} copies it out.  A streaming encoder
+   ({!write_frame_file}) keeps one [chunk_size] buffer and hands each
+   filled stretch to its sink, so a payload of any size is never
+   resident. *)
+type encoder = { mutable buf : Bytes.t; mutable pos : int; sink : (Bytes.t -> int -> unit) option }
 
-let write_float (e : encoder) (v : float) = write_i64 e (Int64.bits_of_float v)
+let chunk_size = 65536
+
+let encoder ?(initial_size = 1024) () =
+  { buf = Bytes.create (Int.max initial_size 16); pos = 0; sink = None }
+
+let contents (e : encoder) =
+  match e.sink with
+  | Some _ -> invalid_arg "Codec.contents: streaming encoder"
+  | None -> Bytes.sub_string e.buf 0 e.pos
+
+(* Hand the filled part of a streaming encoder's chunk to its sink. *)
+let drain e =
+  match e.sink with
+  | Some sink when e.pos > 0 ->
+      sink e.buf e.pos;
+      e.pos <- 0
+  | _ -> ()
+
+(* Room for [k] contiguous bytes at [e.pos]; a streaming encoder needs
+   [k <= chunk_size]. *)
+let reserve e k =
+  if Bytes.length e.buf - e.pos < k then
+    match e.sink with
+    | Some _ -> drain e
+    | None ->
+        let cap = ref (Bytes.length e.buf) in
+        while !cap - e.pos < k do
+          cap := 2 * !cap
+        done;
+        let b = Bytes.create !cap in
+        Bytes.blit e.buf 0 b 0 e.pos;
+        e.buf <- b
+
+(* How many of [want] 8-byte elements fit at [e.pos]: all of them in
+   memory, at least one in a streaming chunk. *)
+let room e want =
+  match e.sink with
+  | None ->
+      reserve e (8 * want);
+      want
+  | Some _ ->
+      reserve e 8;
+      Int.min want ((Bytes.length e.buf - e.pos) / 8)
+
+let add_char e c =
+  reserve e 1;
+  Bytes.set e.buf e.pos c;
+  e.pos <- e.pos + 1
+
+let add_string e s =
+  let len = String.length s in
+  let off = ref 0 in
+  while !off < len do
+    reserve e (Int.min (len - !off) chunk_size);
+    let k = Int.min (len - !off) (Bytes.length e.buf - e.pos) in
+    Bytes.blit_string s !off e.buf e.pos k;
+    e.pos <- e.pos + k;
+    off := !off + k
+  done
+
+let write_i64 (e : encoder) (v : int64) =
+  reserve e 8;
+  put_i64 e.buf e.pos v;
+  e.pos <- e.pos + 8
+
+let write_int (e : encoder) (v : int) =
+  reserve e 8;
+  put_i64 e.buf e.pos (Int64.of_int v);
+  e.pos <- e.pos + 8
+
+let write_bool (e : encoder) b = add_char e (if b then '\001' else '\000')
+
+let write_float (e : encoder) (v : float) =
+  reserve e 8;
+  put_i64 e.buf e.pos (Int64.bits_of_float v);
+  e.pos <- e.pos + 8
 
 let write_string (e : encoder) (s : string) =
   write_int e (String.length s);
-  Buffer.add_string e s
+  add_string e s
 
+(* Bulk arrays: one loop per stretch that fits the buffer, no closure
+   and no boxed [int64] per element. *)
 let write_int_array (e : encoder) (a : int array) =
-  write_int e (Array.length a);
-  Array.iter (fun v -> write_int e v) a
+  let n = Array.length a in
+  write_int e n;
+  let i = ref 0 in
+  while !i < n do
+    let i0 = !i in
+    let k = room e (n - i0) in
+    let b = e.buf and pos = e.pos in
+    for j = 0 to k - 1 do
+      put_i64 b (pos + (8 * j)) (Int64.of_int a.(i0 + j))
+    done;
+    e.pos <- pos + (8 * k);
+    i := i0 + k
+  done
 
 let write_float_array (e : encoder) (a : float array) =
-  write_int e (Array.length a);
-  Array.iter (fun v -> write_float e v) a
+  let n = Array.length a in
+  write_int e n;
+  let i = ref 0 in
+  while !i < n do
+    let i0 = !i in
+    let k = room e (n - i0) in
+    let b = e.buf and pos = e.pos in
+    for j = 0 to k - 1 do
+      put_i64 b (pos + (8 * j)) (Int64.bits_of_float a.(i0 + j))
+    done;
+    e.pos <- pos + (8 * k);
+    i := i0 + k
+  done
 
 (* ---- decoder -------------------------------------------------------- *)
 
@@ -69,21 +181,26 @@ let need d n =
   if n < 0 || remaining d < n then
     corrupt "truncated artifact: need %d bytes at offset %d, have %d" n d.pos (remaining d)
 
-let read_i64 d =
-  need d 8;
-  let v = String.get_int64_le d.s d.pos in
-  d.pos <- d.pos + 8;
-  v
-
 let max_int64 = Int64.of_int max_int
 
 let min_int64 = Int64.of_int min_int
 
-let read_int d =
-  let v = read_i64 d in
-  if Int64.compare v min_int64 < 0 || Int64.compare v max_int64 > 0 then
-    corrupt "integer out of native range at offset %d" (d.pos - 8);
+let read_i64 d =
+  need d 8;
+  let v = get_i64 d.s d.pos in
+  d.pos <- d.pos + 8;
+  v
+
+(* The native-range check of one wire integer at [pos]. *)
+let[@inline] to_native (v : int64) pos =
+  if v < min_int64 || v > max_int64 then corrupt "integer out of native range at offset %d" pos;
   Int64.to_int v
+
+let read_int d =
+  need d 8;
+  let pos = d.pos in
+  d.pos <- pos + 8;
+  to_native (get_i64 d.s pos) pos
 
 let read_bool d =
   need d 1;
@@ -94,7 +211,11 @@ let read_bool d =
   | '\001' -> true
   | c -> corrupt "bad boolean byte %d at offset %d" (Char.code c) (d.pos - 1)
 
-let read_float d = Int64.float_of_bits (read_i64 d)
+let read_float d =
+  need d 8;
+  let v = Int64.float_of_bits (get_i64 d.s d.pos) in
+  d.pos <- d.pos + 8;
+  v
 
 let read_length d what =
   let n = read_int d in
@@ -108,16 +229,36 @@ let read_string d =
   d.pos <- d.pos + n;
   s
 
-let read_int_array d =
+(* Bulk arrays: each element needs 8 bytes, so an absurd length is
+   rejected before anything is allocated (without forming [8 * n],
+   which could wrap); then one loop reads the elements in place. *)
+let array_length d =
   let n = read_length d "array" in
-  (* Each element needs 8 bytes; reject absurd lengths before allocating. *)
-  need d (n * 8);
-  Array.init n (fun _ -> read_int d)
+  if n > remaining d / 8 then
+    corrupt "truncated artifact: %d-element array at offset %d, %d bytes left" n d.pos
+      (remaining d);
+  n
+
+let read_int_array d =
+  let n = array_length d in
+  let a = Array.make n 0 in
+  let s = d.s and pos = d.pos in
+  for i = 0 to n - 1 do
+    let at = pos + (8 * i) in
+    a.(i) <- to_native (get_i64 s at) at
+  done;
+  d.pos <- pos + (8 * n);
+  a
 
 let read_float_array d =
-  let n = read_length d "array" in
-  need d (n * 8);
-  Array.init n (fun _ -> read_float d)
+  let n = array_length d in
+  let a = Array.create_float n in
+  let s = d.s and pos = d.pos in
+  for i = 0 to n - 1 do
+    a.(i) <- Int64.float_of_bits (get_i64 s (pos + (8 * i)))
+  done;
+  d.pos <- pos + (8 * n);
+  a
 
 let expect_end d =
   if remaining d <> 0 then corrupt "trailing garbage: %d bytes left after payload" (remaining d)
@@ -161,27 +302,31 @@ let format_version = 1
    format (1) + kind (8 + klen) + version (8) + length (8) + check (8). *)
 let header_bytes ~kind = 37 + String.length kind
 
-(* One copy of the payload besides the encoder's own buffer: the header
-   goes into a [Bytes] sized for the whole frame, the payload is blitted
-   in straight from the encoder, and the checksum — folded over the
-   blitted bytes — is patched into its header slot last, so a large
-   factor's frame is resident at most twice while it is written. *)
-let frame ~kind ~version (write : encoder -> unit) =
-  let payload = encoder ~initial_size:4096 () in
-  write payload;
-  let len = Buffer.length payload in
+(* The one writer of the header layout, into [b] at offset 0 — shared by
+   {!frame}, {!frame_v2} and the streaming {!write_frame_file}. *)
+let put_header b ~format ~kind ~version ~len ~check =
   let klen = String.length kind in
-  let hdr = header_bytes ~kind in
-  let b = Bytes.create (hdr + len) in
   Bytes.blit_string magic 0 b 0 (String.length magic);
-  Bytes.set b 4 (Char.chr format_version);
+  Bytes.set b 4 (Char.chr format);
   Bytes.set_int64_le b 5 (Int64.of_int klen);
   Bytes.blit_string kind 0 b 13 klen;
   Bytes.set_int64_le b (13 + klen) (Int64.of_int version);
   Bytes.set_int64_le b (21 + klen) (Int64.of_int len);
-  Buffer.blit payload 0 b hdr len;
-  Bytes.set_int64_le b (29 + klen) (fnv1a_fold fnv1a_init b hdr len);
-  Bytes.unsafe_to_string b
+  Bytes.set_int64_le b (29 + klen) check
+
+(* The in-memory frame: the payload is encoded after a reserved header
+   slot in the encoder's own buffer, the header (with the checksum
+   folded over the payload) is patched in, and one copy comes out. *)
+let frame ~kind ~version (write : encoder -> unit) =
+  let hdr = header_bytes ~kind in
+  let e = encoder ~initial_size:4096 () in
+  reserve e hdr;
+  e.pos <- hdr;
+  write e;
+  let len = e.pos - hdr in
+  put_header e.buf ~format:format_version ~kind ~version ~len
+    ~check:(fnv1a_fold fnv1a_init e.buf hdr len);
+  Bytes.sub_string e.buf 0 e.pos
 
 let unframe ~kind ~version (s : string) =
   let d = decoder_of_string s in
@@ -215,11 +360,12 @@ let process_umask =
   ignore (Unix.umask m);
   m
 
-let write_file path (data : string) =
-  (* Atomic-ish: write a sibling temp file, then rename over the target,
-     so a crash mid-write never leaves a half-frame under the final name
-     (the checksum would catch it anyway; this avoids even transient
-     corruption being visible). *)
+(* Publish a file atomically: [output] writes a same-directory temp
+   file, which is then renamed over [path], so a crash mid-write never
+   leaves a half-written frame under the final name (the checksum would
+   catch it anyway; this avoids even transient corruption being
+   visible).  If [output] raises, the temp file is removed. *)
+let publish path (output : out_channel -> unit) =
   let dir = Filename.dirname path in
   let tmp = Filename.temp_file ~temp_dir:dir "codec" ".tmp" in
   let oc = open_out_bin tmp in
@@ -227,7 +373,7 @@ let write_file path (data : string) =
      Fun.protect
        ~finally:(fun () -> close_out_noerr oc)
        (fun () ->
-         output_string oc data;
+         output oc;
          (* flush errors must propagate, not be swallowed by the
             finally's noerr close; closing twice is harmless *)
          close_out oc)
@@ -239,6 +385,31 @@ let write_file path (data : string) =
      0644 modulo the process umask before publishing the name. *)
   (try Unix.chmod tmp (0o644 land lnot process_umask) with Unix.Unix_error _ -> ());
   Sys.rename tmp path
+
+let write_file path (data : string) = publish path (fun oc -> output_string oc data)
+
+(* The streaming frame write: a header placeholder goes out first, the
+   payload follows in [chunk_size] stretches, each folded into the
+   FNV-1a checksum as it is written, and the header is rewritten with
+   the final length and checksum.  The bytes equal [frame]'s; no copy
+   of the payload, let alone of the frame, is ever resident. *)
+let write_frame_file path ~kind ~version (write : encoder -> unit) =
+  let hdr = Bytes.create (header_bytes ~kind) in
+  put_header hdr ~format:format_version ~kind ~version ~len:0 ~check:0L;
+  publish path (fun oc ->
+      output_bytes oc hdr;
+      let h = ref fnv1a_init and len = ref 0 in
+      let sink b n =
+        h := fnv1a_fold !h b 0 n;
+        len := !len + n;
+        output oc b 0 n
+      in
+      let e = { buf = Bytes.create chunk_size; pos = 0; sink = Some sink } in
+      write e;
+      drain e;
+      put_header hdr ~format:format_version ~kind ~version ~len:!len ~check:!h;
+      seek_out oc 0;
+      output_bytes oc hdr)
 
 let read_file path =
   (* [None] means only "no file to read" (open failed).  A file that
@@ -404,7 +575,7 @@ let section_tag = function F_arr _ | F_big _ -> 2L | I_arr _ | I_big _ -> 1L
 let frame_v2 ~kind ~version ~(meta : encoder -> unit) ~(sections : section_data list) =
   let meta_buf = encoder ~initial_size:1024 () in
   meta meta_buf;
-  let meta_str = Buffer.contents meta_buf in
+  let meta_str = contents meta_buf in
   let sections = Array.of_list sections in
   let nsect = Array.length sections in
   let payload_off = header_bytes ~kind in
@@ -421,9 +592,9 @@ let frame_v2 ~kind ~version ~(meta : encoder -> unit) ~(sections : section_data 
     sections;
   let payload_len = !cursor in
   let e = encoder ~initial_size:(payload_len + 64) () in
-  Buffer.add_char e (Char.chr Sys.int_size);
-  Buffer.add_char e (if Sys.big_endian then '\000' else '\001');
-  Buffer.add_string e "\000\000\000\000\000\000";
+  add_char e (Char.chr Sys.int_size);
+  add_char e (if Sys.big_endian then '\000' else '\001');
+  add_string e "\000\000\000\000\000\000";
   write_int e nsect;
   Array.iteri
     (fun i s ->
@@ -434,8 +605,8 @@ let frame_v2 ~kind ~version ~(meta : encoder -> unit) ~(sections : section_data 
   write_string e meta_str;
   Array.iteri
     (fun i s ->
-      for _ = Buffer.length e to offs.(i) - 1 do
-        Buffer.add_char e '\000'
+      for _ = e.pos to offs.(i) - 1 do
+        add_char e '\000'
       done;
       match s with
       | F_arr a -> Array.iter (fun v -> write_float e v) a
@@ -449,16 +620,12 @@ let frame_v2 ~kind ~version ~(meta : encoder -> unit) ~(sections : section_data 
             write_int e (Bigarray.Array1.unsafe_get b j)
           done)
     sections;
-  let payload = Buffer.contents e in
-  let f = encoder ~initial_size:(String.length payload + 64) () in
-  Buffer.add_string f magic;
-  Buffer.add_char f (Char.chr format_version_v2);
-  write_string f kind;
-  write_int f version;
-  write_int f (String.length payload);
-  write_i64 f (fnv1a payload);
-  Buffer.add_string f payload;
-  Buffer.contents f
+  let len = e.pos in
+  let f = Bytes.create (payload_off + len) in
+  put_header f ~format:format_version_v2 ~kind ~version ~len
+    ~check:(fnv1a_fold fnv1a_init e.buf 0 len);
+  Bytes.blit e.buf 0 f payload_off len;
+  Bytes.unsafe_to_string f
 
 (* Parse the prelude + section table out of a decoder positioned at the
    start of a v2 payload.  Returns (word_bits, little_endian, table)

@@ -18,10 +18,15 @@ exception Corrupt of string
 (** {1 Encoding} *)
 
 type encoder
+(** A byte sink for one payload: in memory ({!encoder}), or streaming
+    into a frame file ({!write_frame_file}). *)
 
 val encoder : ?initial_size:int -> unit -> encoder
+(** An in-memory encoder; its buffer doubles as it fills. *)
 
 val contents : encoder -> string
+(** The bytes written so far.  [Invalid_argument] on the streaming
+    encoder {!write_frame_file} passes to its writer. *)
 
 val write_int : encoder -> int -> unit
 
@@ -37,8 +42,12 @@ val write_string : encoder -> string -> unit
 (** Length-prefixed; arbitrary bytes. *)
 
 val write_int_array : encoder -> int array -> unit
+(** Length-prefixed.  Bulk arrays are encoded in one loop per buffer
+    stretch, with no closure and no boxed [int64] per element: a call
+    allocates O(1) minor words whatever the array's length. *)
 
 val write_float_array : encoder -> float array -> unit
+(** As {!write_int_array}, with each float as its IEEE-754 bits. *)
 
 (** {1 Decoding} *)
 
@@ -59,8 +68,13 @@ val read_float : decoder -> float
 val read_string : decoder -> string
 
 val read_int_array : decoder -> int array
+(** One loop, no closure and no boxed [int64] per element.  The length
+    is checked against the bytes left before anything is allocated;
+    an element outside the native [int] range raises {!Corrupt} naming
+    its offset. *)
 
 val read_float_array : decoder -> float array
+(** As {!read_int_array}; every bit pattern is a valid float. *)
 
 val expect_end : decoder -> unit
 (** Raise {!Corrupt} unless the payload was consumed exactly. *)
@@ -70,7 +84,9 @@ val expect_end : decoder -> unit
 val frame : kind:string -> version:int -> (encoder -> unit) -> string
 (** [frame ~kind ~version write] serializes a payload produced by [write]
     into a self-describing frame carrying the artifact [kind] tag, the
-    caller's schema [version] and an FNV-1a checksum of the payload. *)
+    caller's schema [version] and an FNV-1a checksum of the payload.
+    The in-memory form; {!write_frame_file} streams the same bytes to a
+    file. *)
 
 val unframe : kind:string -> version:int -> string -> decoder
 (** Validate a frame (magic, codec format, kind, version, length,
@@ -96,6 +112,17 @@ val write_file : string -> string -> unit
     with mode [0o644] masked by the process umask (not the 0600 of the
     temp file), so readers sharing the cache directory — the sharded
     multi-process batch scenario — can open it. *)
+
+val write_frame_file : string -> kind:string -> version:int -> (encoder -> unit) -> unit
+(** [write_frame_file path ~kind ~version write] writes the file
+    [write_file path (frame ~kind ~version write)] would, byte for
+    byte, without building the frame: a header placeholder goes to the
+    temp file, the payload follows in 64 KiB chunks folded through the
+    FNV-1a checksum as they are written, and the length and checksum
+    are patched into the header before the chmod and atomic rename.
+    Memory stays one chunk whatever the payload's size.  If [write] (or
+    the write itself) raises, the temp file is removed and the
+    exception re-raised; [path] is left as it was. *)
 
 val read_file : string -> string option
 (** Whole-file read; [None] when the file is missing or unreadable

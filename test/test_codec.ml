@@ -200,6 +200,168 @@ let test_write_file_permissions () =
     (st.Unix.st_perm land 0o777);
   Sys.remove path
 
+(* ---- the streaming frame writer --------------------------------------
+
+   [write_frame_file] must write exactly [frame]'s bytes, whatever the
+   payload's size relative to its 64 KiB chunks and wherever an element
+   straddles a chunk boundary. *)
+
+let fresh_dir () =
+  let marker = Filename.temp_file "codec_stream" "" in
+  Sys.remove marker;
+  let dir = marker ^ ".d" in
+  Sys.mkdir dir 0o755;
+  dir
+
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
+(* Run [f] on a fresh directory, removed afterwards however [f] ends. *)
+let with_dir f =
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+(* The streamed file equals the in-memory frame, byte for byte. *)
+let check_streamed what write =
+  with_dir (fun dir ->
+      let path = Filename.concat dir "a.opra" in
+      C.write_frame_file path ~kind:"stream" ~version:5 write;
+      let want = C.frame ~kind:"stream" ~version:5 write in
+      let got = read_all path in
+      if not (String.equal want got) then
+        Alcotest.failf "%s: streamed file (%d bytes) differs from frame (%d bytes)" what
+          (String.length got) (String.length want);
+      Alcotest.(check (list string)) (what ^ ": no temp file left") [ "a.opra" ]
+        (Array.to_list (Sys.readdir dir));
+      want)
+
+(* A payload of exactly [n] bytes: [n mod 8] booleans, then ints, so the
+   ints sit off the 8-byte grid and straddle chunk ends. *)
+let payload_of_size n e =
+  for i = 1 to n mod 8 do
+    C.write_bool e (i mod 2 = 0)
+  done;
+  for i = 1 to n / 8 do
+    C.write_int e (i * 7919)
+  done
+
+let test_streamed_payload_sizes () =
+  List.iter
+    (fun n ->
+      let bytes = check_streamed (Printf.sprintf "%d-byte payload" n) (payload_of_size n) in
+      Alcotest.(check int)
+        (Printf.sprintf "%d-byte payload: frame length" n)
+        (String.length (C.frame ~kind:"stream" ~version:5 ignore) + n)
+        (String.length bytes))
+    [ 0; 1; 8; 65_535; 65_536; 65_537; 3 * 65_536 ]
+
+let special_floats =
+  [|
+    0.0; -0.0; Float.infinity; Float.neg_infinity; Float.nan; Int64.float_of_bits 0x7FF0000000000001L;
+    Int64.float_of_bits 0xFFF8DEADBEEF0001L; Float.min_float; Float.max_float; 4.9e-324;
+  |]
+
+let special_ints = [| 0; 1; -1; min_int; max_int; min_int + 1; max_int - 1 |]
+
+let test_streamed_arrays () =
+  List.iter
+    (fun len ->
+      let fa = Array.init len (fun i -> special_floats.(i mod Array.length special_floats)) in
+      let ia = Array.init len (fun i -> special_ints.(i mod Array.length special_ints)) in
+      List.iter
+        (fun lead ->
+          let write e =
+            for _ = 1 to lead do
+              C.write_bool e true
+            done;
+            C.write_float_array e fa;
+            C.write_int_array e ia;
+            C.write_string e "end"
+          in
+          let what = Printf.sprintf "%d elements after %d bytes" len lead in
+          let d = C.unframe ~kind:"stream" ~version:5 (check_streamed what write) in
+          for _ = 1 to lead do
+            ignore (C.read_bool d)
+          done;
+          let fa' = C.read_float_array d in
+          let ia' = C.read_int_array d in
+          Alcotest.(check string) (what ^ ": tail") "end" (C.read_string d);
+          C.expect_end d;
+          Alcotest.(check bool) (what ^ ": float bits round-trip") true
+            (Array.length fa' = len
+            && Array.for_all2 (fun u v -> Int64.equal (bits u) (bits v)) fa fa');
+          Alcotest.(check (array int)) (what ^ ": ints round-trip") ia ia')
+        [ 0; 3 ])
+    [ 0; 1; 8_191; 8_192; 8_193; 100_000 ]
+
+exception Writer_failed
+
+let test_streamed_write_failure () =
+  with_dir (fun dir ->
+      let path = Filename.concat dir "a.opra" in
+      (match
+         C.write_frame_file path ~kind:"stream" ~version:5 (fun e ->
+             C.write_float_array e (Array.make 50_000 1.0);
+             raise Writer_failed)
+       with
+      | () -> Alcotest.fail "a raising writer published a file"
+      | exception Writer_failed -> ());
+      Alcotest.(check (list string)) "neither the target nor a temp file" []
+        (Array.to_list (Sys.readdir dir));
+      (* A failed rewrite leaves the old file as it was. *)
+      C.write_frame_file path ~kind:"stream" ~version:5 (payload_of_size 100);
+      let before = read_all path in
+      (try C.write_frame_file path ~kind:"stream" ~version:5 (fun _ -> raise Writer_failed)
+       with Writer_failed -> ());
+      Alcotest.(check string) "old file untouched" before (read_all path);
+      Alcotest.(check (list string)) "only the old file" [ "a.opra" ]
+        (Array.to_list (Sys.readdir dir)))
+
+let test_bulk_read_corrupt () =
+  let corrupt_with what bytes read =
+    match read (C.decoder_of_string bytes) with
+    | _ -> Alcotest.failf "%s: expected Corrupt" what
+    | exception C.Corrupt msg -> msg
+  in
+  let enc f =
+    let e = C.encoder () in
+    f e;
+    C.contents e
+  in
+  List.iter
+    (fun (name, read) ->
+      ignore
+        (corrupt_with (name ^ ": length past the end")
+           (enc (fun e ->
+                C.write_int e 3;
+                C.write_int e 1;
+                C.write_int e 2))
+           read);
+      ignore (corrupt_with (name ^ ": negative length") (enc (fun e -> C.write_int e (-1))) read);
+      (* 2^60 elements: 8 n wraps to 0 in native ints; still Corrupt, not
+         an allocation failure *)
+      ignore (corrupt_with (name ^ ": huge length") (enc (fun e -> C.write_int e (1 lsl 60))) read);
+      ignore (corrupt_with (name ^ ": truncated length") "\001\000" read))
+    [
+      ("int array", fun d -> ignore (C.read_int_array d));
+      ("float array", fun d -> ignore (C.read_float_array d));
+    ];
+  if Sys.int_size = 63 then begin
+    let msg =
+      corrupt_with "int beyond the native range"
+        (enc (fun e ->
+             C.write_int e 2;
+             C.write_int e 5;
+             C.write_i64 e Int64.max_int))
+        C.read_int_array
+    in
+    Alcotest.(check string) "message names the element's offset"
+      "integer out of native range at offset 16" msg
+  end
+
 let suite =
   [
     Alcotest.test_case "int round-trip" `Quick test_int_roundtrip;
@@ -217,4 +379,9 @@ let suite =
     Alcotest.test_case "file round-trip" `Quick test_file_roundtrip;
     Alcotest.test_case "zero-length file raises Corrupt" `Quick test_zero_length_file_is_corrupt;
     Alcotest.test_case "write_file chmods artifacts" `Quick test_write_file_permissions;
+    Alcotest.test_case "streamed frame file = frame, payload sizes" `Quick
+      test_streamed_payload_sizes;
+    Alcotest.test_case "streamed frame file = frame, bulk arrays" `Quick test_streamed_arrays;
+    Alcotest.test_case "failed streamed write leaves no file" `Quick test_streamed_write_failure;
+    Alcotest.test_case "bulk reads keep their Corrupt cases" `Quick test_bulk_read_corrupt;
   ]

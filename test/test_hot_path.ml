@@ -282,6 +282,65 @@ let test_kernels_allocate_nothing () =
         (fun () -> Linalg.Precond.apply_block p bws ~src ~dst ~cols ~lo:0 ~hi:k))
     [ Linalg.Precond.Amg; Linalg.Precond.Cholesky; Linalg.Precond.Ic0 ]
 
+(* Bulk arrays cross the codec in one loop per array: no closure and no
+   boxed [int64] per element, so a call allocates a few words whatever
+   the array's length (the arrays themselves are major-heap blocks). *)
+let test_codec_bulk_allocation () =
+  let n = 100_000 in
+  let fa = Array.init n (fun i -> sin (float_of_int i)) and ia = Array.init n (fun i -> i - 7) in
+  let size = (16 * n) + 16 in
+  let bounded what words =
+    Alcotest.(check bool) (Printf.sprintf "%s: %.0f minor words per call" what words) true
+      (words < 64.0)
+  in
+  bounded "encode 100k floats + 100k ints"
+    (words_per_call (fun () ->
+         let e = Util.Codec.encoder ~initial_size:size () in
+         Util.Codec.write_float_array e fa;
+         Util.Codec.write_int_array e ia));
+  let e = Util.Codec.encoder ~initial_size:size () in
+  Util.Codec.write_float_array e fa;
+  Util.Codec.write_int_array e ia;
+  let bytes = Util.Codec.contents e in
+  bounded "decode 100k floats + 100k ints"
+    (words_per_call (fun () ->
+         let d = Util.Codec.decoder_of_string bytes in
+         ignore (Util.Codec.read_float_array d);
+         ignore (Util.Codec.read_int_array d)))
+
+(* A store miss streams its artifact to disk: what it allocates stays
+   below the payload's own size (no encoder buffer grown to the payload,
+   no copy of the whole frame). *)
+let test_store_miss_allocation () =
+  let dir =
+    let marker = Filename.temp_file "opera_hot_store" "" in
+    Sys.remove marker;
+    marker ^ ".d"
+  in
+  let store = Scenario.Store.create ~metrics:(Util.Metrics.create ()) ~dir:(Some dir) () in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let payload = Array.init 1_000_000 (fun i -> float_of_int i *. 0.25) in
+      let miss key =
+        Scenario.Store.find_or_build store ~kind:"hot" ~version:1 ~key
+          ~encode:(fun v e -> Util.Codec.write_float_array e v)
+          ~decode:Util.Codec.read_float_array
+          ~build:(fun () -> payload)
+      in
+      ignore (miss "warm-up");
+      let a0 = Gc.allocated_bytes () in
+      ignore (miss "measured");
+      let allocated = Gc.allocated_bytes () -. a0 in
+      let payload_bytes = float_of_int (8 * Array.length payload) in
+      Alcotest.(check int) "both were misses" 2 (Scenario.Store.stats store).Scenario.Store.misses;
+      Alcotest.(check bool)
+        (Printf.sprintf "miss allocates %.2f MB for a %.2f MB payload" (allocated /. 1e6)
+           (payload_bytes /. 1e6))
+        true (allocated < payload_bytes))
+
 let test_galerkin_op_allocation_flat_in_n () =
   (* Per-application bookkeeping (the metrics span, the per-term
      [~alpha]) is fine; anything per node is not. *)
@@ -316,4 +375,6 @@ let suite =
       test_kernels_allocate_nothing;
     Alcotest.test_case "galerkin matvec allocation is flat in n" `Quick
       test_galerkin_op_allocation_flat_in_n;
+    Alcotest.test_case "codec bulk arrays allocate O(1) words" `Quick test_codec_bulk_allocation;
+    Alcotest.test_case "store miss allocates below its payload" `Quick test_store_miss_allocation;
   ]

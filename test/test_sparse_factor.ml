@@ -169,6 +169,135 @@ let test_level_schedule_on_first_use () =
       Alcotest.(check bool) (what ^ ": the schedule is reused") true (par = again))
     [ ("fresh", f); ("decoded", decoded) ]
 
+(* ---- the factor is bitwise its reference ------------------------------
+
+   [factor]'s column update runs unrolled and unchecked; every case here
+   compares its encoded factor with {!Helpers.reference_cholesky_bytes},
+   the checked one-entry-at-a-time loop it replaced. *)
+
+let encoded f =
+  let e = Util.Codec.encoder () in
+  Linalg.Sparse_cholesky.encode f e;
+  Util.Codec.contents e
+
+let check_bitwise what ?ordering ?perm a =
+  let got = encoded (Linalg.Sparse_cholesky.factor ?ordering ?perm a) in
+  let want = Helpers.reference_cholesky_bytes ?ordering ?perm a in
+  if not (String.equal want got) then
+    Alcotest.failf "%s: factor differs from the reference (%d vs %d bytes, digests %s vs %s)"
+      what (String.length got) (String.length want)
+      (Digest.to_hex (Digest.string got))
+      (Digest.to_hex (Digest.string want));
+  got
+
+(* Strict-lower entry counts of [L]'s columns, read back from the
+   encoded factor. *)
+let column_lengths bytes =
+  let d = Util.Codec.decoder_of_string bytes in
+  let n = Util.Codec.read_int d in
+  ignore (Util.Codec.read_int_array d);
+  let lp = Util.Codec.read_int_array d in
+  Array.init n (fun j -> lp.(j + 1) - lp.(j) - 1)
+
+let test_factor_bitwise_random () =
+  let rng = Helpers.rng () in
+  let tails = Array.make 4 false and unrolled = ref false in
+  List.iter
+    (fun (n, extra_edges) ->
+      let a = Helpers.random_sparse_spd rng n ~extra_edges in
+      List.iter
+        (fun (name, ordering) ->
+          let bytes =
+            check_bitwise (Printf.sprintf "random n=%d +%d edges, %s" n extra_edges name)
+              ~ordering a
+          in
+          Array.iter
+            (fun len ->
+              tails.(len mod 4) <- true;
+              if len >= 8 then unrolled := true)
+            (column_lengths bytes))
+        (orderings @ [ ("nd", Linalg.Ordering.Nested_dissection) ]))
+    [ (1, 0); (2, 1); (3, 3); (5, 4); (9, 20); (17, 40); (30, 60); (60, 300); (150, 1200) ];
+  Alcotest.(check (array bool)) "column lengths end at every remainder mod 4"
+    [| true; true; true; true |] tails;
+  Alcotest.(check bool) "some column runs the unrolled body twice" true !unrolled
+
+let test_factor_bitwise_grids () =
+  List.iter
+    (fun nodes ->
+      let a = Helpers.grid_g nodes in
+      List.iter
+        (fun (name, ordering) ->
+          ignore (check_bitwise (Printf.sprintf "%d-node grid, %s" nodes name) ~ordering a))
+        [ ("nd", Linalg.Ordering.Nested_dissection); ("mmd", Linalg.Ordering.Min_degree) ])
+    [ 600; 3_000 ]
+
+(* The augmented operators the direct route factors, under the block
+   ordering the engine gives them, and one st point's stepping matrix. *)
+let test_factor_bitwise_augmented () =
+  let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default 150 in
+  let circuit = Powergrid.Grid_gen.generate spec in
+  let h = 125e-12 in
+  List.iter
+    (fun order ->
+      let model =
+        Opera.Stochastic_model.build ~order Opera.Varmodel.paper_default
+          ~vdd:spec.Powergrid.Grid_spec.vdd circuit
+      in
+      let perm = Opera.Galerkin.block_ordering model in
+      let gt = Opera.Galerkin.assemble_g model in
+      let mt = Linalg.Sparse.axpy ~alpha:(1.0 /. h) (Opera.Galerkin.assemble_c model) gt in
+      ignore (check_bitwise (Printf.sprintf "Gt, order %d" order) ~perm gt);
+      ignore (check_bitwise (Printf.sprintf "Gt + Ct/h, order %d" order) ~perm mt);
+      if order = 2 then begin
+        let points = Opera.St_solver.select_points model.Opera.Stochastic_model.basis in
+        let perm =
+          Linalg.Ordering.compute Linalg.Ordering.Nested_dissection
+            (Opera.Stochastic_model.node_pattern model)
+        in
+        ignore
+          (check_bitwise "st point 0 stepping matrix" ~perm
+             (Opera.St_solver.step_matrix model points 0 ~h))
+      end)
+    [ 1; 2; 3 ]
+
+(* An indefinite matrix fails at the same pivot as the reference: once
+   through a negative diagonal entry, once through a matrix whose
+   diagonal is positive but whose couplings outweigh it. *)
+let test_factor_indefinite_same_pivot () =
+  let rng = Helpers.rng () in
+  let n = 80 in
+  let a = Helpers.random_sparse_spd rng n ~extra_edges:300 in
+  let pivot f =
+    match f () with
+    | _ -> Alcotest.fail "indefinite matrix factored"
+    | exception Linalg.Sparse_cholesky.Not_positive_definite k -> k
+  in
+  let d = Linalg.Sparse.diag a in
+  let negative_diag =
+    Linalg.Sparse.add a
+      (Linalg.Sparse.of_triplets ~nrows:n ~ncols:n [ (n / 2, n / 2, -.d.(n / 2) -. 1.0) ])
+  in
+  let strong_coupling =
+    Linalg.Sparse.of_triplets ~nrows:n ~ncols:n
+      (List.map
+         (fun (i, j, v) -> if i = j then (i, j, v) else (i, j, 3.0 *. v))
+         (Linalg.Sparse.to_triplets a))
+  in
+  List.iter
+    (fun (what, m) ->
+      List.iter
+        (fun (name, ordering) ->
+          let want =
+            pivot (fun () -> ignore (Helpers.reference_cholesky_bytes ~ordering m))
+          in
+          let got = pivot (fun () -> ignore (Linalg.Sparse_cholesky.factor ~ordering m)) in
+          Alcotest.(check int) (Printf.sprintf "%s, %s: pivot" what name) want got;
+          Alcotest.(check bool) (Printf.sprintf "%s, %s: past the first pivot" what name) true
+            (got > 0))
+        orderings)
+    [ ("negative diagonal", negative_diag); ("strong coupling", strong_coupling) ]
+
 let test_sparse_lu_random () =
   let rng = Helpers.rng () in
   for _ = 1 to 5 do
@@ -252,6 +381,13 @@ let suite =
     Alcotest.test_case "solve in place" `Quick test_solve_in_place;
     Alcotest.test_case "level schedule built on first parallel solve" `Quick
       test_level_schedule_on_first_use;
+    Alcotest.test_case "factor is bitwise its reference: random SPD" `Quick
+      test_factor_bitwise_random;
+    Alcotest.test_case "factor is bitwise its reference: grids" `Quick test_factor_bitwise_grids;
+    Alcotest.test_case "factor is bitwise its reference: augmented and st" `Quick
+      test_factor_bitwise_augmented;
+    Alcotest.test_case "indefinite matrix fails at the reference's pivot" `Quick
+      test_factor_indefinite_same_pivot;
     Alcotest.test_case "sparse lu random" `Quick test_sparse_lu_random;
     Alcotest.test_case "sparse lu matches dense" `Quick test_sparse_lu_matches_dense;
     Alcotest.test_case "sparse lu pivoting" `Quick test_sparse_lu_needs_pivoting;

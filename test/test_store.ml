@@ -195,6 +195,10 @@ let test_concurrent_distinct_keys () =
   List.iter
     (fun (name, want) -> Alcotest.(check int) name want (Util.Metrics.counter metrics name))
     [ ("store.hits", total); ("store.misses", total); ("store.writes", total) ];
+  (* One timing per write and per hit, none lost under the lock. *)
+  List.iter
+    (fun (name, want) -> Alcotest.(check int) name want (Util.Metrics.observations metrics name))
+    [ ("store.write_s", total); ("store.read_s", total) ];
   (* Every artifact decodes to its value from a fresh store that may not build. *)
   let reader = Store.create ~metrics:(Util.Metrics.create ()) ~dir:(Some dir) () in
   for d = 0 to domains - 1 do

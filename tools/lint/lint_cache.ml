@@ -59,14 +59,13 @@ let read_finding d : Lint_rules.finding =
   let waived = Util.Codec.read_bool d in
   { rule; file; line; col; anchor; msg; waived }
 
-let encode ~src_digest ~cfg_digest entry =
-  Util.Codec.frame ~kind ~version (fun e ->
-      Util.Codec.write_string e src_digest;
-      Util.Codec.write_string e cfg_digest;
-      Util.Codec.write_int e (List.length entry.findings);
-      List.iter (write_finding e) entry.findings;
-      Util.Codec.write_int e (List.length entry.race_closures);
-      List.iter (Util.Codec.write_int e) entry.race_closures)
+let write_entry ~src_digest ~cfg_digest entry e =
+  Util.Codec.write_string e src_digest;
+  Util.Codec.write_string e cfg_digest;
+  Util.Codec.write_int e (List.length entry.findings);
+  List.iter (write_finding e) entry.findings;
+  Util.Codec.write_int e (List.length entry.race_closures);
+  List.iter (Util.Codec.write_int e) entry.race_closures
 
 let decode ~src_digest ~cfg_digest bytes =
   let d = Util.Codec.unframe ~kind ~version bytes in
@@ -106,6 +105,7 @@ let load ~dir ~rel_path ~src_digest ~cfg_digest : entry option =
 
 let store ~dir ~rel_path ~src_digest ~cfg_digest entry =
   ensure_dir dir;
-  let bytes = encode ~src_digest ~cfg_digest entry in
-  try Util.Codec.write_file (file_for ~dir ~rel_path) bytes
+  try
+    Util.Codec.write_frame_file (file_for ~dir ~rel_path) ~kind ~version
+      (write_entry ~src_digest ~cfg_digest entry)
   with Sys_error _ -> ()
