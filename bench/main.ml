@@ -538,6 +538,7 @@ let run_micro () =
   let y = Array.make n 0.0 in
   let perm = Linalg.Ordering.compute Linalg.Ordering.Nested_dissection g in
   let factor = Linalg.Sparse_cholesky.factor ~perm g in
+  let work = Array.make n 0.0 in
   let rng = Prob.Rng.create () in
   let basis3 = Polychaos.Basis.isotropic Polychaos.Family.hermite ~dim:3 ~order:3 in
   let model =
@@ -550,7 +551,7 @@ let run_micro () =
       Test.make ~name:"chol-factor-2.5k"
         (Staged.stage (fun () -> ignore (Linalg.Sparse_cholesky.factor ~perm g)));
       Test.make ~name:"chol-solve-2.5k"
-        (Staged.stage (fun () -> Linalg.Sparse_cholesky.solve_in_place factor y));
+        (Staged.stage (fun () -> Linalg.Sparse_cholesky.solve_in_place_ws factor ~work y));
       Test.make ~name:"nd-ordering-2.5k"
         (Staged.stage (fun () ->
              ignore (Linalg.Ordering.compute Linalg.Ordering.Nested_dissection g)));

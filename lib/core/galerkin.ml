@@ -353,13 +353,14 @@ let solve_transient_coupled ~options (m : Stochastic_model.t) ~h ~steps =
         nnz_factor := Linalg.Sparse_cholesky.nnz_l f;
         rhs_into m ~drain_buf 0.0 rhs;
         let a = Linalg.Sparse_cholesky.solve fdc rhs in
-        (* Assembled-direct stepping goes through the level-scheduled
-           triangular sweeps when domains allow (bitwise identical to
-           the sequential sweeps either way). *)
+        (* Assembled-direct stepping is one sequential triangular sweep
+           per step through a workspace allocated once: the augmented
+           system is one right-hand side, which no domain count
+           splits. *)
         let step_work = Array.make dim 0.0 in
         let step_of () =
           Array.blit rhs 0 a 0 dim;
-          Linalg.Sparse_cholesky.solve_in_place_ws f ~domains:options.domains ~work:step_work a
+          Linalg.Sparse_cholesky.solve_in_place_ws f ~work:step_work a
         in
         (a, step_of, Linalg.Sparse.mul_vec_into ct, Linalg.Sparse.mul_vec_into gt,
          Linalg.Sparse.nnz mt)

@@ -192,6 +192,7 @@ let monte_carlo t ~samples ~seed ~h ~steps ~probes =
   let u = Linalg.Vec.create n in
   let x = Linalg.Vec.create n in
   let cx = Linalg.Vec.create n in
+  let work = Linalg.Vec.create n in
   for s = 0 to samples - 1 do
     let xi = Prob.Rng.gaussian_vector rng t.regions in
     Linalg.Vec.fill leak_static 0.0;
@@ -219,7 +220,7 @@ let monte_carlo t ~samples ~seed ~h ~steps ~probes =
     in
     inject 0.0;
     Array.blit u 0 x 0 n;
-    Linalg.Sparse_cholesky.solve_in_place fdc x;
+    Linalg.Sparse_cholesky.solve_in_place_ws fdc ~work x;
     accumulate 0 x;
     for step = 1 to steps do
       inject (float_of_int step *. h);
@@ -227,7 +228,7 @@ let monte_carlo t ~samples ~seed ~h ~steps ~probes =
       for i = 0 to n - 1 do
         x.(i) <- u.(i) +. (cx.(i) /. h)
       done;
-      Linalg.Sparse_cholesky.solve_in_place fbe x;
+      Linalg.Sparse_cholesky.solve_in_place_ws fbe ~work x;
       accumulate step x
     done
   done;

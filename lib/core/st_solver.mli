@@ -28,8 +28,8 @@
       factorization (counted in [stats.health]).
     - Transient: on the exact route, one factorization of
       [G(xi_i) + C(xi_i)/h] {e per point}, reused across every
-      backward-Euler step; each step is one level-scheduled triangular
-      solve per point, warm-started trivially because the point states
+      backward-Euler step; each step is one triangular solve per
+      point, warm-started trivially because the point states
       carry across steps.  On an approximate route, one mean
       stepping-matrix solver preconditions a warm-started CG solve per
       point per step, the points again in lockstep.

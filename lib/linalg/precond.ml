@@ -12,11 +12,10 @@
 
    Every backend applies in place through a caller-owned workspace, so
    the chunked mean-block loop stays allocation-free, and every apply
-   is deterministic at any domain count: the exact factor's
-   level-scheduled sweeps are bitwise-stable by construction, and the
-   IC(0) and AMG applies are purely sequential.  The block apply serves
-   k vectors per pass over the backend's data, each column bitwise the
-   single apply. *)
+   is sequential, hence deterministic at any domain count: domains
+   split the columns of a block, never one apply.  The block apply
+   serves k vectors per pass over the backend's data, each column
+   bitwise the single apply. *)
 
 type kind = Cholesky | Ic0 | Amg | Auto
 
@@ -89,13 +88,11 @@ let create_ws = function
   | Incomplete _ -> Incomplete_ws
   | Multigrid t -> Multigrid_ws { mb = Array.make (Amg.dim t) 0.0; mw = Amg.create_ws t }
 
-(* [domains] only reaches the exact factor, whose level-scheduled
-   triangular sweeps are bitwise-identical to the sequential ones; the
-   approximate backends are sequential applies.  The option is passed
-   through unopened: re-wrapping it would allocate a [Some] per call. *)
-let apply_in_place t ws ?domains (x : Vec.t) =
+(* [domains] is accepted and ignored: every backend's single apply is
+   one sequential pass. *)
+let apply_in_place t ws ?domains:_ (x : Vec.t) =
   match (t, ws) with
-  | Exact f, Exact_ws work -> Sparse_cholesky.solve_in_place_ws f ?domains ~work x
+  | Exact f, Exact_ws work -> Sparse_cholesky.solve_in_place_ws f ~work x
   | Incomplete f, Incomplete_ws -> Cg.ic0_solve_in_place f x
   | Multigrid t, Multigrid_ws { mb; mw } ->
       Array.blit x 0 mb 0 (Array.length x);

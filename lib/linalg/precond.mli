@@ -58,9 +58,9 @@ val create_ws : t -> ws
 
 val apply_in_place : t -> ws -> ?domains:int -> Vec.t -> unit
 (** Overwrite [x] with the preconditioned solve [M^-1 x].  Allocates
-    nothing; [domains] parallelizes only the exact factor's triangular
-    sweeps (bitwise-stable), the approximate backends run
-    sequentially. *)
+    nothing and runs sequentially on every backend (the exact factor's
+    apply is the one-column call of {!Sparse_cholesky.solve_block_ws});
+    [domains] is accepted and ignored. *)
 
 type block_ws
 

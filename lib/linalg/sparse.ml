@@ -262,18 +262,6 @@ let[@opera.hot] acc_column a ~alpha ~x ~xoff ~y ~yoff j =
       Array.unsafe_set y r (Array.unsafe_get y r +. (Array.unsafe_get a.values k *. xj))
     done
 
-let[@opera.hot] mul_vec_acc ?(alpha = 1.0) a x y =
-  if Array.length x <> a.ncols || Array.length y <> a.nrows then
-    invalid_arg "Sparse.mul_vec_acc: dimension mismatch";
-  let { colptr; rowind; values; ncols; _ } = a in
-  for j = 0 to ncols - 1 do
-    let xj = alpha *. x.(j) in
-    if not (Util.Floats.equal_exact xj 0.0) then
-      for k = colptr.(j) to colptr.(j + 1) - 1 do
-        y.(rowind.(k)) <- y.(rowind.(k)) +. (values.(k) *. xj)
-      done
-  done
-
 (* ---- multi-vector product -------------------------------------------
    [mul_block_acc] reads each column of A once for a panel of up to
    three vectors: the columns stay in the caller's column-major blocks,
@@ -339,17 +327,24 @@ let[@opera.hot] mul_panel2 a ~alpha ~x ~y ~cols ~c0 =
     end
   done
 
-let[@opera.hot] mul_panel1 a ~alpha ~x ~y ~cols ~c0 =
+(* The one-column panel, on the vectors at offset [off] of [x] and [y]:
+   the single-vector product {!mul_vec_acc} at [off = 0], where [a] may
+   be rectangular. *)
+let[@opera.hot] mul_panel1 a ~alpha ~x ~y ~off =
   let { colptr; rowind; values; ncols; _ } = a in
-  let o = Array.unsafe_get cols c0 * ncols in
   for j = 0 to ncols - 1 do
-    let xj = alpha *. Array.unsafe_get x (o + j) in
+    let xj = alpha *. Array.unsafe_get x (off + j) in
     if not (Util.Floats.equal_exact xj 0.0) then
       for k = Array.unsafe_get colptr j to Array.unsafe_get colptr (j + 1) - 1 do
-        let r = o + Array.unsafe_get rowind k in
+        let r = off + Array.unsafe_get rowind k in
         Array.unsafe_set y r (Array.unsafe_get y r +. (Array.unsafe_get values k *. xj))
       done
   done
+
+let[@opera.hot] mul_vec_acc ?(alpha = 1.0) a x y =
+  if Array.length x <> a.ncols || Array.length y <> a.nrows then
+    invalid_arg "Sparse.mul_vec_acc: dimension mismatch";
+  mul_panel1 a ~alpha ~x ~y ~off:0
 
 let[@opera.hot] mul_block_acc ?(alpha = 1.0) a ~x ~y ~cols ~lo ~hi =
   if a.nrows <> a.ncols then invalid_arg "Sparse.mul_block_acc: matrix is not square";
@@ -368,7 +363,7 @@ let[@opera.hot] mul_block_acc ?(alpha = 1.0) a ~x ~y ~cols ~lo ~hi =
     (match width with
     | 3 -> mul_panel3 a ~alpha ~x ~y ~cols ~c0:!c0
     | 2 -> mul_panel2 a ~alpha ~x ~y ~cols ~c0:!c0
-    | _ -> mul_panel1 a ~alpha ~x ~y ~cols ~c0:!c0);
+    | _ -> mul_panel1 a ~alpha ~x ~y ~off:(cols.(!c0) * n));
     c0 := !c0 + width
   done
 

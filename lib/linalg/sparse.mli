@@ -62,8 +62,9 @@ val mul_vec_into : t -> Vec.t -> Vec.t -> unit
 
 val mul_vec_acc : ?alpha:float -> t -> Vec.t -> Vec.t -> unit
 (** [mul_vec_acc ~alpha a x y] accumulates [y <- y + alpha * A x] without
-    allocating ([alpha] defaults to 1).  The allocation-free building
-    block of transient right-hand sides. *)
+    allocating ([alpha] defaults to 1; [a] may be rectangular): the
+    one-column panel of {!mul_block_acc}, and the building block of
+    transient right-hand sides. *)
 
 val mul_block_acc :
   ?alpha:float -> t -> x:Vec.t -> y:Vec.t -> cols:int array -> lo:int -> hi:int -> unit

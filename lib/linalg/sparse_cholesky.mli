@@ -3,10 +3,13 @@
     Up-looking numeric factorization driven by the elimination tree
     (CSparse-style), with a fill-reducing ordering applied first.  This is
     the solver behind both the deterministic transient analysis and the
-    augmented stochastic Galerkin system.  {!solve_block_ws} applies one
-    factor to many right-hand sides in one pass over [L] — the mean-block
-    preconditioner's, the special case's and the ST points' shared
-    solves. *)
+    augmented stochastic Galerkin system.  A factor is an immutable
+    value: its permutation and the CSC arrays of [L], nothing more.
+    {!solve_block_ws} is the one triangular solve.  It applies one
+    factor to many right-hand sides in one pass over [L] — the
+    mean-block preconditioner's, the special case's and the ST points'
+    shared solves — and a single right-hand side is its one-column
+    call. *)
 
 exception Not_positive_definite of int
 (** Raised with the offending (permuted) pivot index. *)
@@ -32,35 +35,16 @@ val factor : ?ordering:Ordering.kind -> ?perm:Perm.t -> Sparse.t -> t
     fails at the same pivot. *)
 
 val solve : t -> Vec.t -> Vec.t
-(** [solve f b] solves [A x = b]. *)
-
-val solve_in_place : t -> Vec.t -> unit
-(** [solve_in_place f b] overwrites [b] with the solution, reusing an
-    internal workspace — the allocation-free path for transient stepping.
-    NOT safe for concurrent use of one factor from several domains (the
-    workspace is shared); use {!solve_in_place_ws} there. *)
+(** [solve f b] solves [A x = b] through a workspace of its own. *)
 
 val solve_in_place_ws : t -> ?domains:int -> work:Vec.t -> Vec.t -> unit
-(** [solve_in_place_ws f ~work b] is {!solve_in_place} with a
-    caller-provided workspace of length {!dim}.  One factor may serve many
-    domains concurrently as long as every domain passes its own [work]
-    buffer — the factor itself is only read.
-
-    [domains] (default [1] = sequential) selects the level-scheduled
-    triangular sweeps when it resolves to more than one domain: rows of
-    [L] (and columns of [L^T]) are grouped into dependency levels and
-    each level is swept with disjoint-slice kernels over
-    {!Util.Parallel.for_chunks}, fusing the permutation passes into the
-    sweeps.  The level schedule (three re-laid copies of [L]) is built
-    by the first such solve and kept in the factor; {!factor} and
-    {!decode} never build it, so a factor only ever solved sequentially
-    holds just its own arrays.  Concurrent first solves from several
-    domains are safe: exactly one schedule is published.  Results are bitwise identical to the
-    sequential path for every domain count; [0] defers to
-    [OPERA_DOMAINS] as everywhere else.  Nested inside an already
-    parallel region the sweeps degrade to inline execution (see
-    {!Util.Parallel.for_chunks}), so passing the ambient domain count
-    from block-parallel callers is always safe. *)
+(** [solve_in_place_ws f ~work b] overwrites [b] with the solution of
+    [A x = b], through a caller-provided workspace of length {!dim}: the
+    one-column call of {!solve_block_ws}, and so allocation-free.  A
+    factor is immutable, so one factor may serve many domains at once
+    as long as each passes its own [work].  [domains] is accepted and
+    ignored: one right-hand side is one sequential sweep, and domains
+    split the columns of a block instead. *)
 
 val block_work_dim : t -> k:int -> int
 (** Workspace length {!solve_block_ws} needs for blocks of up to [k]
@@ -76,7 +60,7 @@ val solve_block_ws :
     Columns are swept in panels of up to six, each panel one
     pass over [L] through the node-major [work] (length at least
     {!block_work_dim}), with the permutation fused into the gather and
-    the scatter.  Every column equals {!solve_in_place_ws} bit for bit.
+    the scatter.  Every column equals its one-column solve bit for bit.
     Allocation-free and sequential: domains split columns, each chunk
     with its own [work]. *)
 
@@ -88,7 +72,8 @@ val encode : t -> Util.Codec.encoder -> unit
 val decode : Util.Codec.decoder -> t
 (** Inverse of {!encode}.  Re-validates every structural invariant
     (permutation validity, monotone column pointers, in-range and
-    diagonal-first row indices) and raises {!Util.Codec.Corrupt} on any
+    diagonal-first row indices, off-diagonal entries strictly below the
+    diagonal) and raises {!Util.Codec.Corrupt} on any
     violation — artifacts from disk are never trusted. *)
 
 val nnz_l : t -> int

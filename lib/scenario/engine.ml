@@ -521,7 +521,8 @@ let transient_record (job : Job.t) response ~vdd ~probe ~n =
    of Galerkin.solve_transient's Direct route with the factorizations
    replaced by block solves of the shared, read-only factors.  Member
    [j]'s state is column [j] of [block], and every column is bitwise
-   its single-vector solve. *)
+   its single-vector solve.  Spare domains split the columns; a lone
+   column is one chunk, which [for_chunks] runs inline. *)
 let run_direct_cohort (ctx : galerkin_ctx) fdc (jobs : Job.t array) reg ~inner =
   let k = Array.length jobs in
   let model = ctx.model in
@@ -539,17 +540,11 @@ let run_direct_cohort (ctx : galerkin_ctx) fdc (jobs : Job.t array) reg ~inner =
         let lo, hi = Util.Parallel.chunk_bounds ~n:k ~chunks c in
         Array.make (Linalg.Sparse_cholesky.block_work_dim fdc ~k:(hi - lo)) 0.0)
   in
-  (* One pass over [f] for every column.  A lone column keeps the
-     level-scheduled sweeps when the job owns spare domains; a wider
-     cohort splits its columns over them.  Both are bitwise the
-     sequential solve. *)
   let solve f =
-    if k = 1 then Linalg.Sparse_cholesky.solve_in_place_ws f ~domains:inner ~work:work.(0) block
-    else
-      (* opera-lint: race — a chunk solves only its own columns of block, through its own workspace *)
-      Util.Parallel.for_chunks ~domains:inner k (fun ~chunk ~lo ~hi ->
-          Linalg.Sparse_cholesky.solve_block_ws f ~work:work.(chunk) ~cols ~lo ~hi ~src:block
-            ~dst:block)
+    (* opera-lint: race — a chunk solves only its own columns of block, through its own workspace *)
+    Util.Parallel.for_chunks ~domains:inner k (fun ~chunk ~lo ~hi ->
+        Linalg.Sparse_cholesky.solve_block_ws f ~work:work.(chunk) ~cols ~lo ~hi ~src:block
+          ~dst:block)
   in
   let drain_buf = Array.make n 0.0 in
   let u = Array.make dim 0.0 in

@@ -48,7 +48,7 @@
     its single-vector solve, so every record is byte-identical to the
     job's record run alone.  With one job in flight ([jobs_parallel] =
     1) a wide chunk splits its columns over [domains]; a one-column
-    chunk keeps the level-scheduled single solve.
+    chunk is one sequential solve.
 
     Factor sharing covers the [Direct] solver route, the special-case
     path and the stochastic-testing route ([st] — the node ordering, the

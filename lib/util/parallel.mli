@@ -3,7 +3,7 @@
 
     A tiny helper shared by every block-structured hot path (matrix-free
     Galerkin matvec, mean-block preconditioner, decoupled special-case
-    solves, assembled triangular level sweeps, batch-job fan-out): split
+    solves, block triangular solves, batch-job fan-out): split
     an index range [0, n) into at most [domains] contiguous chunks and
     run each chunk exactly once across a small set of long-lived worker
     domains plus the calling domain.

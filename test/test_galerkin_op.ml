@@ -162,8 +162,8 @@ let test_apply_bitwise_across_domains () =
     [ 2; 3; 4 ]
 
 (* Both stepping routes: the matrix-free operator fans its chaos blocks
-   out over domains, and the assembled direct factor steps through
-   level-scheduled triangular sweeps. *)
+   out over domains, while the assembled direct factor steps through one
+   sequential triangular sweep whatever the domain count. *)
 let test_solve_bitwise_across_domains () =
   let m = small_model () in
   let steps = 6 in

@@ -1,14 +1,14 @@
-(* The transient hot path: level-scheduled triangular solves must be
-   bitwise identical to the sequential sweeps, warm-started PCG stepping
-   must agree with cold starts while spending fewer iterations (at least
-   30% fewer on a 500-node order-3 run),
-   the in-place CG variant must reproduce the allocating one
-   operation-for-operation, and the persistent pool must be reused
-   across dispatches and survive exceptions. *)
+(* The transient hot path: warm-started PCG stepping must agree with
+   cold starts while spending fewer iterations (at least 30% fewer on a
+   500-node order-3 run), the in-place CG variant must reproduce the
+   allocating one operation-for-operation, the persistent pool must be
+   reused across dispatches and survive exceptions, the kernels
+   documented as allocation-free must allocate nothing, and codec and
+   store I/O must keep their allocation bounds. *)
 
 let exact_vec what expected actual =
-  (* Structural equality on float arrays: the level-scheduled contract
-     is bitwise identity, not closeness. *)
+  (* Structural equality on float arrays: the in-place contract is
+     bitwise identity, not closeness. *)
   Alcotest.(check bool) (what ^ " (bitwise equal)") true (expected = actual) (* opera-lint: exact *)
 
 (* Restore the pool to its hardware default no matter how a test body
@@ -16,76 +16,6 @@ let exact_vec what expected actual =
 let with_pool_cap cap f =
   Util.Parallel.set_pool_cap cap;
   Fun.protect ~finally:(fun () -> Util.Parallel.set_pool_cap None) f
-
-(* --- level-scheduled triangular solves ------------------------------- *)
-
-let solve_with f ~domains b =
-  let work = Array.make (Linalg.Sparse_cholesky.dim f) 0.0 in
-  let x = Array.copy b in
-  Linalg.Sparse_cholesky.solve_in_place_ws f ~domains ~work x;
-  x
-
-let check_level_solve_matches ~name a =
-  let rng = Helpers.rng () in
-  let n, _ = Linalg.Sparse.dims a in
-  List.iter
-    (fun ordering ->
-      let f = Linalg.Sparse_cholesky.factor ~ordering a in
-      let b = Helpers.random_vec rng n in
-      let x_seq = solve_with f ~domains:1 b in
-      List.iter
-        (fun domains ->
-          exact_vec
-            (Printf.sprintf "%s: domains=%d matches sequential" name domains)
-            x_seq
-            (solve_with f ~domains b))
-        [ 2; 4 ];
-      (* sanity: it actually solves the system *)
-      let r = Linalg.Vec.sub (Linalg.Sparse.mul_vec a x_seq) b in
-      Alcotest.(check bool) (name ^ ": residual small") true
-        (Linalg.Vec.norm2 r /. Linalg.Vec.norm2 b < 1e-9))
-    [ Linalg.Ordering.Natural; Linalg.Ordering.Min_degree; Linalg.Ordering.Nested_dissection ]
-
-let test_level_solve_bitwise () =
-  let rng = Helpers.rng () in
-  (* Small and irregular: exercises the pure level path. *)
-  check_level_solve_matches ~name:"random-60" (Helpers.random_sparse_spd rng 60 ~extra_edges:90);
-  (* Mesh-like and big enough that fill-reducing orders leave a long
-     narrow forward suffix, exercising the serial-tail hybrid. *)
-  let k = 18 in
-  let n = k * k in
-  let b = Linalg.Sparse_builder.create ~nrows:n ~ncols:n () in
-  for r = 0 to k - 1 do
-    for c = 0 to k - 1 do
-      let here = (r * k) + c in
-      Linalg.Sparse_builder.add b here here 0.05;
-      if c + 1 < k then Linalg.Sparse_builder.stamp_conductance b (Some here) (Some (here + 1)) 1.0;
-      if r + 1 < k then Linalg.Sparse_builder.stamp_conductance b (Some here) (Some (here + k)) 1.0
-    done
-  done;
-  check_level_solve_matches ~name:"mesh-324" (Linalg.Sparse_builder.to_csc b)
-
-let test_level_solve_with_forced_workers () =
-  (* Same bitwise contract, but with real worker domains claiming the
-     chunks rather than the inline single-core shortcut. *)
-  with_pool_cap (Some 2) (fun () ->
-      let rng = Helpers.rng () in
-      check_level_solve_matches ~name:"forced-workers"
-        (Helpers.random_sparse_spd rng 120 ~extra_edges:240))
-
-let test_level_solve_survives_codec_roundtrip () =
-  (* decode rebuilds the level schedule from the CSC arrays; the rebuilt
-     factor must solve bitwise identically at every domain count. *)
-  let rng = Helpers.rng () in
-  let a = Helpers.random_sparse_spd rng 80 ~extra_edges:160 in
-  let f = Linalg.Sparse_cholesky.factor ~ordering:Linalg.Ordering.Nested_dissection a in
-  let enc = Util.Codec.encoder () in
-  Linalg.Sparse_cholesky.encode f enc;
-  let f' = Linalg.Sparse_cholesky.decode (Util.Codec.decoder_of_string (Util.Codec.contents enc)) in
-  let b = Helpers.random_vec rng 80 in
-  exact_vec "decoded factor, sequential" (solve_with f ~domains:1 b) (solve_with f' ~domains:1 b);
-  exact_vec "decoded factor, level-scheduled" (solve_with f ~domains:1 b)
-    (solve_with f' ~domains:4 b)
 
 (* --- warm-started transient stepping --------------------------------- *)
 
@@ -362,11 +292,6 @@ let test_galerkin_op_allocation_flat_in_n () =
 
 let suite =
   [
-    Alcotest.test_case "level solve bitwise equals sequential" `Quick test_level_solve_bitwise;
-    Alcotest.test_case "level solve with forced worker domains" `Quick
-      test_level_solve_with_forced_workers;
-    Alcotest.test_case "level solve survives codec roundtrip" `Quick
-      test_level_solve_survives_codec_roundtrip;
     Alcotest.test_case "warm start saves pcg iterations" `Quick test_warm_start_fewer_iterations;
     Alcotest.test_case "in-place cg bitwise equals allocating cg" `Quick test_cg_in_place_bitwise;
     Alcotest.test_case "pool reuse is deterministic" `Quick test_pool_reuse_and_determinism;

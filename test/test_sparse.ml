@@ -147,6 +147,20 @@ let test_mul_vec_acc () =
   (try
      Linalg.Sparse.mul_vec_acc a x [| 1.0 |];
      Alcotest.fail "short y accepted"
+   with Invalid_argument _ -> ());
+  (* Rectangular (2 x 3), with [x] holding both signed zeros: their
+     columns are skipped, so the [-0] already in [y] keeps its sign. *)
+  let r = of_triplets ~nrows:2 ~ncols:3 [ (0, 0, 1.0); (1, 0, 2.0); (0, 1, -3.0); (1, 2, 0.5) ] in
+  let x = [| 0.0; -0.0; 4.0 |] in
+  let y = [| -0.0; 0.25 |] in
+  let bits = Array.map Int64.bits_of_float in
+  Linalg.Sparse.mul_vec_acc ~alpha:(-1.0) r x y;
+  Alcotest.(check (array int64)) "rectangular, bit for bit" (bits [| -0.0; -1.75 |]) (bits y);
+  Linalg.Sparse.mul_vec_acc r x y;
+  Alcotest.(check (array int64)) "default alpha, bit for bit" (bits [| -0.0; 0.25 |]) (bits y);
+  (try
+     Linalg.Sparse.mul_vec_acc r y y;
+     Alcotest.fail "rectangular: short x accepted"
    with Invalid_argument _ -> ())
 
 let test_mul_block_acc () =

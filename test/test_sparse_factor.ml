@@ -119,19 +119,25 @@ let test_solve_in_place () =
   let b = Helpers.random_vec rng 30 in
   let x = Linalg.Sparse_cholesky.solve f b in
   let b2 = Array.copy b in
-  Linalg.Sparse_cholesky.solve_in_place f b2;
-  Helpers.check_vec ~eps:0.0 "in-place matches" x b2
+  Linalg.Sparse_cholesky.solve_in_place_ws f ~work:(Array.make 30 0.0) b2;
+  Helpers.check_vec ~eps:0.0 "in-place matches" x b2;
+  Alcotest.check_raises "a short right-hand side names solve_in_place_ws"
+    (Invalid_argument "Sparse_cholesky.solve_in_place_ws: dimension mismatch") (fun () ->
+      Linalg.Sparse_cholesky.solve_in_place_ws f ~work:(Array.make 30 0.0) (Array.make 29 0.0));
+  Alcotest.check_raises "a short workspace names solve_in_place_ws"
+    (Invalid_argument "Sparse_cholesky.solve_in_place_ws: workspace dimension mismatch")
+    (fun () -> Linalg.Sparse_cholesky.solve_in_place_ws f ~work:(Array.make 29 0.0) b2)
 
-(* Words a factor's own arrays occupy, headers included: [p], [lp] and
-   the solve workspace hold about n words each, [li] and [lx] nnz(L). *)
+(* Words a factor's own arrays occupy, headers included: [p] and [lp]
+   hold about n words each, [li] and [lx] nnz(L). *)
 let own_words f =
   let n = Linalg.Sparse_cholesky.dim f and nnz = Linalg.Sparse_cholesky.nnz_l f in
-  (n + 1) + (n + 2) + (nnz + 1) + (nnz + 1) + (n + 1)
+  (n + 1) + (n + 2) + (nnz + 1) + (nnz + 1)
 
-(* The level schedule is built by the first parallel solve, not by
-   [factor] or [decode]: until then a factor holds its arrays plus a
-   record and an empty schedule cell, and nothing more. *)
-let test_level_schedule_on_first_use () =
+(* A factor is its permutation and the arrays of [L] under one record:
+   no workspace of its own, and no solve leaves anything in it, however
+   it is called — every workspace belongs to the caller. *)
+let test_factor_holds_only_its_arrays () =
   let rng = Helpers.rng () in
   let n = 600 in
   let a = Helpers.random_sparse_spd rng n ~extra_edges:1200 in
@@ -141,32 +147,49 @@ let test_level_schedule_on_first_use () =
   let decoded =
     Linalg.Sparse_cholesky.decode (Util.Codec.decoder_of_string (Util.Codec.contents e))
   in
-  let overhead g = Obj.reachable_words (Obj.repr g) - own_words g in
-  Alcotest.(check bool) "fresh factor holds only its arrays" true (overhead f <= 16);
-  Alcotest.(check bool) "decoded factor holds only its arrays" true (overhead decoded <= 16);
   let b = Helpers.random_vec rng n in
-  let solve g ~domains =
-    let x = Array.copy b in
-    Linalg.Sparse_cholesky.solve_in_place_ws g ~domains ~work:(Array.make n 0.0) x;
-    x
+  let reference = Linalg.Sparse_cholesky.solve f b in
+  let bitwise u v =
+    Array.for_all2 (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v)) u v
   in
-  let seq = solve f ~domains:1 in
-  Alcotest.(check bool) "a sequential solve builds no schedule" true (overhead f <= 16);
   List.iter
     (fun (what, g) ->
-      let par = solve g ~domains:2 in
-      Alcotest.(check bool)
-        (what ^ ": parallel solve is bitwise the sequential one")
-        true
-        (Array.for_all2
-           (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
-           seq par);
-      Alcotest.(check bool)
-        (what ^ ": the factor now holds its schedule")
-        true
-        (overhead g > own_words g / 2);
-      let again = solve g ~domains:2 in
-      Alcotest.(check bool) (what ^ ": the schedule is reused") true (par = again))
+      let overhead () = Obj.reachable_words (Obj.repr g) - own_words g in
+      let holds_its_arrays after =
+        Alcotest.(check bool) (what ^ ": holds only its arrays " ^ after) true (overhead () <= 16)
+      in
+      let solved how x =
+        Alcotest.(check bool) (what ^ ": " ^ how ^ " is bitwise the reference") true
+          (bitwise reference x);
+        holds_its_arrays ("after " ^ how)
+      in
+      holds_its_arrays "before any solve";
+      solved "solve" (Linalg.Sparse_cholesky.solve g b);
+      let work = Array.make n 0.0 in
+      let in_place ?domains () =
+        let x = Array.copy b in
+        Linalg.Sparse_cholesky.solve_in_place_ws g ?domains ~work x;
+        x
+      in
+      solved "solve_in_place_ws" (in_place ());
+      solved "solve_in_place_ws ~domains:2" (in_place ~domains:2 ());
+      let k = 3 in
+      let src = Array.concat (List.init k (fun _ -> b)) and dst = Array.make (k * n) 0.0 in
+      let bwork = Array.make (Linalg.Sparse_cholesky.block_work_dim g ~k) 0.0 in
+      Linalg.Sparse_cholesky.solve_block_ws g ~work:bwork ~cols:(Array.init k Fun.id) ~lo:0 ~hi:k
+        ~src ~dst;
+      for c = 0 to k - 1 do
+        solved (Printf.sprintf "solve_block_ws column %d" c) (Array.sub dst (c * n) n)
+      done;
+      let p = Linalg.Precond.of_factor g in
+      let ws = Linalg.Precond.create_ws p in
+      let applied ?domains () =
+        let x = Array.copy b in
+        Linalg.Precond.apply_in_place p ws ?domains x;
+        x
+      in
+      solved "Precond.apply_in_place" (applied ());
+      solved "Precond.apply_in_place ~domains:2" (applied ~domains:2 ()))
     [ ("fresh", f); ("decoded", decoded) ]
 
 (* ---- the factor is bitwise its reference ------------------------------
@@ -379,8 +402,7 @@ let suite =
     Alcotest.test_case "cholesky rejects indefinite" `Quick test_sparse_cholesky_rejects_indefinite;
     Alcotest.test_case "cholesky precomputed perm" `Quick test_sparse_cholesky_precomputed_perm;
     Alcotest.test_case "solve in place" `Quick test_solve_in_place;
-    Alcotest.test_case "level schedule built on first parallel solve" `Quick
-      test_level_schedule_on_first_use;
+    Alcotest.test_case "a factor holds only its arrays" `Quick test_factor_holds_only_its_arrays;
     Alcotest.test_case "factor is bitwise its reference: random SPD" `Quick
       test_factor_bitwise_random;
     Alcotest.test_case "factor is bitwise its reference: grids" `Quick test_factor_bitwise_grids;
