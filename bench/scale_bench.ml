@@ -31,11 +31,12 @@
    replay performs zero full decodes —
    so a scaling regression fails the target rather than just skewing
    the numbers.  Each record also times one block V-cycle on
-   [block_columns] right-hand sides against as many single applies on
-   the mean block ("block_vcycle": seconds per column and the computed
-   bytes each form moves); the bench dies if any column of the block
-   result differs from its single apply in one bit, and sets no timing
-   bound. *)
+   [block_columns] right-hand sides against as many one-column applies
+   of the same kernel on the mean block ("block_vcycle": seconds per
+   column and the computed bytes each form moves; the "single" fields
+   are the one-column applies); the bench dies if any column of the
+   block result differs from its one-column apply in one bit, and sets
+   no timing bound. *)
 
 let sizes = ref [ 10_000; 100_000; 1_000_000 ]
 let quick = ref false
@@ -63,7 +64,7 @@ type solve = {
 
 type block = {
   block_s : float;  (* per column, one block apply of [block_columns] *)
-  single_s : float;  (* per column, [block_columns] single applies *)
+  single_s : float;  (* per column, [block_columns] one-column applies *)
   block_bytes : float;
   single_bytes : float;
 }
@@ -133,7 +134,8 @@ let vcycle_bytes amg ~k =
      +. (8.0 *. 8.0 *. float_of_int (k * List.fold_left ( + ) 0 dims)))
 
 (* One block V-cycle on [block_columns] right-hand sides against as many
-   single applies, on the mean block; every column must match bitwise. *)
+   one-column applies, on the mean block; every column must match
+   bitwise. *)
 let bench_block g =
   let n, _ = Linalg.Sparse.dims g in
   let k = block_columns in
@@ -142,8 +144,7 @@ let bench_block g =
   let dst = Array.make (k * n) 0.0 in
   let cols = Array.init k Fun.id in
   let bws = Linalg.Amg.create_block_ws amg ~k in
-  let ws = Linalg.Amg.create_ws amg in
-  let b = Array.make n 0.0 and x = Array.make n 0.0 in
+  let ws = Linalg.Amg.create_block_ws amg ~k:1 in
   let singles = Array.make (k * n) 0.0 in
   let (), block_s =
     best_of (fun () -> Linalg.Amg.apply_block amg bws ~src ~dst ~cols ~lo:0 ~hi:k)
@@ -151,14 +152,12 @@ let bench_block g =
   let (), single_s =
     best_of (fun () ->
         for c = 0 to k - 1 do
-          Array.blit src (c * n) b 0 n;
-          Linalg.Amg.apply amg ws ~b ~x;
-          Array.blit x 0 singles (c * n) n
+          Linalg.Amg.apply_block amg ws ~src ~dst:singles ~cols ~lo:c ~hi:(c + 1)
         done)
   in
   for i = 0 to (k * n) - 1 do
     if Int64.bits_of_float dst.(i) <> Int64.bits_of_float singles.(i) then
-      die "%d nodes: block V-cycle column %d differs from its single apply at row %d" n (i / n)
+      die "%d nodes: block V-cycle column %d differs from its one-column apply at row %d" n (i / n)
         (i mod n)
   done;
   let per v = v /. float_of_int k in

@@ -25,8 +25,10 @@ let run argv =
     [
       Cli_common.cache_dir_arg cache_dir;
       Cli_common.int_at_least 0 [ "--jobs-parallel" ]
-        ~doc:"Jobs in flight at once (0 = the OPERA_DOMAINS environment variable, default \
-              sequential); inner solver parallelism drops to 1 when > 1."
+        ~doc:"Claim loops running the batch's factors and jobs (0 = the OPERA_DOMAINS \
+              environment variable, default sequential), on the shared domain pool: loops \
+              beyond its recommended_domain_count wait for a domain; inner solver \
+              parallelism drops to 1 when > 1."
         jobs_parallel;
       Cli_common.domains_arg domains;
       Util.Args.string_opt [ "--stream-out" ] ~docv:"FILE"

@@ -48,8 +48,10 @@ let run argv =
               rejected with a queue-full error (default 64)."
         queue;
       Cli_common.int_at_least 0 [ "--jobs-parallel" ]
-        ~doc:"Jobs in flight at once per batch (0 = the OPERA_DOMAINS environment variable, \
-              default sequential); inner solver parallelism drops to 1 when > 1."
+        ~doc:"Claim loops per batch request (0 = the OPERA_DOMAINS environment variable, \
+              default sequential), on the shared domain pool: loops beyond its \
+              recommended_domain_count wait for a domain; inner solver parallelism drops \
+              to 1 when > 1."
         jobs_parallel;
       Cli_common.domains_arg domains;
       Cli_common.metrics_out_arg metrics_out;

@@ -208,9 +208,10 @@ let checked_ms ~options (m : Stochastic_model.t) ~count = function
    [M^-1 r], stages [r] as its column of [stage], and one block apply
    of the mean solver serves them all.  A point keeps its own vectors,
    scalars, iteration count and stopping test; its arithmetic is
-   operation for operation the single-point iteration's, and the block
-   apply is bitwise the single apply, so a point's result does not
-   depend on which points ran beside it or on the domain count.
+   operation for operation the single-point iteration's, and each
+   column of the block apply is bitwise its one-column apply, so a
+   point's result does not depend on which points ran beside it or on
+   the domain count.
    Against the exact factor the iteration is stationary refinement
    [x <- x + M^-1 (b - G(xi) x)], whose contraction rate is the
    spectral radius of [I - G(0)^-1 G(xi)] ~ O(sigma |xi|); against an

@@ -5,14 +5,14 @@
    aggregate map P0, truncated row by row, Galerkin coarse operators
    P^T A P — all sequential and deterministic) and then applied as a
    fixed number of V(1,1)-cycles with weighted-Jacobi smoothing and a
-   dense direct solve at the coarsest level.  The apply path is
-   allocation-free: every level's solution / rhs / residual scratch
-   lives in a caller-owned {!ws} (or, for {!apply_block}'s k-column
-   panels, {!block_ws}), so block-parallel users (the mean-block
+   dense direct solve at the coarsest level.  The one apply path,
+   {!apply_block}, serves k columns per pass and is allocation-free:
+   every level's solution / rhs / residual scratch lives in a
+   caller-owned {!block_ws}, so block-parallel users (the mean-block
    preconditioner, the ST point solves) give each column chunk its own
    workspace and the per-column arithmetic is bitwise-identical at any
    domain count — one application is a purely sequential pass over the
-   hierarchy.
+   hierarchy.  A single vector is the one-column block.
 
    Level storage is Bigarray-backed ({!Util.Codec.fsection} /
    {!Util.Codec.isection}) so a hierarchy decoded from a v2 artifact
@@ -41,13 +41,6 @@ type t = {
   coarse_csc : Sparse.t;  (* coarsest operator, kept for (re-)encoding *)
   ncycles : int;
   nfine : int;
-}
-
-type ws = {
-  wx : float array array;  (* per-level solution; slot 0 unused (caller's x) *)
-  wb : float array array;  (* per-level rhs; slot 0 unused (caller's b) *)
-  wr : float array array;  (* per-level residual *)
-  wc : float array;  (* coarse rhs / solution *)
 }
 
 let omega = 2.0 /. 3.0
@@ -388,20 +381,7 @@ let levels t = Array.length t.pls + 1
 let level_dims t =
   Array.to_list (Array.map (fun pl -> pl.pn) t.pls) @ [ t.coarse_dim ]
 
-let create_ws t =
-  let nl = Array.length t.pls in
-  let dim_of l = if l < nl then t.pls.(l).pn else t.coarse_dim in
-  {
-    wx = Array.init nl (fun l -> Array.make (if l = 0 then 0 else dim_of l) 0.0);
-    wb = Array.init nl (fun l -> Array.make (if l = 0 then 0 else dim_of l) 0.0);
-    wr = Array.init nl (fun l -> Array.make (dim_of l) 0.0);
-    wc = Array.make t.coarse_dim 0.0;
-  }
-
-let ws_dim w =
-  if Array.length w.wr = 0 then Array.length w.wc else Array.length w.wr.(0)
-
-(* ---- allocation-free V-cycle kernels ---------------------------------- *)
+(* ---- width-1 V-cycle kernels ------------------------------------------- *)
 
 (* r <- b - A x over the level's CSC (A symmetric, columns = rows). *)
 let[@opera.hot] residual_into pl ~b ~x ~r =
@@ -417,18 +397,6 @@ let[@opera.hot] residual_into pl ~b ~x ~r =
         r.(i) <- r.(i) -. (Bigarray.Array1.unsafe_get pl.pval k *. xj)
       done
     end
-  done
-
-(* x <- omega D^-1 b: the pre-smooth from a zero iterate. *)
-let[@opera.hot] smooth_from_zero pl ~b ~x =
-  for i = 0 to pl.pn - 1 do
-    x.(i) <- omega *. Bigarray.Array1.unsafe_get pl.pdiag i *. b.(i)
-  done
-
-(* x <- x + omega D^-1 r: the correction form of a Jacobi sweep. *)
-let[@opera.hot] smooth_correct pl ~r ~x =
-  for i = 0 to pl.pn - 1 do
-    x.(i) <- x.(i) +. (omega *. Bigarray.Array1.unsafe_get pl.pdiag i *. r.(i))
   done
 
 (* rc <- P^T r: one dot product per column of P. *)
@@ -456,72 +424,6 @@ let[@opera.hot] prolong_add pl ~xc ~x =
     done
   done
 
-(* In-place dense solve L L^T y = y with the flat row-major factor. *)
-let[@opera.hot] coarse_solve_in_place l cn y =
-  for i = 0 to cn - 1 do
-    let s = ref y.(i) in
-    let base = i * cn in
-    for j = 0 to i - 1 do
-      s := !s -. (l.(base + j) *. y.(j))
-    done;
-    y.(i) <- !s /. l.(base + i)
-  done;
-  for i = cn - 1 downto 0 do
-    let s = ref y.(i) in
-    for j = i + 1 to cn - 1 do
-      s := !s -. (l.((j * cn) + i) *. y.(j))
-    done;
-    y.(i) <- !s /. l.((i * cn) + i)
-  done
-
-(* One V(1,1)-cycle updating [x] (level-0 iterate) against [b].
-   [zero_x] marks a known-zero incoming iterate, which saves the first
-   residual pass.  Everything below level 0 starts from zero by
-   construction.  Strictly sequential: bitwise-deterministic no matter
-   how many domains the caller fans out across. *)
-let[@opera.hot] cycle t w ~b ~x ~zero_x =
-  let nl = Array.length t.pls in
-  if nl = 0 then begin
-    Array.blit b 0 x 0 t.coarse_dim;
-    coarse_solve_in_place t.coarse_l t.coarse_dim x
-  end
-  else begin
-    (* Down-sweep: pre-smooth, form the residual, restrict it. *)
-    for l = 0 to nl - 1 do
-      let pl = t.pls.(l) in
-      let bl = if l = 0 then b else w.wb.(l) in
-      let xl = if l = 0 then x else w.wx.(l) in
-      if l = 0 && not zero_x then begin
-        residual_into pl ~b:bl ~x:xl ~r:w.wr.(l);
-        smooth_correct pl ~r:w.wr.(l) ~x:xl
-      end
-      else smooth_from_zero pl ~b:bl ~x:xl;
-      residual_into pl ~b:bl ~x:xl ~r:w.wr.(l);
-      let rc = if l = nl - 1 then w.wc else w.wb.(l + 1) in
-      restrict_into pl ~r:w.wr.(l) ~rc
-    done;
-    coarse_solve_in_place t.coarse_l t.coarse_dim w.wc;
-    (* Up-sweep: prolong the correction, post-smooth. *)
-    for l = nl - 1 downto 0 do
-      let pl = t.pls.(l) in
-      let bl = if l = 0 then b else w.wb.(l) in
-      let xl = if l = 0 then x else w.wx.(l) in
-      let xc = if l = nl - 1 then w.wc else w.wx.(l + 1) in
-      prolong_add pl ~xc ~x:xl;
-      residual_into pl ~b:bl ~x:xl ~r:w.wr.(l);
-      smooth_correct pl ~r:w.wr.(l) ~x:xl
-    done
-  end
-
-let apply t w ~b ~x =
-  if Array.length b <> t.nfine || Array.length x <> t.nfine then
-    invalid_arg "Amg.apply: vector dimension mismatch";
-  if ws_dim w <> t.nfine then invalid_arg "Amg.apply: workspace dimension mismatch";
-  cycle t w ~b ~x ~zero_x:true;
-  for _c = 2 to t.ncycles do
-    cycle t w ~b ~x ~zero_x:false
-  done
-
 (* ---- multi-vector V-cycle ----------------------------------------------
 
    [apply_block] runs the same V(1,1)-cycles on k right-hand sides in
@@ -531,10 +433,10 @@ let apply t w ~b ~x =
    updates [w] adjacent slots.  The residual, restriction and
    prolongation are unrolled for widths 6, 4, 3 and 2 with one float
    register per column (a generic loop over the width measured slower
-   than single applies); width 1 is the single-vector kernels
-   themselves.  Per column every kernel performs the single-vector
-   kernel's operations in the same order, the residual's exact-zero
-   skip included, so each column equals {!apply} bit for bit. *)
+   than one-column applies); width 1 is the single-vector kernels
+   above.  Per column every kernel performs the width-1 kernel's
+   operations in the same order, the residual's exact-zero skip
+   included, so each column equals the one-column apply bit for bit. *)
 
 let panel = 6
 
@@ -909,8 +811,12 @@ let[@opera.hot] coarse_solve_panel l cn ~w y =
     done
   done
 
-(* {!cycle} on one panel; level 0 lives in the workspace too ([kb.(0)]
-   gathered from the caller, [kx.(0)] scattered back). *)
+(* One V(1,1)-cycle on one panel; level 0 lives in the workspace too
+   ([kb.(0)] gathered from the caller, [kx.(0)] scattered back).
+   [zero_x] marks a known-zero incoming iterate, which saves the first
+   residual pass; everything below level 0 starts from zero by
+   construction.  Strictly sequential: bitwise-deterministic no matter
+   how many domains the caller fans out across. *)
 let[@opera.hot] cycle_panel t bw ~w ~zero_x =
   let nl = Array.length t.pls in
   for l = 0 to nl - 1 do
@@ -979,22 +885,15 @@ let[@opera.hot] apply_block t bw ~src ~dst ~cols ~lo ~hi =
     c0 := !c0 + w
   done
 
-(* ---- solver-compatible wrappers --------------------------------------- *)
-
-let vcycle t b =
-  (* Historical single-shot form: one application, fresh output.  Each
-     call builds its own workspace — fine for the standalone-solver
-     wrappers, but hot users go through {!apply} with a kept {!ws}. *)
-  let x = Array.make t.nfine 0.0 in
-  apply t (create_ws t) ~b ~x;
-  x
+(* ---- solver-compatible wrapper ---------------------------------------- *)
 
 let solve ?(tol = 1e-10) ?max_iter t a b =
-  let w = create_ws t in
+  let w = create_block_ws t ~k:1 in
   let x0 = Array.make (Array.length b) 0.0 in
   let z = Array.make t.nfine 0.0 in
+  let cols = [| 0 |] in
   let precond r =
-    apply t w ~b:r ~x:z;
+    apply_block t w ~src:r ~dst:z ~cols ~lo:0 ~hi:1;
     z
   in
   Cg.solve ~precond ?max_iter ~tol ~matvec:(Sparse.mul_vec a) ~b ~x0 ()

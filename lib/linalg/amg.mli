@@ -14,12 +14,13 @@
     preconditioner.
 
     The hierarchy is built once ({!build}) and applied as a fixed number
-    of V-cycles ({!apply}) through a caller-owned workspace, so the
-    apply path allocates nothing and a million-node mean block can be
-    preconditioned thousands of times per solve.  {!apply_block} runs
-    the same cycles on k right-hand sides per pass over each level,
-    every column bitwise {!apply}.  Both are purely sequential passes:
-    given the same hierarchy and right-hand sides they are
+    of V-cycles by one kernel, {!apply_block}, through a caller-owned
+    workspace, so the apply path allocates nothing and a million-node
+    mean block can be preconditioned thousands of times per solve.  It
+    runs the cycles on k right-hand sides per pass over each level; a
+    single vector is the one-column block, and every column of a wider
+    block is bitwise that one-column apply.  The apply is a purely
+    sequential pass: given the same hierarchy and right-hand sides it is
     bitwise-identical at any domain count, which is what lets the
     mean-block preconditioner and the ST point solves split their
     columns across domains without perturbing the repo's determinism
@@ -34,7 +35,7 @@ type t
 
 val build : ?cycles:int -> ?max_levels:int -> ?coarsest:int -> Sparse.t -> t
 (** [build a] constructs the hierarchy for the SPD matrix [a].
-    [cycles] is the fixed V-cycle count per {!apply} (default 1);
+    [cycles] is the fixed V-cycle count per {!apply_block} (default 1);
     [max_levels] caps the depth (default 10); [coarsest] is the size
     below which the level is solved directly (default 64).
     Aggregation, smoothing and the Galerkin products are sequential and
@@ -44,7 +45,7 @@ val dim : t -> int
 (** Fine-level dimension [n]. *)
 
 val cycles : t -> int
-(** Fixed V-cycle count one {!apply} runs. *)
+(** Fixed V-cycle count one {!apply_block} runs. *)
 
 val stored_nnz : t -> int
 (** Stored entries across the hierarchy (level operators and
@@ -58,21 +59,10 @@ val level_dims : t -> int list
 
 (** {1 Allocation-free application} *)
 
-type ws
-(** Per-level scratch for {!apply}.  One workspace per concurrent
-    applier: block-parallel callers give each chunk its own. *)
-
-val create_ws : t -> ws
-
-val apply : t -> ws -> b:Vec.t -> x:Vec.t -> unit
-(** [apply t ws ~b ~x] overwrites [x] with [cycles t] V(1,1)-cycles for
-    the rhs [b], starting from zero.  Allocation-free and sequential —
-    usable inside hot solver loops and deterministic at any domain
-    count. *)
-
 type block_ws
 (** Node-major per-level scratch for {!apply_block}, holding up to a
-    fixed number of columns.  One per concurrent applier. *)
+    fixed number of columns.  One per concurrent applier:
+    block-parallel callers give each chunk its own. *)
 
 val create_block_ws : t -> k:int -> block_ws
 (** Workspace for blocks of up to [k] columns: three floats per unknown
@@ -80,26 +70,24 @@ val create_block_ws : t -> k:int -> block_ws
 
 val apply_block :
   t -> block_ws -> src:Vec.t -> dst:Vec.t -> cols:int array -> lo:int -> hi:int -> unit
-(** [apply_block t ws ~src ~dst ~cols ~lo ~hi] runs {!apply} on every
-    column [c] in [cols.(lo .. hi-1)] of the column-major block vectors
-    [src] (right-hand sides) and [dst] (solutions; [src == dst] is
-    allowed), column [c] occupying [c*n .. c*n+n-1].  One pass over
-    each level's operator and prolongator serves all the columns:
-    smoothing, residuals, restriction, prolongation and the dense
-    coarsest solve are k-wide.  Every column equals {!apply} bit for
-    bit.  Allocation-free and sequential; [hi - lo] must not exceed the
-    workspace width. *)
+(** [apply_block t ws ~src ~dst ~cols ~lo ~hi] overwrites each column
+    [c] in [cols.(lo .. hi-1)] of the column-major block vector [dst]
+    with [cycles t] V(1,1)-cycles, started from zero, for the same
+    column of [src] ([src == dst] is allowed), column [c] occupying
+    [c*n .. c*n+n-1].  One pass over each level's operator and
+    prolongator serves all the columns: smoothing, residuals,
+    restriction, prolongation and the dense coarsest solve are k-wide.
+    Every column equals the one-column apply ([~cols:[|c|] ~lo:0
+    ~hi:1]) bit for bit.  Allocation-free and sequential — usable inside
+    hot solver loops and deterministic at any domain count; [hi - lo]
+    must not exceed the workspace width. *)
 
-(** {1 Solver-compatible wrappers} *)
-
-val vcycle : t -> Vec.t -> Vec.t
-(** One application to a residual, fresh output vector — usable directly
-    as a {!Cg.preconditioner}.  Builds a workspace per call; hot users
-    keep a {!ws} and call {!apply}. *)
+(** {1 Solver-compatible wrapper} *)
 
 val solve :
   ?tol:float -> ?max_iter:int -> t -> Sparse.t -> Vec.t -> Vec.t * Cg.stats
-(** Stand-alone AMG-preconditioned CG solve of [a x = b]. *)
+(** Stand-alone AMG-preconditioned CG solve of [a x = b], one
+    one-column {!apply_block} per iteration. *)
 
 (** {1 Artifact codec} *)
 

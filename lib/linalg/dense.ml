@@ -26,8 +26,6 @@ let of_arrays rows_arr =
     init rows cols (fun i j -> rows_arr.(i).(j))
   end
 
-let to_arrays m = Array.init m.rows (fun i -> Array.sub m.data (i * m.cols) m.cols)
-
 let dims m = (m.rows, m.cols)
 
 let check_bounds m i j =

@@ -17,8 +17,6 @@ val identity : int -> t
 val of_arrays : float array array -> t
 (** Rows must all have the same length. *)
 
-val to_arrays : t -> float array array
-
 val dims : t -> int * int
 
 val get : t -> int -> int -> float

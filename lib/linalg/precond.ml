@@ -10,12 +10,12 @@
    [Auto] resolves to [Cholesky] below {!auto_threshold} unknowns and
    [Amg] at or above it.
 
-   Every backend applies in place through a caller-owned workspace, so
-   the chunked mean-block loop stays allocation-free, and every apply
-   is sequential, hence deterministic at any domain count: domains
-   split the columns of a block, never one apply.  The block apply
-   serves k vectors per pass over the backend's data, each column
-   bitwise the single apply. *)
+   Every backend applies through one block kernel and a caller-owned
+   workspace, so the chunked mean-block loop stays allocation-free, and
+   every apply is sequential, hence deterministic at any domain count:
+   domains split the columns of a block, never one apply.  The block
+   apply serves k vectors per pass over the backend's data; a single
+   vector is the one-column block. *)
 
 type kind = Cholesky | Ic0 | Amg | Auto
 
@@ -78,27 +78,6 @@ let stored_nnz = function
   | Incomplete f -> Cg.ic0_nnz f
   | Multigrid t -> Amg.stored_nnz t
 
-type ws =
-  | Exact_ws of Vec.t
-  | Incomplete_ws
-  | Multigrid_ws of { mb : Vec.t; mw : Amg.ws }
-
-let create_ws = function
-  | Exact f -> Exact_ws (Array.make (Sparse_cholesky.dim f) 0.0)
-  | Incomplete _ -> Incomplete_ws
-  | Multigrid t -> Multigrid_ws { mb = Array.make (Amg.dim t) 0.0; mw = Amg.create_ws t }
-
-(* [domains] is accepted and ignored: every backend's single apply is
-   one sequential pass. *)
-let apply_in_place t ws ?domains:_ (x : Vec.t) =
-  match (t, ws) with
-  | Exact f, Exact_ws work -> Sparse_cholesky.solve_in_place_ws f ~work x
-  | Incomplete f, Incomplete_ws -> Cg.ic0_solve_in_place f x
-  | Multigrid t, Multigrid_ws { mb; mw } ->
-      Array.blit x 0 mb 0 (Array.length x);
-      Amg.apply t mw ~b:mb ~x
-  | _ -> invalid_arg "Precond.apply_in_place: workspace does not match backend"
-
 (* Block applies: one pass of the backend over k columns.  The exact
    factor and AMG have true multi-vector kernels; IC(0) loops its
    single-vector solve over the columns through one column buffer. *)
@@ -126,6 +105,19 @@ let apply_block t bws ~src ~dst ~cols ~lo ~hi =
       done
   | Multigrid a, Multigrid_bws w -> Amg.apply_block a w ~src ~dst ~cols ~lo ~hi
   | _ -> invalid_arg "Precond.apply_block: workspace does not match backend"
+
+(* A single vector is the one-column block. *)
+let create_ws t = create_block_ws t ~k:1
+
+(* Column 0 of [x], in place; only ever read, so one array serves every
+   caller. *)
+let one_column = [| 0 |]
+
+(* [domains] is accepted and ignored: every backend's apply is one
+   sequential pass. *)
+let apply_in_place t ws ?domains:_ (x : Vec.t) =
+  if Array.length x <> dim t then invalid_arg "Precond.apply_in_place: dimension mismatch";
+  apply_block t ws ~src:x ~dst:x ~cols:one_column ~lo:0 ~hi:1
 
 let as_cg_preconditioner t =
   let ws = create_ws t in

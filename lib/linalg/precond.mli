@@ -11,8 +11,10 @@
     [M^-1] exactly; callers that iterate against the mean solver pick
     their iteration from {!backend} (a stationary refinement converges
     quickly only against the exact factor, so the approximate backends
-    serve as CG preconditioners).  {!apply_block} serves k vectors in
-    one pass over the backend's data. *)
+    serve as CG preconditioners).  Every apply goes through one block
+    kernel, {!apply_block}, which serves k vectors in one pass over the
+    backend's data; a single vector ({!apply_in_place},
+    {!as_cg_preconditioner}) is the one-column block. *)
 
 type kind = Cholesky | Ic0 | Amg | Auto
 
@@ -51,18 +53,8 @@ val stored_nnz : t -> int
 (** Stored entries of the backend's setup state — factor nonzeros,
     incomplete-factor entries, or the AMG hierarchy's storage. *)
 
-type ws
-
-val create_ws : t -> ws
-(** One workspace per concurrent applier. *)
-
-val apply_in_place : t -> ws -> ?domains:int -> Vec.t -> unit
-(** Overwrite [x] with the preconditioned solve [M^-1 x].  Allocates
-    nothing and runs sequentially on every backend (the exact factor's
-    apply is the one-column call of {!Sparse_cholesky.solve_block_ws});
-    [domains] is accepted and ignored. *)
-
 type block_ws
+(** Scratch for {!apply_block}; one workspace per concurrent applier. *)
 
 val create_block_ws : t -> k:int -> block_ws
 (** Workspace for {!apply_block} on blocks of up to [k] columns
@@ -77,8 +69,16 @@ val apply_block :
     applies in place).  The exact factor ({!Sparse_cholesky.solve_block_ws})
     and AMG ({!Amg.apply_block}) make one pass over their data for the
     whole block; IC(0) loops over the columns.  Every column equals
-    {!apply_in_place} bit for bit.  Allocation-free and sequential:
+    the one-column apply bit for bit.  Allocation-free and sequential:
     callers split columns across domains, one workspace per chunk. *)
+
+val create_ws : t -> block_ws
+(** [create_block_ws t ~k:1]: the workspace of {!apply_in_place}. *)
+
+val apply_in_place : t -> block_ws -> ?domains:int -> Vec.t -> unit
+(** Overwrite [x] with the preconditioned solve [M^-1 x]: the
+    one-column {!apply_block}, so it allocates nothing and runs
+    sequentially on every backend; [domains] is accepted and ignored. *)
 
 val as_cg_preconditioner : t -> Cg.preconditioner
 (** Allocating closure form for {!Cg.solve}-style callers; the returned

@@ -81,10 +81,3 @@ let agg_summary a =
     "%d iterative solves, %d iterations, %d unconverged, %d fallbacks, worst rel residual %.3e, \
      %.3f s"
     a.solves a.iterations a.unconverged a.fallbacks a.worst_rel_residual a.wall_seconds
-
-let agg_to_json a =
-  Printf.sprintf
-    "{\"solves\": %d, \"iterations\": %d, \"unconverged\": %d, \"fallbacks\": %d, \
-     \"worst_rel_residual\": %.9g, \"wall_seconds\": %.9g, \"healthy\": %b}"
-    a.solves a.iterations a.unconverged a.fallbacks a.worst_rel_residual a.wall_seconds
-    (agg_healthy a)

@@ -62,5 +62,3 @@ val agg_healthy : aggregate -> bool
     all meet the requested tolerance. *)
 
 val agg_summary : aggregate -> string
-
-val agg_to_json : aggregate -> string

@@ -232,23 +232,6 @@ let get a i j =
   done;
   !result
 
-let mul_vec_into a x y =
-  if Array.length x <> a.ncols || Array.length y <> a.nrows then
-    invalid_arg "Sparse.mul_vec_into: dimension mismatch";
-  Array.fill y 0 a.nrows 0.0;
-  for j = 0 to a.ncols - 1 do
-    let xj = x.(j) in
-    if not (Util.Floats.equal_exact xj 0.0) then
-      for k = a.colptr.(j) to a.colptr.(j + 1) - 1 do
-        y.(a.rowind.(k)) <- y.(a.rowind.(k)) +. (a.values.(k) *. xj)
-      done
-  done
-
-let mul_vec a x =
-  let y = Vec.create a.nrows in
-  mul_vec_into a x y;
-  y
-
 (* Column [j]'s step of {!mul_vec_acc} on the slices at [xoff] and
    [yoff]: [xj = alpha * x.(xoff + j)], skipped when exactly zero, then
    [y.(yoff + rowind k) += values k * xj] in storage order — the
@@ -345,6 +328,17 @@ let[@opera.hot] mul_vec_acc ?(alpha = 1.0) a x y =
   if Array.length x <> a.ncols || Array.length y <> a.nrows then
     invalid_arg "Sparse.mul_vec_acc: dimension mismatch";
   mul_panel1 a ~alpha ~x ~y ~off:0
+
+(* [y <- 0 + 1.0 * A x]: [1.0 *. x] is exact, so this is the plain
+   product bit for bit. *)
+let mul_vec_into a x y =
+  Array.fill y 0 (Array.length y) 0.0;
+  mul_vec_acc a x y
+
+let mul_vec a x =
+  let y = Vec.create a.nrows in
+  mul_vec_acc a x y;
+  y
 
 let[@opera.hot] mul_block_acc ?(alpha = 1.0) a ~x ~y ~cols ~lo ~hi =
   if a.nrows <> a.ncols then invalid_arg "Sparse.mul_block_acc: matrix is not square";

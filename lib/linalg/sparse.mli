@@ -58,7 +58,9 @@ val mul_vec : t -> Vec.t -> Vec.t
 (** [mul_vec a x] is [A x]. *)
 
 val mul_vec_into : t -> Vec.t -> Vec.t -> unit
-(** [mul_vec_into a x y] sets [y <- A x] without allocating. *)
+(** [mul_vec_into a x y] sets [y <- A x] without allocating: it zeroes
+    [y] and runs {!mul_vec_acc}, so it is that panel's product bit for
+    bit. *)
 
 val mul_vec_acc : ?alpha:float -> t -> Vec.t -> Vec.t -> unit
 (** [mul_vec_acc ~alpha a x y] accumulates [y <- y + alpha * A x] without

@@ -131,7 +131,7 @@ let tp_provider store basis =
    lookups — runs on the main domain before any job, so every
    [Invalid_batch] it raises precedes the first record.  Each
    factorization the group needs is then one task of [run]'s claim
-   loop, run on whichever domain claims it, alongside other groups'
+   loop, run by whichever loop claims it, alongside other groups'
    factors and jobs.  A claim depends on exactly the factors its route
    applies ([route]), becomes claimable once those exist, and gets a
    context assembled from them alone.  Every task assembles the matrix
@@ -813,7 +813,7 @@ let shard_filter config jobs =
       Array.iteri (fun idx job -> if shard_of idx ~shards:k = i then sel := job :: !sel) jobs;
       Array.of_list (List.rev !sel)
 
-(* What a domain takes next in [run]'s claim loop: a factor task, a
+(* What a loop takes next in [run]'s claim loop: a factor task, a
    ready cohort chunk with the context assembled from its factors,
    nothing yet, or nothing ever. *)
 type claim = Factor of int | Run of int * ctx | Wait | Finished
@@ -898,9 +898,9 @@ let run ?(config = default_config) ?emit jobs =
                  (Printf.sprintf "job %s: probe %d out of range [0, %d)" job.Job.name p n)))
     pending;
   let jp = Int.max 1 (Int.min (Util.Parallel.resolve config.jobs_parallel) npending) in
-  (* Jobs in flight own their domain: inner solver parallelism is forced
-     sequential whenever the batch itself fans out, so the domain count
-     stays bounded by [jobs_parallel]. *)
+  (* Inner solver parallelism is forced sequential whenever the batch
+     itself fans out: the loops hold the pool, so a kernel dispatched
+     from one would run its chunks inline anyway. *)
   let inner = if jp > 1 then 1 else config.domains in
   let regs = Array.init nclaims (fun _ -> Util.Metrics.create ()) in
   (* Factor tasks in group order, as (group, factor index); group [g]'s
@@ -929,8 +929,8 @@ let run ?(config = default_config) ?emit jobs =
   for q = nclaims - 1 downto 0 do
     Array.iter (fun t -> dependents.(t) <- q :: dependents.(t)) (fst routes.(q))
   done;
-  (* The claim loop.  Every domain — the main one included — repeatedly
-     claims under [lock], taking the first of:
+  (* The claim loop.  Each of the [jp] loops repeatedly claims under
+     [lock], taking the first of:
      - the head chunk, which holds the lowest-indexed job not yet done
        ([head], moved under [lock] as chunks settle, never through
        emission, so a run without [emit] schedules the same way), once
@@ -943,8 +943,8 @@ let run ?(config = default_config) ?emit jobs =
      the factors its route applies: a direct DC chunk for [Gt], not for
      the [Gt + Ct/h] its group also builds.  A finished chunk journals
      each job's record, publishes them, and emits what became ready —
-     the domain that finishes a record emits it, so a record never
-     waits for another domain's long claim.  Records leave in input
+     the loop that finishes a record emits it, so a record never
+     waits for another loop's long claim.  Records leave in input
      order, one emit at a time, each flushed as soon as it and every
      earlier-indexed job are done, so a killed run's JSONL is always an
      exact prefix of the uninterrupted stream.  A failing job parks its
@@ -965,7 +965,6 @@ let run ?(config = default_config) ?emit jobs =
   let next_task = ref 0 in
   let first_unclaimed = ref 0 in
   let stop = Atomic.make false in
-  let remaining = ref npending in
   let job_failure = ref None in
   let emit_failure = Atomic.make None in
   let park i e =
@@ -1007,11 +1006,12 @@ let run ?(config = default_config) ?emit jobs =
       end
     end
   in
-  (* Records leave in input order, one [emit] at a time: a domain that
-     publishes records, and the main domain between claims, emits the
-     ready prefix under [emit_lock].  Every publisher drains after
-     publishing, so no record waits for another domain's claim to end.
-     [next_emit] moves under both locks. *)
+  (* Records leave in input order, one [emit] at a time: a loop that
+     publishes records emits the ready prefix under [emit_lock].  Every
+     publisher drains after publishing, so no record waits for another
+     loop's claim to end; [run] drains once before the loops start (the
+     replayed records) and once after they end.  [next_emit] moves under
+     both locks. *)
   let next_emit = ref 0 in
   let emit_lock = Mutex.create () in
   let take_ready () =
@@ -1031,7 +1031,7 @@ let run ?(config = default_config) ?emit jobs =
         Mutex.lock emit_lock;
         (* The callback runs outside [lock]: it may flush to a pipe,
            block on a slow consumer, or raise — none of which may stall
-           the claims of domains not emitting. *)
+           the claims of loops not emitting. *)
         List.iter
           (fun r ->
             if Option.is_none (Atomic.get emit_failure) then
@@ -1040,7 +1040,7 @@ let run ?(config = default_config) ?emit jobs =
               | exception e ->
                   Atomic.set emit_failure (Some e);
                   Atomic.set stop true;
-                  (* wake domains waiting for a factor *)
+                  (* wake loops waiting for a factor *)
                   Mutex.lock lock;
                   Condition.broadcast cond;
                   Mutex.unlock lock)
@@ -1068,8 +1068,7 @@ let run ?(config = default_config) ?emit jobs =
             List.iter
               (fun q ->
                 claimed.(q) <- true;
-                settled.(q) <- true;
-                remaining := !remaining - Array.length claims.(q))
+                settled.(q) <- true)
               lost;
             park pending.(claims.(first).(0)) e));
     Condition.broadcast cond;
@@ -1109,7 +1108,6 @@ let run ?(config = default_config) ?emit jobs =
         | Error e -> park i e)
       outcomes;
     settled.(q) <- true;
-    remaining := !remaining - Array.length idx;
     Condition.broadcast cond;
     Mutex.unlock lock;
     drain_ready ()
@@ -1119,9 +1117,9 @@ let run ?(config = default_config) ?emit jobs =
     | Run (q, x) -> chunk_one q x
     | Wait | Finished -> ()
   in
-  (* [engine.wait_s]: one observation per stretch a domain spends
-     blocked in the claim loop, from its first [Wait] until it holds a
-     claim or finishes.  Domain [d] records into [wregs.(d)] alone. *)
+  (* [engine.wait_s]: one observation per stretch a loop spends blocked
+     in the claim loop, from its first [Wait] until it holds a claim or
+     finishes.  Loop [d] records into [wregs.(d)] alone. *)
   let wregs = Array.init jp (fun _ -> Util.Metrics.create ()) in
   let blocked since =
     match since with Some _ -> since | None -> Some (Util.Metrics.start_span ())
@@ -1129,7 +1127,7 @@ let run ?(config = default_config) ?emit jobs =
   let unblocked d since =
     Option.iter (fun s -> ignore (Util.Metrics.stop_span wregs.(d) "engine.wait_s" s)) since
   in
-  let rec worker_loop d =
+  let rec loop d =
     Mutex.lock lock;
     let rec next since =
       match claim () with
@@ -1147,45 +1145,16 @@ let run ?(config = default_config) ?emit jobs =
     | Finished -> ()
     | c ->
         perform c;
-        worker_loop d
+        loop d
   in
-  let workers = Array.init (jp - 1) (fun w -> Domain.spawn (fun () -> worker_loop (w + 1))) in
-  (* The main domain also emits between its claims and while it waits:
-     the replayed records, which stream first, and any prefix another
-     domain completed. *)
-  let rec main_loop since =
-    drain_ready ();
-    Mutex.lock lock;
-    let c = claim () in
-    let since =
-      match c with
-      | Wait ->
-          let since = blocked since in
-          Condition.wait cond lock;
-          since
-      | _ ->
-          unblocked 0 since;
-          None
-    in
-    Mutex.unlock lock;
-    match c with
-    | Finished -> ()
-    | c ->
-        perform c;
-        main_loop since
-  in
-  main_loop None;
-  (* Emit stragglers as their prefixes complete; on an emit failure the
-     sink is dead, so just drain the in-flight tasks via the joins. *)
-  Mutex.lock lock;
-  while !remaining > 0 && Option.is_none (Atomic.get emit_failure) do
-    Condition.wait cond lock;
-    Mutex.unlock lock;
-    drain_ready ();
-    Mutex.lock lock
-  done;
-  Mutex.unlock lock;
-  Array.iter Domain.join workers;
+  (* The replayed records stream first. *)
+  drain_ready ();
+  (* [jp] claim loops fan out on the persistent pool, at most one per
+     domain at a time: a loop only waits for a factor another running
+     loop has claimed, so loops that start late, or run one after
+     another on the same domain, find the rest claimed and finish. *)
+  (* opera-lint: race — loops touch shared claim state only under [lock] *)
+  Util.Parallel.for_chunks ~domains:jp jp (fun ~chunk ~lo:_ ~hi:_ -> loop chunk);
   drain_ready ();
   Array.iter (fun reg -> Util.Metrics.merge_into reg ~into:metrics) tregs;
   Array.iter (fun reg -> Util.Metrics.merge_into reg ~into:metrics) regs;

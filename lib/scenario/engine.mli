@@ -5,10 +5,11 @@
     generation or netlist load, chaos expansion, triple-product tensor,
     symbolic ordering) runs once on the main domain before any job,
     read-through against the artifact {!Store}.  Each numeric Cholesky
-    factor the group needs is then one task of a single claim loop
-    shared by all [jobs_parallel] domains.  A cohort chunk depends on
-    exactly the factors its route applies, and its context is assembled
-    from those alone:
+    factor the group needs is then one task of a single claim loop,
+    which [jobs_parallel] loops run as one dispatch of the persistent
+    {!Util.Parallel} pool (no domain is spawned per batch).  A cohort
+    chunk depends on exactly the factors its route applies, and its
+    context is assembled from those alone:
     - direct DC: [Gt];
     - direct transient or yield at step [h]: [Gt] and that [h]'s
       [Gt + Ct/h];
@@ -18,18 +19,18 @@
     - special case at [h]: [G] and that [h]'s [G + C/h];
     - matrix-free and pcg: none.
 
-    A domain takes the chunk holding the lowest-indexed job not yet done
+    A loop takes the chunk holding the lowest-indexed job not yet done
     if its factors exist; else the first unclaimed factor task, in group
     order, that some unclaimed chunk needs; else the first unclaimed
     chunk, in the input order of its first job, whose factors all
-    exist; else it waits.  So factors build concurrently with each
-    other and with the chunks whose factors are done — a direct DC
-    corner streams once [Gt] exists, while its group's [Gt + Ct/h] is
-    still being factored — and a lone domain never waits.  Each factor
-    task is read-through against the store; chunks apply the shared
-    factors read-only through workspace-explicit solves, each claim
-    with its own metrics registry (merged into the engine registry
-    after the join).
+    exist; else it waits for a claim another running loop holds.  So
+    factors build concurrently with each other and with the chunks
+    whose factors are done — a direct DC corner streams once [Gt]
+    exists, while its group's [Gt + Ct/h] is still being factored — and
+    a lone loop never waits.  Each factor task is read-through against
+    the store; chunks apply the shared factors read-only through
+    workspace-explicit solves, each claim with its own metrics registry
+    (merged into the engine registry after the loops end).
 
     Cohorts ({!cohorts}): the jobs of a group that apply the same
     factors in the same order step in lockstep.  The direct DC jobs
@@ -90,11 +91,14 @@ exception Invalid_batch of string
 type config = {
   cache_dir : string option;  (** [None] disables the artifact store and the results registry *)
   jobs_parallel : int;
-      (** jobs in flight ({!Util.Parallel.resolve} convention: 0 =
-          [OPERA_DOMAINS], default sequential) *)
+      (** claim loops ({!Util.Parallel.resolve} convention: 0 =
+          [OPERA_DOMAINS], default sequential), at most one per pending
+          job, run on the persistent {!Util.Parallel} pool: at most its
+          workers + 1 run at once, and further loops wait for a
+          domain *)
   domains : int;
       (** inner solver parallelism per job; forced to 1 whenever
-          [jobs_parallel > 1] so the domain count stays bounded *)
+          [jobs_parallel > 1], since the loops then hold the pool *)
   metrics : Util.Metrics.t;
       (** receives [engine.factorizations], [engine.jobs],
           [engine.cohorts] (claims run), [engine.cohort_columns] (one
@@ -106,7 +110,7 @@ type config = {
           observation per cohort step of the direct route: a DC
           chunk's solve or one transient step, each a single block
           solve for all the chunk's jobs), [engine.wait_s] (one
-          observation per stretch a domain spends blocked in the claim
+          observation per stretch a loop spends blocked in the claim
           loop, from its first wait until it holds a claim or finishes
           — none at [jobs_parallel] 1), the [store.*] and [registry.*]
           counters, the [store.write_s] and [store.read_s] histograms
@@ -185,12 +189,13 @@ val run : ?config:config -> ?emit:(result -> unit) -> Job.t array -> result arra
     input jobs.  [emit] is called in input order, one call at a time,
     for each result as soon as it and every earlier-indexed result is
     available — including replayed results, which stream first.  The
-    call comes from whichever domain completed that prefix (the main
-    domain or a worker), so [emit] must be safe to call from any
-    domain.  Factor
-    tasks and cohort chunks run on [jobs_parallel] domains (at most one
-    per pending job), the main domain included; see the module header
-    for the claim order.  Each job journals its own record before it is
+    call comes from the claim loop that completed that prefix, on the
+    calling domain or a pool worker (replayed results: from the calling
+    domain, before the loops start), so [emit] must be safe to call
+    from any domain.  Factor tasks and cohort chunks run in
+    [jobs_parallel] claim loops (at most one per pending job), one
+    {!Util.Parallel.for_chunks} dispatch in which the calling domain
+    takes part; see the module header for the claim order.  Each job journals its own record before it is
     published; a chunk whose shared solve fails parks the failure at
     its first job.  An exception from [emit] stops further claims,
     drains the tasks in flight, and is re-raised.  Raises

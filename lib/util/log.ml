@@ -10,16 +10,6 @@ let set_level l = current := l
 
 let level () = !current
 
-let level_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "error" -> Ok Error
-  | "warn" | "warning" -> Ok Warn
-  | "info" -> Ok Info
-  | "debug" -> Ok Debug
-  | other -> Error (Printf.sprintf "unknown log level %S (error|warn|info|debug)" other)
-
-let level_to_string = tag
-
 let enabled l = severity l <= severity !current
 
 let logf l fmt =

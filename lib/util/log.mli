@@ -11,11 +11,6 @@ val set_level : level -> unit
 
 val level : unit -> level
 
-val level_of_string : string -> (level, string) result
-(** Case-insensitive parse of ["error" | "warn" | "info" | "debug"]. *)
-
-val level_to_string : level -> string
-
 val enabled : level -> bool
 (** [enabled l] is true when a message at level [l] would print. *)
 

@@ -172,8 +172,6 @@ let to_json t =
   Buffer.add_string buf "\n}\n";
   Buffer.contents buf
 
-let metrics_to_json = to_json
-
 let write_file t path =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_json t))

@@ -72,8 +72,5 @@ val span : t -> string -> (unit -> 'a) -> 'a
 val to_json : t -> string
 (** Deterministic (sorted-key) JSON rendering; see the schema above. *)
 
-val metrics_to_json : t -> string
-(** Alias of {!to_json}. *)
-
 val write_file : t -> string -> unit
 (** Serialize {!to_json} to a file (truncates). *)

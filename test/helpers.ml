@@ -20,6 +20,13 @@ let check_dense ?(eps = 1e-9) what expected actual =
 
 let rng () = Prob.Rng.create ~seed:12345L ()
 
+(* Run [f] with the worker pool capped at [cap] workers, and restore
+   the hardware default no matter how [f] exits: forced caps must not
+   leak into unrelated suites. *)
+let with_pool_cap cap f =
+  Util.Parallel.set_pool_cap cap;
+  Fun.protect ~finally:(fun () -> Util.Parallel.set_pool_cap None) f
+
 (* A random SPD matrix: A = B B^T + n I. *)
 let random_spd rng n =
   let b =

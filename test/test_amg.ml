@@ -24,6 +24,14 @@ let check_bitwise what x y =
         Alcotest.failf "%s: differs at %d: %.17g vs %.17g" what i v y.(i))
     x
 
+(* A single vector is the one-column block. *)
+let one_column = [| 0 |]
+
+let create_ws amg = Linalg.Amg.create_block_ws amg ~k:1
+
+let apply_one amg w ~b ~x =
+  Linalg.Amg.apply_block amg w ~src:b ~dst:x ~cols:one_column ~lo:0 ~hi:1
+
 (* --- apply: reusable workspace, bitwise repeatable -------------------- *)
 
 let test_apply_deterministic () =
@@ -33,36 +41,33 @@ let test_apply_deterministic () =
   let rng = Helpers.rng () in
   let b = Helpers.random_vec rng n in
   let apply () =
-    let w = Linalg.Amg.create_ws amg in
+    let w = create_ws amg in
     let x = Array.make n 0.0 in
-    Linalg.Amg.apply amg w ~b ~x;
+    apply_one amg w ~b ~x;
     x
   in
   let x1 = apply () and x2 = apply () in
   check_bitwise "fresh workspaces agree" x1 x2;
   (* A reused workspace must not leak state between applies. *)
-  let w = Linalg.Amg.create_ws amg in
+  let w = create_ws amg in
   let x3 = Array.make n 0.0 and x4 = Array.make n 0.0 in
-  Linalg.Amg.apply amg w ~b ~x:x3;
-  Linalg.Amg.apply amg w ~b ~x:x4;
+  apply_one amg w ~b ~x:x3;
+  apply_one amg w ~b ~x:x4;
   check_bitwise "reused workspace agrees" x1 x3;
-  check_bitwise "second reuse agrees" x1 x4;
-  check_bitwise "vcycle wrapper agrees" x1 (Linalg.Amg.vcycle amg b)
+  check_bitwise "second reuse agrees" x1 x4
 
 let test_apply_dim_mismatch () =
   let amg = Linalg.Amg.build (mesh_matrix 8) in
-  let w = Linalg.Amg.create_ws amg in
+  let w = create_ws amg in
   Alcotest.(check bool) "wrong b rejected" true
     (try
-       Linalg.Amg.apply amg w ~b:(Array.make 7 0.0) ~x:(Array.make 64 0.0);
+       apply_one amg w ~b:(Array.make 7 0.0) ~x:(Array.make 64 0.0);
        false
      with Invalid_argument _ -> true);
   let other = Linalg.Amg.build (mesh_matrix 6) in
   Alcotest.(check bool) "foreign workspace rejected" true
     (try
-       Linalg.Amg.apply amg
-         (Linalg.Amg.create_ws other)
-         ~b:(Array.make 64 0.0) ~x:(Array.make 64 0.0);
+       apply_one amg (create_ws other) ~b:(Array.make 64 0.0) ~x:(Array.make 64 0.0);
        false
      with Invalid_argument _ -> true)
 
@@ -77,10 +82,10 @@ let test_precond_matches_amg_apply () =
   let b = Helpers.random_vec rng n in
   let amg = Linalg.Amg.build a in
   let expect = Array.make n 0.0 in
-  Linalg.Amg.apply amg (Linalg.Amg.create_ws amg) ~b ~x:expect;
+  apply_one amg (create_ws amg) ~b ~x:expect;
   let got = Array.copy b in
   Linalg.Precond.apply_in_place p (Linalg.Precond.create_ws p) got;
-  check_bitwise "Precond(Amg) = Amg.apply" expect got
+  check_bitwise "Precond(Amg) = Amg one-column apply" expect got
 
 let test_precond_exact_matches_cholesky () =
   let a = mesh_matrix 12 in
@@ -159,7 +164,7 @@ let test_stationary_vcycle_converges_10k () =
   let a = Helpers.grid_g 10_000 in
   let n = fst (Linalg.Sparse.dims a) in
   let amg = Linalg.Amg.build a in
-  let w = Linalg.Amg.create_ws amg in
+  let w = create_ws amg in
   let b = Array.init n (fun i -> 1e-3 *. (1.0 +. float_of_int (i mod 7))) in
   let x = Array.make n 0.0 and r = Array.make n 0.0 and z = Array.make n 0.0 in
   let bnorm = Linalg.Vec.norm2 b in
@@ -170,7 +175,7 @@ let test_stationary_vcycle_converges_10k () =
   in
   let sweeps = ref 0 in
   while rel () > 1e-10 && !sweeps < 100 do
-    Linalg.Amg.apply amg w ~b:r ~x:z;
+    apply_one amg w ~b:r ~x:z;
     Linalg.Vec.axpy ~alpha:1.0 z x;
     incr sweeps
   done;
@@ -195,8 +200,8 @@ let frame_of amg =
 let check_same_apply what amg amg' b =
   let n = Array.length b in
   let x = Array.make n 0.0 and x' = Array.make n 0.0 in
-  Linalg.Amg.apply amg (Linalg.Amg.create_ws amg) ~b ~x;
-  Linalg.Amg.apply amg' (Linalg.Amg.create_ws amg') ~b ~x:x';
+  apply_one amg (create_ws amg) ~b ~x;
+  apply_one amg' (create_ws amg') ~b ~x:x';
   check_bitwise what x x'
 
 let roundtrip ~map amg =

@@ -141,12 +141,8 @@ let test_vcycle_block () =
   List.iter
     (fun (name, t) ->
       let n = Linalg.Amg.dim t in
-      let ws = Linalg.Amg.create_ws t in
-      let x = Array.make n 0.0 in
-      let single b =
-        Linalg.Amg.apply t ws ~b:(Array.copy b) ~x;
-        Array.blit x 0 b 0 n
-      in
+      let ws = Linalg.Amg.create_block_ws t ~k:1 in
+      let single b = Linalg.Amg.apply_block t ws ~src:b ~dst:b ~cols:[| 0 |] ~lo:0 ~hi:1 in
       let bws = Linalg.Amg.create_block_ws t ~k:16 in
       let block ~src ~dst ~cols ~lo ~hi = Linalg.Amg.apply_block t bws ~src ~dst ~cols ~lo ~hi in
       List.iter
@@ -186,10 +182,6 @@ let test_precond_block () =
 
 (* --- callers at 1, 2 and 4 domains ---------------------------------- *)
 
-let with_pool_cap cap f =
-  Util.Parallel.set_pool_cap cap;
-  Fun.protect ~finally:(fun () -> Util.Parallel.set_pool_cap None) f
-
 let check_responses what r1 rd =
   let n = r1.Opera.Response.n and steps = r1.Opera.Response.steps in
   for step = 0 to steps do
@@ -204,7 +196,7 @@ let check_responses what r1 rd =
 
 let test_callers_across_domains () =
   (* Real worker domains claim the column chunks. *)
-  with_pool_cap (Some 3) (fun () ->
+  Helpers.with_pool_cap (Some 3) (fun () ->
       let circuit = Powergrid.Grid_gen.generate Helpers.small_grid_spec in
       let m = Opera.Stochastic_model.build ~order:2 Opera.Varmodel.paper_default ~vdd:1.2 circuit in
       let h = 0.25e-9 and steps = 4 in

@@ -11,12 +11,6 @@ let exact_vec what expected actual =
      bitwise identity, not closeness. *)
   Alcotest.(check bool) (what ^ " (bitwise equal)") true (expected = actual) (* opera-lint: exact *)
 
-(* Restore the pool to its hardware default no matter how a test body
-   exits; forced caps must not leak into unrelated suites. *)
-let with_pool_cap cap f =
-  Util.Parallel.set_pool_cap cap;
-  Fun.protect ~finally:(fun () -> Util.Parallel.set_pool_cap None) f
-
 (* --- warm-started transient stepping --------------------------------- *)
 
 let transient ?(spec = Helpers.small_grid_spec) ?(order = 2) ?(steps = 12) ~warm_start () =
@@ -92,7 +86,7 @@ let test_cg_in_place_bitwise () =
 (* --- persistent pool --------------------------------------------------- *)
 
 let test_pool_reuse_and_determinism () =
-  with_pool_cap (Some 2) (fun () ->
+  Helpers.with_pool_cap (Some 2) (fun () ->
       let n = 1000 in
       let out = Array.make n 0.0 in
       let body ~chunk:_ ~lo ~hi =
@@ -120,7 +114,7 @@ let test_pool_reuse_and_determinism () =
         out)
 
 let test_pool_exception_safety () =
-  with_pool_cap (Some 2) (fun () ->
+  Helpers.with_pool_cap (Some 2) (fun () ->
       let raised =
         try
           Util.Parallel.for_chunks ~domains:4 8 (fun ~chunk ~lo:_ ~hi:_ ->
@@ -169,8 +163,6 @@ let test_kernels_allocate_nothing () =
   let x = Array.make n 0.0 and y = Array.make n 0.0 in
   let zero what f = Helpers.check_float ~eps:0.0 (what ^ ": words per call") 0.0 (words_per_call f) in
   let amg = Linalg.Amg.build a in
-  let amg_ws = Linalg.Amg.create_ws amg in
-  zero "Amg.apply" (fun () -> Linalg.Amg.apply amg amg_ws ~b ~x);
   List.iter
     (fun kind ->
       let p = Linalg.Precond.make kind a in
@@ -180,8 +172,9 @@ let test_kernels_allocate_nothing () =
         (fun () ->
           Array.blit b 0 x 0 n;
           Linalg.Precond.apply_in_place p ws x))
-    [ Linalg.Precond.Amg; Linalg.Precond.Cholesky ];
+    [ Linalg.Precond.Amg; Linalg.Precond.Cholesky; Linalg.Precond.Ic0 ];
   zero "Sparse.mul_vec_acc" (fun () -> Linalg.Sparse.mul_vec_acc ~alpha:(-1.0) a b y);
+  zero "Sparse.mul_vec_into" (fun () -> Linalg.Sparse.mul_vec_into a b y);
   let f = Linalg.Sparse_cholesky.factor ~ordering:Linalg.Ordering.Nested_dissection a in
   let work = Array.make n 0.0 in
   zero "Sparse_cholesky.solve_in_place_ws" (fun () ->

@@ -232,35 +232,38 @@ let test_corrupt_artifact_recovers_bitwise () =
 let st_solver =
   match Job.solver_of_string "st" with Ok s -> s | Error e -> failwith e
 
+(* Direct, special and st jobs at two step sizes: 19 factor tasks
+   shared across 11 jobs. *)
+let mixed_batch () =
+  let h2 = 250e-12 in
+  Array.append
+    (Array.init 6 (fun i ->
+         match i mod 3 with
+         | 0 -> { (base_job (Printf.sprintf "tr%d" i)) with Job.analysis = Job.Transient;
+                  drain_scale = 1.0 +. (0.1 *. float_of_int i) }
+         | 1 -> { (base_job (Printf.sprintf "dc%d" i)) with Job.drain_scale = float_of_int i }
+         | _ -> { (base_job (Printf.sprintf "sp%d" i)) with
+                  Job.analysis = Job.Special { regions = 4; lambda = 0.5 };
+                  leak_scale = 1.0 +. (0.2 *. float_of_int i) }))
+    [|
+      { (base_job "tr-h2") with Job.analysis = Job.Transient; h = h2 };
+      { (base_job "sp-h2") with
+        Job.analysis = Job.Special { regions = 4; lambda = 0.5 }; h = h2 };
+      { (base_job "st-tr") with Job.analysis = Job.Transient; solver = st_solver };
+      { (base_job "st-h2") with Job.analysis = Job.Transient; solver = st_solver; h = h2;
+        drain_scale = 1.2 };
+      { (base_job "st-dc") with Job.solver = st_solver };
+    |]
+
+let counts (s : Engine.summary) =
+  (s.Engine.factorizations, s.Engine.cache_hits, s.Engine.cache_misses)
+
 (* Factors and jobs share the claim loop, so a cold run at several
    domains builds factors concurrently, through one store, while other
    jobs run: the stream, the factorization count and the store traffic
    must not depend on how many domains did that. *)
 let test_jobs_parallel_deterministic () =
-  let h2 = 250e-12 in
-  let jobs =
-    Array.append
-      (Array.init 6 (fun i ->
-           match i mod 3 with
-           | 0 -> { (base_job (Printf.sprintf "tr%d" i)) with Job.analysis = Job.Transient;
-                    drain_scale = 1.0 +. (0.1 *. float_of_int i) }
-           | 1 -> { (base_job (Printf.sprintf "dc%d" i)) with Job.drain_scale = float_of_int i }
-           | _ -> { (base_job (Printf.sprintf "sp%d" i)) with
-                    Job.analysis = Job.Special { regions = 4; lambda = 0.5 };
-                    leak_scale = 1.0 +. (0.2 *. float_of_int i) }))
-      [|
-        { (base_job "tr-h2") with Job.analysis = Job.Transient; h = h2 };
-        { (base_job "sp-h2") with
-          Job.analysis = Job.Special { regions = 4; lambda = 0.5 }; h = h2 };
-        { (base_job "st-tr") with Job.analysis = Job.Transient; solver = st_solver };
-        { (base_job "st-h2") with Job.analysis = Job.Transient; solver = st_solver; h = h2;
-          drain_scale = 1.2 };
-        { (base_job "st-dc") with Job.solver = st_solver };
-      |]
-  in
-  let counts (s : Engine.summary) =
-    (s.Engine.factorizations, s.Engine.cache_hits, s.Engine.cache_misses)
-  in
+  let jobs = mixed_batch () in
   let runs =
     List.map
       (fun jp ->
@@ -292,6 +295,45 @@ let test_jobs_parallel_deterministic () =
             r.Engine.job.Job.name)
         cold)
     runs
+
+(* --- claim loops on the persistent pool ------------------------------- *)
+
+(* The emitted stream (not the result array) and the summary of one
+   cold run in a fresh cache dir, plus the pool dispatches it made. *)
+let streamed ~jobs_parallel jobs =
+  let lines = ref [] in
+  let emit r = lines := Util.Json.render r.Engine.record :: !lines in
+  let before = Util.Parallel.pool_dispatches () in
+  let _, summary = run ~cache_dir:(fresh_dir ()) ~jobs_parallel ~emit jobs in
+  (List.rev !lines, summary, Util.Parallel.pool_dispatches () - before)
+
+(* A batch's claim loops are one dispatch of the persistent pool: no
+   domain is spawned per batch, and the stream is the sequential one. *)
+let test_fanout_on_pool () =
+  let jobs = mixed_batch () in
+  Helpers.with_pool_cap (Some 1) (fun () ->
+      let reference, ref_s, _ = streamed ~jobs_parallel:1 jobs in
+      let stream, s, dispatches = streamed ~jobs_parallel:2 jobs in
+      Alcotest.(check int) "one pool dispatch per batch" 1 dispatches;
+      Alcotest.(check (list string)) "stream" reference stream;
+      Alcotest.(check (triple int int int)) "counts" (counts ref_s) (counts s))
+
+(* More claim loops than domains: with no worker the four loops run one
+   after another on the caller, with one worker two at a time, so a
+   loop may wait for a factor another loop is building, or start after
+   every claim is taken.  Neither may change a record or a count. *)
+let test_more_loops_than_domains () =
+  let jobs = mixed_batch () in
+  let reference, ref_s, _ = streamed ~jobs_parallel:1 jobs in
+  List.iter
+    (fun (cap, expected_dispatches) ->
+      Helpers.with_pool_cap (Some cap) (fun () ->
+          let tag what = Printf.sprintf "4 loops on %d worker(s): %s" cap what in
+          let stream, s, dispatches = streamed ~jobs_parallel:4 jobs in
+          Alcotest.(check int) (tag "pool dispatches") expected_dispatches dispatches;
+          Alcotest.(check (list string)) (tag "stream") reference stream;
+          Alcotest.(check (triple int int int)) (tag "counts") (counts ref_s) (counts s)))
+    [ (0, 0); (1, 1) ]
 
 (* --- engine solves match the library solvers ------------------------- *)
 
@@ -1058,4 +1100,6 @@ let suite =
     Alcotest.test_case "a record waits only for the factors it applies" `Slow
       test_record_waits_only_for_its_factors;
     Alcotest.test_case "each netlist is parsed once per run" `Quick test_netlist_parsed_once;
+    Alcotest.test_case "claim loops are one pool dispatch" `Slow test_fanout_on_pool;
+    Alcotest.test_case "more claim loops than domains" `Slow test_more_loops_than_domains;
   ]

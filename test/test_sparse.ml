@@ -163,6 +163,40 @@ let test_mul_vec_acc () =
      Alcotest.fail "rectangular: short x accepted"
    with Invalid_argument _ -> ())
 
+(* [mul_vec_into] against a plain loop over the CSC arrays: [y] zeroed,
+   then column by column, exact zeros of [x] (either sign) skipped, each
+   column's entries added in storage order.  Rectangular, with an
+   infinite entry in a column whose [x] is [-0]: only the skip keeps its
+   [inf * -0 = nan] out of [y]. *)
+let test_mul_vec_into () =
+  let rng = Helpers.rng () in
+  let nrows = 9 and ncols = 13 in
+  let triplets = ref [ (4, 5, infinity) ] in
+  for j = 0 to ncols - 1 do
+    for i = 0 to nrows - 1 do
+      if Prob.Rng.float_range rng 0.0 1.0 < 0.4 then
+        triplets := (i, j, Prob.Rng.float_range rng (-2.0) 2.0) :: !triplets
+    done
+  done;
+  let a = of_triplets ~nrows ~ncols !triplets in
+  let x =
+    Array.init ncols (fun j ->
+        match j mod 4 with 0 -> 0.0 | 1 -> -0.0 | _ -> Prob.Rng.float_range rng (-1.0) 1.0)
+  in
+  let expected = Array.make nrows 0.0 in
+  for j = 0 to ncols - 1 do
+    if x.(j) <> 0.0 then
+      for k = a.colptr.(j) to a.colptr.(j + 1) - 1 do
+        let i = a.rowind.(k) in
+        expected.(i) <- expected.(i) +. (a.values.(k) *. x.(j))
+      done
+  done;
+  let y = Array.make nrows nan in
+  Linalg.Sparse.mul_vec_into a x y;
+  let bits = Array.map Int64.bits_of_float in
+  Alcotest.(check (array int64)) "mul_vec_into = plain loop, bit for bit" (bits expected) (bits y);
+  Alcotest.(check bool) "no nan from the skipped column" true (Array.for_all Float.is_finite y)
+
 let test_mul_block_acc () =
   let a = of_triplets ~nrows:2 ~ncols:2 [ (0, 0, 1.0); (0, 1, 2.0); (1, 1, -1.0) ] in
   (* x, y are flat block vectors; only the listed column (block 1) moves *)
@@ -295,4 +329,5 @@ let suite =
     Alcotest.test_case "of_stamps dedup" `Quick test_of_stamps_dedup;
     Alcotest.test_case "of_stamps validation" `Quick test_of_stamps_validation;
     Alcotest.test_case "of_stamps metrics" `Quick test_of_stamps_metrics;
+    Alcotest.test_case "mul_vec_into" `Quick test_mul_vec_into;
   ]
