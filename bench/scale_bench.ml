@@ -9,7 +9,9 @@
    tripped through the v2 artifact store twice to show a warm replay is
    a mapped load, not a decode.  Writes BENCH_scale.json:
 
-     { "scale": { "sizes": [...],
+     { "host": { "domains": Domain.recommended_domain_count (),
+                 "commit": short hash, or "unknown" outside a git checkout },
+       "scale": { "sizes": [...],
          "records": [
            { "nodes": N, "assemble_s": ..., "stream_stamps": ...,
              "stream_nnz": ..., "stream_bytes": ..., "bytes_per_node": ...,
@@ -19,6 +21,9 @@
                  "iters": ..., "stored_nnz": ... }, ... ] }, ... ],
          "replay": { "nodes": N, "map_hits": ..., "full_decodes": ... } },
        "metrics": { ... } }
+
+   Every time is the best of --reps repetitions; beside each, a
+   "<name>_slowest" field holds the slowest, so the spread shows.
 
    regenerated by `make bench-scale` (`make ci` runs --quick).  The
    bench *asserts* the scaling contracts — streaming-assembly
@@ -54,24 +59,28 @@ let bytes_per_node_bound = 320.0
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline ("scale_bench: " ^ s); exit 1) fmt
 
+(* One time over --reps repetitions: the best is the figure, the slowest
+   shows the spread. *)
+type timing = { best : float; slowest : float }
+
 type solve = {
   precond : string;
-  setup_s : float;
-  solve_s : float;
+  setup_s : timing;
+  solve_s : timing;
   iters : int;
   stored_nnz : int;
 }
 
 type block = {
-  block_s : float;  (* per column, one block apply of [block_columns] *)
-  single_s : float;  (* per column, [block_columns] one-column applies *)
+  block_s : timing;  (* per column, one block apply of [block_columns] *)
+  single_s : timing;  (* per column, [block_columns] one-column applies *)
   block_bytes : float;
   single_bytes : float;
 }
 
 type record = {
   nodes : int;
-  assemble_s : float;
+  assemble_s : timing;
   stream_stamps : int;
   stream_nnz : int;
   stream_bytes : int;
@@ -84,18 +93,36 @@ type record = {
 let block_columns = 6
 
 let best_of ?(prepare = ignore) f =
-  let best = ref infinity and keep = ref None in
+  let best = ref infinity and slowest = ref 0.0 and keep = ref None in
   for _ = 1 to Int.max 1 !reps do
     prepare ();
     let t0 = Util.Timer.start () in
     let r = f () in
     let elapsed = Util.Timer.elapsed_s t0 in
+    slowest := Float.max !slowest elapsed;
     if elapsed < !best then begin
       best := elapsed;
       keep := Some r
     end
   done;
-  (Option.get !keep, !best)
+  (Option.get !keep, { best = !best; slowest = !slowest })
+
+(* The recommended domain count and the commit the figures come from. *)
+let host_json () =
+  let commit =
+    match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+    | exception Unix.Unix_error _ -> "unknown"
+    | ic -> (
+        let line = try input_line ic with End_of_file -> "" in
+        match Unix.close_process_in ic with
+        | Unix.WEXITED 0 when line <> "" -> line
+        | _ -> "unknown")
+  in
+  Util.Json.Obj
+    [
+      ("domains", Util.Json.Num (float_of_int (Domain.recommended_domain_count ())));
+      ("commit", Util.Json.Str commit);
+    ]
 
 let run_solve ~label ~kind g b =
   let n = Array.length b in
@@ -113,7 +140,7 @@ let run_solve ~label ~kind g b =
     die "%d nodes: %s-pcg did not converge in %d iterations (residual %.3e)" n label
       stats.Linalg.Cg.iterations stats.Linalg.Cg.residual_norm;
   Printf.printf "  %s-pcg %4d iters  setup_s=%.3f solve_s=%.3f\n%!" label
-    stats.Linalg.Cg.iterations setup_s solve_s;
+    stats.Linalg.Cg.iterations setup_s.best solve_s.best;
   {
     precond = label;
     setup_s;
@@ -160,9 +187,9 @@ let bench_block g =
       die "%d nodes: block V-cycle column %d differs from its one-column apply at row %d" n (i / n)
         (i mod n)
   done;
-  let per v = v /. float_of_int k in
+  let per t = { best = t.best /. float_of_int k; slowest = t.slowest /. float_of_int k } in
   Printf.printf "  block v-cycle x%d: %.3f ms/column vs %.3f ms/column single\n%!" k
-    (1e3 *. per block_s) (1e3 *. per single_s);
+    (1e3 *. (per block_s).best) (1e3 *. (per single_s).best);
   {
     block_s = per block_s;
     single_s = per single_s;
@@ -197,7 +224,7 @@ let bench_size n =
   let stream_bytes = int_of_float (Util.Metrics.total metrics "sparse.stream_peak_bytes") in
   let heap_mb = !major *. 8.0 /. 1048576.0 in
   Printf.printf "%d nodes: assemble_s=%.3f stamps=%d nnz=%d scratch=%.1f B/node heap=%.0f MB\n%!"
-    nodes assemble_s stream_stamps stream_nnz
+    nodes assemble_s.best stream_stamps stream_nnz
     (float_of_int stream_bytes /. float_of_int nodes)
     heap_mb;
   let bytes_per_node = float_of_int stream_bytes /. float_of_int nodes in
@@ -232,11 +259,11 @@ let bench_replay g nodes =
       ~build:(fun () -> Linalg.Amg.build g)
   in
   let cold = lookup () in
-  let _, warm_s = best_of (fun () -> lookup ()) in
+  let _, warm = best_of (fun () -> lookup ()) in
   ignore cold;
   let map_hits = Util.Metrics.counter metrics "store.map_hits" in
   let full_decodes = Util.Metrics.counter metrics "store.full_decodes" in
-  Printf.printf "replay %d nodes: warm_s=%.4f map_hits=%d full_decodes=%d\n%!" nodes warm_s
+  Printf.printf "replay %d nodes: warm_s=%.4f map_hits=%d full_decodes=%d\n%!" nodes warm.best
     map_hits full_decodes;
   if full_decodes > 0 then
     die "warm replay decoded %d artifact(s) instead of mapping them" full_decodes;
@@ -288,9 +315,9 @@ let () =
         match List.find_opt (fun s -> s.precond = "ic0") r.solves with
         | Some ic0 when r.nodes >= 100_000 ->
             let amg = amg_of r in
-            if amg.solve_s >= ic0.solve_s then
+            if amg.solve_s.best >= ic0.solve_s.best then
               die "%d nodes: amg solve (%.3fs) did not beat ic0 solve (%.3fs)" r.nodes
-                amg.solve_s ic0.solve_s
+                amg.solve_s.best ic0.solve_s.best
         | _ -> ())
       records;
   (* Replay at the largest size that still ran both preconditioners —
@@ -302,21 +329,22 @@ let () =
   in
   let map_hits, full_decodes = bench_replay replay_g replay_record.nodes in
   let num v = Util.Json.Num v in
+  let timed name t = [ (name, num t.best); (name ^ "_slowest", num t.slowest) ] in
   let solve_json s =
     Util.Json.Obj
-      [
-        ("precond", Util.Json.Str s.precond);
-        ("setup_s", num s.setup_s);
-        ("solve_s", num s.solve_s);
-        ("iters", num (float_of_int s.iters));
-        ("stored_nnz", num (float_of_int s.stored_nnz));
-      ]
+      ([ ("precond", Util.Json.Str s.precond) ]
+      @ timed "setup_s" s.setup_s
+      @ timed "solve_s" s.solve_s
+      @ [
+          ("iters", num (float_of_int s.iters));
+          ("stored_nnz", num (float_of_int s.stored_nnz));
+        ])
   in
   let record_json r =
     Util.Json.Obj
-      [
-        ("nodes", num (float_of_int r.nodes));
-        ("assemble_s", num r.assemble_s);
+      ([ ("nodes", num (float_of_int r.nodes)) ]
+      @ timed "assemble_s" r.assemble_s
+      @ [
         ("stream_stamps", num (float_of_int r.stream_stamps));
         ("stream_nnz", num (float_of_int r.stream_nnz));
         ("stream_bytes", num (float_of_int r.stream_bytes));
@@ -325,14 +353,14 @@ let () =
         ("solves", Util.Json.List (List.map solve_json r.solves));
         ( "block_vcycle",
           Util.Json.Obj
-            [
-              ("columns", num (float_of_int block_columns));
-              ("block_s_per_column", num r.block.block_s);
-              ("single_s_per_column", num r.block.single_s);
-              ("block_bytes", num r.block.block_bytes);
-              ("single_bytes", num r.block.single_bytes);
-            ] );
-      ]
+            ([ ("columns", num (float_of_int block_columns)) ]
+            @ timed "block_s_per_column" r.block.block_s
+            @ timed "single_s_per_column" r.block.single_s
+            @ [
+                ("block_bytes", num r.block.block_bytes);
+                ("single_bytes", num r.block.single_bytes);
+              ]) );
+      ])
   in
   let metrics =
     match Util.Json.parse (Util.Metrics.to_json Util.Metrics.global) with
@@ -342,6 +370,7 @@ let () =
   let doc =
     Util.Json.Obj
       [
+        ("host", host_json ());
         ( "scale",
           Util.Json.Obj
             [

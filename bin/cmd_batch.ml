@@ -28,9 +28,17 @@ let run argv =
         ~doc:"Claim loops running the batch's factors and jobs (0 = the OPERA_DOMAINS \
               environment variable, default sequential), on the shared domain pool: loops \
               beyond its recommended_domain_count wait for a domain; inner solver \
-              parallelism drops to 1 when > 1."
+              parallelism drops to 1 when > 1.  Spend cores here rather than on --domains: \
+              the corner-sweep benchmark inputs (seeds 1 and 7919) take 2.93-2.99 s at \
+              --jobs-parallel 2 --domains 1 against 4.85-4.93 s at --jobs-parallel 1 \
+              --domains 2 on a 2-core host."
         jobs_parallel;
-      Cli_common.domains_arg domains;
+      Cli_common.int_at_least 0 [ "--domains" ]
+        ~doc:"Domain count for the block-parallel solver paths (0 = the OPERA_DOMAINS \
+              environment variable, default sequential).  With one claim loop it splits only \
+              a cohort's block solves, never a factor task, so the factors of a cold batch \
+              build one after another; see --jobs-parallel."
+        domains;
       Util.Args.string_opt [ "--stream-out" ] ~docv:"FILE"
         ~doc:"Write the JSONL result stream to FILE instead of stdout." stream_out;
       Util.Args.flag [ "--dry-run" ]

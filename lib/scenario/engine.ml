@@ -1087,7 +1087,7 @@ let run ?(config = default_config) ?emit jobs =
               let job = cjobs.(j) in
               (* Journal-ahead: the record is on disk (atomically) before
                  it can reach the stream, so --resume never misses an
-                 emitted record.  Registry serializes its own writes. *)
+                 emitted record.  Each entry is its own atomic file. *)
               match Registry.record registry job record with
               | () -> Ok { job; record; response }
               | exception e -> Error e)

@@ -1,28 +1,27 @@
 (* Crash-safe on-disk results registry.
 
-   One completed job = one journal file in the cache dir,
-   [result-<key>.opra] (the job's result signature, plus the engine
-   settings that move its digits): a checksummed Util.Codec frame
-   holding the job's JSONL record as an encoded Util.Json AST.  Records
-   are journaled the moment a job completes (atomic temp-file + rename
-   per entry), so a batch killed at job N-1 keeps N-1 entries intact —
+   One completed job = one journal entry in the cache dir: a
+   [Store] artifact of kind [result], keyed by the job's result
+   signature plus the engine settings that move its digits, holding
+   the job's JSONL record as an encoded Util.Json AST.  Records are
+   journaled the moment a job completes (atomic temp-file + rename per
+   entry), so a batch killed at job N-1 keeps N-1 entries intact —
    there is no index file to corrupt, the directory IS the journal.
 
    Replay is bitwise: Util.Json.render is a pure function of the AST and
    the codec carries floats as IEEE-754 bit patterns, so a replayed
    record renders byte-identically to the run that journaled it.
 
-   Unlike the artifact Store, the registry is written from inside the
-   engine's fan-out (worker domains journal their own completions); a
-   single mutex serializes writes and the stats. *)
+   The registry keeps its key and its codec; every read, write and
+   removal is its private store's, which has its own metrics registry
+   (journal traffic stays out of the engine's [store.*] counters) and
+   is safe to call from the engine's worker domains. *)
 
-type stats = { mutable replayed : int; mutable journaled : int; mutable corrupt : int }
+type stats = { replayed : int; journaled : int; corrupt : int }
 
 type t = {
-  dir : string option;
+  store : Store.t;
   settings : string;  (* "" at the default engine settings *)
-  lock : Mutex.t;
-  stats : stats;
 }
 
 let kind = "result"
@@ -41,21 +40,16 @@ let settings_of ~precond ~warm_start =
   ^ if warm_start then "" else "warm_start=off;"
 
 let create ?(precond = Linalg.Precond.Cholesky) ?(warm_start = true) ~dir () =
-  (match dir with
-  | Some d -> if not (Sys.file_exists d) then ( try Sys.mkdir d 0o755 with Sys_error _ -> ())
-  | None -> ());
   {
-    dir;
+    store = Store.create ~metrics:(Util.Metrics.create ()) ~dir ();
     settings = settings_of ~precond ~warm_start;
-    lock = Mutex.create ();
-    stats = { replayed = 0; journaled = 0; corrupt = 0 };
   }
 
-let disabled = create ~dir:None ()
-
-let enabled t = t.dir <> None
-
-let stats t = t.stats
+(* The store counts what the journal does: a hit is a replay, a write a
+   journaled record, a dropped entry a corrupt one. *)
+let stats t =
+  let s = Store.stats t.store in
+  { replayed = s.Store.hits; journaled = s.Store.writes; corrupt = s.Store.corrupt }
 
 let key t job =
   let signature = Job.result_signature job in
@@ -64,7 +58,7 @@ let key t job =
 
 let file_name t job = Store.file_name ~kind ~key:(key t job)
 
-let path t job = Option.map (fun dir -> Filename.concat dir (file_name t job)) t.dir
+let path t job = Store.path t.store ~kind ~key:(key t job)
 
 (* ---- Json AST <-> codec payload ------------------------------------- *)
 
@@ -125,94 +119,14 @@ let rec read_json d : Util.Json.t =
 
 (* ---- journal operations ---------------------------------------------- *)
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let record t job json =
-  match path t job with
-  | None -> ()
-  | Some file ->
-      with_lock t (fun () ->
-          Util.Codec.write_frame_file file ~kind ~version (fun e -> write_json e json);
-          t.stats.journaled <- t.stats.journaled + 1)
+  Store.put t.store ~kind ~version ~key:(key t job) ~encode:(fun j e -> write_json e j) json
 
-let lookup t job =
-  match path t job with
-  | None -> None
-  | Some file -> (
-      (* Same contract as the Store: a damaged journal entry —
-         truncated mid-record, bit-flipped, stale schema — is never
-         trusted.  Drop it and let the engine re-run the job; the
-         fresh completion re-journals a good entry. *)
-      let drop why =
-        t.stats.corrupt <- t.stats.corrupt + 1;
-        Util.Log.warnf "registry: dropping corrupt journal entry %s (%s)" file why;
-        (try Sys.remove file with Sys_error _ -> ());
-        None
-      in
-      match Util.Codec.read_file file with
-      | exception Util.Codec.Corrupt why -> drop why
-      | None -> None
-      | Some bytes -> (
-          match
-            let d = Util.Codec.unframe ~kind ~version bytes in
-            let json = read_json d in
-            Util.Codec.expect_end d;
-            json
-          with
-          | json ->
-              t.stats.replayed <- t.stats.replayed + 1;
-              Store.touch file;
-              Some json
-          | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
-          | exception e ->
-              let why =
-                match e with Util.Codec.Corrupt why -> why | e -> Printexc.to_string e
-              in
-              drop why))
+let lookup t job = Store.find t.store ~kind ~version ~key:(key t job) ~decode:read_json
 
 let gc t ~keep =
-  match t.dir with
-  | None -> 0
-  | Some dir ->
-      let keys = Hashtbl.create (Array.length keep) in
-      Array.iter (fun job -> Hashtbl.replace keys (key t job) ()) keep;
-      Store.gc_dir ~dir ~kind ~keep:(Hashtbl.mem keys)
+  let keys = Hashtbl.create (Array.length keep) in
+  Array.iter (fun job -> Hashtbl.replace keys (key t job) ()) keep;
+  Store.gc t.store ~kind ~keep:(Hashtbl.mem keys)
 
-let sweep t ~max_entries =
-  match t.dir with
-  | None -> 0
-  | Some dir -> (
-      match Sys.readdir dir with
-      | exception Sys_error _ -> 0
-      | files ->
-          let prefix = kind ^ "-" and suffix = ".opra" in
-          let entries =
-            Array.to_list files
-            |> List.filter_map (fun f ->
-                   if String.starts_with ~prefix f && Filename.check_suffix f suffix then
-                     match Unix.stat (Filename.concat dir f) with
-                     | exception Unix.Unix_error (_, _, _) -> None
-                     | st -> Some (f, st.Unix.st_mtime)
-                   else None)
-          in
-          let excess = List.length entries - max_entries in
-          if excess <= 0 then 0
-          else begin
-            (* Oldest first, name-tie-broken, same clock as Store.evict:
-               replay touches mtimes, so recently reused results stay. *)
-            let by_age =
-              List.sort
-                (fun (fa, ta) (fb, tb) ->
-                  let c = Float.compare ta tb in
-                  if c <> 0 then c else String.compare fa fb)
-                entries
-            in
-            List.iteri
-              (fun i (f, _) ->
-                if i < excess then
-                  try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-              by_age;
-            excess
-          end)
+let sweep t ~max_entries = Store.sweep t.store ~kind ~max_entries

@@ -31,8 +31,6 @@ let create ?(metrics = Util.Metrics.global) ~dir () =
 
 let disabled = make ~metrics:Util.Metrics.global ~dir:None
 
-let enabled t = t.dir <> None
-
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
@@ -63,43 +61,34 @@ let path t ~kind ~key =
   | None -> None
   | Some dir -> Some (Filename.concat dir (file_name ~kind ~key))
 
-let remove_corrupt path =
-  try Sys.remove path with Sys_error _ -> ()
-
 let touch file =
   (* Refresh the artifact's mtime so byte-capped eviction sees reused
      entries as hot (the LRU clock is the filesystem).  Best effort: a
      read-only cache dir must not fail the lookup that reused it. *)
   try Unix.utimes file 0.0 0.0 with Unix.Unix_error _ -> ()
 
-(* The shared skeleton of both lookup shapes: count the miss and write
-   the artifact on rebuild, never trust a damaged artifact (log, drop,
-   rebuild), and classify every decode outcome.  [write] encodes a value
-   into [file]; [read] returns the raw load result; [finish] turns it
-   into the value (both may raise [Corrupt]).  [store.write_s] times
-   each miss's encode and write, [store.read_s] each hit's read and
-   decode. *)
-let lookup t ~file ~write ~read ~finish ~on_hit ~build =
-  let rebuild () =
+let remove file = try Sys.remove file with Sys_error _ -> ()
+
+(* The never-trust rule, once for every kind and both frame formats:
+   [read] loads the file, [finish] turns the load into a value (both
+   may raise [Corrupt]).  A hit is counted and timed ([store.read_s]:
+   read and decode) and its file touched; a missing file is a miss; a
+   damaged one is counted corrupt, logged and removed, then a miss. *)
+let find_file t file ~read ~finish ~on_hit =
+  let miss () =
     tally t "store.misses" (fun s -> s.misses <- s.misses + 1);
-    let value = build () in
-    let t0 = Util.Timer.start () in
-    write value;
-    tally t "store.writes"
-      ~timed:("store.write_s", Util.Timer.elapsed_s t0)
-      (fun s -> s.writes <- s.writes + 1);
-    value
+    None
   in
-  let corrupt why =
+  let damaged why =
     tally t "store.corrupt" (fun s -> s.corrupt <- s.corrupt + 1);
-    Util.Log.warnf "store: rebuilding corrupt artifact %s (%s)" file why;
-    remove_corrupt file;
-    rebuild ()
+    Util.Log.warnf "store: dropping corrupt artifact %s (%s)" file why;
+    remove file;
+    miss ()
   in
   let t0 = Util.Timer.start () in
   match read () with
-  | exception Util.Codec.Corrupt why -> corrupt why
-  | None -> rebuild ()
+  | exception Util.Codec.Corrupt why -> damaged why
+  | None -> miss ()
   | Some loaded -> (
       match finish loaded with
       | value ->
@@ -108,134 +97,143 @@ let lookup t ~file ~write ~read ~finish ~on_hit ~build =
             (fun s -> s.hits <- s.hits + 1);
           on_hit loaded;
           touch file;
-          value
-      | exception Util.Codec.Corrupt why -> corrupt why
+          Some value
+      | exception Util.Codec.Corrupt why -> damaged why
       | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
       | exception e ->
           (* A checksum-valid frame whose payload still blows up the
              decoder (stale encoder, schema drift the version tag
              missed) is cache damage, not a bug worth crashing the
-             batch over — same drop-and-rebuild path as Corrupt. *)
-          corrupt (Printexc.to_string e))
+             batch over — the same drop as Corrupt. *)
+          damaged (Printexc.to_string e))
 
-let find_or_build t ~kind ~version ~key ~encode ~decode ~build =
+(* One write, counted and timed ([store.write_s]: encode and write). *)
+let put_file t write =
+  let t0 = Util.Timer.start () in
+  write ();
+  tally t "store.writes"
+    ~timed:("store.write_s", Util.Timer.elapsed_s t0)
+    (fun s -> s.writes <- s.writes + 1)
+
+let find t ~kind ~version ~key ~decode =
   match path t ~kind ~key with
-  | None -> build ()
+  | None -> None
   | Some file ->
-      lookup t ~file
-        ~write:(fun value -> Util.Codec.write_frame_file file ~kind ~version (encode value))
+      find_file t file
         ~read:(fun () -> Util.Codec.read_frame ~kind ~version file)
         ~finish:(fun d ->
           let value = decode d in
           Util.Codec.expect_end d;
           value)
-        ~on_hit:(fun _ -> ())
-        ~build
+        ~on_hit:ignore
+
+let put t ~kind ~version ~key ~encode value =
+  match path t ~kind ~key with
+  | None -> ()
+  | Some file ->
+      put_file t (fun () -> Util.Codec.write_frame_file file ~kind ~version (encode value))
+
+let find_or_build t ~kind ~version ~key ~encode ~decode ~build =
+  match find t ~kind ~version ~key ~decode with
+  | Some value -> value
+  | None ->
+      let value = build () in
+      put t ~kind ~version ~key ~encode value;
+      value
 
 let find_or_build_sections t ~kind ~version ~key ~encode ~decode ~build =
   match path t ~kind ~key with
   | None -> build ()
-  | Some file ->
-      lookup t ~file
-        ~write:(fun value ->
-          let meta, sections = encode value in
-          Util.Codec.write_file file (Util.Codec.frame_v2 ~kind ~version ~meta ~sections))
-        ~read:(fun () -> Util.Codec.read_frame_v2 ~kind ~version file)
-        ~finish:(fun (d, sections) ->
-          let value = decode d sections in
-          Util.Codec.expect_end d;
+  | Some file -> (
+      let found =
+        find_file t file
+          ~read:(fun () -> Util.Codec.read_frame_v2 ~kind ~version file)
+          ~finish:(fun (d, sections) ->
+            let value = decode d sections in
+            Util.Codec.expect_end d;
+            value)
+          ~on_hit:(fun (_, sections) ->
+            (* Warm replays should be mapped views, not decoded copies;
+               the split tells a perf regression from a cache win. *)
+            locked t (fun () ->
+                Util.Metrics.incr t.metrics
+                  (if Util.Codec.sections_mapped sections then "store.map_hits"
+                   else "store.full_decodes")))
+      in
+      match found with
+      | Some value -> value
+      | None ->
+          let value = build () in
+          put_file t (fun () ->
+              let meta, sections = encode value in
+              Util.Codec.write_file file (Util.Codec.frame_v2 ~kind ~version ~meta ~sections));
           value)
-        ~on_hit:(fun (_, sections) ->
-          (* Warm replays should be mapped views, not decoded copies;
-             the split tells a perf regression from a cache win. *)
-          locked t (fun () ->
-              Util.Metrics.incr t.metrics
-                (if Util.Codec.sections_mapped sections then "store.map_hits"
-                 else "store.full_decodes")))
-        ~build
 
-(* ---- garbage collection ----------------------------------------------
+(* ---- garbage collection, journal sweep, eviction ---------------------
 
-   Artifacts are content-addressed, so nothing ever dangles — GC is a
-   policy decision (drop entries of [kind] whose key the caller no
-   longer wants), used by the results registry to evict journal records
-   of jobs that left the batch. *)
+   Artifacts are content-addressed, so nothing ever dangles: removal is
+   policy.  [gc] drops the entries of a kind whose key the caller
+   disowned (journal records of jobs that left the batch), [sweep] caps
+   a kind by count (the service's journal), [evict] caps the whole
+   directory by bytes.  All three walk one [scan] in one order and
+   remove through one [prune].  Recency is the filesystem mtime —
+   refreshed by [touch] on every hit — so hot artifacts survive and
+   cold ones go first. *)
 
-let gc_dir ~dir ~kind ~keep =
+(* Every regular [*.opra] file under [dir] whose name starts with
+   [prefix], as (name, size), oldest first: mtime, ties broken by name
+   so the order — and with it every surviving set — is deterministic.
+   A missing or unreadable directory is empty. *)
+let scan ~prefix dir =
+  let entry f =
+    if String.starts_with ~prefix f && Filename.check_suffix f ".opra" then
+      match Unix.stat (Filename.concat dir f) with
+      | { Unix.st_kind = Unix.S_REG; st_mtime; st_size; _ } -> Some (st_mtime, f, st_size)
+      | _ | (exception Unix.Unix_error _) -> None
+    else None
+  in
   match Sys.readdir dir with
-  | exception Sys_error _ -> 0
+  | exception Sys_error _ -> []
   | files ->
-      let prefix = kind ^ "-" and suffix = ".opra" in
-      Array.fold_left
-        (fun removed f ->
-          if String.starts_with ~prefix f && Filename.check_suffix f suffix then begin
-            let key =
-              String.sub f (String.length prefix)
-                (String.length f - String.length prefix - String.length suffix)
-            in
-            if keep key then removed
-            else begin
-              (try Sys.remove (Filename.concat dir f) with Sys_error _ -> ());
-              removed + 1
-            end
-          end
-          else removed)
-        0 files
+      List.filter_map entry (Array.to_list files)
+      |> List.sort (fun (ta, fa, _) (tb, fb, _) ->
+             match Float.compare ta tb with 0 -> String.compare fa fb | c -> c)
+      |> List.map (fun (_, f, size) -> (f, size))
+
+(* Walk [entries] oldest first, removing each file [spare] does not
+   shield while the survivors' total [weight] exceeds [cap]; returns the
+   number removed. *)
+let prune dir entries ~weight ~cap ~spare =
+  let live = ref (List.fold_left (fun acc e -> acc + weight e) 0 entries) in
+  List.fold_left
+    (fun removed ((f, _) as e) ->
+      if !live > cap && not (spare f) then begin
+        remove (Filename.concat dir f);
+        live := !live - weight e;
+        removed + 1
+      end
+      else removed)
+    0 entries
 
 let gc t ~kind ~keep =
-  match t.dir with None -> 0 | Some dir -> gc_dir ~dir ~kind ~keep
+  match t.dir with
+  | None -> 0
+  | Some dir ->
+      let prefix = kind ^ "-" in
+      let skip = String.length prefix in
+      let key f = String.sub f skip (String.length f - skip - String.length ".opra") in
+      (* A cap of 0 entries removes every file [keep] does not spare. *)
+      prune dir (scan ~prefix dir) ~weight:(fun _ -> 1) ~cap:0 ~spare:(fun f -> keep (key f))
 
-(* ---- byte-capped LRU eviction ----------------------------------------
-
-   GC above drops entries the caller explicitly disowned; eviction is a
-   *budget* policy for a long-running service: keep total artifact bytes
-   under a cap by removing the least-recently-used files first.
-   Recency is the filesystem mtime — refreshed by [touch] on every
-   store hit and registry replay — so hot artifacts survive and cold
-   ones age out.  [protect] shields artifacts that are open in an
-   in-flight request from the axe. *)
-
-let scan_opra dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> [||]
-  | files ->
-      let entries =
-        Array.to_list files
-        |> List.filter_map (fun f ->
-               if Filename.check_suffix f ".opra" then
-                 match Unix.stat (Filename.concat dir f) with
-                 | exception Unix.Unix_error (_, _, _) -> None
-                 | st when st.Unix.st_kind = Unix.S_REG ->
-                     Some (f, st.Unix.st_mtime, st.Unix.st_size)
-                 | _ -> None
-               else None)
-      in
-      Array.of_list entries
+let sweep t ~kind ~max_entries =
+  match t.dir with
+  | None -> 0
+  | Some dir ->
+      prune dir (scan ~prefix:(kind ^ "-") dir) ~weight:(fun _ -> 1) ~cap:max_entries
+        ~spare:(fun _ -> false)
 
 let evict_dir ~dir ~max_bytes ?(protect = fun (_ : string) -> false) () =
-  let entries = scan_opra dir in
-  let total = Array.fold_left (fun acc (_, _, size) -> acc + size) 0 entries in
-  if total <= max_bytes then 0
-  else begin
-    (* Oldest first; mtime ties break on the file name so the eviction
-       order — and therefore the surviving set — is deterministic. *)
-    let by_age = Array.copy entries in
-    Array.sort
-      (fun (fa, ta, _) (fb, tb, _) ->
-        let c = Float.compare ta tb in
-        if c <> 0 then c else String.compare fa fb)
-      by_age;
-    let live = ref total and removed = ref 0 in
-    Array.iter
-      (fun (f, _, size) ->
-        if !live > max_bytes && not (protect f) then begin
-          (try Sys.remove (Filename.concat dir f) with Sys_error _ -> ());
-          live := !live - size;
-          Stdlib.incr removed
-        end)
-      by_age;
-    !removed
-  end
+  prune dir (scan ~prefix:"" dir) ~weight:snd ~cap:max_bytes ~spare:protect
 
 let evict t ~max_bytes ?(protect = fun (_ : string) -> false) () =
   match t.dir with

@@ -5,10 +5,15 @@
     artifact depends on (grid, variation model, solver route, schema
     version — see DESIGN.md §9).  Payloads are {!Util.Codec} frames with
     versioned headers and checksums; a file that fails any validation —
-    missing, truncated, bit-flipped, wrong kind, older schema version,
-    malformed payload — is logged, deleted and rebuilt, never trusted.
-    Floats cross the codec bit-exactly, so a warm run reproduces the
-    cold run bitwise. *)
+    truncated, bit-flipped, wrong kind, older schema version, malformed
+    payload — is logged, deleted and rebuilt, never trusted.  Floats
+    cross the codec bit-exactly, so a warm run reproduces the cold run
+    bitwise.
+
+    The store does every artifact read, write and removal of the cache
+    directory.  The results journal ({!Registry}) is one more kind,
+    ["result"], kept in a private store of its own, so its traffic
+    never shows in the engine's [store.*] counters. *)
 
 type stats = {
   mutable hits : int;
@@ -35,8 +40,6 @@ val create : ?metrics:Util.Metrics.t -> dir:string option -> unit -> t
 val disabled : t
 (** A store with no directory: {!find_or_build} always builds. *)
 
-val enabled : t -> bool
-
 val stats : t -> stats
 (** A consistent snapshot of the counts (a fresh record: later lookups
     do not move it). *)
@@ -45,12 +48,41 @@ val key_of_bytes : string -> string
 (** Hex digest of canonical artifact-identity bytes (filename-safe). *)
 
 val file_name : kind:string -> key:string -> string
-(** Basename of an artifact file, [<kind>-<key>.opra] — the naming
-    contract shared by the store and the results {!Registry}. *)
+(** Basename of an artifact file, [<kind>-<key>.opra]. *)
 
 val path : t -> kind:string -> key:string -> string option
 (** On-disk location of an artifact ([None] when the store is disabled).
     Exposed so corruption tests can damage a cached file in place. *)
+
+val find :
+  t -> kind:string -> version:int -> key:string -> decode:(Util.Codec.decoder -> 'a) -> 'a option
+(** A validated hit, or [None].  The file is read by
+    {!Util.Codec.read_frame} (streamed, resident once, checksum folded
+    during the read) and [decode] runs on its payload, which it must
+    consume exactly.  A hit counts in [hits] and [store.read_s] and
+    refreshes the file's mtime ({!evict}'s LRU clock).  A missing file
+    counts a miss.  A damaged one — {!Util.Codec.Corrupt} from the read
+    or from [decode] (a semantic mismatch, e.g. a tensor stored for a
+    different basis), or any other exception [decode] raises (a stale
+    encoder leaving a checksum-valid but malformed payload, say
+    [Invalid_argument] out of an array build) — is logged, removed and
+    counted in [corrupt] and [misses].  Only [Out_of_memory] and
+    [Stack_overflow] propagate, and leave the file in place.  [None]
+    without a count when the store is disabled. *)
+
+val put :
+  t ->
+  kind:string ->
+  version:int ->
+  key:string ->
+  encode:('a -> Util.Codec.encoder -> unit) ->
+  'a ->
+  unit
+(** Stream a value to its file ({!Util.Codec.write_frame_file}: 64 KiB
+    chunks into a temp file, checksum folded as they go, then an atomic,
+    world-readable rename), so no copy of the payload or the frame is
+    ever made.  Counts in [writes] and [store.write_s].  Concurrent puts
+    of one key each publish a whole frame.  A no-op when disabled. *)
 
 val find_or_build :
   t ->
@@ -61,21 +93,9 @@ val find_or_build :
   decode:(Util.Codec.decoder -> 'a) ->
   build:(unit -> 'a) ->
   'a
-(** Read-through lookup.  On hit, [decode] runs on the validated frame
-    payload (and may itself raise {!Util.Codec.Corrupt} on semantic
-    mismatch, e.g. a tensor stored for a different basis — that counts
-    as corruption and triggers a rebuild).  Any other exception [decode]
-    raises — a stale encoder leaving a checksum-valid but semantically
-    malformed payload, say [Invalid_argument] out of an array build —
-    is treated the same way: logged, dropped, rebuilt.  Only
-    [Out_of_memory] and [Stack_overflow] stay fatal.  On miss,
-    [build ()] runs and [encode] streams the artifact to disk
-    ({!Util.Codec.write_frame_file}: 64 KiB chunks into a temp file,
-    checksum folded as they go, then an atomic, world-readable rename),
-    so no copy of the payload or the frame is ever made.  The hit path
-    streams the frame back ({!Util.Codec.read_frame}): the artifact is
-    resident once, with the checksum folded during the read — gigabyte
-    factors never occupy double their size. *)
+(** Read-through lookup: {!find}, and on [None] [build ()] then {!put}.
+    A damaged artifact is therefore dropped and rebuilt; a disabled
+    store always builds. *)
 
 val find_or_build_sections :
   t ->
@@ -94,31 +114,32 @@ val find_or_build_sections :
     gigabytes), or copying views otherwise.  Hits count
     [store.map_hits] vs [store.full_decodes] in the metrics registry on
     top of the usual [store.hits].  Error discipline is exactly
-    {!find_or_build}'s. *)
+    {!find}'s.  v2 frames are built in memory ({!Util.Codec.frame_v2})
+    and published by {!Util.Codec.write_file}. *)
 
-val gc_dir : dir:string -> kind:string -> keep:(string -> bool) -> int
-(** Remove every [<kind>-<key>.opra] under [dir] whose [key] fails the
-    [keep] predicate; returns the number removed.  Other kinds and
-    foreign files are untouched.  Missing or unreadable directories
-    count as empty. *)
+(** {1 Removal}
+
+    [gc], [sweep] and [evict] walk one scan of the directory's regular
+    [*.opra] files, oldest first (mtime, ties broken by name, so the
+    surviving set is deterministic), and remove in that order.  Missing
+    or unreadable directories count as empty; foreign (non-[.opra])
+    files are never counted or removed. *)
 
 val gc : t -> kind:string -> keep:(string -> bool) -> int
-(** {!gc_dir} against the store's directory; [0] when disabled. *)
+(** Remove every [<kind>-<key>.opra] whose [key] fails [keep]; returns
+    the number removed.  Other kinds are untouched.  [0] when
+    disabled. *)
 
-val touch : string -> unit
-(** Refresh a file's mtime (best effort, errors swallowed).  The store
-    touches every artifact it reuses and the results {!Registry} touches
-    every journal entry it replays, so mtime order is LRU order for
-    {!evict}. *)
+val sweep : t -> kind:string -> max_entries:int -> int
+(** Bound [kind] by count: remove its oldest files until at most
+    [max_entries] remain; returns the number removed.  [0] when
+    disabled. *)
 
 val evict_dir : dir:string -> max_bytes:int -> ?protect:(string -> bool) -> unit -> int
-(** Byte-capped LRU eviction: while the total size of [*.opra] files
-    under [dir] exceeds [max_bytes], remove the least-recently-used
-    (oldest-mtime; ties broken by name for determinism) file whose
-    basename fails the [protect] predicate ([protect] defaults to
-    nothing).  Returns the number of files removed.  Missing or
-    unreadable directories count as empty.  Foreign (non-[.opra]) files
-    are never counted or removed. *)
+(** Byte-capped LRU eviction: while the total size of the [*.opra] files
+    under [dir] exceeds [max_bytes], remove the oldest file whose
+    basename fails [protect] ([protect] defaults to nothing).  Returns
+    the number of files removed. *)
 
 val evict : t -> max_bytes:int -> ?protect:(string -> bool) -> unit -> int
 (** {!evict_dir} against the store's directory; [0] when disabled.

@@ -267,9 +267,9 @@ let expect_end d =
 
 (* FNV-1a 64-bit.  Not cryptographic — it guards against torn writes,
    truncation and bit rot, not adversaries.  [fnv1a_init]/[fnv1a_fold]
-   expose the running form so file readers can checksum each chunk as it
-   comes off the descriptor instead of re-walking the whole payload in a
-   second pass. *)
+   are the running form: the streaming writer and reader checksum each
+   chunk as it passes instead of re-walking the payload in a second
+   pass. *)
 let fnv1a_init = 0xCBF29CE484222325L
 
 let fnv1a_byte h c = Int64.mul (Int64.logxor h (Int64.of_int c)) 0x100000001B3L
@@ -328,27 +328,31 @@ let frame ~kind ~version (write : encoder -> unit) =
     ~check:(fnv1a_fold fnv1a_init e.buf hdr len);
   Bytes.sub_string e.buf 0 e.pos
 
-let unframe ~kind ~version (s : string) =
-  let d = decoder_of_string s in
-  need d (String.length magic + 1);
-  let m = String.sub s 0 (String.length magic) in
+(* The one header check of every reader.  [d] holds the first
+   [header_bytes ~kind] bytes of a frame whose file is [total] bytes
+   long; returns the payload's length and stored checksum.  The kind's
+   length is checked before its bytes, since a header of another kind
+   has another length. *)
+let check_header d ~format ~kind ~version ~total =
+  need d 5;
+  let m = String.sub d.s d.pos 4 and fmt = Char.code d.s.[d.pos + 4] in
   if m <> magic then corrupt "bad magic %S (want %S)" m magic;
-  d.pos <- String.length magic;
-  let fmt = Char.code s.[d.pos] in
-  d.pos <- d.pos + 1;
-  if fmt <> format_version then corrupt "unsupported codec format %d (want %d)" fmt format_version;
-  let k = read_string d in
+  if fmt <> format then corrupt "unsupported codec format %d (want %d)" fmt format;
+  d.pos <- d.pos + 5;
+  let klen = read_int d in
+  if klen <> String.length kind then
+    corrupt "artifact kind of %d bytes does not match %S" klen kind;
+  need d klen;
+  let k = String.sub d.s d.pos klen in
+  d.pos <- d.pos + klen;
   if k <> kind then corrupt "artifact kind %S does not match %S" k kind;
   let v = read_int d in
   if v <> version then corrupt "artifact version %d does not match %d" v version;
   let len = read_length d "payload" in
   let check = read_i64 d in
-  if remaining d <> len then
-    corrupt "payload length %d does not match frame (%d bytes present)" len (remaining d);
-  let actual = fnv1a ~pos:d.pos ~len s in
-  if not (Int64.equal check actual) then
-    corrupt "checksum mismatch (stored %Lx, computed %Lx)" check actual;
-  decoder_of_string ~pos:d.pos ~limit:(d.pos + len) s
+  if total - d.pos <> len then
+    corrupt "payload length %d does not match frame (%d bytes present)" len (total - d.pos);
+  (len, check)
 
 (* ---- files ---------------------------------------------------------- *)
 
@@ -411,90 +415,29 @@ let write_frame_file path ~kind ~version (write : encoder -> unit) =
       seek_out oc 0;
       output_bytes oc hdr)
 
-let read_file path =
-  (* [None] means only "no file to read" (open failed).  A file that
-     opens but is empty or shrinks mid-read is damage, and reports as
-     [Corrupt] so callers take their drop-and-rebuild path instead of
-     mistaking it for a clean miss. *)
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let len = in_channel_length ic in
-          if len = 0 then corrupt "artifact file %s is empty" path;
-          match really_input_string ic len with
-          | s -> Some s
-          | exception End_of_file ->
-              corrupt "artifact file %s truncated below its %d bytes" path len)
-
 (* ---- streaming frame reads ------------------------------------------
 
-   [read_file] + [unframe] holds the whole file (header + payload) while
-   the checksum re-walks it and the decoder reads out of it — a large
-   artifact is effectively resident twice during the most
-   memory-sensitive moment of a warm start.  [read_frame] reads the
-   header fields straight off the channel, then reads the payload into
-   its one final buffer in chunks, folding the FNV-1a checksum over each
-   chunk as it lands.  One pass, one allocation, header bytes never
-   retained. *)
-
-let read_chunk_size = 65536
+   One reader for both formats.  The header is read off the channel and
+   validated by [check_header]; the payload is read into its one final
+   buffer in chunks, each folded through the FNV-1a checksum as it
+   lands: one pass, one allocation, the artifact never resident twice.
+   [None] only when the file cannot be opened; a file that opens but is
+   short, empty or damaged raises [Corrupt], so callers take their
+   drop-and-rebuild path instead of mistaking damage for a miss. *)
 
 let input_exactly ic path buf pos len =
   match really_input ic buf pos len with
   | () -> ()
   | exception End_of_file -> corrupt "artifact file %s truncated mid-read" path
 
-(* Header fields shared by both formats: magic, format byte, kind,
-   version, payload length, payload checksum.  Returns the format byte;
-   the caller dispatches on it. *)
-let read_header ic path ~kind ~version =
-  let fixed = Bytes.create 5 in
-  input_exactly ic path fixed 0 5;
-  let m = Bytes.sub_string fixed 0 4 in
-  if m <> magic then corrupt "bad magic %S (want %S)" m magic;
-  let fmt = Char.code (Bytes.get fixed 4) in
-  let word = Bytes.create 8 in
-  let read_i64_ch () =
-    input_exactly ic path word 0 8;
-    Bytes.get_int64_le word 0
-  in
-  let read_int_ch () =
-    let v = read_i64_ch () in
-    if Int64.compare v min_int64 < 0 || Int64.compare v max_int64 > 0 then
-      corrupt "integer out of native range in %s header" path;
-    Int64.to_int v
-  in
-  let klen = read_int_ch () in
-  if klen < 0 || klen > 4096 then corrupt "implausible kind length %d in %s" klen path;
-  let kbuf = Bytes.create klen in
-  input_exactly ic path kbuf 0 klen;
-  let k = Bytes.unsafe_to_string kbuf in
-  if k <> kind then corrupt "artifact kind %S does not match %S" k kind;
-  let v = read_int_ch () in
-  if v <> version then corrupt "artifact version %d does not match %d" v version;
-  let len = read_int_ch () in
-  if len < 0 then corrupt "negative payload length %d in %s" len path;
-  let check = read_i64_ch () in
-  (fmt, len, check)
+(* The header a [kind] frame needs must fit in the file's [total] bytes. *)
+let header_of_size path ~kind ~total =
+  let hdr = header_bytes ~kind in
+  if total < hdr then
+    corrupt "artifact file %s is %d bytes, short of its %d-byte header" path total hdr;
+  hdr
 
-let read_payload_checked ic path len check =
-  let payload = Bytes.create len in
-  let h = ref fnv1a_init in
-  let pos = ref 0 in
-  while !pos < len do
-    let n = Int.min read_chunk_size (len - !pos) in
-    input_exactly ic path payload !pos n;
-    h := fnv1a_fold !h payload !pos n;
-    pos := !pos + n
-  done;
-  if not (Int64.equal check !h) then
-    corrupt "checksum mismatch in %s (stored %Lx, computed %Lx)" path check !h;
-  Bytes.unsafe_to_string payload
-
-let read_frame ~kind ~version path =
+let read_checked ~format ~kind ~version path =
   match open_in_bin path with
   | exception Sys_error _ -> None
   | ic ->
@@ -502,14 +445,26 @@ let read_frame ~kind ~version path =
         ~finally:(fun () -> close_in_noerr ic)
         (fun () ->
           let total = in_channel_length ic in
-          if total = 0 then corrupt "artifact file %s is empty" path;
-          let fmt, len, check = read_header ic path ~kind ~version in
-          if fmt <> format_version then
-            corrupt "unsupported codec format %d (want %d)" fmt format_version;
-          if total - header_bytes ~kind <> len then
-            corrupt "payload length %d does not match frame (%d bytes present)" len
-              (total - header_bytes ~kind);
-          Some (decoder_of_string (read_payload_checked ic path len check)))
+          let header = Bytes.create (header_of_size path ~kind ~total) in
+          input_exactly ic path header 0 (Bytes.length header);
+          let len, check =
+            check_header (decoder_of_string (Bytes.unsafe_to_string header)) ~format ~kind ~version
+              ~total
+          in
+          let payload = Bytes.create len in
+          let h = ref fnv1a_init and pos = ref 0 in
+          while !pos < len do
+            let n = Int.min chunk_size (len - !pos) in
+            input_exactly ic path payload !pos n;
+            h := fnv1a_fold !h payload !pos n;
+            pos := !pos + n
+          done;
+          if not (Int64.equal check !h) then
+            corrupt "checksum mismatch in %s (stored %Lx, computed %Lx)" path check !h;
+          Some (Bytes.unsafe_to_string payload))
+
+let read_frame ~kind ~version path =
+  Option.map decoder_of_string (read_checked ~format:format_version ~kind ~version path)
 
 (* ---- v2 frames: section-table payloads, mmap-decodable ---------------
 
@@ -698,29 +653,16 @@ let map_frame_v2 ~kind ~version path =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       let total = (Unix.fstat fd).Unix.st_size in
+      let hdr_len = header_of_size path ~kind ~total in
       let whole =
         Bigarray.array1_of_genarray
           (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| total |])
       in
-      let hdr_len = header_bytes ~kind in
-      if total < hdr_len then corrupt "artifact file %s truncated below its header" path;
-      (* Validate the header out of the mapping. *)
-      let header = string_of_map whole 0 hdr_len in
-      let d = decoder_of_string header in
-      d.pos <- 4;
-      if String.sub header 0 4 <> magic then corrupt "bad magic in %s" path;
-      let fmt = Char.code header.[4] in
-      d.pos <- 5;
-      if fmt <> format_version_v2 then corrupt "format %d is not v2" fmt;
-      let k = read_string d in
-      if k <> kind then corrupt "artifact kind %S does not match %S" k kind;
-      let v = read_int d in
-      if v <> version then corrupt "artifact version %d does not match %d" v version;
-      let len = read_length d "payload" in
-      let check = read_i64 d in
-      if total - hdr_len <> len then
-        corrupt "payload length %d does not match frame (%d bytes present)" len
-          (total - hdr_len);
+      let len, check =
+        check_header
+          (decoder_of_string (string_of_map whole 0 hdr_len))
+          ~format:format_version_v2 ~kind ~version ~total
+      in
       (* Checksum over the mapped region before trusting any of it. *)
       let actual = fnv1a_map whole hdr_len len in
       if not (Int64.equal check actual) then
@@ -759,37 +701,22 @@ let map_frame_v2 ~kind ~version path =
       end)
 
 let read_frame_v2 ?(map = true) ~kind ~version path =
-  if not (Sys.file_exists path) then None
-  else begin
-    let mapped =
-      if map then
-        match map_frame_v2 ~kind ~version path with
-        | r -> r
-        | exception Unix.Unix_error _ -> None
-      else None
-    in
-    match mapped with
-    | Some (meta, s) -> Some (meta, s)
-    | None -> (
-        (* Copying fallback: stream-read + checksum, then decode runs. *)
-        match open_in_bin path with
-        | exception Sys_error _ -> None
-        | ic ->
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () ->
-                let total = in_channel_length ic in
-                if total = 0 then corrupt "artifact file %s is empty" path;
-                let fmt, len, check = read_header ic path ~kind ~version in
-                if fmt <> format_version_v2 then
-                  corrupt "unsupported codec format %d (want %d)" fmt format_version_v2;
-                if total - header_bytes ~kind <> len then
-                  corrupt "payload length %d does not match frame" len;
-                let payload = read_payload_checked ic path len check in
-                let pd = decoder_of_string payload in
-                let _, _, table = read_v2_table pd len in
-                let meta_len = read_length pd "meta" in
-                let meta = String.sub payload pd.pos meta_len in
-                let entries = copy_sections payload table in
-                Some (decoder_of_string meta, { mapped = false; entries })))
-  end
+  (* A missing file fails the mapping's open and then the copying
+     read's: [None]. *)
+  let mapped =
+    if map then
+      match map_frame_v2 ~kind ~version path with r -> r | exception Unix.Unix_error _ -> None
+    else None
+  in
+  match mapped with
+  | Some _ -> mapped
+  | None ->
+      (* Copying fallback: the streamed read, then a decode of the runs. *)
+      Option.map
+        (fun payload ->
+          let pd = decoder_of_string payload in
+          let _, _, table = read_v2_table pd (String.length payload) in
+          let meta_len = read_length pd "meta" in
+          let meta = String.sub payload pd.pos meta_len in
+          (decoder_of_string meta, { mapped = false; entries = copy_sections payload table }))
+        (read_checked ~format:format_version_v2 ~kind ~version path)

@@ -86,23 +86,10 @@ val frame : kind:string -> version:int -> (encoder -> unit) -> string
     into a self-describing frame carrying the artifact [kind] tag, the
     caller's schema [version] and an FNV-1a checksum of the payload.
     The in-memory form; {!write_frame_file} streams the same bytes to a
-    file. *)
-
-val unframe : kind:string -> version:int -> string -> decoder
-(** Validate a frame (magic, codec format, kind, version, length,
-    checksum) and return a decoder positioned on the payload.  Raises
-    {!Corrupt} on any mismatch. *)
+    file, and {!read_frame} reads them back. *)
 
 val fnv1a : ?pos:int -> ?len:int -> string -> int64
 (** FNV-1a 64-bit hash of a substring (integrity, not cryptography). *)
-
-val fnv1a_init : int64
-(** Initial state of the running FNV-1a form. *)
-
-val fnv1a_fold : int64 -> Bytes.t -> int -> int -> int64
-(** [fnv1a_fold h b pos len] advances the running hash over a chunk —
-    the incremental form used by {!read_frame} to checksum a payload
-    while it is read, without a second pass. *)
 
 (** {1 Files} *)
 
@@ -124,20 +111,16 @@ val write_frame_file : string -> kind:string -> version:int -> (encoder -> unit)
     the write itself) raises, the temp file is removed and the
     exception re-raised; [path] is left as it was. *)
 
-val read_file : string -> string option
-(** Whole-file read; [None] when the file is missing or unreadable
-    (open failed).  A file that opens but is zero-length or truncates
-    mid-read raises {!Corrupt} — that is cache damage, not a miss, and
-    callers must take their drop-and-rebuild path. *)
-
 val read_frame : kind:string -> version:int -> string -> decoder option
-(** Single-pass framed read: validates the v1 header straight off the
-    channel, then reads the payload into its one final buffer in chunks,
-    folding the FNV-1a checksum over each chunk as it lands.  Unlike
-    {!read_file} + {!unframe}, the artifact is never resident twice and
-    the checksum never re-walks the payload.  [None] when the file is
-    missing or unreadable; {!Corrupt} on any damage (including a v2
-    format byte — dispatch by artifact kind, not by sniffing). *)
+(** The one frame reader.  Validates the header straight off the
+    channel, then reads the payload into its one final buffer in 64 KiB
+    chunks, folding the FNV-1a checksum over each chunk as it lands: the
+    artifact is resident once and the checksum never re-walks it.
+    [None] only when the file cannot be opened; a file that opens but is
+    empty, short, truncated mid-read or damaged raises {!Corrupt} (that
+    is cache damage, not a miss, and callers take their drop-and-rebuild
+    path), as does a v2 format byte — dispatch by artifact kind, not by
+    sniffing. *)
 
 (** {1 v2 frames: mmap-decodable section payloads}
 
@@ -190,5 +173,6 @@ val read_frame_v2 :
 (** Load a v2 frame: the meta decoder plus section views.  With
     [map = true] (default) a matching 64-bit little-endian host gets
     mapped views, checksummed over the mapped region; otherwise — or
-    when mapping fails — a streaming read + copying decode.  [None] when
-    the file is missing; {!Corrupt} on damage. *)
+    when mapping fails — {!read_frame}'s streamed read + copying decode.
+    Both branches validate the header with {!read_frame}'s one check.
+    [None] when the file cannot be opened; {!Corrupt} on damage. *)

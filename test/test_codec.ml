@@ -75,8 +75,18 @@ let frame_payload () =
       C.write_float_array e [| 1.5; -2.25; 1e-12 |];
       C.write_string e "ordering")
 
-let read_back bytes =
-  let d = C.unframe ~kind:"chol" ~version:3 bytes in
+(* Frame bytes read back through the one frame reader, from a file. *)
+let read_bytes ~kind ~version bytes =
+  let path = Filename.temp_file "codec_test" ".opra" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      C.write_file path bytes;
+      match C.read_frame ~kind ~version path with
+      | Some d -> d
+      | None -> Alcotest.fail "read_frame found no file")
+
+let read_back_payload d =
   let n = C.read_int d in
   let xs = C.read_float_array d in
   let s = C.read_string d in
@@ -84,7 +94,7 @@ let read_back bytes =
   (n, xs, s)
 
 let test_frame_roundtrip () =
-  let n, xs, s = read_back (frame_payload ()) in
+  let n, xs, s = read_back_payload (read_bytes ~kind:"chol" ~version:3 (frame_payload ())) in
   Alcotest.(check int) "int through frame" 17 n;
   Alcotest.(check (array (float 0.0))) "floats through frame" [| 1.5; -2.25; 1e-12 |] xs;
   Alcotest.(check string) "string through frame" "ordering" s
@@ -118,25 +128,19 @@ let expect_corrupt what f =
   | _ -> Alcotest.failf "%s: expected Corrupt" what
   | exception C.Corrupt _ -> ()
 
-let read_back_payload d =
-  let n = C.read_int d in
-  let xs = C.read_float_array d in
-  let s = C.read_string d in
-  C.expect_end d;
-  (n, xs, s)
-
 let test_frame_validation () =
   let good = frame_payload () in
-  expect_corrupt "wrong kind" (fun () -> C.unframe ~kind:"perm" ~version:3 good);
-  expect_corrupt "older version" (fun () -> C.unframe ~kind:"chol" ~version:4 good);
-  expect_corrupt "newer version" (fun () -> C.unframe ~kind:"chol" ~version:2 good);
-  expect_corrupt "empty" (fun () -> C.unframe ~kind:"chol" ~version:3 "");
+  expect_corrupt "wrong kind" (fun () -> read_bytes ~kind:"perm" ~version:3 good);
+  expect_corrupt "longer kind" (fun () -> read_bytes ~kind:"cholesky" ~version:3 good);
+  expect_corrupt "older version" (fun () -> read_bytes ~kind:"chol" ~version:4 good);
+  expect_corrupt "newer version" (fun () -> read_bytes ~kind:"chol" ~version:2 good);
+  expect_corrupt "empty" (fun () -> read_bytes ~kind:"chol" ~version:3 "");
   (* truncation at every prefix length must be detected, never crash *)
   for len = 0 to String.length good - 1 do
     expect_corrupt
       (Printf.sprintf "truncated to %d" len)
       (fun () ->
-        let d = C.unframe ~kind:"chol" ~version:3 (String.sub good 0 len) in
+        let d = read_bytes ~kind:"chol" ~version:3 (String.sub good 0 len) in
         ignore (read_back_payload d))
   done
 
@@ -150,7 +154,7 @@ let test_bit_flip_checksum () =
     expect_corrupt
       (Printf.sprintf "bit flip at %d" pos)
       (fun () ->
-        let d = C.unframe ~kind:"chol" ~version:3 (Bytes.to_string b) in
+        let d = read_bytes ~kind:"chol" ~version:3 (Bytes.to_string b) in
         read_back_payload d)
   done
 
@@ -162,22 +166,25 @@ let test_fnv1a_known () =
 
 let test_file_roundtrip () =
   let path = Filename.temp_file "codec_test" ".opra" in
-  let payload = frame_payload () in
-  C.write_file path payload;
-  (match C.read_file path with
-  | Some bytes -> Alcotest.(check string) "file round-trip" payload bytes
-  | None -> Alcotest.fail "read_file returned None");
+  C.write_file path (frame_payload ());
+  (match C.read_frame ~kind:"chol" ~version:3 path with
+  | Some d ->
+      let n, xs, s = read_back_payload d in
+      Alcotest.(check int) "int through the file" 17 n;
+      Alcotest.(check (array (float 0.0))) "floats through the file" [| 1.5; -2.25; 1e-12 |] xs;
+      Alcotest.(check string) "string through the file" "ordering" s
+  | None -> Alcotest.fail "read_frame returned None");
   Sys.remove path;
-  Alcotest.(check bool) "missing file" true (C.read_file path = None)
+  Alcotest.(check bool) "missing file" true (C.read_frame ~kind:"chol" ~version:3 path = None)
 
 let test_zero_length_file_is_corrupt () =
   (* Regression: a crash can leave a zero-length file under an artifact
      name (e.g. a journal entry opened but never written).  That is
-     cache damage, not a miss: read_file must raise Corrupt — not
-     return "" or None — so Store, Registry and the lint cache all take
-     their drop-and-rebuild path. *)
+     cache damage, not a miss: read_frame must raise Corrupt — not
+     return None — so the store (and through it the journal) and the
+     lint cache take their drop-and-rebuild path. *)
   let path = Filename.temp_file "codec_test" ".opra" in
-  (match C.read_file path with
+  (match C.read_frame ~kind:"chol" ~version:3 path with
   | exception C.Corrupt _ -> ()
   | Some _ -> Alcotest.fail "zero-length file read back as data"
   | None -> Alcotest.fail "zero-length file reported as a clean miss");
@@ -282,7 +289,7 @@ let test_streamed_arrays () =
             C.write_string e "end"
           in
           let what = Printf.sprintf "%d elements after %d bytes" len lead in
-          let d = C.unframe ~kind:"stream" ~version:5 (check_streamed what write) in
+          let d = read_bytes ~kind:"stream" ~version:5 (check_streamed what write) in
           for _ = 1 to lead do
             ignore (C.read_bool d)
           done;

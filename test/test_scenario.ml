@@ -599,7 +599,7 @@ let test_resume_replays_bitwise () =
   let _, healed = run ~cache_dir ~resume:true jobs in
   Alcotest.(check int) "healed journal replays every job" 3 healed.Engine.replayed;
   (* Zero-length journal entry (a crash between open and first write):
-     Codec.read_file raises Corrupt, and the registry must take the same
+     Codec.read_frame raises Corrupt, and the registry must take the same
      drop-and-re-run path, not crash or replay an empty record. *)
   (match Scenario.Registry.path registry jobs.(1) with
   | Some path -> close_out (open_out_bin path)

@@ -61,108 +61,210 @@ let artifact_path store =
   | Some p -> p
   | None -> Alcotest.fail "enabled store must expose the artifact path"
 
-(* Damage the cached artifact with [mangle], then look it up again: the
-   store must detect the damage, rebuild, and return the cold value. *)
-let corruption_case what mangle =
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
+(* ---- the corruption matrix -------------------------------------------
+
+   Every case runs on two subjects, the two kinds of file the store
+   guards: an artifact, built once by [find_or_build], and a results
+   journal entry, replayed by [Registry.lookup] and, on a miss, re-run
+   and re-journaled by [Registry.record] as the engine does.  [builds]
+   counts builds and re-runs alike. *)
+
+type cache = {
+  get : unit -> string;  (* the value, as canonical bytes; a miss builds *)
+  path : string;  (* the value's file *)
+  corrupt : unit -> int;  (* damaged files dropped so far *)
+}
+
+type subject = {
+  name : string;
+  kind : string;
+  version : int;
+  open_cache : string -> cache;  (* a fresh handle on a cache directory *)
+}
+
+let artifact_bytes v =
+  String.concat "," (Array.to_list (Array.map (fun x -> Int64.to_string (Int64.bits_of_float x)) v))
+
+let artifact =
+  {
+    name = "artifact";
+    kind = "test";
+    version = 1;
+    open_cache =
+      (fun dir ->
+        let store = Store.create ~metrics:(Util.Metrics.create ()) ~dir:(Some dir) () in
+        {
+          get = (fun () -> artifact_bytes (lookup store));
+          path = artifact_path store;
+          corrupt = (fun () -> (Store.stats store).Store.corrupt);
+        });
+  }
+
+let journaled_job =
+  match Scenario.Job.of_json (Util.Json.Obj [ ("name", Util.Json.Str "journaled") ]) with
+  | Ok job -> job
+  | Error e -> failwith e
+
+let journaled_record =
+  Util.Json.(
+    Obj
+      [
+        ("name", Str "journaled");
+        ("mean", List [ Num 0.1; Num (-0.0); Num 1e-300; Num Float.max_float ]);
+        ("flags", Obj [ ("ok", Bool true); ("none", Null) ]);
+      ])
+
+let journal =
+  {
+    name = "journal entry";
+    kind = "result";
+    version = 1;
+    open_cache =
+      (fun dir ->
+        let registry = Scenario.Registry.create ~dir:(Some dir) () in
+        {
+          get =
+            (fun () ->
+              match Scenario.Registry.lookup registry journaled_job with
+              | Some record -> Util.Json.render record
+              | None ->
+                  incr builds;
+                  Scenario.Registry.record registry journaled_job journaled_record;
+                  Util.Json.render journaled_record);
+          path =
+            (match Scenario.Registry.path registry journaled_job with
+            | Some p -> p
+            | None -> Alcotest.fail "enabled registry must expose the entry path");
+          corrupt = (fun () -> (Scenario.Registry.stats registry).Scenario.Registry.corrupt);
+        });
+  }
+
+let subjects = [ artifact; journal ]
+
+(* Fill a fresh cache with [subject]'s value; returns the handle, the
+   value and its file's bytes. *)
+let cold subject =
   builds := 0;
-  let store = Store.create ~metrics:(Util.Metrics.create ()) ~dir:(Some (fresh_dir ())) () in
-  check_payload (what ^ ": cold") (lookup store);
-  let path = artifact_path store in
-  let bytes =
-    match C.read_file path with Some b -> b | None -> Alcotest.fail "artifact not written"
-  in
-  (match mangle bytes with
-  | Some damaged -> C.write_file path damaged
-  | None -> Sys.remove path);
-  check_payload (what ^ ": after damage") (lookup store);
-  Alcotest.(check int) (what ^ ": rebuilt") 2 !builds;
-  (* and the rebuild must heal the store: next lookup is a clean hit *)
-  check_payload (what ^ ": healed") (lookup store);
+  let c = subject.open_cache (fresh_dir ()) in
+  let value = c.get () in
+  Alcotest.(check int) (subject.name ^ ": cold build") 1 !builds;
+  (c, value, read_all c.path)
+
+(* After damage: the next [get] rebuilds or re-runs exactly once and
+   re-writes the cold file byte for byte, the one after is a clean hit,
+   and [corrupt] counts the damaged file once (nothing when the file
+   was missing rather than damaged). *)
+let check_heals what (c, value, bytes) ~damaged =
+  Alcotest.(check string) (what ^ ": value after damage") value (c.get ());
+  Alcotest.(check int) (what ^ ": rebuilt once") 2 !builds;
+  Alcotest.(check string) (what ^ ": re-written byte for byte") bytes (read_all c.path);
+  Alcotest.(check string) (what ^ ": healed") value (c.get ());
   Alcotest.(check int) (what ^ ": no third build") 2 !builds;
-  Store.stats store
+  Alcotest.(check int) (what ^ ": dropped once") (if damaged then 1 else 0) (c.corrupt ())
+
+(* Damage each subject's cached file with [mangle] ([None] deletes it),
+   then check it heals. *)
+let corruption_case what ?(damaged = true) mangle =
+  List.iter
+    (fun subject ->
+      let ((c, _, bytes) as filled) = cold subject in
+      (match mangle subject bytes with
+      | Some mangled -> C.write_file c.path mangled
+      | None -> Sys.remove c.path);
+      check_heals (subject.name ^ ", " ^ what) filled ~damaged)
+    subjects
 
 let test_truncated () =
-  let s = corruption_case "truncated" (fun b -> Some (String.sub b 0 (String.length b / 2))) in
-  Alcotest.(check int) "truncation counts as corrupt" 1 s.Store.corrupt
+  corruption_case "truncated" (fun _ b -> Some (String.sub b 0 (String.length b / 2)))
 
 let test_bit_flip () =
-  let s =
-    corruption_case "bit flip" (fun b ->
-        let bytes = Bytes.of_string b in
-        let pos = Bytes.length bytes - 3 in
-        Bytes.set bytes pos (Char.chr (Char.code (Bytes.get bytes pos) lxor 0x01));
-        Some (Bytes.to_string bytes))
-  in
-  Alcotest.(check int) "bit flip counts as corrupt" 1 s.Store.corrupt
+  corruption_case "bit flip" (fun _ b ->
+      let bytes = Bytes.of_string b in
+      let pos = Bytes.length bytes - 3 in
+      Bytes.set bytes pos (Char.chr (Char.code (Bytes.get bytes pos) lxor 0x01));
+      Some (Bytes.to_string bytes))
 
 let test_wrong_kind () =
-  let s =
-    corruption_case "wrong kind" (fun _ ->
-        Some (C.frame ~kind:"other" ~version:1 (fun e -> C.write_float_array e payload)))
-  in
-  Alcotest.(check int) "kind mismatch counts as corrupt" 1 s.Store.corrupt
+  corruption_case "wrong kind" (fun s _ ->
+      Some (C.frame ~kind:"other" ~version:s.version (fun e -> C.write_float_array e payload)))
 
 let test_version_mismatch () =
-  let s =
-    corruption_case "older schema" (fun _ ->
-        Some (C.frame ~kind:"test" ~version:0 (fun e -> C.write_float_array e payload)))
-  in
-  Alcotest.(check int) "schema version counts as corrupt" 1 s.Store.corrupt
+  corruption_case "older schema" (fun s _ ->
+      Some (C.frame ~kind:s.kind ~version:(s.version - 1) (fun e -> C.write_float_array e payload)))
 
 let test_semantic_decode_mismatch () =
   (* a frame that validates but whose payload the decoder rejects *)
-  let s =
-    corruption_case "semantic mismatch" (fun _ ->
-        Some (C.frame ~kind:"test" ~version:1 (fun e -> C.write_string e "not an array")))
-  in
-  Alcotest.(check bool) "decode rejection counts as corrupt" true (s.Store.corrupt >= 1)
+  corruption_case "semantic mismatch" (fun s _ ->
+      Some (C.frame ~kind:s.kind ~version:s.version (fun e -> C.write_string e "not a value")))
 
 let test_zero_length_artifact () =
-  (* read_file raises Corrupt on a zero-length file; the store must fold
-     that into the usual drop-and-rebuild path. *)
-  let s = corruption_case "zero-length" (fun _ -> Some "") in
-  Alcotest.(check int) "zero-length counts as corrupt" 1 s.Store.corrupt
+  (* read_frame raises Corrupt on a zero-length file; the store must
+     fold that into the usual drop-and-rebuild path. *)
+  corruption_case "zero-length" (fun _ _ -> Some "")
 
 let test_deleted_file () =
-  let s = corruption_case "deleted artifact" (fun _ -> None) in
-  Alcotest.(check int) "plain miss, not corrupt" 0 s.Store.corrupt;
-  Alcotest.(check int) "two misses" 2 s.Store.misses
+  corruption_case "deleted" ~damaged:false (fun _ _ -> None);
+  (* a deleted artifact is a plain miss: two misses, nothing corrupt *)
+  builds := 0;
+  let store = Store.create ~metrics:(Util.Metrics.create ()) ~dir:(Some (fresh_dir ())) () in
+  ignore (lookup store);
+  Sys.remove (artifact_path store);
+  ignore (lookup store);
+  check_stats "deleted artifact" store ~hits:0 ~misses:2 ~corrupt:0
 
 (* A decoder may blow up with something other than Codec.Corrupt — an
    Invalid_argument from a stale schema indexing out of bounds, say.
-   The store must treat that exactly like corruption: rebuild, count it,
+   The store must treat that exactly like corruption: drop, count,
    heal.  Crashing the whole batch over one stale artifact is the bug
-   this guards against. *)
-let lookup_decoding_with store decode =
-  Store.find_or_build store ~kind:"test" ~version:1 ~key:"k0"
-    ~encode:(fun v e -> C.write_float_array e v)
-    ~decode
-    ~build:(fun () ->
-      incr builds;
-      Array.copy payload)
+   this guards against.  The journal's own decoder is total (every
+   malformed payload raises Corrupt), so the raising decoder reaches
+   each subject's file through [Store.find] on its kind and key. *)
+let find_raising subject c raise_it =
+  let key =
+    let base = Filename.basename c.path in
+    let prefix = String.length subject.kind + 1 in
+    String.sub base prefix (String.length base - prefix - String.length ".opra")
+  in
+  let probe =
+    Store.create ~metrics:(Util.Metrics.create ()) ~dir:(Some (Filename.dirname c.path)) ()
+  in
+  ( probe,
+    fun () ->
+      Store.find probe ~kind:subject.kind ~version:subject.version ~key ~decode:(fun _ ->
+          raise_it ()) )
 
 let test_decoder_exception_rebuilds () =
-  builds := 0;
-  let store = Store.create ~metrics:(Util.Metrics.create ()) ~dir:(Some (fresh_dir ())) () in
-  check_payload "cold" (lookup store);
-  let v = lookup_decoding_with store (fun _ -> invalid_arg "index out of bounds") in
-  check_payload "after decoder exception" v;
-  Alcotest.(check int) "rebuilt" 2 !builds;
-  Alcotest.(check int) "decoder exception counts as corrupt" 1 (Store.stats store).Store.corrupt;
-  (* the rebuild rewrote the artifact, so a sane decoder now hits *)
-  check_payload "healed" (lookup store);
-  Alcotest.(check int) "no third build" 2 !builds
+  List.iter
+    (fun subject ->
+      let ((c, _, _) as filled) = cold subject in
+      let probe, find = find_raising subject c (fun () -> invalid_arg "index out of bounds") in
+      Alcotest.(check bool) (subject.name ^ ": dropped, not returned") true (find () = None);
+      Alcotest.(check int) (subject.name ^ ": decoder exception counts as corrupt") 1
+        (Store.stats probe).Store.corrupt;
+      Alcotest.(check bool) (subject.name ^ ": file removed") false (Sys.file_exists c.path);
+      check_heals (subject.name ^ ", decoder exception") filled ~damaged:false)
+    subjects
 
 let test_fatal_exceptions_propagate () =
-  builds := 0;
-  let store = Store.create ~metrics:(Util.Metrics.create ()) ~dir:(Some (fresh_dir ())) () in
-  check_payload "cold" (lookup store);
-  Alcotest.check_raises "Out_of_memory is never swallowed" Out_of_memory (fun () ->
-      ignore (lookup_decoding_with store (fun _ -> raise Out_of_memory)));
-  (* and the artifact must survive — OOM is the machine's problem, not
-     evidence the file is damaged *)
-  Alcotest.(check bool) "artifact not removed" true (Sys.file_exists (artifact_path store));
-  Alcotest.(check int) "not counted as corrupt" 0 (Store.stats store).Store.corrupt
+  List.iter
+    (fun subject ->
+      List.iter
+        (fun fatal ->
+          let c, value, bytes = cold subject in
+          let probe, find = find_raising subject c (fun () -> raise fatal) in
+          let what = subject.name ^ ", " ^ Printexc.to_string fatal in
+          Alcotest.check_raises (what ^ " is never swallowed") fatal (fun () -> ignore (find ()));
+          (* and the file must survive — OOM is the machine's problem,
+             not evidence the file is damaged *)
+          Alcotest.(check string) (what ^ ": file untouched") bytes (read_all c.path);
+          Alcotest.(check int) (what ^ ": not counted as corrupt") 0
+            (Store.stats probe).Store.corrupt;
+          Alcotest.(check string) (what ^ ": still a hit") value (c.get ());
+          Alcotest.(check int) (what ^ ": nothing rebuilt") 1 !builds)
+        [ Out_of_memory; Stack_overflow ])
+    subjects
 
 (* The batch engine's domains look up distinct artifacts at once: every
    count must land (no lost updates under the store's mutex) and every

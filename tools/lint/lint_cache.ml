@@ -9,8 +9,9 @@
 
    The codec layer already gives the crash-safety story: frames are
    checksummed, written atomically (temp + rename), and any torn or
-   truncated entry surfaces as [Util.Codec.Corrupt] on probe, which we
-   treat as a miss and rebuild. *)
+   truncated entry surfaces as [Util.Codec.Corrupt] from
+   [Util.Codec.read_frame] on probe, which we treat as a miss and
+   rebuild. *)
 
 type entry = {
   findings : Lint_rules.finding list;
@@ -67,8 +68,7 @@ let write_entry ~src_digest ~cfg_digest entry e =
   Util.Codec.write_int e (List.length entry.race_closures);
   List.iter (Util.Codec.write_int e) entry.race_closures
 
-let decode ~src_digest ~cfg_digest bytes =
-  let d = Util.Codec.unframe ~kind ~version bytes in
+let decode ~src_digest ~cfg_digest d =
   let stored_src = Util.Codec.read_string d in
   let stored_cfg = Util.Codec.read_string d in
   if stored_src <> src_digest || stored_cfg <> cfg_digest then None
@@ -89,15 +89,10 @@ let decode ~src_digest ~cfg_digest bytes =
    removed, so the rebuilt entry replaces them). *)
 let load ~dir ~rel_path ~src_digest ~cfg_digest : entry option =
   let file = file_for ~dir ~rel_path in
-  match Util.Codec.read_file file with
-  | None -> None
-  | Some bytes -> (
-      match decode ~src_digest ~cfg_digest bytes with
-      | entry -> entry
-      | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
-      | exception _ ->
-          (try Sys.remove file with Sys_error _ -> ());
-          None)
+  match
+    Option.bind (Util.Codec.read_frame ~kind ~version file) (decode ~src_digest ~cfg_digest)
+  with
+  | entry -> entry
   | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
   | exception _ ->
       (try Sys.remove file with Sys_error _ -> ());
