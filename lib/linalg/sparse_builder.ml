@@ -39,10 +39,6 @@ let add b i j v =
   b.vals.(b.len) <- v;
   b.len <- b.len + 1
 
-let add_sym b i j v =
-  add b i j v;
-  if i <> j then add b j i v
-
 let stamp_conductance b n1 n2 g =
   match (n1, n2) with
   | None, None -> ()

@@ -12,9 +12,6 @@ val add : t -> int -> int -> float -> unit
 (** [add b i j v] records a contribution [v] at (i, j). Zero contributions
     are recorded too (they vanish at compression). *)
 
-val add_sym : t -> int -> int -> float -> unit
-(** [add_sym b i j v] records [v] at (i, j) and, when [i <> j], at (j, i). *)
-
 val stamp_conductance : t -> int option -> int option -> float -> unit
 (** [stamp_conductance b n1 n2 g] stamps a two-terminal conductance [g]
     between nodes [n1] and [n2]; [None] denotes the ground node, whose row

@@ -130,16 +130,12 @@ let tp_provider store basis =
    or netlist load, chaos expansion, triple-product and ordering
    lookups — runs on the main domain before any job, so every
    [Invalid_batch] it raises precedes the first record.  Each
-   factorization the group needs is then one task of [run]'s claim
-   loop, run by whichever loop claims it, alongside other groups'
-   factors and jobs.  A claim depends on exactly the factors its route
-   applies ([route]), becomes claimable once those exist, and gets a
-   context assembled from them alone.  Every task assembles the matrix
-   it factors itself: the tasks share only read-only values (model,
-   ordering, assembled [Ct] or [G]), never a [Lazy.t], which OCaml 5
-   refuses to force from two domains at once.  A shared factor is
-   complete before any claim applies it (read-only, through
-   workspace-explicit solves). *)
+   factorization the group needs is then one task of [run]'s task
+   graph, and a chunk gets a context assembled from exactly the
+   factors its [route] applies, once they exist.  Every task assembles
+   the matrix it factors itself: the tasks share only read-only values
+   (model, ordering, assembled [Ct] or [G]), never a [Lazy.t], which
+   OCaml 5 refuses to force from two domains at once. *)
 
 type galerkin_ctx = {
   model : Opera.Stochastic_model.t;
@@ -627,7 +623,6 @@ let run_iterative_job (ctx : galerkin_ctx) (job : Job.t) reg ~inner ~warm_start 
       transient_record job response ~vdd ~probe ~n
   | Job.Special _ -> invalid_arg "Engine.run_iterative_job: special job in a Galerkin group"
 
-
 let run_special_job (ctx : special_ctx) (job : Job.t) reg ~inner =
   let lambda =
     match job.analysis with
@@ -664,7 +659,6 @@ let run_special_job (ctx : special_ctx) (job : Job.t) reg ~inner =
       ]
   in
   (base_fields job ~probe fields, Some response)
-
 
 (* The engine precomputes everything (candidates, seed) shapes — the
    point set and every factor — so only the convergence knobs of the
@@ -813,11 +807,6 @@ let shard_filter config jobs =
       Array.iteri (fun idx job -> if shard_of idx ~shards:k = i then sel := job :: !sel) jobs;
       Array.of_list (List.rev !sel)
 
-(* What a loop takes next in [run]'s claim loop: a factor task, a
-   ready cohort chunk with the context assembled from its factors,
-   nothing yet, or nothing ever. *)
-type claim = Factor of int | Run of int * ctx | Wait | Finished
-
 let run ?(config = default_config) ?emit jobs =
   let t0 = Util.Timer.start () in
   let metrics = config.metrics in
@@ -852,7 +841,6 @@ let run ?(config = default_config) ?emit jobs =
   let pending_jobs = Array.map (fun i -> jobs.(i)) pending in
   let groups = plan pending_jobs in
   let claims = claims_of_groups ~precond:config.precond pending_jobs groups in
-  let nclaims = Array.length claims in
   let factorizations = Atomic.make 0 in
   let count () = Atomic.incr factorizations in
   (* Each distinct netlist path is parsed once per run, on the main
@@ -902,20 +890,19 @@ let run ?(config = default_config) ?emit jobs =
      itself fans out: the loops hold the pool, so a kernel dispatched
      from one would run its chunks inline anyway. *)
   let inner = if jp > 1 then 1 else config.domains in
-  let regs = Array.init nclaims (fun _ -> Util.Metrics.create ()) in
-  (* Factor tasks in group order, as (group, factor index); group [g]'s
-     factor [k] is task [base.(g) + k]. *)
-  let tasks =
+  (* The task graph: every group's factor tasks in group order (group
+     [g]'s factor [k] is task [base.(g) + k]), then the chunks in the
+     input order of their first jobs, each a leaf that depends on the
+     factors its route applies and gets its context assembled from
+     exactly those. *)
+  let factors =
     Array.concat
       (Array.to_list
          (Array.mapi (fun g s -> Array.init (Array.length s.factors) (fun k -> (g, k))) setups))
   in
-  let ntasks = Array.length tasks in
+  let nfactors = Array.length factors in
   let base = Array.make (Array.length setups) 0 in
-  Array.iteri (fun t (g, k) -> if k = 0 then base.(g) <- t) tasks;
-  let tregs = Array.init ntasks (fun _ -> Util.Metrics.create ()) in
-  (* Each claim's route — a chunk's jobs share one: the tasks whose
-     factors it applies, and its context assembled from exactly those. *)
+  Array.iteri (fun t (g, k) -> if k = 0 then base.(g) <- t) factors;
   let routes =
     Array.map
       (fun members ->
@@ -924,251 +911,116 @@ let run ?(config = default_config) ?emit jobs =
         (Array.map (fun k -> base.(g) + k) ks, assemble))
       claims
   in
-  (* The claims that apply each task, in claim order. *)
-  let dependents = Array.make ntasks [] in
-  for q = nclaims - 1 downto 0 do
-    Array.iter (fun t -> dependents.(t) <- q :: dependents.(t)) (fst routes.(q))
-  done;
-  (* The claim loop.  Each of the [jp] loops repeatedly claims under
-     [lock], taking the first of:
-     - the head chunk, which holds the lowest-indexed job not yet done
-       ([head], moved under [lock] as chunks settle, never through
-       emission, so a run without [emit] schedules the same way), once
-       its factors exist;
-     - the first unclaimed factor task, in group order, that an
-       unclaimed chunk needs — the rest are skipped;
-     - the first unclaimed chunk, in the input order of its first job,
-       whose factors all exist ([missing.(q) = 0]);
-     and failing all three it waits on [cond].  A chunk waits only for
-     the factors its route applies: a direct DC chunk for [Gt], not for
-     the [Gt + Ct/h] its group also builds.  A finished chunk journals
-     each job's record, publishes them, and emits what became ready —
-     the loop that finishes a record emits it, so a record never
-     waits for another loop's long claim.  Records leave in input
-     order, one emit at a time, each flushed as soon as it and every
-     earlier-indexed job are done, so a killed run's JSONL is always an
-     exact prefix of the uninterrupted stream.  A failing job parks its
-     exception (lowest input index wins, matching the deterministic
-     re-raise discipline of Util.Parallel.for_chunks) and later jobs
-     still run; a chunk whose shared solve fails parks at its first
-     job, and a failing factor fails exactly the unclaimed chunks that
-     need it, parked at their lowest job index.  A failing emit callback
-     stops further claims and re-raises after the in-flight tasks
-     drain. *)
+  let tasks =
+    Array.append
+      (Array.map (fun _ -> { Schedule.deps = [||]; leaf = false }) factors)
+      (Array.map (fun (deps, _) -> { Schedule.deps; leaf = true }) routes)
+  in
+  let built = Array.make nfactors None in
+  (* Records leave in input order, one emit at a time, each as soon as
+     it and every earlier-indexed job are done: the loop that publishes
+     a chunk's records emits what became ready, so no record waits for
+     another loop's long claim, and a killed run's JSONL is an exact
+     prefix of the uninterrupted stream.  [run] drains once before the
+     loops (the replayed records) and once after them.  A failing job
+     parks its exception (lowest input index wins, as in
+     Util.Parallel.for_chunks) and later jobs still run; a failing emit
+     stops further claims and re-raises after the tasks in flight
+     return.  [lock] guards [out], [done_], [job_failure] and
+     [next_emit], which moves under [emit_lock] too. *)
   let lock = Mutex.create () in
-  let cond = Condition.create () in
-  let built = Array.make ntasks None in
-  let missing = Array.map (fun (deps, _) -> Array.length deps) routes in
-  let claimed = Array.make nclaims false in
-  let settled = Array.make nclaims false in
-  let head = ref 0 in
-  let next_task = ref 0 in
-  let first_unclaimed = ref 0 in
-  let stop = Atomic.make false in
   let job_failure = ref None in
   let emit_failure = Atomic.make None in
   let park i e =
     match !job_failure with Some (j, _) when j <= i -> () | _ -> job_failure := Some (i, e)
   in
-  let ready q = (not claimed.(q)) && missing.(q) = 0 in
-  let needed t = List.exists (fun q -> not claimed.(q)) dependents.(t) in
-  let take q =
-    claimed.(q) <- true;
-    let deps, assemble = routes.(q) in
-    Run (q, assemble (Array.map (fun t -> Option.get built.(t)) deps))
-  in
-  let claim () =
-    if Atomic.get stop then Finished
-    else begin
-      while !head < nclaims && settled.(!head) do
-        incr head
-      done;
-      if !head < nclaims && ready !head then take !head
-      else begin
-        while !next_task < ntasks && not (needed !next_task) do
-          incr next_task
-        done;
-        if !next_task < ntasks then begin
-          incr next_task;
-          Factor (!next_task - 1)
-        end
-        else begin
-          while !first_unclaimed < nclaims && claimed.(!first_unclaimed) do
-            incr first_unclaimed
-          done;
-          let rec scan q =
-            if q = nclaims then if !first_unclaimed < nclaims then Wait else Finished
-            else if ready q then take q
-            else scan (q + 1)
-          in
-          scan !first_unclaimed
-        end
-      end
-    end
-  in
-  (* Records leave in input order, one [emit] at a time: a loop that
-     publishes records emits the ready prefix under [emit_lock].  Every
-     publisher drains after publishing, so no record waits for another
-     loop's claim to end; [run] drains once before the loops start (the
-     replayed records) and once after they end.  [next_emit] moves under
-     both locks. *)
   let next_emit = ref 0 in
   let emit_lock = Mutex.create () in
   let take_ready () =
-    let ready = ref [] in
-    Mutex.lock lock;
-    while !next_emit < njobs && done_.(!next_emit) do
-      ready := Option.get out.(!next_emit) :: !ready;
-      incr next_emit
-    done;
-    Mutex.unlock lock;
-    List.rev !ready
+    Mutex.protect lock (fun () ->
+        let ready = ref [] in
+        while !next_emit < njobs && done_.(!next_emit) do
+          ready := Option.get out.(!next_emit) :: !ready;
+          incr next_emit
+        done;
+        List.rev !ready)
   in
   let drain_ready () =
     match emit with
     | None -> ()
     | Some emit ->
-        Mutex.lock emit_lock;
         (* The callback runs outside [lock]: it may flush to a pipe,
            block on a slow consumer, or raise — none of which may stall
            the claims of loops not emitting. *)
-        List.iter
-          (fun r ->
-            if Option.is_none (Atomic.get emit_failure) then
-              match emit r with
-              | () -> ()
-              | exception e ->
-                  Atomic.set emit_failure (Some e);
-                  Atomic.set stop true;
-                  (* wake loops waiting for a factor *)
-                  Mutex.lock lock;
-                  Condition.broadcast cond;
-                  Mutex.unlock lock)
-          (take_ready ());
-        Mutex.unlock emit_lock
-  in
-  let factor_one t =
-    let g, k = tasks.(t) in
-    let built_f =
-      match Util.Metrics.span tregs.(t) "engine.factor_s" setups.(g).factors.(k) with
-      | f -> Ok f
-      | exception e -> Error e
-    in
-    Mutex.lock lock;
-    (match built_f with
-    | Ok f ->
-        built.(t) <- Some f;
-        List.iter (fun q -> missing.(q) <- missing.(q) - 1) dependents.(t)
-    | Error e -> (
-        (* No chunk that needs [t] can ever become ready, so none of them
-           was claimed: claim the live ones as failed. *)
-        match List.filter (fun q -> not claimed.(q)) dependents.(t) with
-        | [] -> ()
-        | first :: _ as lost ->
+        Mutex.protect emit_lock (fun () ->
             List.iter
-              (fun q ->
-                claimed.(q) <- true;
-                settled.(q) <- true)
-              lost;
-            park pending.(claims.(first).(0)) e));
-    Condition.broadcast cond;
-    Mutex.unlock lock
+              (fun r ->
+                if Option.is_none (Atomic.get emit_failure) then
+                  match emit r with () -> () | exception e -> Atomic.set emit_failure (Some e))
+              (take_ready ()))
   in
-  let chunk_one q x =
-    let idx = Array.map (fun c -> pending.(c)) claims.(q) in
-    let cjobs = Array.map (fun i -> jobs.(i)) idx in
-    let outcomes =
-      match
-        run_cohort x cjobs regs.(q) ~inner ~warm_start:config.warm_start ~precond:config.precond
-      with
-      | runs ->
-          Array.mapi
-            (fun j (record, response) ->
-              let job = cjobs.(j) in
-              (* Journal-ahead: the record is on disk (atomically) before
-                 it can reach the stream, so --resume never misses an
-                 emitted record.  Each entry is its own atomic file. *)
-              match Registry.record registry job record with
-              | () -> Ok { job; record; response }
-              | exception e -> Error e)
-            runs
-      (* The st route factors its testing points inside the job too. *)
-      | exception Linalg.Sparse_cholesky.Not_positive_definite _ ->
-          [| Error (Invalid_batch (not_pd cjobs.(0))) |]
-      | exception e -> [| Error e |]
-    in
-    Mutex.lock lock;
-    Array.iteri
-      (fun j outcome ->
-        let i = idx.(j) in
-        match outcome with
-        | Ok r ->
-            out.(i) <- Some r;
-            done_.(i) <- true
-        | Error e -> park i e)
-      outcomes;
-    settled.(q) <- true;
-    Condition.broadcast cond;
-    Mutex.unlock lock;
-    drain_ready ()
+  let run_task reg t =
+    if t < nfactors then
+      let g, k = factors.(t) in
+      built.(t) <- Some (Util.Metrics.span reg "engine.factor_s" setups.(g).factors.(k))
+    else
+      let q = t - nfactors in
+      let idx = Array.map (fun c -> pending.(c)) claims.(q) in
+      let cjobs = Array.map (fun i -> jobs.(i)) idx in
+      let deps, assemble = routes.(q) in
+      let x = assemble (Array.map (fun t -> Option.get built.(t)) deps) in
+      let outcomes =
+        match
+          run_cohort x cjobs reg ~inner ~warm_start:config.warm_start ~precond:config.precond
+        with
+        | runs ->
+            Array.mapi
+              (fun j (record, response) ->
+                let job = cjobs.(j) in
+                (* Journal-ahead: the record is on disk (atomically) before
+                   it can reach the stream, so --resume never misses an
+                   emitted record.  Each entry is its own atomic file. *)
+                match Registry.record registry job record with
+                | () -> Ok { job; record; response }
+                | exception e -> Error e)
+              runs
+        (* The st route factors its testing points inside the job too. *)
+        | exception Linalg.Sparse_cholesky.Not_positive_definite _ ->
+            raise (Invalid_batch (not_pd cjobs.(0)))
+      in
+      Mutex.protect lock (fun () ->
+          Array.iteri
+            (fun j outcome ->
+              let i = idx.(j) in
+              match outcome with
+              | Ok r ->
+                  out.(i) <- Some r;
+                  done_.(i) <- true
+              | Error e -> park i e)
+            outcomes);
+      drain_ready ()
   in
-  let perform = function
-    | Factor t -> factor_one t
-    | Run (q, x) -> chunk_one q x
-    | Wait | Finished -> ()
-  in
-  (* [engine.wait_s]: one observation per stretch a loop spends blocked
-     in the claim loop, from its first [Wait] until it holds a claim or
-     finishes.  Loop [d] records into [wregs.(d)] alone. *)
-  let wregs = Array.init jp (fun _ -> Util.Metrics.create ()) in
-  let blocked since =
-    match since with Some _ -> since | None -> Some (Util.Metrics.start_span ())
-  in
-  let unblocked d since =
-    Option.iter (fun s -> ignore (Util.Metrics.stop_span wregs.(d) "engine.wait_s" s)) since
-  in
-  let rec loop d =
-    Mutex.lock lock;
-    let rec next since =
-      match claim () with
-      | Wait ->
-          let since = blocked since in
-          Condition.wait cond lock;
-          next since
-      | c ->
-          unblocked d since;
-          c
-    in
-    let c = next None in
-    Mutex.unlock lock;
-    match c with
-    | Finished -> ()
-    | c ->
-        perform c;
-        loop d
+  (* A raising chunk parks at its first job; a raising factor at the
+     first job of the first chunk it fails, if any. *)
+  let failed t e lost =
+    match List.find_opt (fun t -> t >= nfactors) (t :: lost) with
+    | Some t -> Mutex.protect lock (fun () -> park pending.(claims.(t - nfactors).(0)) e)
+    | None -> ()
   in
   (* The replayed records stream first. *)
   drain_ready ();
-  (* [jp] claim loops fan out on the persistent pool, at most one per
-     domain at a time: a loop only waits for a factor another running
-     loop has claimed, so loops that start late, or run one after
-     another on the same domain, find the rest claimed and finish. *)
-  (* opera-lint: race — loops touch shared claim state only under [lock] *)
-  Util.Parallel.for_chunks ~domains:jp jp (fun ~chunk ~lo:_ ~hi:_ -> loop chunk);
+  Schedule.run ~loops:jp ~metrics ~failed
+    ~stopped:(fun () -> Option.is_some (Atomic.get emit_failure))
+    tasks run_task;
   drain_ready ();
-  Array.iter (fun reg -> Util.Metrics.merge_into reg ~into:metrics) tregs;
-  Array.iter (fun reg -> Util.Metrics.merge_into reg ~into:metrics) regs;
-  Array.iter (fun reg -> Util.Metrics.merge_into reg ~into:metrics) wregs;
   let factorizations = Atomic.get factorizations in
   if factorizations > 0 then Util.Metrics.incr metrics ~by:factorizations "engine.factorizations";
-  let rstats = Registry.stats registry in
-  Util.Metrics.incr metrics ~by:rstats.Registry.replayed "registry.replays";
-  Util.Metrics.incr metrics ~by:rstats.Registry.journaled "registry.writes";
-  Util.Metrics.incr metrics ~by:rstats.Registry.corrupt "registry.corrupt";
+  Registry.report registry ~into:metrics;
   (match !job_failure with Some (_, e) -> raise e | None -> ());
   (match Atomic.get emit_failure with Some e -> raise e | None -> ());
   let results = Array.map Option.get out in
   let st = Store.stats store in
+  let rstats = Registry.stats registry in
   ( results,
     {
       jobs = njobs;
@@ -1199,5 +1051,8 @@ let summary_line s =
     "batch: %d job(s) in %d group(s), %d factorization(s), cache %d hit(s) / %d miss(es)%s%s, %.2f s"
     s.jobs s.groups s.factorizations s.cache_hits s.cache_misses
     (if s.cache_corrupt > 0 then Printf.sprintf " (%d corrupt)" s.cache_corrupt else "")
-    (if s.replayed > 0 then Printf.sprintf ", %d replayed" s.replayed else "")
+    (if s.replayed > 0 || s.registry_corrupt > 0 then
+       Printf.sprintf ", %d replayed%s" s.replayed
+         (if s.registry_corrupt > 0 then Printf.sprintf " (%d corrupt)" s.registry_corrupt else "")
+     else "")
     s.elapsed_seconds

@@ -4,12 +4,12 @@
     deterministic operator share one group.  Each group's prelude (grid
     generation or netlist load, chaos expansion, triple-product tensor,
     symbolic ordering) runs once on the main domain before any job,
-    read-through against the artifact {!Store}.  Each numeric Cholesky
-    factor the group needs is then one task of a single claim loop,
-    which [jobs_parallel] loops run as one dispatch of the persistent
-    {!Util.Parallel} pool (no domain is spawned per batch).  A cohort
-    chunk depends on exactly the factors its route applies, and its
-    context is assembled from those alone:
+    read-through against the artifact {!Store}.  The batch then runs as
+    one {!Schedule} task graph: each numeric Cholesky factor a group
+    needs is a task, in group order, and after them each cohort chunk
+    is a leaf, in the input order of its first job, depending on
+    exactly the factors its route applies; its context is assembled
+    from those alone:
     - direct DC: [Gt];
     - direct transient or yield at step [h]: [Gt] and that [h]'s
       [Gt + Ct/h];
@@ -19,18 +19,13 @@
     - special case at [h]: [G] and that [h]'s [G + C/h];
     - matrix-free and pcg: none.
 
-    A loop takes the chunk holding the lowest-indexed job not yet done
-    if its factors exist; else the first unclaimed factor task, in group
-    order, that some unclaimed chunk needs; else the first unclaimed
-    chunk, in the input order of its first job, whose factors all
-    exist; else it waits for a claim another running loop holds.  So
-    factors build concurrently with each other and with the chunks
+    [jobs_parallel] loops claim the tasks by {!Schedule}'s claim rule,
+    so factors build concurrently with each other and with the chunks
     whose factors are done — a direct DC corner streams once [Gt]
     exists, while its group's [Gt + Ct/h] is still being factored — and
     a lone loop never waits.  Each factor task is read-through against
     the store; chunks apply the shared factors read-only through
-    workspace-explicit solves, each claim with its own metrics registry
-    (merged into the engine registry after the loops end).
+    workspace-explicit solves.
 
     Cohorts ({!cohorts}): the jobs of a group that apply the same
     factors in the same order step in lockstep.  The direct DC jobs
@@ -116,8 +111,10 @@ type config = {
           counters, the [store.write_s] and [store.read_s] histograms
           (each artifact miss's encode and write, each hit's read and
           decode: [engine.factor_s] less [store.write_s] on a cold run
-          is the factorization time itself), and every per-task
-          registry (merged post-join) *)
+          is the factorization time itself), [registry.write_s] and
+          [registry.read_s] (each journal write, each replay; see
+          {!Registry.report}); the loops record into one registry per
+          loop, merged into this one after the loops end *)
   warm_start : bool;
       (** seed each transient step's Krylov solve from the previous
           step (with linear extrapolation) for iterative jobs; see
@@ -193,19 +190,18 @@ val run : ?config:config -> ?emit:(result -> unit) -> Job.t array -> result arra
     calling domain or a pool worker (replayed results: from the calling
     domain, before the loops start), so [emit] must be safe to call
     from any domain.  Factor tasks and cohort chunks run in
-    [jobs_parallel] claim loops (at most one per pending job), one
-    {!Util.Parallel.for_chunks} dispatch in which the calling domain
-    takes part; see the module header for the claim order.  Each job journals its own record before it is
+    [jobs_parallel] claim loops (at most one per pending job) by
+    {!Schedule.run}.  Each job journals its own record before it is
     published; a chunk whose shared solve fails parks the failure at
     its first job.  An exception from [emit] stops further claims,
     drains the tasks in flight, and is re-raised.  Raises
     {!Invalid_batch} on an empty batch, an invalid shard spec, an
     unreadable or malformed netlist (during a group's prelude) or an
     out-of-range probe (checked after every prelude, before any task
-    runs).  A failed factorization fails exactly the jobs whose route
-    applies that factor, parked at the lowest of their indices; factor
-    tasks no remaining job needs are then skipped, and jobs that do not
-    apply it still run.  An indefinite operator fails this way as
+    runs).  A failed factorization fails exactly the chunks that apply
+    it ({!Schedule}'s failure rule), parked at the lowest of their job
+    indices; factor tasks no remaining job needs are then skipped, and
+    jobs that do not apply it still run.  An indefinite operator fails this way as
     {!Invalid_batch}.  Failures propagate after all other tasks finish —
     including {!Opera.Galerkin.Solver_diverged} from jobs running under
     the [fail] policy: the earliest-indexed failure wins, and no record

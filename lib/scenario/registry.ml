@@ -21,6 +21,7 @@ type stats = { replayed : int; journaled : int; corrupt : int }
 
 type t = {
   store : Store.t;
+  metrics : Util.Metrics.t;  (* the store's, read only by [report] *)
   settings : string;  (* "" at the default engine settings *)
 }
 
@@ -40,16 +41,26 @@ let settings_of ~precond ~warm_start =
   ^ if warm_start then "" else "warm_start=off;"
 
 let create ?(precond = Linalg.Precond.Cholesky) ?(warm_start = true) ~dir () =
-  {
-    store = Store.create ~metrics:(Util.Metrics.create ()) ~dir ();
-    settings = settings_of ~precond ~warm_start;
-  }
+  let metrics = Util.Metrics.create () in
+  { store = Store.create ~metrics ~dir (); metrics; settings = settings_of ~precond ~warm_start }
 
 (* The store counts what the journal does: a hit is a replay, a write a
    journaled record, a dropped entry a corrupt one. *)
 let stats t =
   let s = Store.stats t.store in
   { replayed = s.Store.hits; journaled = s.Store.writes; corrupt = s.Store.corrupt }
+
+(* The store's [store.read_s] and [store.write_s] time exactly the
+   replays and the journal writes. *)
+let report t ~into =
+  let s = stats t in
+  Util.Metrics.incr into ~by:s.replayed "registry.replays";
+  Util.Metrics.incr into ~by:s.journaled "registry.writes";
+  Util.Metrics.incr into ~by:s.corrupt "registry.corrupt";
+  Util.Metrics.merge_into t.metrics ~into ~rename:(function
+    | "store.read_s" -> Some "registry.read_s"
+    | "store.write_s" -> Some "registry.write_s"
+    | _ -> None)
 
 let key t job =
   let signature = Job.result_signature job in

@@ -23,8 +23,9 @@
     write and removal goes through a private {!Store} with its own
     metrics registry, so the journal follows the store's never-trust
     rule exactly, its traffic stays out of the caller's [store.*]
-    counters, and, like the store, it may be called from the engine's
-    worker domains. *)
+    metrics ({!report} hands the caller its own [registry.*] ones), and,
+    like the store, it may be called from the engine's worker
+    domains. *)
 
 type stats = {
   replayed : int;  (** lookups that returned a journaled record *)
@@ -46,6 +47,15 @@ val create :
 
 val stats : t -> stats
 (** A snapshot of the counts since {!create}. *)
+
+val report : t -> into:Util.Metrics.t -> unit
+(** Add the journal's counts and times to [into]: the counters
+    [registry.replays], [registry.writes] and [registry.corrupt] (the
+    {!stats} fields, created even at 0), and the histograms
+    [registry.read_s] (the read and decode of each replayed record) and
+    [registry.write_s] (the encode and write of each journaled record).
+    Call it once, from the domain owning [into], after the last
+    {!lookup} and {!record}. *)
 
 val file_name : t -> Job.t -> string
 (** Base name of a job's journal entry: the one key that {!lookup},

@@ -17,19 +17,14 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
   end
 
-let make ~metrics ~dir =
+let create ?(metrics = Util.Metrics.global) ~dir () =
+  (match dir with Some d -> mkdir_p d | None -> ());
   {
     dir;
     metrics;
     stats = { hits = 0; misses = 0; corrupt = 0; writes = 0 };
     lock = Mutex.create ();
   }
-
-let create ?(metrics = Util.Metrics.global) ~dir () =
-  (match dir with Some d -> mkdir_p d | None -> ());
-  make ~metrics ~dir
-
-let disabled = make ~metrics:Util.Metrics.global ~dir:None
 
 let locked t f =
   Mutex.lock t.lock;

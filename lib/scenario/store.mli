@@ -13,7 +13,8 @@
     The store does every artifact read, write and removal of the cache
     directory.  The results journal ({!Registry}) is one more kind,
     ["result"], kept in a private store of its own, so its traffic
-    never shows in the engine's [store.*] counters. *)
+    never shows in the engine's [store.*] metrics ({!Registry.report}
+    reports it as [registry.*]). *)
 
 type stats = {
   mutable hits : int;
@@ -36,9 +37,6 @@ val create : ?metrics:Util.Metrics.t -> dir:string option -> unit -> t
     under one mutex, while reads, decodes, builds and writes run
     outside it — the batch engine's domains look up distinct artifacts
     concurrently. *)
-
-val disabled : t
-(** A store with no directory: {!find_or_build} always builds. *)
 
 val stats : t -> stats
 (** A consistent snapshot of the counts (a fresh record: later lookups

@@ -84,12 +84,13 @@ let observations t name =
 let total t name =
   match Hashtbl.find_opt t.table name with Some (Histogram h) -> h.sum | _ -> 0.0
 
-(* Fold a registry into another under a name prefix: counters add,
-   histograms merge component-wise.  Used by the batch engine to roll
-   per-claim registries (owned by the worker domain while the claim runs)
-   into the engine registry after the join — so the merge itself always
-   happens on one domain. *)
-let merge_into ?(prefix = "") src ~into =
+(* Fold a registry into another, each metric under the name [rename]
+   gives it (or left out): counters add, histograms merge
+   component-wise.  Used by the batch engine to roll per-loop registries
+   (owned by the worker domain while the loop runs) into the engine
+   registry after the join — so the merge itself always happens on one
+   domain. *)
+let merge_into ?(rename = Option.some) src ~into =
   (* Merge in sorted key order: per-key merging is commutative, but a
      deterministic order keeps float summation (histogram sums) and the
      destination table's insertion order reproducible across runs. *)
@@ -100,10 +101,10 @@ let merge_into ?(prefix = "") src ~into =
   in
   List.iter
     (fun (name, m) ->
-      let name = prefix ^ name in
-      match m with
-      | Counter r -> incr ~by:!r into name
-      | Histogram h ->
+      match (rename name, m) with
+      | None, _ -> ()
+      | Some name, Counter r -> incr ~by:!r into name
+      | Some name, Histogram h ->
           let dst = histogram_ref into name in
           dst.count <- dst.count + h.count;
           dst.sum <- dst.sum +. h.sum;

@@ -49,12 +49,13 @@ val observations : t -> string -> int
 val total : t -> string -> float
 (** Sum of all observations; 0 when absent. *)
 
-val merge_into : ?prefix:string -> t -> into:t -> unit
-(** [merge_into ~prefix src ~into] folds every metric of [src] into
-    [into] under [prefix ^ name]: counters add, histograms merge
-    component-wise (count/sum/min/max/buckets).  Both registries must be
-    owned by the calling domain — the batch engine merges per-claim
-    registries only after joining their workers. *)
+val merge_into : ?rename:(string -> string option) -> t -> into:t -> unit
+(** [merge_into ~rename src ~into] folds each metric of [src] named
+    [name] into [into] under [rename name], leaving it out when that is
+    [None] (default: every metric under its own name): counters add,
+    histograms merge component-wise (count/sum/min/max/buckets).  Both
+    registries must be owned by the calling domain — the batch engine
+    merges per-loop registries only after joining their workers. *)
 
 type span
 (** A started monotonic-clock stopwatch. *)

@@ -566,9 +566,13 @@ let test_resume_replays_bitwise () =
     |]
   in
   let cache_dir = fresh_dir () in
-  let cold_results, cold_summary = run ~cache_dir jobs in
+  let cold_metrics = Util.Metrics.create () in
+  let cold_results, cold_summary = run ~cache_dir ~metrics:cold_metrics jobs in
   Alcotest.(check int) "cold run journals every job" 3 cold_summary.Engine.journaled;
   Alcotest.(check int) "cold run replays nothing" 0 cold_summary.Engine.replayed;
+  Alcotest.(check int) "one registry.write_s per journaled record"
+    (Util.Metrics.counter cold_metrics "registry.writes")
+    (Util.Metrics.observations cold_metrics "registry.write_s");
   (* Resume: every record replays from the journal; no job executes. *)
   let metrics = Util.Metrics.create () in
   let resumed_results, resumed_summary = run ~cache_dir ~resume:true ~metrics jobs in
@@ -576,6 +580,11 @@ let test_resume_replays_bitwise () =
   Alcotest.(check int) "resume journals nothing new" 0 resumed_summary.Engine.journaled;
   Alcotest.(check int) "resume factors nothing" 0 resumed_summary.Engine.factorizations;
   Alcotest.(check int) "no job executed" 0 (Util.Metrics.counter metrics "engine.jobs");
+  Alcotest.(check int) "one registry.read_s per replayed record"
+    (Util.Metrics.counter metrics "registry.replays")
+    (Util.Metrics.observations metrics "registry.read_s");
+  Alcotest.(check int) "journal reads stay out of store.read_s" 0
+    (Util.Metrics.observations metrics "store.read_s");
   Alcotest.(check (list string))
     "replayed records match the cold run bitwise"
     (records_of cold_results) (records_of resumed_results);
@@ -592,6 +601,8 @@ let test_resume_replays_bitwise () =
   Alcotest.(check int) "two intact entries replay" 2 damaged_summary.Engine.replayed;
   Alcotest.(check int) "the damaged job re-runs and re-journals" 1 damaged_summary.Engine.journaled;
   Alcotest.(check int) "one corrupt journal entry dropped" 1 damaged_summary.Engine.registry_corrupt;
+  Alcotest.(check bool) "the summary line names the corrupt entry" true
+    (contains (Engine.summary_line damaged_summary) "2 replayed (1 corrupt)");
   Alcotest.(check (list string))
     "stream after journal damage still matches the cold run bitwise"
     (records_of cold_results) (records_of damaged_results);
@@ -977,6 +988,34 @@ let test_record_waits_only_for_its_factors () =
       ("special [sp at h1; sp at h2]", [| sp "sp"; { (sp "sp-h2") with Job.h = h2 } |], 2);
     ]
 
+(* --- the one-loop schedule, pinned --------------------------------------- *)
+
+(* At one loop the claim order is a pure function of the batch, and the
+   factors on disk when each record reaches [emit] trace it.  The
+   corner sweep's records, in input order: the DC cohort after [Gt];
+   the transient and yield cohorts after [Gt + Ct/h]; the st cohort
+   after [G(0)] and its ten point factors, the matrix-free corners
+   (no factor) with it; the special corners after [G] and [G + C/h].
+   Recorded before the claim loop became a scheduler module.  A loop
+   that claimed factor tasks ahead of a ready head chunk would show
+   all 15 factors at every record. *)
+let pinned_sweep_schedule =
+  List.concat
+    [
+      List.init 4 (fun _ -> 1);
+      List.init 8 (fun _ -> 2);
+      List.init 10 (fun _ -> 13);
+      List.init 8 (fun _ -> 15);
+    ]
+
+let test_one_loop_schedule_pinned () =
+  let cache_dir = fresh_dir () in
+  let seen = ref [] in
+  let emit _ = seen := chol_files cache_dir :: !seen in
+  let _ = run ~cache_dir ~emit (sweep_shape_jobs ()) in
+  Alcotest.(check (list int))
+    "factors on disk as each record reaches emit" pinned_sweep_schedule (List.rev !seen)
+
 (* --- one parse per netlist ---------------------------------------------- *)
 
 let test_netlist_parsed_once () =
@@ -1099,6 +1138,8 @@ let suite =
     Alcotest.test_case "corner-sweep shape: 16 claims" `Slow test_sweep_shape_claims;
     Alcotest.test_case "a record waits only for the factors it applies" `Slow
       test_record_waits_only_for_its_factors;
+    Alcotest.test_case "the one-loop corner-sweep schedule is pinned" `Slow
+      test_one_loop_schedule_pinned;
     Alcotest.test_case "each netlist is parsed once per run" `Quick test_netlist_parsed_once;
     Alcotest.test_case "claim loops are one pool dispatch" `Slow test_fanout_on_pool;
     Alcotest.test_case "more claim loops than domains" `Slow test_more_loops_than_domains;

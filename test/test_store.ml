@@ -52,8 +52,9 @@ let test_miss_then_hit () =
 
 let test_disabled_always_builds () =
   builds := 0;
-  check_payload "disabled" (lookup Store.disabled);
-  check_payload "disabled again" (lookup Store.disabled);
+  let disabled = Store.create ~metrics:(Util.Metrics.create ()) ~dir:None () in
+  check_payload "disabled" (lookup disabled);
+  check_payload "disabled again" (lookup disabled);
   Alcotest.(check int) "no caching without a dir" 2 !builds
 
 let artifact_path store =
