@@ -255,10 +255,17 @@ let load_circuit netlist nodes =
    behavior cannot drift between parsers. *)
 let dispatch ~prog ~summary ?positional ~args ~argv body =
   let run ps =
-    try body ps
-    with Bad_input msg ->
-      Printf.eprintf "%s: %s\n" prog msg;
-      2
+    try body ps with
+    | Bad_input msg ->
+        Printf.eprintf "%s: %s\n" prog msg;
+        2
+    | Scenario.Engine.Invalid_batch msg ->
+        (* The engine refuses a batch — before any job runs (e.g. a probe
+           out of range for its grid), or when an operator turns out
+           indefinite: the same discipline as a bad flag, for [batch]
+           and for the one-job batches [analyze] runs. *)
+        Printf.eprintf "%s: %s\nTry '%s --help'.\n" prog msg prog;
+        2
   in
   match Util.Args.parse args argv with
   | Util.Args.Help ->

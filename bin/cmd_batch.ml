@@ -141,58 +141,53 @@ let run argv =
                     names)
                 groups;
               0
-          | Ok jobs -> (
-              let solve () =
-                Cli_common.with_health ~log_level:!log_level ~metrics_out:!metrics_out
-                @@ fun () ->
-                let config =
-                  {
-                    Scenario.Engine.cache_dir = !cache_dir;
-                    jobs_parallel = !jobs_parallel;
-                    domains = !domains;
-                    metrics = Util.Metrics.global;
-                    warm_start = !warm_start;
-                    precond = !precond;
-                    resume = !resume;
-                    shard;
-                  }
-                in
-                let summary =
-                  match !stream_out with
-                  | None -> Scenario.Engine.run_jsonl ~config stdout jobs
-                  | Some file ->
-                      let oc = Cli_common.writing "--stream-out" (fun () -> open_out file) in
-                      Fun.protect
-                        ~finally:(fun () -> close_out oc)
-                        (fun () -> Scenario.Engine.run_jsonl ~config oc jobs)
-                in
-                prerr_endline (Scenario.Engine.summary_line summary);
-                if !gc_results then begin
-                  (* Keep every job of the batch FILE, not just this
-                     shard's slice — cooperating shard processes must not
-                     collect each other's journal entries. *)
-                  let registry =
-                    Scenario.Registry.create ~precond:!precond ~warm_start:!warm_start
-                      ~dir:!cache_dir ()
-                  in
-                  let removed = Scenario.Registry.gc registry ~keep:jobs in
-                  if removed > 0 then
-                    Printf.eprintf "gc: dropped %d stale journal entr%s\n" removed
-                      (if removed = 1 then "y" else "ies")
-                end;
-                match (max_bytes, !cache_dir) with
-                | Some cap, Some dir ->
-                    let removed = Scenario.Store.evict_dir ~dir ~max_bytes:cap () in
-                    if removed > 0 then
-                      Printf.eprintf "evict: dropped %d artifact(s) over the %d-byte budget\n"
-                        removed cap
-                | _ -> ()
+          | Ok jobs ->
+              Cli_common.with_health ~log_level:!log_level ~metrics_out:!metrics_out
+              @@ fun () ->
+              let config =
+                {
+                  Scenario.Engine.cache_dir = !cache_dir;
+                  jobs_parallel = !jobs_parallel;
+                  domains = !domains;
+                  metrics = Util.Metrics.global;
+                  warm_start = !warm_start;
+                  precond = !precond;
+                  resume = !resume;
+                  shard;
+                }
               in
-              try solve ()
-              with Scenario.Engine.Invalid_batch msg ->
-                (* The engine refuses a bad batch — before any job runs
-                   (e.g. a probe out of range for its grid), or when an
-                   operator turns out indefinite — same discipline as a
-                   bad flag. *)
-                Printf.eprintf "opera batch: %s: %s\nTry 'opera batch --help'.\n" path msg;
-                2)))
+              let run_jsonl oc =
+                (* A refused batch names its jobs file; [Cli_common.dispatch]
+                   reports it as a usage error. *)
+                try Scenario.Engine.run_jsonl ~config oc jobs
+                with Scenario.Engine.Invalid_batch msg ->
+                  raise (Scenario.Engine.Invalid_batch (path ^ ": " ^ msg))
+              in
+              let summary =
+                match !stream_out with
+                | None -> run_jsonl stdout
+                | Some file ->
+                    let oc = Cli_common.writing "--stream-out" (fun () -> open_out file) in
+                    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> run_jsonl oc)
+              in
+              prerr_endline (Scenario.Engine.summary_line summary);
+              if !gc_results then begin
+                (* Keep every job of the batch FILE, not just this
+                   shard's slice — cooperating shard processes must not
+                   collect each other's journal entries. *)
+                let registry =
+                  Scenario.Registry.create ~precond:!precond ~warm_start:!warm_start
+                    ~dir:!cache_dir ()
+                in
+                let removed = Scenario.Registry.gc registry ~keep:jobs in
+                if removed > 0 then
+                  Printf.eprintf "gc: dropped %d stale journal entr%s\n" removed
+                    (if removed = 1 then "y" else "ies")
+              end;
+              match (max_bytes, !cache_dir) with
+              | Some cap, Some dir ->
+                  let removed = Scenario.Store.evict_dir ~dir ~max_bytes:cap () in
+                  if removed > 0 then
+                    Printf.eprintf "evict: dropped %d artifact(s) over the %d-byte budget\n"
+                      removed cap
+              | _ -> ()))

@@ -99,6 +99,12 @@ let rhs_into (m : Stochastic_model.t) ~drain_buf t out =
     m.u_drain_coefs;
   ignore t
 
+(* One matrix-free operator application, counted and timed into the
+   solve's [metrics] from the calling domain. *)
+let apply_op metrics op x y =
+  Util.Metrics.incr metrics "galerkin_op.matvecs";
+  Util.Metrics.span metrics "galerkin_op.matvec_s" (fun () -> Galerkin_op.apply_into op x y)
+
 (* Mean-block preconditioner: every block j solved with the nominal
    mean solver (exact factor, ic0 or AMG per [Precond.kind]) and divided
    by the basis norm.  The N+1 blocks go through the backend's block
@@ -256,7 +262,7 @@ let solve_dc ?(options = default_options) (m : Stochastic_model.t) =
       let precond = mean_block_preconditioner ~domains:options.domains ~metrics m ms0 in
       let mv = Array.make dim 0.0 in
       let matvec x =
-        Galerkin_op.apply_into op x mv;
+        apply_op metrics op x mv;
         mv
       in
       let x, report =
@@ -461,11 +467,11 @@ let solve_transient_coupled ~options (m : Stochastic_model.t) ~h ~steps =
         rhs_into m ~drain_buf 0.0 rhs;
         let mv = Array.make dim 0.0 in
         let matvec_gt x =
-          Galerkin_op.apply_into op_gt x mv;
+          apply_op metrics op_gt x mv;
           mv
         in
         let matvec_mt x =
-          Galerkin_op.apply_into op_mt x mv;
+          apply_op metrics op_mt x mv;
           mv
         in
         let a0, report0 =
@@ -494,8 +500,7 @@ let solve_transient_coupled ~options (m : Stochastic_model.t) ~h ~steps =
           in
           accept x
         in
-        (a, step_of, Galerkin_op.apply_into op_ct, Galerkin_op.apply_into op_gt,
-         Galerkin_op.nnz op_mt)
+        (a, step_of, apply_op metrics op_ct, apply_op metrics op_gt, Galerkin_op.nnz op_mt)
     | St _ ->
         (* solve_transient dispatches St before reaching the coupled body. *)
         assert false

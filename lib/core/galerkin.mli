@@ -87,7 +87,9 @@ type options = {
       (** registry receiving the per-phase counters and timers
           ([galerkin.assemble_s], [galerkin.factor_s], [galerkin.step_s],
           [galerkin.precond_s], [galerkin.pcg_iterations], the per-solve
-          [galerkin.pcg_iters_per_solve] histogram, ...); defaults to
+          [galerkin.pcg_iters_per_solve] histogram, the matrix-free
+          operator's [galerkin_op.matvecs] and [galerkin_op.matvec_s],
+          ...); defaults to
           {!Util.Metrics.global}.  Updated from the calling domain
           only. *)
   warm_start : bool;

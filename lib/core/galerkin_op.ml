@@ -160,14 +160,9 @@ let[@opera.hot] apply_into op x y =
   if Array.length x <> d || Array.length y <> d then
     invalid_arg "Galerkin_op.apply_into: dimension mismatch";
   if x == y then invalid_arg "Galerkin_op.apply_into: x and y must be distinct";
-  (* One counter bump and one timed span per operator application, on the
-     calling domain only: the worker domains spawned by [for_chunks]
-     never touch the registry. *)
-  Util.Metrics.incr Util.Metrics.global "galerkin_op.matvecs";
-  Util.Metrics.span Util.Metrics.global "galerkin_op.matvec_s" (fun () ->
-      (* opera-lint: race — a chunk owns output blocks [lo, hi) of y and of op.mixed; x is read-only *)
-      Util.Parallel.for_chunks ~domains:op.domains op.size (fun ~chunk:_ ~lo ~hi ->
-          apply_blocks op x y lo hi))
+  (* opera-lint: race — a chunk owns output blocks [lo, hi) of y and of op.mixed; x is read-only *)
+  Util.Parallel.for_chunks ~domains:op.domains op.size (fun ~chunk:_ ~lo ~hi ->
+      apply_blocks op x y lo hi)
 
 let apply op x =
   let y = Array.make (dim op) 0.0 in

@@ -47,7 +47,10 @@ val gt_plus_ct : ?domains:int -> ct_scale:float -> Stochastic_model.t -> t
 
 val apply_into : t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
 (** [apply_into op x y] sets [y <- At x] without allocating.  [x] and [y]
-    must both have length {!dim} and be distinct arrays. *)
+    must both have length {!dim} and be distinct arrays.  It touches no
+    metrics registry: callers count and time their applications into
+    their own ([Galerkin] records [galerkin_op.matvecs] and
+    [galerkin_op.matvec_s] in [options.metrics]). *)
 
 val apply : t -> Linalg.Vec.t -> Linalg.Vec.t
 (** Allocating variant of {!apply_into}. *)

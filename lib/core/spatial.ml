@@ -60,23 +60,6 @@ let sample_field t rng =
     t.mode_weights;
   field
 
-(* Wire conductance of each chip region as its own matrix. *)
-let region_wire_matrices (spec : Powergrid.Grid_spec.t) (circuit : Powergrid.Circuit.t) regions =
-  let n = circuit.num_nodes in
-  let builders = Array.init regions (fun _ -> Linalg.Sparse_builder.create ~nrows:n ~ncols:n ()) in
-  Array.iter
-    (fun (r : Powergrid.Circuit.resistor) ->
-      match r.rkind with
-      | Powergrid.Circuit.Metal | Powergrid.Circuit.Via ->
-          let anchor = if r.rnode1 >= 0 then r.rnode1 else r.rnode2 in
-          let region = Powergrid.Grid_gen.region_of_node spec anchor in
-          let opt v = if v = Powergrid.Circuit.ground then None else Some v in
-          Linalg.Sparse_builder.stamp_conductance builders.(region) (opt r.rnode1) (opt r.rnode2)
-            (1.0 /. r.ohms)
-      | Powergrid.Circuit.Package -> ())
-    circuit.resistors;
-  Array.map Linalg.Sparse_builder.to_csc builders
-
 let build_model ?(order = 2) t ~(base : Varmodel.t) ~spec circuit =
   if base.family <> Varmodel.Gaussian then
     invalid_arg "Spatial.build_model: the KL field is Gaussian; use a Gaussian base model";
@@ -92,7 +75,10 @@ let build_model ?(order = 2) t ~(base : Varmodel.t) ~spec circuit =
     idx.(d) <- 1;
     Polychaos.Basis.rank_of_index basis idx
   in
-  let region_g = region_wire_matrices spec circuit regions in
+  (* Wire conductance of each chip region as its own matrix. *)
+  let region_g =
+    Powergrid.Mna.wire_groups circuit ~groups:regions (Powergrid.Grid_gen.region_of_node spec)
+  in
   let ga = Powergrid.Mna.g_total mna in
   let ca = Powergrid.Mna.c_total mna in
   (* Mode m: G-perturbation sum_r w_m(r) G_r (relative variation). *)

@@ -15,25 +15,6 @@ let degree1_rank basis d =
   idx.(d) <- 1;
   Polychaos.Basis.rank_of_index basis idx
 
-(* Split the wire conductance into [k] vertical stripes by node id. *)
-let grouped_wire_matrices (circuit : Powergrid.Circuit.t) k =
-  let n = circuit.num_nodes in
-  let builders =
-    Array.init k (fun _ -> Linalg.Sparse_builder.create ~nrows:n ~ncols:n ())
-  in
-  let group_of_node node = Int.min (k - 1) (node * k / n) in
-  Array.iter
-    (fun (r : Powergrid.Circuit.resistor) ->
-      match r.rkind with
-      | Powergrid.Circuit.Metal | Powergrid.Circuit.Via ->
-          let anchor = if r.rnode1 >= 0 then r.rnode1 else r.rnode2 in
-          let b = builders.(group_of_node anchor) in
-          let opt n = if n = Powergrid.Circuit.ground then None else Some n in
-          Linalg.Sparse_builder.stamp_conductance b (opt r.rnode1) (opt r.rnode2) (1.0 /. r.ohms)
-      | Powergrid.Circuit.Package -> ())
-    circuit.resistors;
-  Array.map Linalg.Sparse_builder.to_csc builders
-
 let family_of (vm : Varmodel.t) =
   match vm.family with
   | Varmodel.Gaussian -> Polychaos.Family.hermite
@@ -132,7 +113,10 @@ let build ?(order = 2) ?tp (vm : Varmodel.t) ~vdd circuit =
         (g_terms, u_static, u_drain)
     | Varmodel.Grouped_wires k ->
         if k < 1 then invalid_arg "Stochastic_model.build: need at least one wire group";
-        let groups = grouped_wire_matrices circuit k in
+        (* The wire conductance split into [k] vertical stripes by node id. *)
+        let groups =
+          Powergrid.Mna.wire_groups circuit ~groups:k (fun node -> Int.min (k - 1) (node * k / n))
+        in
         let rl = rank k in
         let g_terms =
           (0, ga)

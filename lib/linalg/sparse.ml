@@ -30,68 +30,50 @@ let create ~nrows ~ncols ~colptr ~rowind ~values =
 let zero ~nrows ~ncols =
   { nrows; ncols; colptr = Array.make (ncols + 1) 0; rowind = [||]; values = [||] }
 
-(* Sort triplets column-major, then merge duplicates. *)
-let of_triplets ~nrows ~ncols triplets =
-  List.iter
-    (fun (i, j, _) ->
-      if i < 0 || i >= nrows || j < 0 || j >= ncols then
-        invalid_arg (Printf.sprintf "Sparse.of_triplets: (%d,%d) out of %dx%d" i j nrows ncols))
-    triplets;
-  let arr = Array.of_list triplets in
-  Array.sort
-    (fun (i1, j1, _) (i2, j2, _) ->
-      match compare j1 j2 with 0 -> compare i1 i2 | c -> c)
-    arr;
-  let counts = Array.make (ncols + 1) 0 in
-  let ri = ref [] and vs = ref [] and total = ref 0 in
-  let k = ref 0 in
-  let m = Array.length arr in
-  while !k < m do
-    let i, j, _ = arr.(!k) in
-    let acc = ref 0.0 in
-    while
-      !k < m
-      &&
-      let i', j', _ = arr.(!k) in
-      i' = i && j' = j
-    do
-      let _, _, v = arr.(!k) in
-      acc := !acc +. v;
-      incr k
+(* One bottom-up merge pass over [n] entries: runs of [width] in
+   [sr]/[sv] from [so] merge pairwise into [dr]/[dv] from [d0].  Ties
+   take the left run first, so the sort is stable. *)
+let[@opera.hot] merge_pass (sr : int array) (sv : float array) so (dr : int array)
+    (dv : float array) d0 n width =
+  let s = ref 0 in
+  while !s < n do
+    let mid = Int.min n (!s + width) and stop = Int.min n (!s + (2 * width)) in
+    let a = ref !s and b = ref mid in
+    for o = !s to stop - 1 do
+      if !b >= stop || (!a < mid && sr.(so + !a) <= sr.(so + !b)) then begin
+        dr.(d0 + o) <- sr.(so + !a);
+        dv.(d0 + o) <- sv.(so + !a);
+        incr a
+      end
+      else begin
+        dr.(d0 + o) <- sr.(so + !b);
+        dv.(d0 + o) <- sv.(so + !b);
+        incr b
+      end
     done;
-    if not (Util.Floats.equal_exact !acc 0.0) then begin
-      ri := i :: !ri;
-      vs := !acc :: !vs;
-      counts.(j + 1) <- counts.(j + 1) + 1;
-      incr total
-    end
-  done;
-  let rowind = Array.make !total 0 and values = Array.make !total 0.0 in
-  List.iteri (fun idx i -> rowind.(!total - 1 - idx) <- i) !ri;
-  List.iteri (fun idx v -> values.(!total - 1 - idx) <- v) !vs;
-  let colptr = Array.make (ncols + 1) 0 in
-  for j = 1 to ncols do
-    colptr.(j) <- colptr.(j - 1) + counts.(j)
-  done;
-  validate { nrows; ncols; colptr; rowind; values }
+    s := stop
+  done
 
-(* In-place sort + duplicate merge of one column segment
-   [lo, hi): insertion sort by row index (stable, so duplicate
-   contributions sum in emission order — deterministic run to run),
-   then compact equal rows to the segment head, dropping exact-zero
-   sums.  Returns the merged entry count. *)
-let[@opera.hot] sort_merge_column (rowind : int array) (values : float array) lo hi =
-  for k = lo + 1 to hi - 1 do
-    let i = rowind.(k) and v = values.(k) in
-    let p = ref k in
-    while !p > lo && rowind.(!p - 1) > i do
-      rowind.(!p) <- rowind.(!p - 1);
-      values.(!p) <- values.(!p - 1);
-      decr p
-    done;
-    rowind.(!p) <- i;
-    values.(!p) <- v
+(* In-place sort + duplicate merge of one column segment [lo, hi): a
+   stable merge sort by row index, ping-ponging through the scratch
+   pair [sr]/[sv] (at least [hi - lo] long), so duplicate contributions
+   sum in emission order — deterministic run to run, and O(k log k) on
+   a column of k stamps however high a node's fan-in; then compact
+   equal rows to the segment head, dropping exact-zero sums.  Returns
+   the merged entry count. *)
+let[@opera.hot] sort_merge_column (rowind : int array) (values : float array) sr sv lo hi =
+  let n = hi - lo in
+  let width = ref 1 and in_scratch = ref false in
+  while !width < n do
+    if !in_scratch then merge_pass sr sv 0 rowind values lo n !width
+    else merge_pass rowind values lo sr sv 0 n !width;
+    in_scratch := not !in_scratch;
+    width := 2 * !width
   done;
+  if !in_scratch then begin
+    Array.blit sr 0 rowind lo n;
+    Array.blit sv 0 values lo n
+  end;
   let out = ref lo and k = ref lo in
   while !k < hi do
     let i = rowind.(!k) in
@@ -109,19 +91,21 @@ let[@opera.hot] sort_merge_column (rowind : int array) (values : float array) lo
   done;
   !out - lo
 
-(* Streaming CSC assembly: the stamping path of the MNA builders.
+(* Streaming CSC assembly, the one stamps-to-CSC routine: every MNA,
+   variation-term and triplet matrix is built here.
    [emit stamp] must call [stamp i j v] once per contribution and must
    produce the same stamp sequence on both invocations — it runs twice,
    a counting pass that sizes every column exactly and a fill pass that
    lands each contribution in its column segment.  No triplet list is
    ever materialized: peak memory is the raw stamp arrays (16 bytes per
-   stamp) plus two (ncols+1) counters, and the result shrinks to the
+   stamp), the sort's scratch pair (16 bytes per entry of the longest
+   column) and two (ncols+1) counters, and the result shrinks to the
    merged CSC.  Duplicates sum in emission order (stable per-column
-   sort), so the result is deterministic; exact-zero sums are dropped,
-   matching {!of_triplets}.  Stamp/entry counts and the raw peak land
-   in [metrics] ([sparse.stream_stamps], [sparse.stream_nnz],
+   sort), so the result is deterministic; exact-zero sums are dropped.
+   Stamp/entry counts and the raw peak land in [metrics], when given
+   ([sparse.stream_stamps], [sparse.stream_nnz],
    [sparse.stream_peak_bytes]). *)
-let of_stamps ?(metrics = Util.Metrics.global) ~nrows ~ncols emit =
+let of_stamps ?metrics ~nrows ~ncols emit =
   if nrows < 0 || ncols < 0 then invalid_arg "Sparse.of_stamps: negative dimension";
   let count = Array.make (ncols + 1) 0 in
   let stamps = ref 0 in
@@ -151,13 +135,19 @@ let of_stamps ?(metrics = Util.Metrics.global) ~nrows ~ncols emit =
     if cursor.(j) <> raw.(j + 1) then
       invalid_arg "Sparse.of_stamps: emit changed between the counting and fill passes"
   done;
+  (* The column sort's scratch pair, as long as the longest column. *)
+  let longest = ref 0 in
+  for j = 0 to ncols - 1 do
+    longest := Int.max !longest (raw.(j + 1) - raw.(j))
+  done;
+  let sr = Array.make !longest 0 and sv = Array.make !longest 0.0 in
   (* Merge every column in place, then compact left: each column's
      merged entries move to their final offset (always <= the source
      offset, so the in-place shift is safe). *)
   let colptr = Array.make (ncols + 1) 0 in
   for j = 0 to ncols - 1 do
     let lo = raw.(j) and hi = raw.(j + 1) in
-    let kept = sort_merge_column rowind values lo hi in
+    let kept = sort_merge_column rowind values sr sv lo hi in
     let dst = colptr.(j) in
     if dst <> lo then begin
       Array.blit rowind lo rowind dst kept;
@@ -168,11 +158,17 @@ let of_stamps ?(metrics = Util.Metrics.global) ~nrows ~ncols emit =
   let total = colptr.(ncols) in
   let rowind = if total = nraw then rowind else Array.sub rowind 0 total in
   let values = if total = nraw then values else Array.sub values 0 total in
-  Util.Metrics.incr ~by:!stamps metrics "sparse.stream_stamps";
-  Util.Metrics.incr ~by:total metrics "sparse.stream_nnz";
-  Util.Metrics.observe metrics "sparse.stream_peak_bytes"
-    (float_of_int ((16 * nraw) + (8 * 2 * (ncols + 1))));
+  Option.iter
+    (fun metrics ->
+      Util.Metrics.incr ~by:!stamps metrics "sparse.stream_stamps";
+      Util.Metrics.incr ~by:total metrics "sparse.stream_nnz";
+      Util.Metrics.observe metrics "sparse.stream_peak_bytes"
+        (float_of_int ((16 * (nraw + Array.length sr)) + (8 * 2 * (ncols + 1)))))
+    metrics;
   validate { nrows; ncols; colptr; rowind; values }
+
+let of_triplets ~nrows ~ncols triplets =
+  of_stamps ~nrows ~ncols (fun stamp -> List.iter (fun (i, j, v) -> stamp i j v) triplets)
 
 let to_triplets a =
   let out = ref [] in

@@ -15,10 +15,6 @@ val create : nrows:int -> ncols:int -> colptr:int array -> rowind:int array -> v
 (** Low-level constructor; validates the CSC invariants (monotone colptr,
     sorted in-range row indices). *)
 
-val of_triplets : nrows:int -> ncols:int -> (int * int * float) list -> t
-(** Builds from (row, col, value) triplets; duplicate entries are summed,
-    exact zeros are kept out. *)
-
 val of_stamps :
   ?metrics:Util.Metrics.t ->
   nrows:int ->
@@ -26,14 +22,22 @@ val of_stamps :
   ((int -> int -> float -> unit) -> unit) ->
   t
 (** [of_stamps ~nrows ~ncols emit] builds CSC directly from a stamping
-    pass: [emit stamp] calls [stamp i j v] once per contribution.
+    pass: [emit stamp] calls [stamp i j v] once per contribution.  It is
+    the one stamps-to-CSC routine: MNA assembly, the variation-term
+    matrices and {!of_triplets} all build through it.
     [emit] MUST be replayable — it runs twice (a counting pass sizing
     every column exactly, then the fill); a sequence that changes
     between passes raises [Invalid_argument].  No triplet list is
-    materialized: peak memory is 16 bytes per raw stamp plus two
-    column counters, counted into [metrics] ([sparse.stream_stamps],
-    [sparse.stream_nnz], [sparse.stream_peak_bytes]).  Duplicates sum
-    in emission order (deterministic); exact-zero sums are dropped. *)
+    materialized: peak memory is 16 bytes per raw stamp, 16 per entry
+    of the longest column (the sort's scratch) and two column counters,
+    counted into [metrics] when one is given
+    ([sparse.stream_stamps], [sparse.stream_nnz],
+    [sparse.stream_peak_bytes]).  Duplicates sum in emission order
+    (deterministic); exact-zero sums are dropped. *)
+
+val of_triplets : nrows:int -> ncols:int -> (int * int * float) list -> t
+(** {!of_stamps} over the list: duplicate entries are summed in list
+    order, exact zeros are kept out. *)
 
 val to_triplets : t -> (int * int * float) list
 (** Column-major list of structural entries. *)

@@ -162,8 +162,9 @@ let geom_of_spec (spec : Grid_spec.t) =
   done;
   { glayers = layers; grows; gcols; goff }
 
-(* Mesh wires of every layer plus the via stitching, one replayable sweep.
-   Stamp order per element matches [Sparse_builder.stamp_conductance]. *)
+(* Mesh wires of every layer plus the via stitching, one replayable sweep
+   through [Mna.stamp_conductance]; elements come in construction order,
+   the reverse of [generate]'s element arrays. *)
 let[@opera.hot] stamp_wires (spec : Grid_spec.t) geom segs stamp =
   for l = 0 to geom.glayers - 1 do
     let rows = geom.grows.(l) and cols = geom.gcols.(l) in
@@ -173,20 +174,8 @@ let[@opera.hot] stamp_wires (spec : Grid_spec.t) geom segs stamp =
       let row_base = base + (r * cols) in
       for c = 0 to cols - 1 do
         let here = row_base + c in
-        if c + 1 < cols then begin
-          let there = here + 1 in
-          stamp here here g;
-          stamp there there g;
-          stamp here there (-.g);
-          stamp there here (-.g)
-        end;
-        if r + 1 < rows then begin
-          let there = here + cols in
-          stamp here here g;
-          stamp there there g;
-          stamp here there (-.g);
-          stamp there here (-.g)
-        end
+        if c + 1 < cols then Mna.stamp_conductance stamp here (here + 1) g;
+        if r + 1 < rows then Mna.stamp_conductance stamp here (here + cols) g
       done
     done
   done;
@@ -200,11 +189,7 @@ let[@opera.hot] stamp_wires (spec : Grid_spec.t) geom segs stamp =
       let lo_row = geom.goff.(l) + (r_lo * cols_lo) in
       for c = 0 to cols_hi - 1 do
         let c_lo = Int.min (cols_lo - 1) (c * spec.coarsening) in
-        let hi = hi_row + c and lo = lo_row + c_lo in
-        stamp hi hi gv;
-        stamp lo lo gv;
-        stamp hi lo (-.gv);
-        stamp lo hi (-.gv)
+        Mna.stamp_conductance stamp (hi_row + c) (lo_row + c_lo) gv
       done
     done
   done

@@ -19,8 +19,11 @@ val stream_mna : ?metrics:Util.Metrics.t -> Grid_spec.t -> Mna.t
 (** Assemble the MNA system of [generate spec] without materializing the
     circuit: conductances and capacitances stamp straight into CSC via
     {!Linalg.Sparse.of_stamps} (peak memory one triplet slot per stamp,
-    counted into [metrics]), and only the RNG-dependent block current
-    sources are built as values.  Matrices match
-    [Mna.assemble (generate spec)] up to duplicate-summation rounding;
-    waveforms, regions and the pad injection are bitwise identical.
+    counted into [metrics] when given), and only the RNG-dependent block
+    current sources are built as values.  Matrices match
+    [Mna.assemble (generate spec)] up to the order of duplicate sums: the
+    same stamps come in construction order here and in reverse there
+    ([generate] prepends its elements), so an inexact duplicate sum can
+    differ by an ulp.  Waveforms, regions and the pad injection are
+    bitwise identical.
     Raises [Invalid_argument] on a zero pad series resistance. *)

@@ -12,7 +12,7 @@
     - [c_fixed]: diffusion/wire capacitance (nominal)
 
     Ideal pads ([series_ohms = 0]) cannot be Norton-transformed; use
-    {!assemble_full} which keeps branch currents as extra unknowns (solved
+    {!Full.assemble}, which keeps branch currents as extra unknowns (solved
     with sparse LU since the system is then indefinite). *)
 
 type t = {
@@ -26,8 +26,24 @@ type t = {
 }
 
 val assemble : Circuit.t -> t
-(** Raises [Invalid_argument] if a pad has zero series resistance
-    (use {!assemble_full} for that). *)
+(** Raises [Invalid_argument] if a pad has zero series resistance or the
+    circuit has inductors (use {!Full.assemble} for those).  Each matrix
+    is one {!Linalg.Sparse.of_stamps} pass over the element arrays in
+    array order, so duplicate stamps sum in that order. *)
+
+val stamp_conductance : (int -> int -> float -> unit) -> Circuit.node -> Circuit.node -> float -> unit
+(** [stamp_conductance stamp n1 n2 g] emits the stamps of a conductance
+    [g] between [n1] and [n2]: [(n1,n1) g], [(n2,n2) g], [(n1,n2) -g],
+    [(n2,n1) -g], leaving out every row and column of {!Circuit.ground}.
+    The assemblers here and [Grid_gen.stream_mna]'s wire kernel stamp
+    every two-terminal element through it, so the order of an element's
+    stamps is stated once. *)
+
+val wire_groups : Circuit.t -> groups:int -> (Circuit.node -> int) -> Linalg.Sparse.t array
+(** [wire_groups c ~groups group_of_node] splits the wire conductance
+    ([g_wire]'s metal and via resistors) into [groups] matrices: each
+    resistor goes to the group of its first non-ground node.  The
+    matrices sum to [g_wire] up to the order of duplicate sums. *)
 
 val g_total : t -> Linalg.Sparse.t
 

@@ -244,9 +244,31 @@ let parse_file path =
   close_in ic;
   parse_string text
 
+(* The element the nodal formulation ({!Mna.assemble}) cannot take: an
+   ideal pad or an inductor. *)
+let non_nodal { circuit; node_names } =
+  let name node = if node = Circuit.ground then "0" else node_names.(node) in
+  match Array.find_opt (fun (v : Circuit.vsource) -> not (v.series_ohms > 0.0)) circuit.vsources with
+  | Some v ->
+      Some
+        (Printf.sprintf
+           "supply pad at node %s has no positive RS= series resistance; the nodal analysis \
+            needs one"
+           (name v.vnode))
+  | None ->
+      if Array.length circuit.inductors = 0 then None
+      else
+        let l = circuit.inductors.(0) in
+        Some
+          (Printf.sprintf "inductor between nodes %s and %s; the nodal analysis takes no inductors"
+             (name l.lnode1) (name l.lnode2))
+
 let load_file path =
   match parse_file path with
-  | parsed -> Ok parsed
+  | parsed -> (
+      match non_nodal parsed with
+      | None -> Ok parsed
+      | Some msg -> Error (Printf.sprintf "%s: %s" path msg))
   | exception Sys_error msg ->
       (* a failed open names the file, a failed read does not *)
       Error (if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg)

@@ -25,7 +25,11 @@ val parse_file : string -> parsed
 
 val load_file : string -> (parsed, string) result
 (** {!parse_file} with an unreadable file or a malformed card returned as
-    a one-line message naming the file (and the line, when known). *)
+    a one-line message naming the file (and the line, when known).  A
+    netlist the nodal analysis ({!Mna.assemble}) cannot take — a supply
+    pad without a positive [RS=], or any inductor — is an [Error] too,
+    naming the file and the element's nodes.  {!parse_file} accepts
+    both, for {!Mna.Full}. *)
 
 val to_string : ?title:string -> Circuit.t -> string
 (** Render a circuit back to netlist text (nodes named [n<i>]).

@@ -37,25 +37,42 @@ let random_spd rng n =
       Linalg.Dense.get bbt i j +. if i = j then float_of_int n else 0.0)
 
 (* A random sparse SPD matrix built like a conductance stamp: diagonally
-   dominant with random off-diagonal couplings. *)
+   dominant with random off-diagonal couplings.  The edges are drawn
+   first: [of_stamps] replays its emit. *)
 let random_sparse_spd rng n ~extra_edges =
-  let b = Linalg.Sparse_builder.create ~nrows:n ~ncols:n () in
-  for i = 0 to n - 1 do
-    Linalg.Sparse_builder.add b i i 1.0
-  done;
+  let edges = ref [] in
   (* chain to keep it irreducible *)
   for i = 0 to n - 2 do
     let g = Prob.Rng.float_range rng 0.5 2.0 in
-    Linalg.Sparse_builder.stamp_conductance b (Some i) (Some (i + 1)) g
+    edges := (i, i + 1, g) :: !edges
   done;
   for _ = 1 to extra_edges do
     let i = Prob.Rng.int rng n and j = Prob.Rng.int rng n in
     if i <> j then begin
       let g = Prob.Rng.float_range rng 0.1 1.0 in
-      Linalg.Sparse_builder.stamp_conductance b (Some i) (Some j) g
+      edges := (i, j, g) :: !edges
     end
   done;
-  Linalg.Sparse_builder.to_csc b
+  let edges = List.rev !edges in
+  Linalg.Sparse.of_stamps ~nrows:n ~ncols:n (fun stamp ->
+      for i = 0 to n - 1 do
+        stamp i i 1.0
+      done;
+      List.iter (fun (i, j, g) -> Powergrid.Mna.stamp_conductance stamp i j g) edges)
+
+(* The k x k five-point mesh: unit conductances between neighbours and
+   [diag] to ground at every node. *)
+let mesh_matrix ~diag k =
+  let n = k * k in
+  Linalg.Sparse.of_stamps ~nrows:n ~ncols:n (fun stamp ->
+      for r = 0 to k - 1 do
+        for c = 0 to k - 1 do
+          let here = (r * k) + c in
+          stamp here here diag;
+          if c + 1 < k then Powergrid.Mna.stamp_conductance stamp here (here + 1) 1.0;
+          if r + 1 < k then Powergrid.Mna.stamp_conductance stamp here (here + k) 1.0
+        done
+      done)
 
 let random_vec rng n = Array.init n (fun _ -> Prob.Rng.float_range rng (-1.0) 1.0)
 
@@ -192,3 +209,160 @@ let reference_cholesky_bytes ?(ordering = Linalg.Ordering.Min_degree) ?perm a =
   Util.Codec.write_int_array e li;
   Util.Codec.write_float_array e lx;
   Util.Codec.contents e
+
+(* ---- reference assembly ------------------------------------------------
+
+   The triplet builder every netlist and generated grid was assembled
+   through before [Linalg.Sparse.of_stamps] became the one assembly
+   path.  [to_csc] is its compression verbatim: a counting sort by
+   column, then each column sorted by row with [Array.sort] (a heap
+   sort, so duplicate runs leave emission order) and summed in that
+   order.  On generated grids and their netlist round trips the two
+   orders give the same bits, so there the library's emission-order sums
+   must equal it bit for bit. *)
+
+module Reference_builder = struct
+  type t = {
+    nrows : int;
+    ncols : int;
+    mutable rows : int array;
+    mutable cols : int array;
+    mutable vals : float array;
+    mutable len : int;
+  }
+
+  let create ~n = { nrows = n; ncols = n; rows = [||]; cols = [||]; vals = [||]; len = 0 }
+
+  let add b i j v =
+    if i < 0 || i >= b.nrows || j < 0 || j >= b.ncols then
+      invalid_arg (Printf.sprintf "Reference_builder.add: (%d,%d) out of %dx%d" i j b.nrows b.ncols);
+    if b.len = Array.length b.rows then begin
+      let cap = Int.max 64 (2 * b.len) in
+      let extend a fill =
+        let a' = Array.make cap fill in
+        Array.blit a 0 a' 0 b.len;
+        a'
+      in
+      b.rows <- extend b.rows 0;
+      b.cols <- extend b.cols 0;
+      b.vals <- extend b.vals 0.0
+    end;
+    b.rows.(b.len) <- i;
+    b.cols.(b.len) <- j;
+    b.vals.(b.len) <- v;
+    b.len <- b.len + 1
+
+  let stamp_conductance b n1 n2 g =
+    match (n1, n2) with
+    | None, None -> ()
+    | Some i, None | None, Some i -> add b i i g
+    | Some i, Some j ->
+        add b i i g;
+        add b j j g;
+        add b i j (-.g);
+        add b j i (-.g)
+
+  let to_csc b =
+    let n = b.len in
+    (* Counting sort by column, then sort each column segment by row and merge
+       duplicates. *)
+    let counts = Array.make (b.ncols + 1) 0 in
+    for k = 0 to n - 1 do
+      counts.(b.cols.(k) + 1) <- counts.(b.cols.(k) + 1) + 1
+    done;
+    for j = 1 to b.ncols do
+      counts.(j) <- counts.(j) + counts.(j - 1)
+    done;
+    let next = Array.copy counts in
+    let rows_sorted = Array.make n 0 and vals_sorted = Array.make n 0.0 in
+    for k = 0 to n - 1 do
+      let j = b.cols.(k) in
+      let pos = next.(j) in
+      next.(j) <- pos + 1;
+      rows_sorted.(pos) <- b.rows.(k);
+      vals_sorted.(pos) <- b.vals.(k)
+    done;
+    let colptr = Array.make (b.ncols + 1) 0 in
+    let rowind = Array.make n 0 and values = Array.make n 0.0 in
+    let pos = ref 0 in
+    for j = 0 to b.ncols - 1 do
+      let lo = counts.(j) and hi = counts.(j + 1) in
+      let seg = Array.init (hi - lo) (fun t -> (rows_sorted.(lo + t), vals_sorted.(lo + t))) in
+      Array.sort (fun (r1, _) (r2, _) -> compare r1 r2) seg;
+      let m = Array.length seg in
+      let k = ref 0 in
+      while !k < m do
+        let r, _ = seg.(!k) in
+        let acc = ref 0.0 in
+        while !k < m && fst seg.(!k) = r do
+          acc := !acc +. snd seg.(!k);
+          incr k
+        done;
+        if not (Util.Floats.equal_exact !acc 0.0) then begin
+          rowind.(!pos) <- r;
+          values.(!pos) <- !acc;
+          incr pos
+        end
+      done;
+      colptr.(j + 1) <- !pos
+    done;
+    Linalg.Sparse.create ~nrows:b.nrows ~ncols:b.ncols ~colptr
+      ~rowind:(Array.sub rowind 0 !pos)
+      ~values:(Array.sub values 0 !pos)
+end
+
+let opt_node n = if n = Powergrid.Circuit.ground then None else Some n
+
+(* [Powergrid.Mna.assemble]'s four matrices as the builder stamped them:
+   [(g_wire, g_pad, c_gate, c_fixed)]. *)
+let reference_mna (circuit : Powergrid.Circuit.t) =
+  let module B = Reference_builder in
+  let n = circuit.num_nodes in
+  let wire = B.create ~n and pad = B.create ~n in
+  let gate = B.create ~n and fixed = B.create ~n in
+  Array.iter
+    (fun (r : Powergrid.Circuit.resistor) ->
+      let g = 1.0 /. r.ohms in
+      let target =
+        match r.rkind with Powergrid.Circuit.Metal | Powergrid.Circuit.Via -> wire | Powergrid.Circuit.Package -> pad
+      in
+      B.stamp_conductance target (opt_node r.rnode1) (opt_node r.rnode2) g)
+    circuit.resistors;
+  Array.iter
+    (fun (c : Powergrid.Circuit.capacitor) ->
+      let target = match c.ckind with Powergrid.Circuit.Gate -> gate | Powergrid.Circuit.Fixed -> fixed in
+      B.stamp_conductance target (opt_node c.cnode1) (opt_node c.cnode2) c.farads)
+    circuit.capacitors;
+  Array.iter
+    (fun (v : Powergrid.Circuit.vsource) -> B.add pad v.vnode v.vnode (1.0 /. v.series_ohms))
+    circuit.vsources;
+  (B.to_csc wire, B.to_csc pad, B.to_csc gate, B.to_csc fixed)
+
+(* The wire conductance split by [group_of_node] of each resistor's
+   first non-ground node, as [Stochastic_model]'s stripes and
+   [Spatial]'s regions stamped it. *)
+let reference_wire_groups (circuit : Powergrid.Circuit.t) ~groups group_of_node =
+  let builders = Array.init groups (fun _ -> Reference_builder.create ~n:circuit.num_nodes) in
+  Array.iter
+    (fun (r : Powergrid.Circuit.resistor) ->
+      match r.rkind with
+      | Powergrid.Circuit.Metal | Powergrid.Circuit.Via ->
+          let anchor = if r.rnode1 >= 0 then r.rnode1 else r.rnode2 in
+          Reference_builder.stamp_conductance
+            builders.(group_of_node anchor)
+            (opt_node r.rnode1) (opt_node r.rnode2) (1.0 /. r.ohms)
+      | Powergrid.Circuit.Package -> ())
+    circuit.resistors;
+  Array.map Reference_builder.to_csc builders
+
+(* Bit-for-bit equality of two CSC matrices: same pattern, same value
+   bits. *)
+let check_sparse_bitwise what (a : Linalg.Sparse.t) (b : Linalg.Sparse.t) =
+  Alcotest.(check (pair int int)) (what ^ ": dims") (Linalg.Sparse.dims a) (Linalg.Sparse.dims b);
+  Alcotest.(check (array int)) (what ^ ": colptr") a.colptr b.colptr;
+  Alcotest.(check (array int)) (what ^ ": rowind") a.rowind b.rowind;
+  Array.iteri
+    (fun k v ->
+      if not (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float b.values.(k))) then
+        Alcotest.failf "%s: entry %d differs: %.17g vs %.17g" what k v b.values.(k))
+    a.values

@@ -65,6 +65,24 @@ let tiny_batch =
      "jobs": [{"name": "a", "analysis": "dc"},
               {"name": "b", "analysis": "dc", "drain_scale": 1.5}]}|}
 
+(* Netlists that parse but that the nodal analysis cannot take, each with
+   the element its one-line message must name: an ideal pad (no RS=) and
+   an inductor. *)
+let non_nodal_netlists =
+  [
+    ( "ideal pad",
+      "supply pad at node n1",
+      "R1 n1 n2 1\nC1 n2 0 1p KIND=gate\nI1 n2 0 1m\nV1 n1 0 1.2\n" );
+    ( "inductor",
+      "inductor between nodes n1 and n2",
+      "R1 n1 n2 1\nC1 n2 0 1p KIND=gate\nI1 n2 0 1m\nV1 n1 0 1.2 RS=0.1\nL1 n1 n2 1n\n" );
+  ]
+
+(* A resistor no other element touches: a singular operator, which the
+   engine refuses as not positive definite. *)
+let floating_netlist =
+  "V1 n1 0 1.2 RS=0.1\nR1 n1 0 10\nC1 n1 0 1p KIND=gate\nI1 n1 0 1m\nR2 n2 n3 5\n"
+
 let test_help_exits_zero () =
   check "opera --help" 0 "--help";
   check "opera -h" 0 "-h";
@@ -106,6 +124,15 @@ let test_usage_errors_exit_two () =
   check "special --regions -2" 2 "special --regions -2";
   check "generate --nodes 3" 2 "generate --nodes 3";
   check "analyze missing --netlist" 2 "analyze --netlist /nonexistent.sp";
+  List.iter
+    (fun (what, element, netlist) ->
+      with_temp_file ~suffix:".sp" netlist (fun path ->
+          check ~names:(path ^ ": " ^ element) ("analyze on a netlist with an " ^ what) 2
+            ("analyze --steps 2 --netlist " ^ Filename.quote path)))
+    non_nodal_netlists;
+  with_temp_file ~suffix:".sp" floating_netlist (fun path ->
+      check ~names:"not positive definite" "analyze on a netlist with a floating resistor" 2
+        ("analyze --steps 2 --netlist " ^ Filename.quote path));
   check "mc missing --netlist" 2 "mc --netlist /nonexistent.sp";
   (* Counts are >= 0 everywhere: a negative one is not "use the
      environment". *)
@@ -171,12 +198,14 @@ let test_batch_rejects_malformed_jobs () =
   with_temp_file {|{"jobs": [{"analysis": "dc", "netlist": "/nonexistent/grid.sp"}]}|}
     (fun path -> check "missing netlist" 2 ("batch " ^ Filename.quote path));
   (* An indefinite chaos operator fails its factorization: a usage error
-     naming the job and its sigma_scale, on the direct and st routes. *)
+     naming the jobs file, the job and its sigma_scale, on the direct and
+     st routes. *)
   List.iter
     (fun (what, solver) ->
       with_temp_file
         (Printf.sprintf {|{"jobs":[{"nodes":100,"steps":2,"sigma_scale":20%s}]}|} solver)
-        (fun path -> check ~names:"sigma_scale 20" what 2 ("batch " ^ Filename.quote path)))
+        (fun path ->
+          check ~names:(path ^ ": job job0: sigma_scale 20") what 2 ("batch " ^ Filename.quote path)))
     [ ("indefinite operator (direct)", ""); ("indefinite operator (st)", {|,"solver":"st"|}) ];
   (* Numbers that would run to a record of nulls or a silent default. *)
   List.iter
@@ -197,7 +226,23 @@ let test_batch_rejects_malformed_jobs () =
   with_temp_file ~suffix:".sp" "R1 n1 n2 1k\nI1 n1 0 PULSE(0 1m\n" (fun netlist ->
       with_temp_file
         (Printf.sprintf {|{"jobs": [{"analysis": "dc", "netlist": %S}]}|} netlist)
-        (fun path -> check "malformed netlist" 2 ("batch " ^ Filename.quote path)))
+        (fun path -> check "malformed netlist" 2 ("batch " ^ Filename.quote path)));
+  List.iter
+    (fun (what, element, contents) ->
+      with_temp_file ~suffix:".sp" contents (fun netlist ->
+          with_temp_file
+            (Printf.sprintf {|{"jobs": [{"analysis": "dc", "netlist": %S}]}|} netlist)
+            (fun path ->
+              check ~names:(netlist ^ ": " ^ element) ("netlist with an " ^ what) 2
+                ("batch " ^ Filename.quote path))))
+    non_nodal_netlists;
+  with_temp_file ~suffix:".sp" floating_netlist (fun netlist ->
+      with_temp_file
+        (Printf.sprintf {|{"jobs": [{"analysis": "dc", "netlist": %S}]}|} netlist)
+        (fun path ->
+          check ~names:(path ^ ": job job0: sigma_scale 1 makes the operator not positive definite")
+            "netlist with a floating resistor" 2
+            ("batch " ^ Filename.quote path)))
 
 (* serve flag validation: every malformed form must exit 2 before any
    socket is bound (the daemon never starts). *)

@@ -150,18 +150,7 @@ let test_random_walk_unreachable () =
 
 (* ---- AMG ------------------------------------------------------------- *)
 
-let mesh_matrix k =
-  let n = k * k in
-  let b = Linalg.Sparse_builder.create ~nrows:n ~ncols:n () in
-  for r = 0 to k - 1 do
-    for c = 0 to k - 1 do
-      let here = (r * k) + c in
-      Linalg.Sparse_builder.add b here here 0.02;
-      if c + 1 < k then Linalg.Sparse_builder.stamp_conductance b (Some here) (Some (here + 1)) 1.0;
-      if r + 1 < k then Linalg.Sparse_builder.stamp_conductance b (Some here) (Some (here + k)) 1.0
-    done
-  done;
-  Linalg.Sparse_builder.to_csc b
+let mesh_matrix k = Helpers.mesh_matrix ~diag:0.02 k
 
 let test_amg_solves () =
   let a = mesh_matrix 24 in

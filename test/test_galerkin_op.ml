@@ -118,6 +118,25 @@ let test_matrix_free_transient_matches_direct () =
     done
   done
 
+(* A matrix-free solve counts and times its operator applications into
+   its own [options.metrics]; [Galerkin_op.apply_into] writes no
+   registry, so concurrent solves never share one. *)
+let test_matvecs_counted_in_options_registry () =
+  let m = small_model () in
+  let reg = Util.Metrics.create () in
+  let global () = Util.Metrics.counter Util.Metrics.global "galerkin_op.matvecs" in
+  let before = global () in
+  let options =
+    { (solver_options (Opera.Galerkin.Matrix_free_pcg { tol = 1e-10; max_iter = 500 })) with
+      Opera.Galerkin.metrics = reg }
+  in
+  ignore (Opera.Galerkin.solve_transient ~options m ~h:0.25e-9 ~steps:4);
+  let matvecs = Util.Metrics.counter reg "galerkin_op.matvecs" in
+  Alcotest.(check bool) "counted in the solve's registry" true (matvecs > 0);
+  Alcotest.(check int) "one timed span per application" matvecs
+    (Util.Metrics.observations reg "galerkin_op.matvec_s");
+  Alcotest.(check int) "nothing in the global registry" before (global ())
+
 let test_matrix_free_trapezoidal () =
   let m = small_model () in
   let steps = 6 in
@@ -282,4 +301,6 @@ let suite =
       test_amg_precond_bitwise_across_domains;
     Alcotest.test_case "never calls kron" `Quick test_matrix_free_never_calls_kron;
     Alcotest.test_case "apply_into validation" `Quick test_apply_into_rejects_aliasing;
+    Alcotest.test_case "matvecs counted in the solve's registry" `Quick
+      test_matvecs_counted_in_options_registry;
   ]

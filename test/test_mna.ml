@@ -225,20 +225,22 @@ let test_run_full_matches_nodal_for_rc () =
 
 let test_stream_mna_matches_assemble () =
   (* The streaming path must produce the same system as the circuit
-     path.  Matrices agree up to duplicate-summation rounding (to_csc
-     sorts duplicate runs unstably, of_stamps sums in emission order);
-     the pad injection, waveforms and regions are bitwise identical. *)
+     path.  Both sum duplicate stamps in emission order, but in opposite
+     element orders (construction order, and [generate]'s prepended
+     arrays); on this grid every duplicate sum gives the same bits either
+     way, so the matrices are bitwise equal.  The pad injection,
+     waveforms and regions are bitwise identical on every grid. *)
   let spec = Helpers.small_grid_spec in
   let reference = Powergrid.Mna.assemble (Powergrid.Grid_gen.generate spec) in
   let streamed = Powergrid.Grid_gen.stream_mna spec in
   Alcotest.(check int) "n" reference.Powergrid.Mna.n streamed.Powergrid.Mna.n;
-  let close what a b =
-    Alcotest.(check bool) what true (Linalg.Sparse.approx_equal ~tol:1e-13 a b)
-  in
-  close "g_wire" reference.Powergrid.Mna.g_wire streamed.Powergrid.Mna.g_wire;
-  close "g_pad" reference.Powergrid.Mna.g_pad streamed.Powergrid.Mna.g_pad;
-  close "c_gate" reference.Powergrid.Mna.c_gate streamed.Powergrid.Mna.c_gate;
-  close "c_fixed" reference.Powergrid.Mna.c_fixed streamed.Powergrid.Mna.c_fixed;
+  Helpers.check_sparse_bitwise "g_wire" reference.Powergrid.Mna.g_wire
+    streamed.Powergrid.Mna.g_wire;
+  Helpers.check_sparse_bitwise "g_pad" reference.Powergrid.Mna.g_pad streamed.Powergrid.Mna.g_pad;
+  Helpers.check_sparse_bitwise "c_gate" reference.Powergrid.Mna.c_gate
+    streamed.Powergrid.Mna.c_gate;
+  Helpers.check_sparse_bitwise "c_fixed" reference.Powergrid.Mna.c_fixed
+    streamed.Powergrid.Mna.c_fixed;
   Helpers.check_vec ~eps:0.0 "u_pad bitwise" reference.Powergrid.Mna.u_pad
     streamed.Powergrid.Mna.u_pad;
   let ri = reference.Powergrid.Mna.isources and si = streamed.Powergrid.Mna.isources in
@@ -263,6 +265,80 @@ let test_stream_mna_rejects_ideal_pads () =
     Alcotest.fail "pad_res = 0 accepted"
   with Invalid_argument _ -> ()
 
+(* --- one assembly path ---------------------------------------------------- *)
+
+let test_conductance_stamping () =
+  let ground = Powergrid.Circuit.ground in
+  let a =
+    Linalg.Sparse.of_stamps ~nrows:3 ~ncols:3 (fun stamp ->
+        Powergrid.Mna.stamp_conductance stamp 0 1 2.0;
+        Powergrid.Mna.stamp_conductance stamp 1 ground 3.0;
+        Powergrid.Mna.stamp_conductance stamp ground ground 7.0)
+  in
+  Helpers.check_dense "stamped"
+    (Linalg.Dense.of_arrays
+       [| [| 2.0; -2.0; 0.0 |]; [| -2.0; 5.0; 0.0 |]; [| 0.0; 0.0; 0.0 |] |])
+    (Linalg.Sparse.to_dense a)
+
+(* Every assembly the library runs — [Mna.assemble]'s four matrices, the
+   Grouped_wires stripes and the spatial model's region matrices — is
+   bitwise the old triplet builder's ([Helpers.Reference_builder]) on
+   generated grids and on their netlist round trips. *)
+let test_assembly_matches_reference () =
+  List.iter
+    (fun nodes ->
+      let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default nodes in
+      let generated = Powergrid.Grid_gen.generate spec in
+      let round_trip =
+        (Powergrid.Netlist.parse_string (Powergrid.Netlist.to_string generated))
+          .Powergrid.Netlist.circuit
+      in
+      List.iter
+        (fun (source, (circuit : Powergrid.Circuit.t)) ->
+          let what name = Printf.sprintf "%d-node %s: %s" nodes source name in
+          let mna = Powergrid.Mna.assemble circuit in
+          let g_wire, g_pad, c_gate, c_fixed = Helpers.reference_mna circuit in
+          Helpers.check_sparse_bitwise (what "g_wire") g_wire mna.Powergrid.Mna.g_wire;
+          Helpers.check_sparse_bitwise (what "g_pad") g_pad mna.Powergrid.Mna.g_pad;
+          Helpers.check_sparse_bitwise (what "c_gate") c_gate mna.Powergrid.Mna.c_gate;
+          Helpers.check_sparse_bitwise (what "c_fixed") c_fixed mna.Powergrid.Mna.c_fixed;
+          let n = circuit.num_nodes in
+          let groupings =
+            [
+              ("stripe", 4, fun node -> Int.min 3 (node * 4 / n));
+              ( "region",
+                spec.Powergrid.Grid_spec.regions_x * spec.Powergrid.Grid_spec.regions_y,
+                Powergrid.Grid_gen.region_of_node spec );
+            ]
+          in
+          List.iter
+            (fun (kind, groups, group_of_node) ->
+              let expected = Helpers.reference_wire_groups circuit ~groups group_of_node in
+              let got = Powergrid.Mna.wire_groups circuit ~groups group_of_node in
+              Array.iteri
+                (fun g m -> Helpers.check_sparse_bitwise (what (Printf.sprintf "%s %d" kind g)) m got.(g))
+                expected)
+            groupings)
+        [ ("generated", generated); ("round trip", round_trip) ])
+    [ 160; 600; 3000 ]
+
+(* Duplicate stamps sum in emission order.  At node n1 the two 1e16-ohm
+   resistors come first: (1e-16 + 1e-16) + 1 rounds up, where
+   (1 + 1e-16) + 1e-16 rounds back to 1. *)
+let test_duplicates_sum_in_emission_order () =
+  let parsed =
+    Powergrid.Netlist.parse_string
+      "R1 n1 0 1e16\nR2 n1 0 1e16\nR3 n1 0 1\nV1 n1 0 1 RS=1\nI1 n1 0 1m\n"
+  in
+  let g = [ 1.0 /. 1e16; 1.0 /. 1e16; 1.0 ] in
+  let emission = List.fold_left ( +. ) 0.0 g in
+  let reversed = List.fold_left ( +. ) 0.0 (List.rev g) in
+  Alcotest.(check bool) "the sum depends on the order" false (Float.equal emission reversed);
+  let mna = Powergrid.Mna.assemble parsed.Powergrid.Netlist.circuit in
+  Alcotest.(check int64) "g_wire diagonal is the emission-order sum"
+    (Int64.bits_of_float emission)
+    (Int64.bits_of_float (Linalg.Sparse.get mna.Powergrid.Mna.g_wire 0 0))
+
 let test_layer_shrink_exact () =
   let spec =
     { Helpers.small_grid_spec with Powergrid.Grid_spec.rows = 729; cols = 729; coarsening = 3 }
@@ -281,4 +357,9 @@ let suite =
       Alcotest.test_case "stream_mna = assemble" `Quick test_stream_mna_matches_assemble;
       Alcotest.test_case "stream_mna ideal pads" `Quick test_stream_mna_rejects_ideal_pads;
       Alcotest.test_case "layer_shrink exact" `Quick test_layer_shrink_exact;
+      Alcotest.test_case "conductance stamping" `Quick test_conductance_stamping;
+      Alcotest.test_case "assembly is bitwise the triplet reference" `Quick
+        test_assembly_matches_reference;
+      Alcotest.test_case "duplicates sum in emission order" `Quick
+        test_duplicates_sum_in_emission_order;
     ]

@@ -335,6 +335,32 @@ let test_more_loops_than_domains () =
           Alcotest.(check (triple int int int)) (tag "counts") (counts ref_s) (counts s)))
     [ (0, 0); (1, 1) ]
 
+(* Matrix-free jobs count their operator applications into their claim
+   loop's registry, merged after the loops: no loop writes the global
+   registry, so two loops give the one-loop count exactly. *)
+let test_matvecs_counted_per_loop () =
+  let mf = Opera.Galerkin.Matrix_free_pcg { tol = 1e-10; max_iter = 500 } in
+  let jobs =
+    Array.init 4 (fun i ->
+        { (base_job (Printf.sprintf "mf%d" i)) with
+          Job.analysis = Job.Transient;
+          solver = mf;
+          drain_scale = 1.0 +. (0.1 *. float_of_int i) })
+  in
+  let matvecs jobs_parallel =
+    let metrics = Util.Metrics.create () in
+    ignore (run ~jobs_parallel ~metrics jobs);
+    ( Util.Metrics.counter metrics "galerkin_op.matvecs",
+      Util.Metrics.observations metrics "galerkin_op.matvec_s" )
+  in
+  let global () = Util.Metrics.counter Util.Metrics.global "galerkin_op.matvecs" in
+  let before = global () in
+  let one, timed = matvecs 1 in
+  Alcotest.(check bool) "counted in the batch registry" true (one > 0);
+  Alcotest.(check int) "one timed span per application" one timed;
+  Alcotest.(check (pair int int)) "two loops count the same" (one, timed) (matvecs 2);
+  Alcotest.(check int) "nothing in the global registry" before (global ())
+
 (* --- engine solves match the library solvers ------------------------- *)
 
 let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default nodes
@@ -1143,4 +1169,6 @@ let suite =
     Alcotest.test_case "each netlist is parsed once per run" `Quick test_netlist_parsed_once;
     Alcotest.test_case "claim loops are one pool dispatch" `Slow test_fanout_on_pool;
     Alcotest.test_case "more claim loops than domains" `Slow test_more_loops_than_domains;
+    Alcotest.test_case "matrix-free matvecs are counted per loop" `Quick
+      test_matvecs_counted_per_loop;
   ]

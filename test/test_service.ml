@@ -341,6 +341,29 @@ let test_serve_ping_and_errors () =
             | Some msg -> String.starts_with ~prefix:"job m: netlist /nonexistent/grid.sp" msg
             | None -> false)
         | Error _ -> false);
+      (* So is a netlist the nodal analysis cannot take. *)
+      let netlist = Filename.temp_file "opera_serve_test" ".sp" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove netlist)
+        (fun () ->
+          Out_channel.with_open_bin netlist (fun oc ->
+              output_string oc "R1 n1 n2 1\nC1 n2 0 1p\nI1 n2 0 1m\nV1 n1 0 1.2\n");
+          let ideal =
+            J.Obj
+              [ ("jobs", J.List [ J.Obj [ ("name", J.Str "p"); ("netlist", J.Str netlist) ] ]) ]
+          in
+          let records, err4 = rpc c (batch_line ideal) in
+          Alcotest.(check int) "ideal pad -> no record" 0 (List.length records);
+          Alcotest.(check bool) "ideal pad -> one error line naming job, file and pad" true
+            (match J.parse err4 with
+            | Ok j -> (
+                match Option.bind (J.member "error" j) J.to_string with
+                | Some msg ->
+                    String.starts_with
+                      ~prefix:("job p: netlist " ^ netlist ^ ": supply pad at node n1")
+                      msg
+                | None -> false)
+            | Error _ -> false));
       (* The connection survives bad requests. *)
       let _, pong2 = rpc c {|{"op":"ping"}|} in
       Alcotest.(check string) "still serving" Service.Protocol.pong pong2;

@@ -98,27 +98,6 @@ let test_symmetry_check () =
   let b = of_triplets ~nrows:2 ~ncols:2 [ (0, 1, 1.0) ] in
   Alcotest.(check bool) "asymmetric detected" false (Linalg.Sparse.is_symmetric b)
 
-let test_builder_stamp () =
-  let b = Linalg.Sparse_builder.create ~nrows:3 ~ncols:3 () in
-  Linalg.Sparse_builder.stamp_conductance b (Some 0) (Some 1) 2.0;
-  Linalg.Sparse_builder.stamp_conductance b (Some 1) None 3.0;
-  let a = Linalg.Sparse_builder.to_csc b in
-  Helpers.check_dense "stamped"
-    (Linalg.Dense.of_arrays
-       [| [| 2.0; -2.0; 0.0 |]; [| -2.0; 5.0; 0.0 |]; [| 0.0; 0.0; 0.0 |] |])
-    (Linalg.Sparse.to_dense a)
-
-let test_builder_growth () =
-  let b = Linalg.Sparse_builder.create ~capacity:2 ~nrows:100 ~ncols:100 () in
-  for i = 0 to 99 do
-    Linalg.Sparse_builder.add b i i 1.0;
-    Linalg.Sparse_builder.add b i i 1.0
-  done;
-  Alcotest.(check int) "triplets kept" 200 (Linalg.Sparse_builder.nnz_triplets b);
-  let a = Linalg.Sparse_builder.to_csc b in
-  Alcotest.(check int) "compressed" 100 (Linalg.Sparse.nnz a);
-  Helpers.check_float "summed" 2.0 (Linalg.Sparse.get a 50 50)
-
 let test_mul_vec_matches_dense =
   let arb = QCheck.(array_of_size (Gen.return 5) (float_range (-3.) 3.)) in
   Helpers.qcheck_case ~count:50 "spmv matches dense" arb (fun x ->
@@ -241,16 +220,39 @@ let test_of_stamps_matches_triplets () =
     List.init 150 (fun _ ->
         (Prob.Rng.int rng n, Prob.Rng.int rng n, Prob.Rng.float_range rng (-2.0) 2.0))
   in
-  let reference = of_triplets ~nrows:n ~ncols:n trips in
   let streamed =
     Linalg.Sparse.of_stamps ~nrows:n ~ncols:n (fun stamp ->
         List.iter (fun (i, j, v) -> stamp i j v) trips)
   in
-  (* to_csc sorts duplicate runs with an unstable sort while of_stamps
-     sums in emission order — equal up to summation rounding, not
-     bitwise. *)
-  Alcotest.(check bool) "streamed = triplet build" true
-    (Linalg.Sparse.approx_equal ~tol:1e-13 reference streamed)
+  Helpers.check_sparse_bitwise "of_triplets is of_stamps" streamed (of_triplets ~nrows:n ~ncols:n trips);
+  (* The old triplet builder sorted duplicate runs with an unstable sort,
+     while of_stamps sums in emission order: on these inexact random
+     sums the two agree up to summation rounding, not bitwise. *)
+  let b = Helpers.Reference_builder.create ~n in
+  List.iter (fun (i, j, v) -> Helpers.Reference_builder.add b i j v) trips;
+  Alcotest.(check bool) "streamed = reference builder" true
+    (Linalg.Sparse.approx_equal ~tol:1e-13 (Helpers.Reference_builder.to_csc b) streamed)
+
+(* A long column runs through many passes of the column merge sort:
+   its duplicates must still sum in emission order. *)
+let test_of_stamps_long_columns () =
+  let rng = Helpers.rng () in
+  let n = 3 in
+  let trips =
+    List.init 1000 (fun _ ->
+        (Prob.Rng.int rng n, Prob.Rng.int rng n, Prob.Rng.float_range rng (-2.0) 2.0))
+  in
+  let expected = Array.make_matrix n n 0.0 in
+  List.iter (fun (i, j, v) -> expected.(i).(j) <- expected.(i).(j) +. v) trips;
+  let a = of_triplets ~nrows:n ~ncols:n trips in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      Alcotest.(check int64)
+        (Printf.sprintf "(%d,%d) is the emission-order sum" i j)
+        (Int64.bits_of_float expected.(i).(j))
+        (Int64.bits_of_float (Linalg.Sparse.get a i j))
+    done
+  done
 
 let test_of_stamps_dedup () =
   let a =
@@ -301,9 +303,10 @@ let test_of_stamps_metrics () =
   Alcotest.(check int) "nnz after merge" 3 (Linalg.Sparse.nnz a);
   Alcotest.(check int) "raw stamps counted" 4 (Util.Metrics.counter metrics "sparse.stream_stamps");
   Alcotest.(check int) "merged nnz counted" 3 (Util.Metrics.counter metrics "sparse.stream_nnz");
-  (* 4 raw stamps at 16 bytes + two (ncols+1) int counters *)
+  (* 4 raw stamps and the sort's scratch for the longest column (2
+     entries) at 16 bytes + two (ncols+1) int counters *)
   Helpers.check_float "peak bytes observed"
-    (float_of_int ((16 * 4) + (8 * 2 * 4)))
+    (float_of_int ((16 * (4 + 2)) + (8 * 2 * 4)))
     (Util.Metrics.total metrics "sparse.stream_peak_bytes")
 
 let suite =
@@ -319,14 +322,13 @@ let suite =
     Alcotest.test_case "permute_sym" `Quick test_permute_sym;
     Alcotest.test_case "lower/upper" `Quick test_lower_upper;
     Alcotest.test_case "symmetry check" `Quick test_symmetry_check;
-    Alcotest.test_case "builder stamping" `Quick test_builder_stamp;
-    Alcotest.test_case "builder growth" `Quick test_builder_growth;
     test_mul_vec_matches_dense;
     Alcotest.test_case "mul_vec_acc" `Quick test_mul_vec_acc;
     Alcotest.test_case "mul_block_acc" `Quick test_mul_block_acc;
     test_mul_vec_acc_matches_mul_vec;
     Alcotest.test_case "of_stamps = of_triplets" `Quick test_of_stamps_matches_triplets;
     Alcotest.test_case "of_stamps dedup" `Quick test_of_stamps_dedup;
+    Alcotest.test_case "of_stamps long columns" `Quick test_of_stamps_long_columns;
     Alcotest.test_case "of_stamps validation" `Quick test_of_stamps_validation;
     Alcotest.test_case "of_stamps metrics" `Quick test_of_stamps_metrics;
     Alcotest.test_case "mul_vec_into" `Quick test_mul_vec_into;

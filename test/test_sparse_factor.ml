@@ -26,13 +26,14 @@ let test_perm_ops () =
 let test_rcm_reduces_bandwidth () =
   (* A path graph labeled adversarially: natural bandwidth is large. *)
   let n = 64 in
-  let b = Linalg.Sparse_builder.create ~nrows:n ~ncols:n () in
   (* path 0 - 32 - 1 - 33 - 2 - ... interleaved labels *)
   let label i = if i mod 2 = 0 then i / 2 else (n / 2) + (i / 2) in
-  for i = 0 to n - 2 do
-    Linalg.Sparse_builder.stamp_conductance b (Some (label i)) (Some (label (i + 1))) 1.0
-  done;
-  let a = Linalg.Sparse_builder.to_csc b in
+  let a =
+    Linalg.Sparse.of_stamps ~nrows:n ~ncols:n (fun stamp ->
+        for i = 0 to n - 2 do
+          Powergrid.Mna.stamp_conductance stamp (label i) (label (i + 1)) 1.0
+        done)
+  in
   let bandwidth p =
     let pinv = Linalg.Perm.inverse p in
     List.fold_left
@@ -47,18 +48,7 @@ let test_rcm_reduces_bandwidth () =
 
 let test_min_degree_reduces_fill () =
   (* 2D mesh: min-degree should beat natural ordering on factor size. *)
-  let k = 14 in
-  let n = k * k in
-  let b = Linalg.Sparse_builder.create ~nrows:n ~ncols:n () in
-  for r = 0 to k - 1 do
-    for c = 0 to k - 1 do
-      let here = (r * k) + c in
-      Linalg.Sparse_builder.add b here here 0.1;
-      if c + 1 < k then Linalg.Sparse_builder.stamp_conductance b (Some here) (Some (here + 1)) 1.0;
-      if r + 1 < k then Linalg.Sparse_builder.stamp_conductance b (Some here) (Some (here + k)) 1.0
-    done
-  done;
-  let a = Linalg.Sparse_builder.to_csc b in
+  let a = Helpers.mesh_matrix ~diag:0.1 14 in
   let nnz kind =
     Linalg.Sparse_cholesky.nnz_l (Linalg.Sparse_cholesky.factor ~ordering:kind a)
   in
@@ -373,18 +363,7 @@ let prop_chol_mesh =
   Helpers.qcheck_case ~count:20 "cholesky solves mesh systems" QCheck.(int_range 3 9)
     (fun k ->
       let n = k * k in
-      let b = Linalg.Sparse_builder.create ~nrows:n ~ncols:n () in
-      for r = 0 to k - 1 do
-        for c = 0 to k - 1 do
-          let here = (r * k) + c in
-          Linalg.Sparse_builder.add b here here 0.05;
-          if c + 1 < k then
-            Linalg.Sparse_builder.stamp_conductance b (Some here) (Some (here + 1)) 1.0;
-          if r + 1 < k then
-            Linalg.Sparse_builder.stamp_conductance b (Some here) (Some (here + k)) 1.0
-        done
-      done;
-      let a = Linalg.Sparse_builder.to_csc b in
+      let a = Helpers.mesh_matrix ~diag:0.05 k in
       let rng = Helpers.rng () in
       let x_true = Helpers.random_vec rng n in
       let rhs = Linalg.Sparse.mul_vec a x_true in
@@ -419,17 +398,18 @@ let suite =
 
 let test_orderings_on_disconnected_graph () =
   (* Two components: every ordering must handle the disconnect. *)
-  let b = Linalg.Sparse_builder.create ~nrows:10 ~ncols:10 () in
-  for i = 0 to 9 do
-    Linalg.Sparse_builder.add b i i 2.0
-  done;
-  for i = 0 to 3 do
-    Linalg.Sparse_builder.stamp_conductance b (Some i) (Some (i + 1)) 1.0
-  done;
-  for i = 6 to 8 do
-    Linalg.Sparse_builder.stamp_conductance b (Some i) (Some (i + 1)) 1.0
-  done;
-  let a = Linalg.Sparse_builder.to_csc b in
+  let a =
+    Linalg.Sparse.of_stamps ~nrows:10 ~ncols:10 (fun stamp ->
+        for i = 0 to 9 do
+          stamp i i 2.0
+        done;
+        for i = 0 to 3 do
+          Powergrid.Mna.stamp_conductance stamp i (i + 1) 1.0
+        done;
+        for i = 6 to 8 do
+          Powergrid.Mna.stamp_conductance stamp i (i + 1) 1.0
+        done)
+  in
   List.iter
     (fun kind ->
       let p = Linalg.Ordering.compute kind a in

@@ -11,10 +11,7 @@
    right-hand side of the trapezoidal step, so a mis-scaled source term
    would destroy the observed order. *)
 
-let one_by_one v =
-  let b = Linalg.Sparse_builder.create ~nrows:1 ~ncols:1 () in
-  Linalg.Sparse_builder.add b 0 0 v;
-  Linalg.Sparse_builder.to_csc b
+let one_by_one v = Linalg.Sparse.of_triplets ~nrows:1 ~ncols:1 [ (0, 0, v) ]
 
 let x0_val = 1.0
 
